@@ -7,13 +7,14 @@ best-response dynamics, and price-of-anarchy/stability reports, all in exact
 rational arithmetic.
 """
 
-from .model import (FormatError, GameError, GuardError, Instance, Job, Profile,
-                    Rational, Schedule, UnsupportedInstanceError, UtilityVector,
-                    ValidationError, instance_from_document, instance_to_document,
-                    instance_to_json, parse_instance, parse_profile, parse_schedule,
-                    profile_from_document, profile_to_document, profile_to_json,
-                    schedule_to_document, schedule_to_json, to_rational, utilities,
-                    validate_instance, validate_profile)
+from .model import (FormatError, GameError, GuardError, Instance, InternalFailure,
+                    Job, Profile, Rational, Schedule, UnsupportedInstanceError,
+                    UtilityVector, ValidationError, instance_from_document,
+                    instance_to_document, instance_to_json, parse_instance,
+                    parse_profile, parse_schedule, profile_from_document,
+                    profile_to_document, profile_to_json, schedule_to_document,
+                    schedule_to_json, to_rational, utilities, validate_instance,
+                    validate_profile)
 from .machine import (in_set, prev_index, solve_machine_bruteforce,
                       solve_machine_dp)
 from .optimum import (ColorAllocation, social_optimum_bruteforce,
@@ -32,8 +33,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport", "BrdOutcome", "CandidateGrid", "ColorAllocation",
     "Deviation", "FAMILIES", "Fact", "Fixture", "FormatError", "GameError",
-    "GuardError", "Instance", "Job", "Profile", "Rational", "Schedule",
-    "UnsupportedInstanceError", "UtilityVector", "ValidationError", "analyze",
+    "GuardError", "Instance", "InternalFailure", "Job", "Profile", "Rational",
+    "Schedule", "UnsupportedInstanceError", "UtilityVector", "ValidationError",
+    "analyze",
     "applicable_bounds", "best_response", "brd", "build_grid",
     "enumerate_grid_ne", "fixture", "fixture_names", "from_knapsack",
     "from_partition_br", "from_partition_decide", "from_partition_nonsymm",

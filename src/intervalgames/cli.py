@@ -19,9 +19,10 @@ from . import generators
 from .equilibrium import (analyze, brd, enumerate_grid_ne, is_nash, ne_single,
                           ne_unit, tightest_bound)
 from .machine import solve_machine_bruteforce, solve_machine_dp
-from .model import (GameError, GuardError, Instance, Profile, rational_str,
-                    instance_to_document, parse_instance, parse_profile,
-                    profile_to_document, schedule_to_document, to_rational)
+from .model import (GameError, GuardError, Instance, InternalFailure, Profile,
+                    rational_str, instance_to_document, parse_instance,
+                    parse_profile, profile_to_document, schedule_to_document,
+                    to_rational)
 from .optimum import (social_optimum_bruteforce, social_optimum_enumerate,
                       social_optimum_single_knapsack)
 
@@ -29,10 +30,6 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-class InternalFailure(Exception):
-    """Exit-3 condition: two routes that must agree did not."""
 
 
 def _emit(payload) -> None:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 from .machine import machine_value_and_covered
-from .model import (ZERO, GuardError, Instance, Profile, UnsupportedInstanceError,
-                    ValidationError, validate_profile)
+from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
+                    UnsupportedInstanceError, ValidationError, validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
 BEST_RESPONSE_MAX_GRID = 64
@@ -114,7 +114,10 @@ class Deviation:
     utility_after: Fraction
 
     def __post_init__(self):
-        assert self.utility_after > self.utility_before
+        if not self.utility_after > self.utility_before:
+            raise InternalFailure(
+                f"deviation of player {self.player} does not improve: "
+                f"{self.utility_before} -> {self.utility_after}")
 
     def strategy_dict(self) -> dict[int, Fraction]:
         return dict(self.new_strategy)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .model import (ONE, ZERO, Instance, Job, Profile, ValidationError,
-                    to_rational, validate_instance)
+from .model import (ONE, ZERO, Instance, InternalFailure, Job, Profile,
+                    ValidationError, to_rational, validate_instance)
 
 F = Fraction
 
@@ -420,7 +420,9 @@ def from_partition_decide(values: Sequence[int]) -> Fixture:
             else:
                 starts[i + 1] = offset_out
                 offset_out += v
-        assert offset_in == T and offset_out == T
+        if offset_in != T or offset_out != T:
+            raise InternalFailure(f"partition sides fill {offset_in} and "
+                                  f"{offset_out}, not {T}")
         profiles["ne"] = Profile.from_dict(starts)
         facts.append(Fact("ne_value", n + epsilon + 1, profile="ne"))
         facts.append(Fact("utilities", (n + 1 + epsilon, ZERO), profile="ne"))

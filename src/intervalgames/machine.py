@@ -6,14 +6,29 @@ brute force used as an oracle in tests. Both apply the same pre-pass (jobs of
 length zero occupy an empty interval, so they are always covered) and the
 same post-pass (any job whose whole interval lies inside a busy segment of
 its own color is covered for free).
+
+Both routes and the post-pass compute in integers. `_scaled` writes every
+start and finish of a profile as a numerator over one common denominator (the
+lcm of the denominators of the lengths and of the starts) and every weight as
+a numerator over the lcm of the weight denominators, so every comparison and
+sum is exact. `Fraction`s appear only in the returned value and segment
+endpoints.
+
+Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
+the one whose last job has the smallest id, the empty configuration counting
+as id 0, both when it picks a job's predecessor and when it picks the final
+configuration (see `_dp_core`). The brute force keeps the lexicographically
+smallest sorted tuple of covered ids. Solver invariants raise
+`InternalFailure`, so they also hold under `python -O`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
-from .model import ZERO, GuardError, Instance, Profile, Schedule
+from .model import GuardError, Instance, InternalFailure, Profile, Schedule
 
 BRUTE_FORCE_MAX_JOBS = 20
 
@@ -56,36 +71,27 @@ def in_set(instance: Instance, profile: Profile, job_id: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 class _Static:
     """Per-instance constants for the integer-scaled solver core."""
 
-    __slots__ = ("ids", "colors", "weights_scaled", "len_nd", "len_den",
-                 "weight_den", "base_scaled", "zero_ids", "count")
+    __slots__ = ("ids", "rows", "len_den", "weight_den", "base_scaled",
+                 "zero_ids")
 
     def __init__(self, instance: Instance):
         positive = [j for j in instance.jobs if j.length > 0]
         zero = [j for j in instance.jobs if j.length == 0]
-        wd = 1
-        for j in instance.jobs:
-            wd = _lcm(wd, j.weight.denominator)
-        ld = 1
-        for j in positive:
-            ld = _lcm(ld, j.length.denominator)
+        wd = math.lcm(*[j.weight.denominator for j in instance.jobs])
+        ld = math.lcm(*[j.length.denominator for j in positive])
         self.ids = [j.id for j in positive]
-        self.colors = [j.color for j in positive]
-        self.weights_scaled = [j.weight.numerator * (wd // j.weight.denominator)
-                               for j in positive]
-        self.len_nd = [(j.length.numerator, j.length.denominator) for j in positive]
+        # (length numerator, length denominator, id, scaled weight, color)
+        self.rows = [(j.length.numerator, j.length.denominator, j.id,
+                      j.weight.numerator * (wd // j.weight.denominator), j.color)
+                     for j in positive]
         self.len_den = ld
         self.weight_den = wd
         self.base_scaled = sum(j.weight.numerator * (wd // j.weight.denominator)
                                for j in zero)
         self.zero_ids = frozenset(j.id for j in zero)
-        self.count = len(positive)
 
 
 _STATICS: dict[int, tuple] = {}
@@ -104,134 +110,108 @@ def _static_for(instance: Instance) -> _Static:
 
 
 def _scaled(instance: Instance, starts: dict[int, Fraction]):
-    """Integer-scaled view of one profile: all times over a common lcm
-    denominator, all weights over theirs, sorted by (finish, id). Exact."""
+    """Integer-scaled view of one profile's positive-length jobs, sorted by
+    (finish, id): the tuple (starts, finishes, weights, colors, ids, td,
+    static), where times are numerators over the common denominator td and
+    weights numerators over static.weight_den. Exact."""
     st = _static_for(instance)
-    n = st.count
-    td = st.len_den
-    for jid in st.ids:
-        d = starts[jid].denominator
-        td = td * d // math.gcd(td, d)
-    raw_s = []
-    raw_f = []
-    for i in range(n):
-        x = starts[st.ids[i]]
-        si = x.numerator * (td // x.denominator)
-        num, den = st.len_nd[i]
-        raw_s.append(si)
-        raw_f.append(si + num * (td // den))
-    order = sorted(range(n), key=lambda i: (raw_f[i], st.ids[i]))
-    s = [raw_s[i] for i in order]
-    f = [raw_f[i] for i in order]
-    w = [st.weights_scaled[i] for i in order]
-    col = [st.colors[i] for i in order]
-    ids = [st.ids[i] for i in order]
-    return s, f, w, col, ids, st
+    xs = [starts[jid].as_integer_ratio() for jid in st.ids]
+    td = math.lcm(st.len_den, *[d for _, d in xs])
+    rows = sorted([(si + num * (td // den), jid, si, wi, ci)
+                   for si, (num, den, jid, wi, ci)
+                   in zip([num * (td // d) for num, d in xs], st.rows)])
+    f, ids, s, w, col = zip(*rows) if rows else ((),) * 5
+    return s, f, w, col, ids, td, st
 
 
 def _dp_core(instance: Instance, starts: dict[int, Fraction]):
-    """Return (value, covered ids) for the optimal configuration."""
-    s, f, w, col, ids, st = _scaled(instance, starts)
-    wd = st.weight_den
-    base = st.base_scaled
-    covered_ids = set(st.zero_ids)
-    n = st.count
-    if n == 0:
-        return Fraction(base, wd), frozenset(covered_ids)
+    """Return (value, covered mask over the view's finish order, scaled view)
+    for the optimal configuration."""
+    view = _scaled(instance, starts)
+    s, f, w, col, ids, _, st = view
+    n = len(s)
 
-    # nested[i]: bitmask of same-color jobs contained in job i's interval.
-    nested = [0] * n
-    nested_w = [0] * n
-    for i in range(n):
-        mask = 0
-        acc = 0
-        si, fi, ci = s[i], f[i], col[i]
-        for k in range(n):
-            if col[k] == ci and si <= s[k] and f[k] <= fi:
-                mask |= 1 << k
-                acc += w[k]
-        nested[i] = mask
-        nested_w[i] = acc
-
-    # prev[i]: length of the finish-order prefix ending by s[i]; finishes are
-    # sorted, so this is a simple count.
-    prev = [0] * n
-    for i in range(n):
-        p = 0
-        si = s[i]
-        for k in range(i):
-            if f[k] <= si:
-                p = k + 1
-        prev[i] = p
-
+    # Cell i + 1 holds the best configuration whose last job is job i, and
+    # back[i + 1] its predecessor cell (0 is the empty configuration).
+    # Tie-break rule: a predecessor cell ranks by value, then by the smaller
+    # id of its last job, the empty cell counting as id 0, so it wins every
+    # tie. Ids are unique, so this is a total order, and neither the branch
+    # (X or Y) nor the scan order can change the pick. The final pick uses
+    # the same rule over all cells. best[p] is the rule's maximum over cells
+    # 0..p, a prefix argmax.
     A = [0] * (n + 1)
-    back = [0] * (n + 1)  # predecessor cell (branch is irrelevant to backtrack)
+    back = [0] * (n + 1)
+    best = [(0, 0, 0)] * (n + 1)  # (value, last-job id, cell)
+    nested = [0] * n  # bitmask of same-color jobs inside job i's interval
+    top_v, top_id, top_cell = 0, 0, 0
     for i in range(n):
-        cell = i + 1
-        # Branch X: the previous covered job ends before this one starts.
-        add = nested_w[i]
-        best_v = add  # k = 0
-        best_k = 0
-        best_id = 0
-        for k in range(1, prev[i] + 1):
-            v = A[k] + add
-            kid = ids[k - 1]
-            if v > best_v or (v == best_v and kid < best_id):
-                best_v, best_k, best_id = v, k, kid
-        # Branch Y: extend a same-color configuration that this job intersects.
-        mi, ci = nested[i], col[i]
-        for k in range(i):
-            if col[k] != ci or (mi >> k) & 1:
+        si, fi, c = s[i], f[i], col[i]
+        # One backward scan over the same-color jobs ending in (s[i], f[i]]
+        # finds job i's nested set and branch Y's candidates: jobs k < i that
+        # start before s[i]. Extending k's configuration adds the nested jobs
+        # that end after f[k] (the others lie inside k's interval too).
+        # Same-color jobs ending by s[i] would repeat a branch X candidate.
+        # The window is found by bisection; other colors are skipped at once.
+        mask = 0
+        add = 0
+        after = 0
+        last_f = None
+        y_v, y_id, y_k = -1, 0, 0
+        p = bisect_right(f, si, 0, i)  # prev[i]: the jobs ending by s[i]
+        for k in range(bisect_right(f, fi, i) - 1, p - 1, -1):
+            if col[k] != c:
                 continue
-            rest = mi & ~nested[k]
-            marginal = 0
-            while rest:
-                low = rest & -rest
-                marginal += w[low.bit_length() - 1]
-                rest ^= low
-            v = A[k + 1] + marginal
-            kid = ids[k]
-            if v > best_v or (v == best_v and kid < best_id):
-                best_v, best_k, best_id = v, k + 1, kid
-        A[cell] = best_v
-        back[cell] = best_k
-    # Branch ties inside a cell prefer X implicitly: at equal value and equal
-    # predecessor id the X candidate is scanned first and kept.
+            fk = f[k]
+            if fk != last_f:
+                after, last_f = add, fk
+            if s[k] >= si:
+                mask |= 1 << k
+                add += w[k]
+            elif k < i:
+                v = A[k + 1] + after
+                kid = ids[k]
+                if v > y_v or (v == y_v and kid < y_id):
+                    y_v, y_id, y_k = v, kid, k + 1
+        nested[i] = mask
+        # Branch X: the previous covered job ends by s[i], so it is one of
+        # the first p jobs; best[p] is their best by the tie-break rule.
+        best_v, best_id, best_k = best[p]
+        best_v += add
+        if y_v > best_v or (y_v == best_v and y_id < best_id):
+            best_v, best_id, best_k = y_v, y_id, y_k
+        A[i + 1] = best_v
+        back[i + 1] = best_k
+        if best_v > top_v or (best_v == top_v and ids[i] < top_id):
+            top_v, top_id, top_cell = best_v, ids[i], i + 1
+        best[i + 1] = (top_v, top_id, top_cell)
 
-    # Final pick: maximum value; ties go to the smaller last-job id, with the
-    # empty cover (cell 0, "id" 0) winning an all-zero tie.
-    best_cell = 0
-    best_val = 0
-    best_id = 0
-    for cell in range(1, n + 1):
-        jid = ids[cell - 1]
-        if A[cell] > best_val or (A[cell] == best_val and jid < best_id):
-            best_cell, best_val, best_id = cell, A[cell], jid
-
+    # The final pick is the same ranking over every cell.
     covered_mask = 0
-    cell = best_cell
+    cell = top_cell
     while cell != 0:
         covered_mask |= nested[cell - 1]
         cell = back[cell]
-    credited = best_val
-    total = 0
-    rest = covered_mask
-    while rest:
-        low = rest & -rest
-        total += w[low.bit_length() - 1]
-        rest ^= low
-    assert total == credited, "dp credit mismatch: recurrence double-counted a job"
-    covered_ids.update(ids[k] for k in range(n) if (covered_mask >> k) & 1)
-    return Fraction(base + credited, wd), frozenset(covered_ids)
+    if sum(w[k] for k in range(n) if (covered_mask >> k) & 1) != top_v:
+        raise InternalFailure("dp credit mismatch: recurrence double-counted a job")
+    return Fraction(st.base_scaled + top_v, st.weight_den), covered_mask, view
+
+
+def _covered_ids(mask: int, view) -> frozenset[int]:
+    ids, st = view[4], view[6]
+    covered = set(st.zero_ids)
+    covered.update(ids[k] for k in range(len(ids)) if (mask >> k) & 1)
+    # Copied from a set, the frozenset's table is sized for its final count;
+    # one grown item by item can be twice as large.
+    return frozenset(covered)
 
 
 def _brute_core(instance: Instance, starts: dict[int, Fraction], force: bool):
-    s, f, w, col, ids, st = _scaled(instance, starts)
-    n = st.count
+    view = _scaled(instance, starts)
+    s, f, w, col, ids, _, st = view
+    n = len(s)
     if n > BRUTE_FORCE_MAX_JOBS and not force:
         raise GuardError(f"brute-force machine solver limited to "
                          f"{BRUTE_FORCE_MAX_JOBS} jobs, got {n}")
-    covered_ids = set(st.zero_ids)
     conflict = [0] * n
     for i in range(n):
         for k in range(n):
@@ -244,82 +224,93 @@ def _brute_core(instance: Instance, starts: dict[int, Fraction], force: bool):
 
     best_val = 0
     best_set: tuple[int, ...] = ()
+    best_mask = 0
 
-    def search(i: int, mask: int, value: int, chosen: list[int]):
-        nonlocal best_val, best_set
+    def search(i: int, mask: int, value: int, chosen: int):
+        nonlocal best_val, best_set, best_mask
         if value + suffix[i] < best_val:
             return
         if i == n:
-            key = tuple(sorted(ids[k] for k in chosen))
+            key = tuple(sorted(ids[k] for k in range(n) if (chosen >> k) & 1))
             if value > best_val or (value == best_val and key < best_set):
-                best_val, best_set = value, key
+                best_val, best_set, best_mask = value, key, chosen
             return
         if not (mask >> i) & 1:  # include first: favors low-id covers on ties
-            chosen.append(i)
-            search(i + 1, mask | conflict[i], value + w[i], chosen)
-            chosen.pop()
+            search(i + 1, mask | conflict[i], value + w[i], chosen | 1 << i)
         search(i + 1, mask, value, chosen)
 
-    search(0, 0, 0, [])
-    covered_ids.update(best_set)
-    return Fraction(st.base_scaled + best_val, st.weight_den), frozenset(covered_ids)
+    search(0, 0, 0, 0)
+    return Fraction(st.base_scaled + best_val, st.weight_den), best_mask, view
 
 
-def _segments_and_closure(instance: Instance, starts, value, covered):
+def _closure(starts: dict[int, Fraction], value: Fraction, mask: int,
+             view) -> Schedule:
     """Merge covered intervals into maximal per-color segments, then cover
-    every job nested inside a segment of its own color (free additions)."""
-    per_color: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for jid in covered:
-        j = instance.job(jid)
-        if j.length == 0:
-            continue
-        per_color.setdefault(j.color, []).append((starts[jid], starts[jid] + j.length))
+    every job nested inside a segment of its own color (free additions).
+
+    Works on the scaled view; a segment's start is returned as the profile's
+    own start of a covered job there, its end as a new `Fraction`."""
+    s, f, w, col, ids, td, _ = view
+    per_color: dict[int, list[tuple[int, int]]] = {}
+    first: dict[int, int] = {}  # scaled start -> a covered job starting there
+    for k in range(len(s)):
+        if (mask >> k) & 1:
+            per_color.setdefault(col[k], []).append((s[k], f[k]))
+            first[s[k]] = ids[k]
     segments = []
+    merged: dict[int, tuple[list[int], list[int]]] = {}
     for color, ivals in per_color.items():
         ivals.sort()
+        lows, highs = merged[color] = ([], [])
         cur_s, cur_f = ivals[0]
         for a, b in ivals[1:]:
             if a <= cur_f:  # merge overlapping and touching same-color intervals
                 cur_f = max(cur_f, b)
             else:
-                segments.append((cur_s, cur_f, color))
+                lows.append(cur_s)
+                highs.append(cur_f)
                 cur_s, cur_f = a, b
-        segments.append((cur_s, cur_f, color))
+        lows.append(cur_s)
+        highs.append(cur_f)
+        segments.extend((a, b, color) for a, b in zip(lows, highs))
     segments.sort()
-    for (a1, b1, _), (a2, _, _) in zip(segments, segments[1:]):
-        assert a2 >= b1, "covered jobs of different colors overlap"
+    for (_, b1, _), (a2, _, _) in zip(segments, segments[1:]):
+        if a2 < b1:
+            raise InternalFailure("covered jobs of different colors overlap")
 
-    closed = set(covered)
-    extra = ZERO
-    for j in instance.jobs:
-        if j.id in closed or j.length == 0:
+    free = 0
+    extra = 0
+    for k in range(len(s)):
+        if (mask >> k) & 1 or col[k] not in merged:
             continue
-        sj, fj = starts[j.id], starts[j.id] + j.length
-        for a, b, color in segments:
-            if color == j.color and a <= sj and fj <= b:
-                closed.add(j.id)
-                extra += j.weight
-                break
-    assert extra == 0, "closure pass found uncounted positive weight (solver bug)"
-    return Schedule(frozenset(closed), tuple(segments), value)
+        lows, highs = merged[col[k]]
+        j = bisect_right(lows, s[k]) - 1
+        if j >= 0 and f[k] <= highs[j]:
+            free |= 1 << k
+            extra += w[k]
+    if extra:
+        raise InternalFailure("closure pass found uncounted positive weight "
+                              "(solver bug)")
+    return Schedule(_covered_ids(mask | free, view),
+                    tuple((starts[first[a]], Fraction(b, td), c)
+                          for a, b, c in segments), value)
 
 
 def solve_machine_dp(instance: Instance, profile: Profile) -> Schedule:
     """Optimal machine configuration via dynamic programming over finish times."""
     starts = profile.as_dict()
-    value, covered = _dp_core(instance, starts)
-    return _segments_and_closure(instance, starts, value, covered)
+    return _closure(starts, *_dp_core(instance, starts))
 
 
 def solve_machine_bruteforce(instance: Instance, profile: Profile,
                              force: bool = False) -> Schedule:
     """Oracle: enumerate all cross-color-compatible job subsets (n <= 20)."""
     starts = profile.as_dict()
-    value, covered = _brute_core(instance, starts, force)
-    return _segments_and_closure(instance, starts, value, covered)
+    return _closure(starts, *_brute_core(instance, starts, force))
 
 
 def machine_value_and_covered(instance: Instance,
                               starts: dict[int, Fraction]) -> tuple[Fraction, frozenset[int]]:
     """Fast-path entry used by the equilibrium search: no segment building."""
-    return _dp_core(instance, starts)
+    value, mask, view = _dp_core(instance, starts)
+    return value, _covered_ids(mask, view)

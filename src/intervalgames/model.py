@@ -40,6 +40,13 @@ class UnsupportedInstanceError(GameError):
     """The operation does not apply to this instance class."""
 
 
+class InternalFailure(Exception):
+    """A solver invariant broke, or two routes that must agree did not.
+
+    Raised explicitly rather than by `assert`, so the checks also run under
+    `python -O`; the CLI maps it to exit code 3."""
+
+
 def to_rational(value, what: str = "value") -> Fraction:
     """Convert an int, Fraction, or numeric string ("4", "0.5", "1/3") exactly."""
     if isinstance(value, Fraction):

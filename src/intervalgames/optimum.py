@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .machine import BRUTE_FORCE_MAX_JOBS
-from .model import (ZERO, GuardError, Instance, Job, Profile,
+from .model import (ZERO, GuardError, Instance, InternalFailure, Job, Profile,
                     UnsupportedInstanceError)
 
 ENUMERATION_MAX_TUPLES = 10 ** 7
@@ -128,7 +128,8 @@ def social_optimum_single_knapsack(instance: Instance,
     for j in jobs:
         denom = denom * j.length.denominator // math.gcd(denom, j.length.denominator)
     cap = instance.horizon * denom
-    assert cap.denominator == 1
+    if cap.denominator != 1:
+        raise InternalFailure(f"scaled horizon {cap} is not an integer")
     cap = int(cap)
     if cap > KNAPSACK_MAX_CAPACITY and not force:
         raise GuardError(f"scaled capacity {cap} exceeds {KNAPSACK_MAX_CAPACITY}")
@@ -155,7 +156,9 @@ def social_optimum_single_knapsack(instance: Instance,
             packed.append(jobs[i])  # ties take the earlier id: lex-smallest pack
             c -= sizes[i]
     value = sum((j.weight for j in packed), ZERO)
-    assert value == best[0][cap]
+    if value != best[0][cap]:
+        raise InternalFailure(f"knapsack backtrack packed {value}, "
+                              f"table holds {best[0][cap]}")
 
     starts: dict[int, Fraction] = {}
     offset = ZERO

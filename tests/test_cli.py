@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from intervalgames import fixture, instance_to_json, profile_to_json
+from intervalgames import InternalFailure, fixture, instance_to_json, profile_to_json
+from intervalgames import cli
 from intervalgames.cli import main
 
 
@@ -32,6 +33,20 @@ def test_solve_with_oracle(capsys, ex1_files):
     assert payload["value"] == "5"
     assert payload["oracle_value"] == "5"
     assert payload["covered"] == [2, 3]
+
+
+def test_solve_internal_failure_exits_3(capsys, monkeypatch, ex1_files):
+    def broken(instance, profile):
+        raise InternalFailure("dp credit mismatch")
+
+    monkeypatch.setattr(cli, "solve_machine_dp", broken)
+    instance, profile = ex1_files
+    code = main(["solve", instance, profile])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal consistency failure: dp credit mismatch" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_opt_methods(capsys, ex1_files):

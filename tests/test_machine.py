@@ -1,11 +1,17 @@
 """Machine solver: worked examples, oracle equivalence, output invariants."""
 
+import hashlib
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intervalgames
 from intervalgames import (GuardError, Instance, Job, Profile, fixture, in_set,
                            prev_index, random_instance, random_profile,
                            solve_machine_bruteforce, solve_machine_dp,
@@ -121,10 +127,18 @@ def test_zero_length_jobs_always_covered():
     assert solve_machine_bruteforce(inst, profile).value == 6
 
 
-def test_oracle_equivalence_seeded():
+def _oracle_cases():
     for i in range(120):
         n = 2 + i % 7
-        inst = random_instance("general", n, min(n, 1 + i % 3), F(4), seed=900 + i)
+        yield random_instance("general", n, min(n, 1 + i % 3), F(4), seed=900 + i), i
+    # 9-16 jobs of 2-4 colors: long same-color scans and prefix-argmax runs
+    for i in range(48):
+        family = ("general", "unit", "prop", "nonsymm")[i % 4]
+        yield random_instance(family, 9 + i % 8, 2 + i % 3, F(4), seed=1900 + i), i
+
+
+def test_oracle_equivalence_seeded():
+    for inst, i in _oracle_cases():
         profile = random_profile(inst, seed=i)
         dp = solve_machine_dp(inst, profile)
         brute = solve_machine_bruteforce(inst, profile)
@@ -187,3 +201,66 @@ def test_same_color_touching_merges_one_segment():
     sched = solve_machine_dp(inst, profile)
     assert sched.value == 3
     assert sched.segments == ((F(0), F(2), 1),)
+
+
+GOLDEN_DP_SHA256 = "10d5b856de529123cd4d846e93cebc3ca4ac050569219593dd294f5c538b292c"
+
+
+def test_dp_golden_schedules_beyond_brute_force_limit():
+    # Full DP output (value, covered set, segments) pinned on 96 profiles of
+    # 12-64 jobs, past the sizes the brute-force oracle can check.
+    lines = []
+    for family in ("general", "unit", "prop", "nonsymm"):
+        for n in (12, 24, 40, 64):
+            for c in (2, 5):
+                inst = random_instance(family, n, c, F(12), seed=1000 * n + c)
+                for k in range(3):
+                    sched = solve_machine_dp(inst, random_profile(inst, seed=k))
+                    lines.append(repr((family, n, c, k, sched.value,
+                                       sorted(sched.covered), sched.segments)))
+    assert len(lines) == 96
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_DP_SHA256
+
+
+GOLDEN_TIES_SHA256 = "65a033760b99f22fdd53a04163f054239823ced08d5676ac7e4f0eacb663dcd3"
+
+
+def test_dp_golden_tie_breaks():
+    # Integer starts, lengths 1-3 and weights in {0, 1, 2} make equal-valued
+    # configurations common, so this pins the DP's tie-break rule (random
+    # rational weights almost never tie).
+    lines = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, horizon = 8 + seed % 5 * 8, 8
+        jobs = tuple(Job(i + 1, rng.randint(1, 2 + seed % 2), F(rng.randint(1, 3)),
+                         F(rng.choice((0, 1, 1, 2)))) for i in range(n))
+        inst = validate_instance(Instance(F(horizon), jobs))
+        starts = {j.id: F(rng.randint(0, horizon - int(j.length))) for j in jobs}
+        sched = solve_machine_dp(inst, Profile.from_dict(starts))
+        lines.append(repr((seed, sched.value, sorted(sched.covered), sched.segments)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_TIES_SHA256
+
+
+_INCONSISTENT_CLOSURE = """
+from fractions import Fraction as F
+from intervalgames import Instance, InternalFailure, Job, validate_instance
+from intervalgames.machine import _closure, _scaled
+inst = validate_instance(Instance(F(4), (Job(1, 1, F(2), F(1)), Job(2, 2, F(2), F(1)))))
+starts = {1: F(0), 2: F(1)}  # [0,2) and [1,3) overlap
+try:
+    _closure(starts, F(2), 0b11, _scaled(inst, starts))
+except InternalFailure as exc:
+    print("InternalFailure:", exc)
+"""
+
+
+def test_closure_invariant_survives_optimize_flag():
+    src = os.path.dirname(os.path.dirname(intervalgames.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", _INCONSISTENT_CLOSURE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("InternalFailure: covered jobs of different colors")
