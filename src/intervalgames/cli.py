@@ -19,7 +19,7 @@ from . import generators
 from .equilibrium import (analyze, brd, enumerate_grid_ne, is_nash, ne_single,
                           ne_unit, tightest_bound)
 from .machine import solve_machine_bruteforce, solve_machine_dp
-from .model import (GameError, GuardError, Instance, InternalFailure, Profile,
+from .model import (GameError, GuardError, Instance, InternalFailure,
                     rational_str, instance_to_document, parse_instance,
                     parse_profile, profile_to_document, schedule_to_document,
                     to_rational)
@@ -72,10 +72,6 @@ def _fixture_from_args(args) -> generators.Fixture:
     return generators.fixture(args.fixture, **_fixture_params(args))
 
 
-def _profile_doc(profile: Profile) -> dict:
-    return profile_to_document(profile)
-
-
 def cmd_solve(args) -> int:
     instance = _load_instance(args)
     profile = parse_profile(_read(args.profile), instance)
@@ -108,7 +104,7 @@ def cmd_opt(args) -> int:
         raise InternalFailure(f"witness certification failed: "
                               f"claimed {value}, machine got {certified}")
     _emit({"value": rational_str(value), "method": args.method,
-           "witness": _profile_doc(witness)})
+           "witness": profile_to_document(witness)})
     return EXIT_OK
 
 
@@ -123,7 +119,7 @@ def cmd_ne(args) -> int:
                 f"constructed profile failed certification: player "
                 f"{deviation.player} improves {deviation.utility_before} -> "
                 f"{deviation.utility_after}")
-        _emit({"profile": _profile_doc(profile), "value": rational_str(value),
+        _emit({"profile": profile_to_document(profile), "value": rational_str(value),
                "certified": True})
         return EXIT_OK
     if args.verify:
@@ -143,7 +139,7 @@ def cmd_ne(args) -> int:
         return EXIT_OK
     # enumeration
     found = enumerate_grid_ne(instance, resolution=args.resolution, force=args.force)
-    payload = {"ne": [{"profile": _profile_doc(p), "value": rational_str(v)}
+    payload = {"ne": [{"profile": profile_to_document(p), "value": rational_str(v)}
                       for p, v in found],
                "grid_resolution": args.resolution}
     expected_no_ne = False
@@ -173,9 +169,9 @@ def cmd_brd(args) -> int:
                "trace": [[player, rational_str(delta), rational_str(value)]
                          for player, delta, value in outcome.trace]}
     if outcome.cycle is not None:
-        payload["cycle"] = [_profile_doc(p) for p in outcome.cycle]
+        payload["cycle"] = [profile_to_document(p) for p in outcome.cycle]
     else:
-        payload["final"] = _profile_doc(outcome.final)
+        payload["final"] = profile_to_document(outcome.final)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iteration,player,delta,value\n")
@@ -199,9 +195,9 @@ def _report_doc(report) -> dict:
                                 if report.pos_upper_witness is not None else None)
     doc["bound_satisfied"] = report.bound_satisfied
     if report.worst_ne is not None:
-        doc["worst_ne"] = _profile_doc(report.worst_ne)
+        doc["worst_ne"] = profile_to_document(report.worst_ne)
     if report.best_ne is not None:
-        doc["best_ne"] = _profile_doc(report.best_ne)
+        doc["best_ne"] = profile_to_document(report.best_ne)
     return doc
 
 
@@ -258,7 +254,7 @@ def cmd_fixture(args) -> int:
     fx = generators.fixture(args.name, **_fixture_params(args))
     doc = {"name": fx.name,
            "instance": instance_to_document(fx.instance),
-           "profiles": {name: _profile_doc(p)
+           "profiles": {name: profile_to_document(p)
                         for name, p in fx.notable_profiles.items()},
            "facts": [{"kind": f.kind,
                       "payload": _payload_doc(f.payload),

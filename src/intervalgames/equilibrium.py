@@ -7,6 +7,14 @@ of fixed jobs) together with interior representatives obtained by shifting
 every event point by half the minimum gap. Deviations found this way are
 exact and unconditional; *absence* of deviations is a statement about the
 grid, and reports say so.
+
+Grid-NE enumeration memoizes each player's verdict, keyed on the other
+players' placements (see `_player_stable`). The memo is exact: it holds only
+bounds that a search over the same grid proved. It is bounded: it lives in
+the per-instance grid cache, which is cleared past 100,000 entries. It
+leaves the searched grid unchanged, so the enumerated equilibria are those
+of the plain search. Utilities are compared as integers over the lcm of the
+weight denominators and returned as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from .machine import machine_value_and_covered
@@ -30,22 +40,44 @@ GRID_ENUM_MAX_PROFILES = 10 ** 6
 class MachineCache:
     """Memoized machine responses for one instance.
 
-    Cache keys are tuples of small ints: every distinct start value is
-    interned once, so the hot path never hashes a Fraction. Cached values
-    are (total, per-color utilities) with colors indexed densely."""
+    Cache keys are tuples of small ints, one start code per job in instance
+    order: every distinct start value is interned once, so the hot path
+    never hashes a Fraction. Cached values are (total, per-color utilities)
+    with colors indexed densely. Utilities are ints scaled by `wden`, the
+    lcm of the weight denominators, so the search compares them exactly
+    without `Fraction` arithmetic; `utility` and every search result convert
+    back."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.ids = tuple(j.id for j in instance.jobs)
         self.pos = {jid: i for i, jid in enumerate(self.ids)}
-        self._colors = instance.color_ids
-        self.color_index = {c: i for i, c in enumerate(self._colors)}
+        self.color_index = {c: i for i, c in enumerate(instance.color_ids)}
+        self.wden = math.lcm(*[j.weight.denominator for j in instance.jobs])
         self._job_cix = [self.color_index[j.color] for j in instance.jobs]
-        self._job_w = [j.weight for j in instance.jobs]
-        self._by_id = {j.id: i for i, j in enumerate(instance.jobs)}
+        self._job_w = [self.scaled(j.weight) for j in instance.jobs]
+        self.totals = [0] * len(self.color_index)
+        for cix, w in zip(self._job_cix, self._job_w):
+            self.totals[cix] += w
+        # Per player: its interchangeable-job groups (same length, weight and
+        # window) as (sorted ids, key positions), ordered by smallest id, and
+        # a getter for the other players' codes in a key.
+        self.groups: dict[int, list[tuple[list[int], list[int]]]] = {}
+        self._others = {}
+        for c in instance.color_ids:
+            by_key: dict[tuple, list[int]] = {}
+            for j in instance.jobs_of_color(c):
+                by_key.setdefault((j.length, j.weight, j.window), []).append(j.id)
+            self.groups[c] = [(ids_, [self.pos[i] for i in ids_])
+                              for ids_ in sorted(map(sorted, by_key.values()))]
+            other = [p for p, j in enumerate(instance.jobs) if j.color != c]
+            self._others[c] = itemgetter(*other) if other else (lambda key: ())
         self._intern: dict[Fraction, int] = {}
         self._cache: dict = {}
         self.grid_cache: dict = {}
+
+    def scaled(self, x: Fraction) -> int:
+        return x.numerator * (self.wden // x.denominator)
 
     def intern(self, x: Fraction) -> int:
         code = self._intern.get(x)
@@ -54,13 +86,19 @@ class MachineCache:
             self._intern[x] = code
         return code
 
+    def key(self, starts: Mapping[int, Fraction]) -> tuple:
+        return tuple(self.intern(starts[i]) for i in self.ids)
+
+    def others_key(self, player: int, key: tuple) -> tuple:
+        return (player, self._others[player](key))
+
     def evaluate_key(self, key: tuple, starts: Mapping[int, Fraction]):
         hit = self._cache.get(key)
         if hit is None:
             value, covered = machine_value_and_covered(self.instance, dict(starts))
-            per = [ZERO] * len(self._colors)
+            per = [0] * len(self.totals)
             for jid in covered:
-                idx = self._by_id[jid]
+                idx = self.pos[jid]
                 per[self._job_cix[idx]] += self._job_w[idx]
             hit = (value, tuple(per))
             if len(self._cache) > 600_000:
@@ -69,14 +107,30 @@ class MachineCache:
         return hit
 
     def evaluate(self, starts: Mapping[int, Fraction]):
-        key = tuple(self.intern(starts[i]) for i in self.ids)
-        return self.evaluate_key(key, starts)
+        return self.evaluate_key(self.key(starts), starts)
 
     def value(self, starts) -> Fraction:
         return self.evaluate(starts)[0]
 
     def utility(self, starts, color: int) -> Fraction:
-        return self.evaluate(starts)[1][self.color_index[color]]
+        return Fraction(self.evaluate(starts)[1][self.color_index[color]], self.wden)
+
+
+class _GridRecord:
+    """One player's aligned candidates against fixed other placements, and
+    the player's verdict bounds there, in scaled utilities.
+
+    `coded` holds one sorted (value, code) list per group of
+    `MachineCache.groups`. `lo` is the best utility of a deviation found on
+    this aligned grid (-1 before any), `hi` a ceiling on every utility over
+    it (the player's total before a search proves a lower one)."""
+
+    __slots__ = ("coded", "lo", "hi")
+
+    def __init__(self, coded: list, hi: int):
+        self.coded = coded
+        self.lo = -1
+        self.hi = hi
 
 
 _CACHES: "weakref.WeakKeyDictionary[Instance, MachineCache]" = weakref.WeakKeyDictionary()
@@ -158,84 +212,130 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     Aligned candidates: the job's own feasibility bounds, each fixed job's
     finish, start, and start minus the moving job's length. Interior
     representatives: every aligned point shifted by half the smallest gap.
+    Computed on integer numerators over twice the common denominator of the
+    inputs, so half a gap is an integer too.
     """
     T = instance.horizon
     own = instance.jobs_of_color(player)
     if not own:
         raise ValidationError(f"instance has no player {player}")
-    fixed = []
-    for jid, s in fixed_starts.items():
-        k = instance.job(jid)
-        fixed.append((k, s))
+    fixed = [(instance.job(jid), s) for jid, s in fixed_starts.items()]
+    den = 2 * math.lcm(*[x.denominator for k, s in fixed for x in (s, k.length)],
+                       *[x.denominator for j in own
+                         for x in (j.release, j.due(T), j.length)])
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    fixed_n = [(k.id, scaled(s), scaled(s + k.length)) for k, s in fixed]
+    fractions: dict[int, Fraction] = {}
     entries = []
     for j in own:
-        lo = j.release
-        hi = j.due(T) - j.length
+        lo = scaled(j.release)
+        length = scaled(j.length)
+        hi = scaled(j.due(T)) - length
         bound_tag = "window-clipped" if j.window is not None else "endpoint-aligned"
-        points: dict[Fraction, str] = {lo: bound_tag, hi: bound_tag}
-        for k, sk in fixed:
-            if k.id == j.id:
+        points: dict[int, str] = {lo: bound_tag, hi: bound_tag}
+        for kid, sk, fk in fixed_n:
+            if kid == j.id:
                 continue
-            for cand in (sk + k.length, sk - j.length, sk):
+            for cand in (fk, sk - length, sk):
                 if lo <= cand <= hi:
                     points.setdefault(cand, "endpoint-aligned")
         event = sorted(points)
-        gaps = [b - a for a, b in zip(event, event[1:])]
-        if gaps:
-            delta = min(gaps) / 2
+        if len(event) > 1:
+            delta = min(b - a for a, b in zip(event, event[1:])) // 2
             for m in event:
                 cand = m + delta
                 if lo <= cand <= hi:
                     points.setdefault(cand, "interior-shifted")
-        entries.append((j.id, tuple(sorted(points.items()))))
+        cands = []
+        for n, tag in sorted(points.items()):
+            x = fractions.get(n)
+            if x is None:
+                x = fractions[n] = Fraction(n, den)
+            cands.append((x, tag))
+        entries.append((j.id, tuple(cands)))
     return CandidateGrid(player, tuple(entries))
 
 
+def _has_code(coded, code: int) -> bool:
+    for _, c in coded:
+        if c == code:
+            return True
+    return False
+
+
+def _missing(coded, positions, key: tuple) -> int:
+    """Number of distinct start codes of a group's jobs absent from `coded`."""
+    missing = []
+    for p in positions:
+        code = key[p]
+        if code not in missing and not _has_code(coded, code):
+            missing.append(code)
+    return len(missing)
+
+
+def _job_guard(player: int, count: int, force: bool) -> None:
+    if count > BEST_RESPONSE_MAX_JOBS and not force:
+        raise GuardError(f"player {player} controls {count} jobs "
+                         f"(joint search limit {BEST_RESPONSE_MAX_JOBS})")
+
+
+def _grid_guard(ids_, size: int, force: bool) -> None:
+    if size > BEST_RESPONSE_MAX_GRID and not force:
+        raise GuardError(f"jobs {ids_} have {size} candidate "
+                         f"starts (limit {BEST_RESPONSE_MAX_GRID})")
+
+
+def _coded_lists(cache: MachineCache, player: int, candidates) -> list:
+    """One sorted (value, code) list per job group of the player: the union
+    of `candidates(job id)` over the group's jobs."""
+    lists = []
+    for ids_, _ in cache.groups[player]:
+        merged = {}
+        for i in ids_:
+            for s in candidates(i):
+                merged[cache.intern(s)] = s
+        lists.append(sorted((v, c) for c, v in merged.items()))
+    return lists
+
+
 def _coded_grid(instance: Instance, cache: MachineCache, starts, player: int,
-                codes: dict[int, int]):
-    """Per-group candidate (value, code) lists for the player's jobs.
+                key: tuple):
+    """The player's grid record and per-group candidate (value, code) lists.
 
     The aligned part depends only on the other players' placements, which
-    repeat across enumeration sweeps, so it is cached; each job's current
-    start is merged in afterwards. Interchangeable jobs (same length, weight,
-    window) share one group searched over nondecreasing tuples."""
-    own = instance.jobs_of_color(player)
-    other_ids = [i for i in cache.ids if instance.job(i).color != player]
-    others_key = (player,) + tuple(codes[i] for i in other_ids)
-    cached = cache.grid_cache.get(others_key)
-    if cached is None:
-        grid = build_grid(instance, {i: starts[i] for i in other_ids}, player)
-        by_key: dict[tuple, list[int]] = {}
-        for j in own:
-            by_key.setdefault((j.length, j.weight, j.window), []).append(j.id)
-        cached = []
-        for ids_ in sorted(by_key.values(), key=min):
-            merged = {}
-            for i in ids_:
-                for s in grid.starts(i):
-                    merged[cache.intern(s)] = s
-            coded = sorted(((v, c) for c, v in merged.items()))
-            cached.append((sorted(ids_), coded))
+    repeat across enumeration sweeps, so it is cached in a `_GridRecord`;
+    each job's current start is merged into its group's list afterwards.
+    Interchangeable jobs share one group searched over nondecreasing tuples."""
+    others_key = cache.others_key(player, key)
+    record = cache.grid_cache.get(others_key)
+    if record is None:
+        grid = build_grid(instance, {i: starts[i] for i in cache.ids
+                                     if instance.job(i).color != player}, player)
+        coded = _coded_lists(cache, player, grid.starts)
         if len(cache.grid_cache) > 100_000:
             cache.grid_cache.clear()
-        cache.grid_cache[others_key] = cached
+        record = cache.grid_cache[others_key] = _GridRecord(
+            coded, cache.totals[cache.color_index[player]])
     groups = []
-    for ids_, coded in cached:
-        extra = []
-        have = {c for _, c in coded}
-        for i in ids_:
-            code = codes[i]
-            if code not in have:
-                have.add(code)
-                extra.append((starts[i], code))
-        groups.append((ids_, sorted(coded + extra) if extra else coded))
-    return groups
+    for (ids_, positions), coded in zip(cache.groups[player], record.coded):
+        union = coded
+        for i, p in zip(ids_, positions):
+            code = key[p]
+            if not _has_code(union, code):
+                if union is coded:
+                    union = list(coded)
+                insort(union, (starts[i], code))
+        groups.append((ids_, union))
+    return record, groups
 
 
 def _player_search(instance: Instance, cache: MachineCache,
                    starts: Mapping[int, Fraction], player: int, *,
                    mode: str, force: bool = False, grid_override=None,
-                   prefer_value: bool = False, codes=None):
+                   prefer_value: bool = False, key=None):
     """Search the player's joint strategy grid.
 
     mode="best": return (strategy dict, utility), preferring the current
@@ -247,39 +347,25 @@ def _player_search(instance: Instance, cache: MachineCache,
     own = instance.jobs_of_color(player)
     if not own:
         raise ValidationError(f"instance has no player {player}")
-    if codes is None:
-        codes = {i: cache.intern(starts[i]) for i in cache.ids}
+    if key is None:
+        key = cache.key(starts)
     pix = cache.color_index[player]
-    total = sum((j.weight for j in own), ZERO)
-    base_key = [codes[i] for i in cache.ids]
-    u_cur = cache.evaluate_key(tuple(base_key), starts)[1][pix]
+    u_cur = cache.evaluate_key(key, starts)[1][pix]
     current = {j.id: starts[j.id] for j in own}
-    if u_cur == total:  # fully covered players cannot improve
-        return (current, u_cur) if mode == "best" else None
-    if len(own) > BEST_RESPONSE_MAX_JOBS and not force:
-        raise GuardError(f"player {player} controls {len(own)} jobs "
-                         f"(joint search limit {BEST_RESPONSE_MAX_JOBS})")
+    if u_cur == cache.totals[pix]:  # fully covered players cannot improve
+        return (current, Fraction(u_cur, cache.wden)) if mode == "best" else None
+    _job_guard(player, len(own), force)
 
     if grid_override is not None:
-        by_key: dict[tuple, list[int]] = {}
-        for j in own:
-            by_key.setdefault((j.length, j.weight, j.window), []).append(j.id)
-        coded_groups = []
-        for ids_ in sorted(by_key.values(), key=min):
-            merged = {}
-            for i in ids_:
-                for s in grid_override[i]:
-                    merged[cache.intern(s)] = s
-            coded_groups.append((sorted(ids_),
-                                 sorted((v, c) for c, v in merged.items())))
+        coded_groups = list(zip([ids_ for ids_, _ in cache.groups[player]],
+                                _coded_lists(cache, player, grid_override.__getitem__)))
     else:
-        coded_groups = _coded_grid(instance, cache, starts, player, codes)
+        _, coded_groups = _coded_grid(instance, cache, starts, player, key)
     for ids_, coded in coded_groups:
-        if len(coded) > BEST_RESPONSE_MAX_GRID and not force:
-            raise GuardError(f"jobs {ids_} have {len(coded)} candidate "
-                             f"starts (limit {BEST_RESPONSE_MAX_GRID})")
+        _grid_guard(ids_, len(coded), force)
 
     work = dict(starts)
+    base_key = list(key)
     coded_groups = [(ids_, coded, [cache.pos[i] for i in ids_])
                     for ids_, coded in coded_groups]
     best_u = u_cur
@@ -298,15 +384,58 @@ def _player_search(instance: Instance, cache: MachineCache,
                           and u == best_u and value > best_value):
             if mode == "first":
                 strategy = tuple(sorted((j.id, work[j.id]) for j in own))
-                return Deviation(player, strategy, u_cur, u)
+                return Deviation(player, strategy, Fraction(u_cur, cache.wden),
+                                 Fraction(u, cache.wden))
             best_u = u
             best_value = value
             best_assign = {j.id: work[j.id] for j in own}
     if mode == "first":
         return None
     if best_assign is None:
-        return (current, u_cur)
-    return (best_assign, best_u)
+        return (current, Fraction(u_cur, cache.wden))
+    return (best_assign, Fraction(best_u, cache.wden))
+
+
+def _player_stable(instance: Instance, cache: MachineCache, starts, key: tuple,
+                   per: tuple, player: int, force: bool) -> bool:
+    """Whether the player has no improving grid move: the verdict of a
+    first-improvement `_player_search`, with the same guards in the same
+    order, read from the grid record's bounds when they settle it.
+
+    Only the player's current starts make its searched grid differ from the
+    aligned grid of the record, and a deviation's utility depends only on
+    the other players' placements. So a recorded aligned-grid deviation
+    worth more than the current utility refutes the player, and when every
+    current start is already on its group's aligned list, a recorded
+    ceiling no higher than the current utility proves it stable. A search
+    updates the bounds only in that second case."""
+    pix = cache.color_index[player]
+    u_cur = per[pix]
+    if u_cur == cache.totals[pix]:
+        return True
+    _job_guard(player, len(instance.jobs_of_color(player)), force)
+    record = cache.grid_cache.get(cache.others_key(player, key))
+    if record is None:
+        record, _ = _coded_grid(instance, cache, starts, player, key)
+    groups = cache.groups[player]
+    for (ids_, positions), coded in zip(groups, record.coded):
+        # A group's union adds at most one start per job to its aligned list.
+        if len(coded) + len(ids_) > BEST_RESPONSE_MAX_GRID:
+            _grid_guard(ids_, len(coded) + _missing(coded, positions, key), force)
+    if record.lo > u_cur:
+        return False
+    aligned = not any(_missing(coded, positions, key)
+                      for (_, positions), coded in zip(groups, record.coded))
+    if aligned and record.hi <= u_cur:
+        return True
+    dev = _player_search(instance, cache, starts, player, mode="first",
+                         force=force, key=key)
+    if aligned:
+        if dev is None:
+            record.hi = u_cur
+        else:
+            record.lo = cache.scaled(dev.utility_after)
+    return dev is None
 
 
 def best_response(instance: Instance, profile: Profile, player: int, *,
@@ -433,36 +562,32 @@ def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
 
 def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                      cache: MachineCache):
+    """Yield (starts, key) for every joint grid profile."""
     size = joint_grid_size(instance, resolution)
     if size > GRID_ENUM_MAX_PROFILES and not force:
         raise GuardError(f"joint grid holds {size} profiles "
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
     candidates = grid_candidates(instance, resolution)
-    groups = [(ids_, [(v, cache.intern(v)) for v in cands])
+    groups = [(ids_, [cache.pos[i] for i in ids_],
+               [(v, cache.intern(v)) for v in cands])
               for ids_, cands in _grid_groups(instance, candidates)]
+    key = [0] * len(cache.ids)
     for combo in itertools.product(*(
             itertools.combinations_with_replacement(coded, len(ids_))
-            for ids_, coded in groups)):
+            for ids_, _, coded in groups)):
         starts: dict[int, Fraction] = {}
-        codes: dict[int, int] = {}
-        for (ids_, _), tup in zip(groups, combo):
-            for jid, (sv, code) in zip(ids_, tup):
+        for (ids_, positions, _), tup in zip(groups, combo):
+            for jid, p, (sv, code) in zip(ids_, positions, tup):
                 starts[jid] = sv
-                codes[jid] = code
-        yield starts, codes
-
-
-def _iter_grid_starts(instance: Instance, resolution: int,
-                      force: bool) -> Iterator[dict[int, Fraction]]:
-    cache = _cache_for(instance)
-    for starts, _ in _iter_grid_coded(instance, resolution, force, cache):
-        yield starts
+                key[p] = code
+        yield starts, tuple(key)
 
 
 def grid_profiles(instance: Instance, resolution: int = 1, *,
                   force: bool = False) -> Iterator[Profile]:
     """All canonical joint profiles on the global grid (enumeration domain)."""
-    for starts in _iter_grid_starts(instance, resolution, force):
+    cache = _cache_for(instance)
+    for starts, _ in _iter_grid_coded(instance, resolution, force, cache):
         yield Profile.from_dict(starts)
 
 
@@ -471,22 +596,20 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     """Certified grid Nash equilibria with their values, sorted by value.
 
     Every profile on the global grid is tested against all players' grid
-    deviations; survivors are exact NE relative to the grid.
+    deviations; survivors are exact NE relative to the grid. Each player's
+    verdict comes from `_player_stable`, which memoizes it per placement of
+    the other players.
     """
     cache = _cache_for(instance)
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
     results = []
-    for starts, codes in _iter_grid_coded(instance, resolution, force, cache):
-        stable = True
-        for player in scan_order:
-            if _player_search(instance, cache, starts, player, mode="first",
-                              force=force, codes=codes) is not None:
-                stable = False
-                break
-        if stable:
-            results.append((Profile.from_dict(starts), cache.value(starts)))
+    for starts, key in _iter_grid_coded(instance, resolution, force, cache):
+        value, per = cache.evaluate_key(key, starts)
+        if all(_player_stable(instance, cache, starts, key, per, player, force)
+               for player in scan_order):
+            results.append((Profile.from_dict(starts), value))
     results.sort(key=lambda pv: (pv[1], pv[0].placements))
     return results
 

@@ -4,8 +4,30 @@ from fractions import Fraction
 
 import pytest
 
-from intervalgames import (Fixture, best_response, enumerate_grid_ne, is_nash,
-                           social_optimum_enumerate, solve_machine_dp, utilities)
+from intervalgames import (Fixture, Instance, Job, best_response,
+                           enumerate_grid_ne, fixture, is_nash,
+                           social_optimum_enumerate, solve_machine_dp, utilities,
+                           validate_instance)
+
+
+def guard_instances():
+    """One instance per guard of grid-NE enumeration, with the start of its
+    GuardError message: the joint grid, a player's job count, and the
+    candidate count of one job group."""
+    many_jobs = [Job(i, 1, Fraction(1), Fraction(1)) for i in range(1, 10)]
+    # Weight 10 beats player 1's nine unit weights, so player 1 is not covered.
+    many_jobs.append(Job(10, 2, Fraction(1), Fraction(10)))
+    # Player 2's 35 pinned jobs give player 1's job 73 aligned candidates.
+    wide_grid = [Job(1, 1, Fraction(1), Fraction(1))]
+    wide_grid += [Job(k + 2, 2, Fraction(1), Fraction(2), (Fraction(k), Fraction(k + 1)))
+                  for k in range(35)]
+    return {
+        "joint_grid": (fixture("pos_c", c=3).instance, "joint grid holds"),
+        "player_jobs": (validate_instance(Instance(Fraction(1), tuple(many_jobs))),
+                        "player 1 controls 9 jobs"),
+        "group_grid": (validate_instance(Instance(Fraction(40), tuple(wide_grid))),
+                       r"jobs \[1\] have 73 candidate starts"),
+    }
 
 
 def check_schedule_invariants(instance, profile, schedule):

@@ -1,13 +1,17 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
+import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from intervalgames import InternalFailure, fixture, instance_to_json, profile_to_json
+from intervalgames import (InternalFailure, fixture, instance_to_json,
+                           profile_to_json, random_profile)
 from intervalgames import cli
 from intervalgames.cli import main
+from conftest import guard_instances
 
 
 @pytest.fixture()
@@ -98,6 +102,19 @@ def test_ne_enumerate_inconclusive_exit(capsys, tmp_path):
     assert payload["status"] == "no_ne_found"
 
 
+@pytest.mark.parametrize("name", sorted(guard_instances()))
+def test_ne_guard_exits_2(capsys, tmp_path, name):
+    inst, message = guard_instances()[name]
+    path = tmp_path / "i.json"
+    path.write_text(instance_to_json(inst))
+    code = main(["ne", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.search(message, captured.err)
+    assert "Traceback" not in captured.err
+
+
 def test_brd_cycle_and_trace(capsys, ex1_files, tmp_path):
     instance, profile = ex1_files
     trace = tmp_path / "trace.csv"
@@ -177,3 +194,45 @@ def test_solve_with_fixture_flag(capsys, tmp_path):
     profile.write_text(profile_to_json(fx.notable_profiles["figure_b"]))
     code, payload = _run(capsys, "solve", "--fixture", "ex1", str(profile))
     assert code == 0 and payload["value"] == "4"
+
+
+# The seven named fixtures: builder parameters and the same as `igl` flags.
+GOLDEN_FIXTURES = (
+    ("ex1", {}, ()),
+    ("nonsymm_no_ne", {}, ()),
+    ("poa_tight", {"n": 5, "epsilon": F(1, 10)}, ("--n", "5", "--epsilon", "1/10")),
+    ("pos_c", {"c": 4}, ("--c", "4")),
+    ("pos_two", {}, ()),
+    ("prop_no_ne", {}, ()),
+    ("unit_tight", {"c": 4}, ("--c", "4")),
+)
+# One best response of pos_c's six-job player runs for seconds on the global
+# grid, so its dynamics are pinned at zero iterations.
+GOLDEN_BRD_FLAGS = {"pos_c": ("--max-iters", "0")}
+GOLDEN_SHA256 = "bc5d648940d0f1a2bc04742d3b6e34359b312aead1a5c42b93aa26a5e185ee71"
+
+
+def test_golden_bytes_on_fixtures(capsys, tmp_path):
+    """sha256 over the exit codes and stdout bytes of `ne`, `analyze`
+    (window-free instances only: `analyze` rejects windows), `brd` from a
+    seeded grid profile and `ne --construct` (single and unit classes) on
+    every fixture. `pos_c` exceeds the enumeration guard, so its `ne` and
+    `analyze` pin exit 2 with empty stdout."""
+    digest = hashlib.sha256()
+    for name, kwargs, flags in GOLDEN_FIXTURES:
+        instance = fixture(name, **kwargs).instance
+        start = tmp_path / f"{name}.start.json"
+        start.write_text(profile_to_json(random_profile(instance, 0)))
+        brd_flags = GOLDEN_BRD_FLAGS.get(name, ())
+        runs = [(("ne",), ()), (("brd", *brd_flags), (str(start),))]
+        if not instance.has_windows:
+            runs.append((("analyze",), ()))
+        for cls in ("single", "unit"):
+            if getattr(instance, f"is_{cls}"):
+                runs.append((("ne", "--construct", cls), ()))
+        for command, paths in runs:
+            code = main([*command, "--fixture", name, *flags, *paths])
+            out = capsys.readouterr().out
+            digest.update(" ".join([*command, name, *flags]).encode())
+            digest.update(f"\n{code}\n{out}\n".encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

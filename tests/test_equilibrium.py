@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from intervalgames import (Instance, Job, Profile, UnsupportedInstanceError,
-                           analyze, applicable_bounds, best_response, brd,
-                           build_grid, enumerate_grid_ne, fixture, is_nash,
-                           ne_single, ne_unit, random_instance, solve_machine_dp,
-                           tightest_bound, utilities, validate_instance,
-                           verify_deviation)
+from intervalgames import (GuardError, Instance, Job, Profile,
+                           UnsupportedInstanceError, analyze, applicable_bounds,
+                           best_response, brd, build_grid, enumerate_grid_ne,
+                           fixture, from_partition_decide, grid_profiles,
+                           is_nash, joint_grid_size, ne_single, ne_unit,
+                           random_instance, solve_machine_dp, tightest_bound,
+                           utilities, validate_instance, verify_deviation)
+from conftest import guard_instances
 
 
 def _inst(horizon, *jobs):
@@ -237,6 +239,80 @@ def test_enumerate_two_unit_jobs_both_values():
     found = enumerate_grid_ne(inst)
     values = sorted({v for _, v in found})
     assert values == [F(1), F(2)]
+
+
+def _plain_grid_ne(inst):
+    """Reference for enumerate_grid_ne: keep every grid profile that the
+    plain first-improvement search leaves stable, sorted the same way."""
+    found = [(p, solve_machine_dp(inst, p).value) for p in grid_profiles(inst)
+             if is_nash(inst, p, first_improvement=True) is None]
+    return sorted(found, key=lambda pv: (pv[1], pv[0].placements))
+
+
+# (family, n, colors, horizon) shapes for the differential run.
+DIFFERENTIAL_SHAPES = (("single", 3, 3, 3), ("unit", 3, 2, 2), ("prop", 3, 2, 3),
+                       ("general", 3, 2, 2), ("nonsymm", 3, 2, 3),
+                       ("general", 4, 2, 3), ("nonsymm", 4, 2, 2))
+
+
+def _differential_instances():
+    """Eight seeded instances per shape, each with at most 300 grid profiles."""
+    out = []
+    for k, shape in enumerate(DIFFERENTIAL_SHAPES):
+        seed = 1000 * k
+        drawn = 0
+        while drawn < 8:
+            inst = random_instance(*shape, seed)
+            seed += 1
+            if joint_grid_size(inst) <= 300:
+                out.append(inst)
+                drawn += 1
+    return out
+
+
+def _two_group_instance():
+    """Player 1 owns a length-1 and a length-2 job: two groups that are not
+    interchangeable, so each has its own aligned list."""
+    return _inst(4, (1, 1, 1), (1, 2, 1), (2, 1, 3))
+
+
+def test_two_group_instance_has_starts_on_the_other_groups_list():
+    # The verdict memo checks each job's start against its own group's
+    # aligned list; this instance has grid profiles where job 1's start is
+    # only on job 2's list, so the differential run below covers that case.
+    inst = _two_group_instance()
+    hits = 0
+    for profile in grid_profiles(inst):
+        starts = profile.as_dict()
+        grid = build_grid(inst, {3: starts[3]}, player=1)
+        hits += starts[1] not in grid.starts(1) and starts[1] in grid.starts(2)
+    assert hits > 0
+
+
+def test_enumerate_matches_plain_search():
+    instances = [fixture(name, **params).instance for name, params in (
+        ("ex1", {}), ("prop_no_ne", {}), ("pos_two", {}),
+        ("poa_tight", {"n": 5, "epsilon": F(1, 10)}), ("unit_tight", {"c": 4}),
+        ("nonsymm_no_ne", {}))]
+    instances += [from_partition_decide(v).instance for v in ((1, 2, 3), (2, 2, 2))]
+    instances.append(_two_group_instance())
+    random_part = _differential_instances()
+    assert len(random_part) >= 40
+    assert any(inst.has_windows for inst in random_part)
+    for inst in instances + random_part:
+        assert enumerate_grid_ne(inst) == _plain_grid_ne(inst)
+    # pos_c's joint grid exceeds the enumeration guard at every c >= 3.
+    pos_c = fixture("pos_c", c=3).instance
+    for route in (enumerate_grid_ne, _plain_grid_ne):
+        with pytest.raises(GuardError, match="joint grid"):
+            route(pos_c)
+
+
+@pytest.mark.parametrize("name", sorted(guard_instances()))
+def test_enumerate_guards_raise(name):
+    inst, message = guard_instances()[name]
+    with pytest.raises(GuardError, match=message):
+        enumerate_grid_ne(inst)
 
 
 # --- analysis ---------------------------------------------------------------------
