@@ -11,109 +11,29 @@ grid, and reports say so.
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
 bounds that a search over the same grid proved. It is bounded: it lives in
-the per-instance grid cache, which is cleared past 100,000 entries. It
-leaves the searched grid unchanged, so the enumerated equilibria are those
-of the plain search. Utilities are compared as integers over the lcm of the
-weight denominators and returned as `Fraction`s.
+the grid cache of the instance's solver core (`machine.MachineCache`, stored
+on the `Instance` object and dropped with it), which is cleared past 100,000
+entries. It leaves the searched grid unchanged, so the enumerated equilibria
+are those of the plain search. Utilities are compared as integers over the
+lcm of the weight denominators and returned as `Fraction`s.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
-from .machine import machine_value_and_covered
+from .machine import MachineCache, machine_value_and_covered
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
                     UnsupportedInstanceError, ValidationError, validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
 BEST_RESPONSE_MAX_GRID = 64
 GRID_ENUM_MAX_PROFILES = 10 ** 6
-
-
-class MachineCache:
-    """Memoized machine responses for one instance.
-
-    Cache keys are tuples of small ints, one start code per job in instance
-    order: every distinct start value is interned once, so the hot path
-    never hashes a Fraction. Cached values are (total, per-color utilities)
-    with colors indexed densely. Utilities are ints scaled by `wden`, the
-    lcm of the weight denominators, so the search compares them exactly
-    without `Fraction` arithmetic; `utility` and every search result convert
-    back."""
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self.ids = tuple(j.id for j in instance.jobs)
-        self.pos = {jid: i for i, jid in enumerate(self.ids)}
-        self.color_index = {c: i for i, c in enumerate(instance.color_ids)}
-        self.wden = math.lcm(*[j.weight.denominator for j in instance.jobs])
-        self._job_cix = [self.color_index[j.color] for j in instance.jobs]
-        self._job_w = [self.scaled(j.weight) for j in instance.jobs]
-        self.totals = [0] * len(self.color_index)
-        for cix, w in zip(self._job_cix, self._job_w):
-            self.totals[cix] += w
-        # Per player: its interchangeable-job groups (same length, weight and
-        # window) as (sorted ids, key positions), ordered by smallest id, and
-        # a getter for the other players' codes in a key.
-        self.groups: dict[int, list[tuple[list[int], list[int]]]] = {}
-        self._others = {}
-        for c in instance.color_ids:
-            by_key: dict[tuple, list[int]] = {}
-            for j in instance.jobs_of_color(c):
-                by_key.setdefault((j.length, j.weight, j.window), []).append(j.id)
-            self.groups[c] = [(ids_, [self.pos[i] for i in ids_])
-                              for ids_ in sorted(map(sorted, by_key.values()))]
-            other = [p for p, j in enumerate(instance.jobs) if j.color != c]
-            self._others[c] = itemgetter(*other) if other else (lambda key: ())
-        self._intern: dict[Fraction, int] = {}
-        self._cache: dict = {}
-        self.grid_cache: dict = {}
-
-    def scaled(self, x: Fraction) -> int:
-        return x.numerator * (self.wden // x.denominator)
-
-    def intern(self, x: Fraction) -> int:
-        code = self._intern.get(x)
-        if code is None:
-            code = len(self._intern)
-            self._intern[x] = code
-        return code
-
-    def key(self, starts: Mapping[int, Fraction]) -> tuple:
-        return tuple(self.intern(starts[i]) for i in self.ids)
-
-    def others_key(self, player: int, key: tuple) -> tuple:
-        return (player, self._others[player](key))
-
-    def evaluate_key(self, key: tuple, starts: Mapping[int, Fraction]):
-        hit = self._cache.get(key)
-        if hit is None:
-            value, covered = machine_value_and_covered(self.instance, dict(starts))
-            per = [0] * len(self.totals)
-            for jid in covered:
-                idx = self.pos[jid]
-                per[self._job_cix[idx]] += self._job_w[idx]
-            hit = (value, tuple(per))
-            if len(self._cache) > 600_000:
-                self._cache.clear()
-            self._cache[key] = hit
-        return hit
-
-    def evaluate(self, starts: Mapping[int, Fraction]):
-        return self.evaluate_key(self.key(starts), starts)
-
-    def value(self, starts) -> Fraction:
-        return self.evaluate(starts)[0]
-
-    def utility(self, starts, color: int) -> Fraction:
-        return Fraction(self.evaluate(starts)[1][self.color_index[color]], self.wden)
 
 
 class _GridRecord:
@@ -131,17 +51,6 @@ class _GridRecord:
         self.coded = coded
         self.lo = -1
         self.hi = hi
-
-
-_CACHES: "weakref.WeakKeyDictionary[Instance, MachineCache]" = weakref.WeakKeyDictionary()
-
-
-def _cache_for(instance: Instance) -> MachineCache:
-    cache = _CACHES.get(instance)
-    if cache is None:
-        cache = MachineCache(instance)
-        _CACHES[instance] = cache
-    return cache
 
 
 @dataclass(frozen=True)
@@ -445,7 +354,7 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     Among maximizers the current strategy wins if it attains the maximum,
     otherwise the lexicographically smallest start vector is returned.
     """
-    cache = _cache_for(instance)
+    cache = MachineCache.of(instance)
     return _player_search(instance, cache, profile.as_dict(), player,
                           mode="best", force=force)
 
@@ -459,7 +368,7 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     improving move (same stable/unstable verdict, cheaper witness). `players`
     restricts the scan to a subset of colors.
     """
-    cache = _cache_for(instance)
+    cache = MachineCache.of(instance)
     starts = profile.as_dict()
     scan = instance.color_ids if players is None else tuple(sorted(players))
     for player in scan:
@@ -540,37 +449,36 @@ def grid_candidates(instance: Instance,
     return out
 
 
-def _grid_groups(instance: Instance, candidates):
-    by_key: dict[tuple, list[int]] = {}
-    for j in instance.jobs:
-        by_key.setdefault((j.color, j.length, j.weight, j.window), []).append(j.id)
-    groups = []
-    for ids_ in sorted(by_key.values(), key=min):
-        groups.append((sorted(ids_), candidates[ids_[0]]))
-    return groups
+def _global_groups(cache: MachineCache, candidates) -> list:
+    """Every player's interchangeable-job groups as (sorted ids, key
+    positions, global-grid candidates), ordered by smallest id."""
+    return sorted((ids_, positions, candidates[ids_[0]])
+                  for groups in cache.groups.values() for ids_, positions in groups)
+
+
+def _profile_count(groups) -> int:
+    """Identical same-color jobs are interchangeable, so each group
+    contributes multisets, not tuples."""
+    return math.prod(math.comb(len(cands) + len(ids_) - 1, len(ids_))
+                     for ids_, _, cands in groups)
 
 
 def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
-    """Number of enumerated joint profiles (identical same-color jobs are
-    interchangeable, so each group contributes multisets, not tuples)."""
-    candidates = grid_candidates(instance, resolution)
-    size = 1
-    for ids_, cands in _grid_groups(instance, candidates):
-        size *= math.comb(len(cands) + len(ids_) - 1, len(ids_))
-    return size
+    """Number of enumerated joint profiles."""
+    return _profile_count(_global_groups(MachineCache.of(instance),
+                                         grid_candidates(instance, resolution)))
 
 
 def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                      cache: MachineCache):
     """Yield (starts, key) for every joint grid profile."""
-    size = joint_grid_size(instance, resolution)
+    groups = _global_groups(cache, grid_candidates(instance, resolution))
+    size = _profile_count(groups)
     if size > GRID_ENUM_MAX_PROFILES and not force:
         raise GuardError(f"joint grid holds {size} profiles "
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
-    candidates = grid_candidates(instance, resolution)
-    groups = [(ids_, [cache.pos[i] for i in ids_],
-               [(v, cache.intern(v)) for v in cands])
-              for ids_, cands in _grid_groups(instance, candidates)]
+    groups = [(ids_, positions, [(v, cache.intern(v)) for v in cands])
+              for ids_, positions, cands in groups]
     key = [0] * len(cache.ids)
     for combo in itertools.product(*(
             itertools.combinations_with_replacement(coded, len(ids_))
@@ -586,7 +494,7 @@ def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
 def grid_profiles(instance: Instance, resolution: int = 1, *,
                   force: bool = False) -> Iterator[Profile]:
     """All canonical joint profiles on the global grid (enumeration domain)."""
-    cache = _cache_for(instance)
+    cache = MachineCache.of(instance)
     for starts, _ in _iter_grid_coded(instance, resolution, force, cache):
         yield Profile.from_dict(starts)
 
@@ -600,7 +508,7 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     verdict comes from `_player_stable`, which memoizes it per placement of
     the other players.
     """
-    cache = _cache_for(instance)
+    cache = MachineCache.of(instance)
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
@@ -629,7 +537,7 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     if order not in ("round_robin", "first_improving"):
         raise ValidationError(f"unknown BRD order {order!r}")
     validate_profile(instance, initial)
-    cache = _cache_for(instance)
+    cache = MachineCache.of(instance)
     gcands = grid_candidates(instance, resolution)
     starts = initial.as_dict()
     colors = instance.color_ids

@@ -12,7 +12,10 @@ start and finish of a profile as a numerator over one common denominator (the
 lcm of the denominators of the lengths and of the starts) and every weight as
 a numerator over the lcm of the weight denominators, so every comparison and
 sum is exact. `Fraction`s appear only in the returned value and segment
-endpoints.
+endpoints. What depends on the instance alone (scaled weights, length
+denominators, the zero-length jobs) is compiled once into the instance's
+`MachineCache`, which also holds the equilibrium search's memo. The core is
+stored on the `Instance` object and dies with it.
 
 Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
 the one whose last job has the smallest id, the empty configuration counting
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
+from typing import Mapping
 
 from .model import GuardError, Instance, InternalFailure, Profile, Schedule
 
@@ -71,51 +76,129 @@ def in_set(instance: Instance, profile: Profile, job_id: int) -> frozenset[int]:
     return frozenset(members)
 
 
-class _Static:
-    """Per-instance constants for the integer-scaled solver core."""
+class MachineCache:
+    """The solver core of one instance: its integer-scaled DP constants and
+    the memo of machine responses that the equilibrium search reads.
 
-    __slots__ = ("ids", "rows", "len_den", "weight_den", "base_scaled",
-                 "zero_ids")
+    Weights are ints scaled by `wden`, the lcm of the weight denominators.
+    Memo keys are tuples of small ints, one start code per job in instance
+    order: every distinct start value is interned once, so the hot path never
+    hashes a Fraction. Memo values are (total, per-color utilities), colors
+    indexed densely, utilities scaled by `wden`; `utility` converts back.
+
+    `MachineCache.of(instance)` is the only way to it. The core is stored on
+    the instance and dies with it; equal but distinct instances do not share
+    it, and `Instance` leaves it out of its pickled and copied state."""
 
     def __init__(self, instance: Instance):
-        positive = [j for j in instance.jobs if j.length > 0]
-        zero = [j for j in instance.jobs if j.length == 0]
-        wd = math.lcm(*[j.weight.denominator for j in instance.jobs])
-        ld = math.lcm(*[j.length.denominator for j in positive])
-        self.ids = [j.id for j in positive]
-        # (length numerator, length denominator, id, scaled weight, color)
-        self.rows = [(j.length.numerator, j.length.denominator, j.id,
-                      j.weight.numerator * (wd // j.weight.denominator), j.color)
-                     for j in positive]
-        self.len_den = ld
-        self.weight_den = wd
-        self.base_scaled = sum(j.weight.numerator * (wd // j.weight.denominator)
-                               for j in zero)
-        self.zero_ids = frozenset(j.id for j in zero)
+        jobs = instance.jobs
+        self.instance = instance
+        self.wden = math.lcm(*[j.weight.denominator for j in jobs])
+        self.ids = tuple(j.id for j in jobs)
+        self.pos = {jid: i for i, jid in enumerate(self.ids)}
+        self.color_index = {c: i for i, c in enumerate(instance.color_ids)}
+        self._job_cix = [self.color_index[j.color] for j in jobs]
+        self._job_w = [self.scaled(j.weight) for j in jobs]
+        self.totals = [0] * len(self.color_index)
+        for cix, w in zip(self._job_cix, self._job_w):
+            self.totals[cix] += w
+        # DP rows of the positive-length jobs: (length numerator, length
+        # denominator, id, scaled weight, color). Zero-length jobs are aside.
+        positive = [(j, w) for j, w in zip(jobs, self._job_w) if j.length > 0]
+        self.row_ids = [j.id for j, _ in positive]
+        self.rows = [(j.length.numerator, j.length.denominator, j.id, w, j.color)
+                     for j, w in positive]
+        self.len_den = math.lcm(*[j.length.denominator for j, _ in positive])
+        zero = [(j.id, w) for j, w in zip(jobs, self._job_w) if j.length == 0]
+        self.base_scaled = sum(w for _, w in zero)
+        self.zero_ids = frozenset(jid for jid, _ in zero)
+        self._intern: dict[Fraction, int] = {}
+        self._cache: dict = {}
+        self.grid_cache: dict = {}
+        self._groups = self._others = None
 
+    @classmethod
+    def of(cls, instance: Instance) -> "MachineCache":
+        """The instance's core, built on first use and stored on the instance."""
+        core = getattr(instance, "_core", None)
+        if core is None:
+            core = cls(instance)
+            object.__setattr__(instance, "_core", core)
+        return core
 
-_STATICS: dict[int, tuple] = {}
+    @property
+    def groups(self) -> dict[int, list[tuple[list[int], list[int]]]]:
+        """Per player: its interchangeable-job groups (same length, weight
+        and window) as (sorted ids, key positions), ordered by smallest id."""
+        if self._groups is None:
+            self._build_game_tables()
+        return self._groups
 
+    def _build_game_tables(self) -> None:
+        # Only the game searches read these, so a core that only solves
+        # machines never holds them. (A `cached_property` reads the core's
+        # `__dict__`, which measurably slowed grid-NE enumeration.)
+        self._groups, self._others = {}, {}
+        jobs = self.instance.jobs
+        for c in self.instance.color_ids:
+            by_key: dict[tuple, list[int]] = {}
+            for j in self.instance.jobs_of_color(c):
+                by_key.setdefault((j.length, j.weight, j.window), []).append(j.id)
+            self._groups[c] = [(ids_, [self.pos[i] for i in ids_])
+                               for ids_ in sorted(map(sorted, by_key.values()))]
+            other = [p for p, j in enumerate(jobs) if j.color != c]
+            self._others[c] = itemgetter(*other) if other else (lambda key: ())
 
-def _static_for(instance: Instance) -> _Static:
-    key = id(instance)
-    hit = _STATICS.get(key)
-    if hit is not None and hit[0] is instance:
-        return hit[1]
-    static = _Static(instance)
-    if len(_STATICS) > 4096:
-        _STATICS.clear()
-    _STATICS[key] = (instance, static)  # keeps the instance alive; id stays valid
-    return static
+    def scaled(self, x: Fraction) -> int:
+        return x.numerator * (self.wden // x.denominator)
+
+    def intern(self, x: Fraction) -> int:
+        code = self._intern.get(x)
+        if code is None:
+            code = len(self._intern)
+            self._intern[x] = code
+        return code
+
+    def key(self, starts: Mapping[int, Fraction]) -> tuple:
+        return tuple(self.intern(starts[i]) for i in self.ids)
+
+    def others_key(self, player: int, key: tuple) -> tuple:
+        """The player and the other players' codes in a key."""
+        if self._others is None:
+            self._build_game_tables()
+        return (player, self._others[player](key))
+
+    def evaluate_key(self, key: tuple, starts: Mapping[int, Fraction]):
+        hit = self._cache.get(key)
+        if hit is None:
+            value, covered = machine_value_and_covered(self.instance, dict(starts))
+            per = [0] * len(self.totals)
+            for jid in covered:
+                idx = self.pos[jid]
+                per[self._job_cix[idx]] += self._job_w[idx]
+            hit = (value, tuple(per))
+            if len(self._cache) > 600_000:
+                self._cache.clear()
+            self._cache[key] = hit
+        return hit
+
+    def evaluate(self, starts: Mapping[int, Fraction]):
+        return self.evaluate_key(self.key(starts), starts)
+
+    def value(self, starts) -> Fraction:
+        return self.evaluate(starts)[0]
+
+    def utility(self, starts, color: int) -> Fraction:
+        return Fraction(self.evaluate(starts)[1][self.color_index[color]], self.wden)
 
 
 def _scaled(instance: Instance, starts: dict[int, Fraction]):
     """Integer-scaled view of one profile's positive-length jobs, sorted by
     (finish, id): the tuple (starts, finishes, weights, colors, ids, td,
-    static), where times are numerators over the common denominator td and
-    weights numerators over static.weight_den. Exact."""
-    st = _static_for(instance)
-    xs = [starts[jid].as_integer_ratio() for jid in st.ids]
+    core), where times are numerators over the common denominator td and
+    weights numerators over core.wden. Exact."""
+    st = MachineCache.of(instance)
+    xs = [starts[jid].as_integer_ratio() for jid in st.row_ids]
     td = math.lcm(st.len_den, *[d for _, d in xs])
     rows = sorted([(si + num * (td // den), jid, si, wi, ci)
                    for si, (num, den, jid, wi, ci)
@@ -193,7 +276,7 @@ def _dp_core(instance: Instance, starts: dict[int, Fraction]):
         cell = back[cell]
     if sum(w[k] for k in range(n) if (covered_mask >> k) & 1) != top_v:
         raise InternalFailure("dp credit mismatch: recurrence double-counted a job")
-    return Fraction(st.base_scaled + top_v, st.weight_den), covered_mask, view
+    return Fraction(st.base_scaled + top_v, st.wden), covered_mask, view
 
 
 def _covered_ids(mask: int, view) -> frozenset[int]:
@@ -240,7 +323,7 @@ def _brute_core(instance: Instance, starts: dict[int, Fraction], force: bool):
         search(i + 1, mask, value, chosen)
 
     search(0, 0, 0, 0)
-    return Fraction(st.base_scaled + best_val, st.weight_den), best_mask, view
+    return Fraction(st.base_scaled + best_val, st.wden), best_mask, view
 
 
 def _closure(starts: dict[int, Fraction], value: Fraction, mask: int,

@@ -111,6 +111,11 @@ class Instance:
                            {c: tuple(sorted(js, key=lambda j: j.id))
                             for c, js in colors.items()})
 
+    def __getstate__(self):
+        # The solver core (`machine.MachineCache`) lives on the instance but
+        # is not part of its value: pickles and copies leave it out.
+        return {k: v for k, v in self.__dict__.items() if k != "_core"}
+
     @property
     def color_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._colors))

@@ -1,5 +1,9 @@
 """Grids, best responses, NE checks, dynamics, constructions, analysis."""
 
+import copy
+import gc
+import pickle
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -371,3 +375,41 @@ def test_unit_ne_coverage_closure():
                 ids = {j.id for j in inst.jobs_of_color(color)}
                 got = ids & sched.covered
                 assert got == ids or not got
+
+
+# --- the solver core on the instance --------------------------------------------
+
+def _solve_all(inst):
+    """Run every solver entry that builds or reads the instance's core."""
+    profile = next(grid_profiles(inst))
+    enumerate_grid_ne(inst)
+    best_response(inst, profile, inst.color_ids[0])
+    brd(inst, profile, max_iters=5)
+    solve_machine_dp(inst, profile)
+
+
+def test_solver_core_dies_with_its_instance():
+    inst = _inst(3, (1, 1, 2), (2, 2, 1), (1, 1, 1))
+    _solve_all(inst)
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("jobs", [
+    ((1, 1, 2), (2, 2, 1), (1, 1, 1)),  # three jobs, two players
+    ((1, 1, 1), (1, 1, 2)),  # one player: its others-getter is a lambda
+])
+def test_solver_core_is_not_part_of_the_value(jobs):
+    solved = _inst(3, *jobs)
+    _solve_all(solved)
+    fresh = Instance(solved.horizon, solved.jobs)
+    assert "_core" in solved.__dict__ and "_core" not in fresh.__dict__
+    assert pickle.dumps(solved) == pickle.dumps(fresh)
+    for twin in (copy.copy(solved), copy.deepcopy(solved),
+                 pickle.loads(pickle.dumps(solved))):
+        assert twin == solved and "_core" not in twin.__dict__
+        assert twin.job(1) == solved.job(1)
+    assert solved == fresh and hash(solved) == hash(fresh)
+    assert repr(solved) == repr(fresh)

@@ -1,7 +1,9 @@
 """Machine solver: worked examples, oracle equivalence, output invariants."""
 
+import ast
 import hashlib
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -264,3 +266,13 @@ def test_closure_invariant_survives_optimize_flag():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("InternalFailure: covered jobs of different colors")
+
+
+def test_no_bare_assert_in_package():
+    """Invariants raise `InternalFailure`, since `python -O` strips asserts."""
+    files = sorted(pathlib.Path(intervalgames.__file__).parent.glob("*.py"))
+    assert any(path.name == "machine.py" for path in files)
+    found = [f"{path.name}:{node.lineno}" for path in files
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
