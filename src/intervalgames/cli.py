@@ -9,6 +9,7 @@ failed certification). Rationals are serialized as canonical strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -312,7 +313,11 @@ def _add_fixture_options(p: argparse.ArgumentParser) -> None:
                    help="fixture parameter epsilon' (rational)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `igl` parser, built once per process. Parsing leaves it unchanged
+    (each call fills a new namespace), so callers share it and must not
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="igl",
         description="Interval scheduling games: solvers, equilibria, analysis.")
@@ -397,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "fixture" and args.action == "export" and not args.name:
         _note("fixture export requires a name")
         return EXIT_INPUT

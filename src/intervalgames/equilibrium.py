@@ -251,6 +251,7 @@ def _player_search(instance: Instance, cache: MachineCache,
     strategy when it already attains the maximum. With prefer_value, ties on
     utility go to the strategy the machine values most (dynamics use this:
     stacking onto an already-covered slot never lowers the machine's total).
+    The search stops once its incumbent reaches the top of that ranking.
     mode="first": return the first strictly improving Deviation, or None.
     """
     own = instance.jobs_of_color(player)
@@ -280,6 +281,9 @@ def _player_search(instance: Instance, cache: MachineCache,
     best_u = u_cur
     best_value = None
     best_assign = None
+    # Only a strictly higher rank replaces the incumbent, so none can once it
+    # covers every job of the player (with prefer_value: of the instance).
+    full = tuple(cache.totals)
     for combo in itertools.product(*(
             itertools.combinations_with_replacement(coded, len(ids_))
             for ids_, coded, _ in coded_groups)):
@@ -298,6 +302,8 @@ def _player_search(instance: Instance, cache: MachineCache,
             best_u = u
             best_value = value
             best_assign = {j.id: work[j.id] for j in own}
+            if u == full[pix] and (not prefer_value or per == full):
+                break
     if mode == "first":
         return None
     if best_assign is None:
@@ -351,8 +357,13 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
                   force: bool = False) -> tuple[dict[int, Fraction], Fraction]:
     """Utility-maximizing joint placement of the player's jobs over the grid.
 
-    Among maximizers the current strategy wins if it attains the maximum,
-    otherwise the lexicographically smallest start vector is returned.
+    Among maximizers the current strategy wins if it attains the maximum.
+    Otherwise the first maximizer in search order wins: the player's groups
+    of interchangeable jobs ordered by smallest id, the joint grid as the
+    product of their candidate tuples, and each group's nondecreasing start
+    tuples in ascending (lexicographic) order, the last group varying
+    fastest. The search stops at the first strategy that covers every job of
+    the player, since nothing can beat it; that does not change the answer.
     """
     cache = MachineCache.of(instance)
     return _player_search(instance, cache, profile.as_dict(), player,

@@ -236,3 +236,41 @@ def test_golden_bytes_on_fixtures(capsys, tmp_path):
             digest.update(" ".join([*command, name, *flags]).encode())
             digest.update(f"\n{code}\n{out}\n".encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    """`main` reuses one parser per process. A rejected call, a listing, and a
+    guarded command with and without --force must each print what a freshly
+    built parser prints, and no option may carry over to the next call."""
+    inst, _ = guard_instances()["player_jobs"]
+    instance = tmp_path / "nine_jobs.json"
+    instance.write_text(instance_to_json(inst))
+    profile = tmp_path / "stacked.json"
+    profile.write_text(profile_to_json(random_profile(inst, 0)))
+    verify = ["ne", str(instance), "--verify", str(profile)]
+    calls = [["ne", "--force", "--resolution", "x"], ["fixture", "list"],
+             verify + ["--force"], verify]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    rejected, listing, forced, guarded = shared
+    assert rejected[0] == ("exit", 2) and rejected[1] == ""
+    assert listing[0] == 0 and "ex1" in json.loads(listing[1])["fixtures"]
+    assert forced[0] == 0 and json.loads(forced[1])["stable"] is True
+    assert "WARNING: --force" in forced[2]
+    assert guarded == (2, "", "error: player 1 controls 9 jobs "
+                       "(joint search limit 8)\n")
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(verify).force is False

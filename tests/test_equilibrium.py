@@ -2,6 +2,8 @@
 
 import copy
 import gc
+import itertools
+import math
 import pickle
 import weakref
 from fractions import Fraction as F
@@ -11,10 +13,14 @@ import pytest
 from intervalgames import (GuardError, Instance, Job, Profile,
                            UnsupportedInstanceError, analyze, applicable_bounds,
                            best_response, brd, build_grid, enumerate_grid_ne,
-                           fixture, from_partition_decide, grid_profiles,
-                           is_nash, joint_grid_size, ne_single, ne_unit,
-                           random_instance, solve_machine_dp, tightest_bound,
-                           utilities, validate_instance, verify_deviation)
+                           fixture, from_partition_br, from_partition_decide,
+                           from_partition_nonsymm, grid_candidates,
+                           grid_profiles, is_nash, joint_grid_size, ne_single,
+                           ne_unit, random_instance, random_profile,
+                           solve_machine_dp, tightest_bound, utilities,
+                           validate_instance, verify_deviation)
+from intervalgames.equilibrium import _coded_grid, _coded_lists, _player_search
+from intervalgames.machine import MachineCache, machine_value_and_covered
 from conftest import guard_instances
 
 
@@ -293,11 +299,16 @@ def test_two_group_instance_has_starts_on_the_other_groups_list():
     assert hits > 0
 
 
-def test_enumerate_matches_plain_search():
-    instances = [fixture(name, **params).instance for name, params in (
+def _enumerable_fixtures():
+    """The fixtures whose joint grid passes the enumeration guard."""
+    return [fixture(name, **params) for name, params in (
         ("ex1", {}), ("prop_no_ne", {}), ("pos_two", {}),
         ("poa_tight", {"n": 5, "epsilon": F(1, 10)}), ("unit_tight", {"c": 4}),
         ("nonsymm_no_ne", {}))]
+
+
+def test_enumerate_matches_plain_search():
+    instances = [fx.instance for fx in _enumerable_fixtures()]
     instances += [from_partition_decide(v).instance for v in ((1, 2, 3), (2, 2, 2))]
     instances.append(_two_group_instance())
     random_part = _differential_instances()
@@ -317,6 +328,123 @@ def test_enumerate_guards_raise(name):
     inst, message = guard_instances()[name]
     with pytest.raises(GuardError, match=message):
         enumerate_grid_ne(inst)
+
+
+# --- best responses against an exhaustive search -----------------------------
+
+def _search_lists(inst, starts, player, grid_override):
+    """The per-group (ids, coded candidate list) pairs the search walks."""
+    cache = MachineCache.of(inst)
+    if grid_override is None:
+        return _coded_grid(inst, cache, starts, player, cache.key(starts))[1]
+    return list(zip([ids_ for ids_, _ in cache.groups[player]],
+                    _coded_lists(cache, player, grid_override.__getitem__)))
+
+
+def _reference_best(inst, starts, player, grid_override=None, prefer_value=False):
+    """Best response with no memo that never stops early: every point of the
+    same grid, evaluated from scratch. A strictly higher utility wins; with
+    prefer_value, so does an equal utility with a higher machine value."""
+    groups = _search_lists(inst, starts, player, grid_override)
+
+    def evaluate(point):
+        value, covered = machine_value_and_covered(inst, dict(point))
+        return value, sum((inst.job(i).weight for i in covered
+                           if inst.job(i).color == player), F(0))
+
+    best_u = evaluate(starts)[1]
+    best_value = best = None
+    work = dict(starts)
+    for combo in itertools.product(*(
+            itertools.combinations_with_replacement(coded, len(ids_))
+            for ids_, coded in groups)):
+        for (ids_, _), tup in zip(groups, combo):
+            work.update((jid, sv) for jid, (sv, _) in zip(ids_, tup))
+        value, u = evaluate(work)
+        if u > best_u or (prefer_value and best is not None
+                          and u == best_u and value > best_value):
+            best_u, best_value = u, value
+            best = {j.id: work[j.id] for j in inst.jobs_of_color(player)}
+    if best is None:
+        best = {j.id: starts[j.id] for j in inst.jobs_of_color(player)}
+    return best, best_u
+
+
+def _search_best(inst, starts, player, grid_override=None, prefer_value=False):
+    return _player_search(inst, MachineCache.of(inst), starts, player, mode="best",
+                          grid_override=grid_override, prefer_value=prefer_value)
+
+
+def _partition_games():
+    """Both best-response reductions of every multiset of 3-4 values in 1..4
+    with an even sum."""
+    return [build(list(values))
+            for k in (3, 4)
+            for values in itertools.combinations_with_replacement(range(1, 5), k)
+            if sum(values) % 2 == 0
+            for build in (from_partition_br, from_partition_nonsymm)]
+
+
+def test_best_response_matches_exhaustive_search_on_partition_games():
+    games = _partition_games()
+    assert {fx.params["partition_exists"] for fx in games} == {True, False}
+    for fx in games:
+        starts = fx.notable_profiles["initial"].as_dict()
+        assert _search_best(fx.instance, starts, 1) == \
+            _reference_best(fx.instance, starts, 1), fx.params
+
+
+def test_best_response_matches_exhaustive_search_on_fixtures():
+    for fx in _enumerable_fixtures():
+        for profile in fx.notable_profiles.values():
+            starts = profile.as_dict()
+            for player in fx.instance.color_ids:
+                assert _search_best(fx.instance, starts, player) == \
+                    _reference_best(fx.instance, starts, player), fx.name
+
+
+def test_dynamics_search_matches_exhaustive_search_on_families():
+    full_cover = 0
+    for k, inst in enumerate(_differential_instances()):
+        gcands = grid_candidates(inst)
+        starts = random_profile(inst, k).as_dict()
+        total = sum(j.weight for j in inst.jobs)
+        for player in inst.color_ids:
+            for prefer_value in (False, True):
+                expected = _reference_best(inst, starts, player, gcands, prefer_value)
+                assert _search_best(inst, starts, player, gcands,
+                                    prefer_value) == expected, (k, player)
+                if prefer_value:
+                    point = {**starts, **expected[0]}
+                    full_cover += solve_machine_dp(
+                        inst, Profile.from_dict(point)).value == total
+    # Some dynamics searches stop because every job of the instance is covered.
+    assert full_cover > 0
+
+
+@pytest.mark.parametrize("values, stops_early", [((1, 1, 2), True),
+                                                 ((1, 1, 4), False)])
+def test_best_response_stops_at_the_utility_ceiling(monkeypatch, values, stops_early):
+    fx = from_partition_br(values)
+    assert fx.params["partition_exists"] is stops_early
+    inst, profile = fx.instance, fx.notable_profiles["initial"]
+    size = math.prod(math.comb(len(coded) + len(ids_) - 1, len(ids_)) for ids_, coded
+                     in _search_lists(inst, profile.as_dict(), 1, None))
+    calls = []
+    evaluate_key = MachineCache.evaluate_key
+
+    def counting(self, key, starts):
+        calls.append(key)
+        return evaluate_key(self, key, starts)
+
+    monkeypatch.setattr(MachineCache, "evaluate_key", counting)
+    _, u = best_response(inst, profile, 1)
+    assert (u == sum(j.weight for j in inst.jobs_of_color(1))) is stops_early
+    if stops_early:
+        assert len(calls) < size
+    else:
+        # The current profile, then every combination of the joint search.
+        assert len(calls) == 1 + size
 
 
 # --- analysis ---------------------------------------------------------------------
