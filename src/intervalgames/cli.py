@@ -203,9 +203,9 @@ def _report_doc(report) -> dict:
 
 
 def _analyze_one(task) -> dict:
-    family, n, c, horizon, seed, resolution = task
+    family, n, c, horizon, seed, resolution, force = task
     instance = generators.random_instance(family, n, c, horizon, seed)
-    report = analyze(instance, resolution=resolution)
+    report = analyze(instance, resolution=resolution, force=force)
     doc = _report_doc(report)
     doc["seed"] = seed
     return doc
@@ -217,7 +217,7 @@ def cmd_analyze(args) -> int:
         n = args.n or 3
         c = args.c or 2
         seed = args.seed if args.seed is not None else _default_seed()
-        tasks = [(args.family, n, c, horizon, seed + i, args.resolution)
+        tasks = [(args.family, n, c, horizon, seed + i, args.resolution, args.force)
                  for i in range(args.count)]
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:

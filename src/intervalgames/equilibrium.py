@@ -8,14 +8,24 @@ every event point by half the minimum gap. Deviations found this way are
 exact and unconditional; *absence* of deviations is a statement about the
 grid, and reports say so.
 
+The searches run on ints on the time scale of the instance's solver core
+(`machine.MachineCache`, stored on the `Instance` object and dropped with
+it): every start is a numerator over the core's time denominator, and a memo
+key is the tuple of a profile's start times. `best_response`, `is_nash` and
+`brd` fit the core to their profile first; a start off the scale widens it,
+and drops the memo and grid records, before the search, never during it.
+One function makes every local grid (`_grid_points`); `build_grid` is its
+`Fraction` view, and it raises `InternalFailure` rather than truncate a gap
+that the scale cannot halve.
+
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
 bounds that a search over the same grid proved. It is bounded: it lives in
-the grid cache of the instance's solver core (`machine.MachineCache`, stored
-on the `Instance` object and dropped with it), which is cleared past 100,000
-entries. It leaves the searched grid unchanged, so the enumerated equilibria
-are those of the plain search. Utilities are compared as integers over the
-lcm of the weight denominators and returned as `Fraction`s.
+the core's grid cache, which is cleared past 100,000 entries. It leaves the
+searched grid unchanged, so the enumerated equilibria are those of the plain
+search. Utilities are compared as integers over the lcm of the weight
+denominators. `Fraction`s are built only for what is returned: strategies,
+utilities, deviations and profiles.
 """
 
 from __future__ import annotations
@@ -27,12 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-from .machine import MachineCache, machine_value_and_covered
+from .machine import MachineCache, _job_groups, _ticks, machine_value_and_covered
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
                     UnsupportedInstanceError, ValidationError, validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
 BEST_RESPONSE_MAX_GRID = 64
+BEST_RESPONSE_MAX_SEARCH = 10 ** 5
 GRID_ENUM_MAX_PROFILES = 10 ** 6
 
 
@@ -40,17 +51,19 @@ class _GridRecord:
     """One player's aligned candidates against fixed other placements, and
     the player's verdict bounds there, in scaled utilities.
 
-    `coded` holds one sorted (value, code) list per group of
+    `coded` holds one sorted list of start times per group of
     `MachineCache.groups`. `lo` is the best utility of a deviation found on
     this aligned grid (-1 before any), `hi` a ceiling on every utility over
-    it (the player's total before a search proves a lower one)."""
+    it (the player's total before a search proves a lower one). `big` says
+    whether a guard could fire once the player's current starts are added."""
 
-    __slots__ = ("coded", "lo", "hi")
+    __slots__ = ("coded", "lo", "hi", "big")
 
-    def __init__(self, coded: list, hi: int):
+    def __init__(self, coded: list, hi: int, big: bool):
         self.coded = coded
         self.lo = -1
         self.hi = hi
+        self.big = big
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,31 @@ class AnalysisReport:
     instance_classes: tuple[str, ...]
 
 
+def _grid_points(lo: int, hi: int, length: int, fixed, windowed: bool) -> dict[int, str]:
+    """One job's candidate starts in [lo, hi], ints over one denominator, each
+    with its provenance tag. Aligned: the bounds, and each fixed (start,
+    finish) pair's finish, start, and start minus `length`. Interior: every
+    aligned point shifted by half the smallest gap. The denominator must make
+    every gap even; an odd one raises `InternalFailure`."""
+    bound_tag = "window-clipped" if windowed else "endpoint-aligned"
+    points = {lo: bound_tag, hi: bound_tag}
+    for sk, fk in fixed:
+        for cand in (fk, sk - length, sk):
+            if lo <= cand <= hi:
+                points.setdefault(cand, "endpoint-aligned")
+    event = sorted(points)
+    if len(event) > 1:
+        gap = min([b - a for a, b in zip(event, event[1:])])
+        if gap % 2:
+            raise InternalFailure(f"grid gap {gap} cannot be halved on its time scale")
+        delta = gap // 2
+        for m in event:
+            cand = m + delta
+            if lo <= cand <= hi:
+                points.setdefault(cand, "interior-shifted")
+    return points
+
+
 def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
                player: int) -> CandidateGrid:
     """Candidate starts for every job of `player` against fixed placements.
@@ -121,8 +159,9 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     Aligned candidates: the job's own feasibility bounds, each fixed job's
     finish, start, and start minus the moving job's length. Interior
     representatives: every aligned point shifted by half the smallest gap.
-    Computed on integer numerators over twice the common denominator of the
-    inputs, so half a gap is an integer too.
+    Computed by the searches' own grid function (`_grid_points`) on integer
+    numerators over twice the common denominator of the inputs, so half a
+    gap is an integer too.
     """
     T = instance.horizon
     own = instance.jobs_of_color(player)
@@ -132,57 +171,28 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     den = 2 * math.lcm(*[x.denominator for k, s in fixed for x in (s, k.length)],
                        *[x.denominator for j in own
                          for x in (j.release, j.due(T), j.length)])
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (den // x.denominator)
-
-    fixed_n = [(k.id, scaled(s), scaled(s + k.length)) for k, s in fixed]
-    fractions: dict[int, Fraction] = {}
+    fixed_n = [(k.id, _ticks(s, den), _ticks(s + k.length, den)) for k, s in fixed]
     entries = []
     for j in own:
-        lo = scaled(j.release)
-        length = scaled(j.length)
-        hi = scaled(j.due(T)) - length
-        bound_tag = "window-clipped" if j.window is not None else "endpoint-aligned"
-        points: dict[int, str] = {lo: bound_tag, hi: bound_tag}
-        for kid, sk, fk in fixed_n:
-            if kid == j.id:
-                continue
-            for cand in (fk, sk - length, sk):
-                if lo <= cand <= hi:
-                    points.setdefault(cand, "endpoint-aligned")
-        event = sorted(points)
-        if len(event) > 1:
-            delta = min(b - a for a, b in zip(event, event[1:])) // 2
-            for m in event:
-                cand = m + delta
-                if lo <= cand <= hi:
-                    points.setdefault(cand, "interior-shifted")
-        cands = []
-        for n, tag in sorted(points.items()):
-            x = fractions.get(n)
-            if x is None:
-                x = fractions[n] = Fraction(n, den)
-            cands.append((x, tag))
-        entries.append((j.id, tuple(cands)))
+        length = _ticks(j.length, den)
+        points = _grid_points(_ticks(j.release, den), _ticks(j.due(T), den) - length,
+                              length, [(sk, fk) for kid, sk, fk in fixed_n if kid != j.id],
+                              j.window is not None)
+        entries.append((j.id, tuple((Fraction(n, den), tag)
+                                    for n, tag in sorted(points.items()))))
     return CandidateGrid(player, tuple(entries))
 
 
-def _has_code(coded, code: int) -> bool:
-    for _, c in coded:
-        if c == code:
-            return True
-    return False
-
-
 def _missing(coded, positions, key: tuple) -> int:
-    """Number of distinct start codes of a group's jobs absent from `coded`."""
-    missing = []
-    for p in positions:
-        code = key[p]
-        if code not in missing and not _has_code(coded, code):
-            missing.append(code)
-    return len(missing)
+    """Number of distinct starts of a group's jobs absent from `coded`."""
+    return len({key[p] for p in positions if key[p] not in coded})
+
+
+def _profile_count(sized) -> int:
+    """Joint strategies over groups given as (ids, candidate count):
+    identical same-color jobs are interchangeable, so each group contributes
+    multisets, not tuples."""
+    return math.prod(math.comb(n + len(ids_) - 1, len(ids_)) for ids_, n in sized)
 
 
 def _job_guard(player: int, count: int, force: bool) -> None:
@@ -197,55 +207,68 @@ def _grid_guard(ids_, size: int, force: bool) -> None:
                          f"starts (limit {BEST_RESPONSE_MAX_GRID})")
 
 
+def _search_guard(player: int, sized, force: bool) -> None:
+    if force:
+        return
+    size = _profile_count(sized)
+    if size > BEST_RESPONSE_MAX_SEARCH:
+        raise GuardError(f"player {player}'s joint search holds {size} "
+                         f"strategies (limit {BEST_RESPONSE_MAX_SEARCH})")
+
+
 def _coded_lists(cache: MachineCache, player: int, candidates) -> list:
-    """One sorted (value, code) list per job group of the player: the union
-    of `candidates(job id)` over the group's jobs."""
-    lists = []
-    for ids_, _ in cache.groups[player]:
-        merged = {}
-        for i in ids_:
-            for s in candidates(i):
-                merged[cache.intern(s)] = s
-        lists.append(sorted((v, c) for c, v in merged.items()))
-    return lists
+    """One sorted list per job group of the player: the union of
+    `candidates(job id)` (times on the core's scale) over the group's jobs."""
+    return [sorted({x for i in ids_ for x in candidates(i)})
+            for ids_, _ in cache.groups[player]]
 
 
-def _coded_grid(instance: Instance, cache: MachineCache, starts, player: int,
-                key: tuple):
-    """The player's grid record and per-group candidate (value, code) lists.
+def _coded_grid(cache: MachineCache, key: tuple, player: int):
+    """The player's grid record and per-group (ids, candidate list) pairs.
 
     The aligned part depends only on the other players' placements, which
     repeat across enumeration sweeps, so it is cached in a `_GridRecord`;
     each job's current start is merged into its group's list afterwards.
-    Interchangeable jobs share one group searched over nondecreasing tuples."""
+    Interchangeable jobs share one group searched over nondecreasing tuples,
+    and they have the same aligned candidates, so each group's list is
+    built once."""
     others_key = cache.others_key(player, key)
     record = cache.grid_cache.get(others_key)
+    groups = cache.groups[player]
     if record is None:
-        grid = build_grid(instance, {i: starts[i] for i in cache.ids
-                                     if instance.job(i).color != player}, player)
-        coded = _coded_lists(cache, player, grid.starts)
+        fixed = [(key[p], key[p] + cache.lens[p]) for p in cache.other_pos[player]]
+        coded = [sorted(_grid_points(lo, hi, length, fixed, windowed))
+                 for lo, hi, length, windowed in cache.bounds[player]]
+        # A group's searched list adds at most one start per job.
+        sized = [(ids_, len(c) + len(ids_)) for (ids_, _), c in zip(groups, coded)]
+        big = (any(n > BEST_RESPONSE_MAX_GRID for _, n in sized)
+               or _profile_count(sized) > BEST_RESPONSE_MAX_SEARCH)
         if len(cache.grid_cache) > 100_000:
             cache.grid_cache.clear()
         record = cache.grid_cache[others_key] = _GridRecord(
-            coded, cache.totals[cache.color_index[player]])
-    groups = []
-    for (ids_, positions), coded in zip(cache.groups[player], record.coded):
+            coded, cache.totals[cache.color_index[player]], big)
+    lists = []
+    for (ids_, positions), coded in zip(groups, record.coded):
         union = coded
-        for i, p in zip(ids_, positions):
-            code = key[p]
-            if not _has_code(union, code):
+        for p in positions:
+            x = key[p]
+            if x not in union:
                 if union is coded:
                     union = list(coded)
-                insort(union, (starts[i], code))
-        groups.append((ids_, union))
-    return record, groups
+                insort(union, x)
+        lists.append((ids_, union))
+    return record, lists
 
 
-def _player_search(instance: Instance, cache: MachineCache,
-                   starts: Mapping[int, Fraction], player: int, *,
-                   mode: str, force: bool = False, grid_override=None,
-                   prefer_value: bool = False, key=None):
-    """Search the player's joint strategy grid.
+def _strategy(cache: MachineCache, key, own) -> dict[int, Fraction]:
+    """The own jobs' starts in a key, by id, as `Fraction`s."""
+    return {j.id: cache.time(key[cache.pos[j.id]]) for j in own}
+
+
+def _player_search(instance: Instance, cache: MachineCache, key: tuple,
+                   player: int, *, mode: str, force: bool = False,
+                   grid_override=None, prefer_value: bool = False):
+    """Search the player's joint strategy grid from the profile `key`.
 
     mode="best": return (strategy dict, utility), preferring the current
     strategy when it already attains the maximum. With prefer_value, ties on
@@ -253,65 +276,61 @@ def _player_search(instance: Instance, cache: MachineCache,
     stacking onto an already-covered slot never lowers the machine's total).
     The search stops once its incumbent reaches the top of that ranking.
     mode="first": return the first strictly improving Deviation, or None.
+    `grid_override` maps each job id to its candidate starts on the core's
+    scale, replacing the local grid.
     """
     own = instance.jobs_of_color(player)
     if not own:
         raise ValidationError(f"instance has no player {player}")
-    if key is None:
-        key = cache.key(starts)
     pix = cache.color_index[player]
-    u_cur = cache.evaluate_key(key, starts)[1][pix]
-    current = {j.id: starts[j.id] for j in own}
+    wden = cache.wden
+    u_cur = cache.evaluate_key(key)[1][pix]
     if u_cur == cache.totals[pix]:  # fully covered players cannot improve
-        return (current, Fraction(u_cur, cache.wden)) if mode == "best" else None
+        return (_strategy(cache, key, own), Fraction(u_cur, wden)) if mode == "best" else None
     _job_guard(player, len(own), force)
 
+    groups = cache.groups[player]
     if grid_override is not None:
-        coded_groups = list(zip([ids_ for ids_, _ in cache.groups[player]],
-                                _coded_lists(cache, player, grid_override.__getitem__)))
+        lists = _coded_lists(cache, player, grid_override.__getitem__)
     else:
-        _, coded_groups = _coded_grid(instance, cache, starts, player, key)
-    for ids_, coded in coded_groups:
+        lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
+    for (ids_, _), coded in zip(groups, lists):
         _grid_guard(ids_, len(coded), force)
+    _search_guard(player, [(ids_, len(coded)) for (ids_, _), coded
+                           in zip(groups, lists)], force)
 
-    work = dict(starts)
-    base_key = list(key)
-    coded_groups = [(ids_, coded, [cache.pos[i] for i in ids_])
-                    for ids_, coded in coded_groups]
+    base = list(key)
+    positions = [positions for _, positions in groups]
     best_u = u_cur
     best_value = None
-    best_assign = None
+    best = None
     # Only a strictly higher rank replaces the incumbent, so none can once it
     # covers every job of the player (with prefer_value: of the instance).
-    full = tuple(cache.totals)
+    full = cache.totals
     for combo in itertools.product(*(
-            itertools.combinations_with_replacement(coded, len(ids_))
-            for ids_, coded, _ in coded_groups)):
-        for (ids_, _, positions), tup in zip(coded_groups, combo):
-            for jid, p, (sv, code) in zip(ids_, positions, tup):
-                work[jid] = sv
-                base_key[p] = code
-        value, per = cache.evaluate_key(tuple(base_key), work)
+            itertools.combinations_with_replacement(coded, len(ps))
+            for ps, coded in zip(positions, lists))):
+        for ps, tup in zip(positions, combo):
+            for p, x in zip(ps, tup):
+                base[p] = x
+        value, per = cache.evaluate_key(tuple(base))
         u = per[pix]
-        if u > best_u or (prefer_value and best_assign is not None
+        if u > best_u or (prefer_value and best is not None
                           and u == best_u and value > best_value):
             if mode == "first":
-                strategy = tuple(sorted((j.id, work[j.id]) for j in own))
-                return Deviation(player, strategy, Fraction(u_cur, cache.wden),
-                                 Fraction(u, cache.wden))
+                return Deviation(player, tuple(_strategy(cache, base, own).items()),
+                                 Fraction(u_cur, wden), Fraction(u, wden))
             best_u = u
             best_value = value
-            best_assign = {j.id: work[j.id] for j in own}
+            best = tuple(base)
             if u == full[pix] and (not prefer_value or per == full):
                 break
     if mode == "first":
         return None
-    if best_assign is None:
-        return (current, Fraction(u_cur, cache.wden))
-    return (best_assign, Fraction(best_u, cache.wden))
+    return (_strategy(cache, key if best is None else best, own), Fraction(best_u, wden))
 
 
-def _player_stable(instance: Instance, cache: MachineCache, starts, key: tuple,
+def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
                    per: tuple, player: int, force: bool) -> bool:
     """Whether the player has no improving grid move: the verdict of a
     first-improvement `_player_search`, with the same guards in the same
@@ -331,20 +350,21 @@ def _player_stable(instance: Instance, cache: MachineCache, starts, key: tuple,
     _job_guard(player, len(instance.jobs_of_color(player)), force)
     record = cache.grid_cache.get(cache.others_key(player, key))
     if record is None:
-        record, _ = _coded_grid(instance, cache, starts, player, key)
+        record, _ = _coded_grid(cache, key, player)
     groups = cache.groups[player]
-    for (ids_, positions), coded in zip(groups, record.coded):
-        # A group's union adds at most one start per job to its aligned list.
-        if len(coded) + len(ids_) > BEST_RESPONSE_MAX_GRID:
-            _grid_guard(ids_, len(coded) + _missing(coded, positions, key), force)
+    if record.big and not force:
+        sized = [(ids_, len(coded) + _missing(coded, positions, key))
+                 for (ids_, positions), coded in zip(groups, record.coded)]
+        for ids_, size in sized:
+            _grid_guard(ids_, size, force)
+        _search_guard(player, sized, force)
     if record.lo > u_cur:
         return False
-    aligned = not any(_missing(coded, positions, key)
-                      for (_, positions), coded in zip(groups, record.coded))
+    aligned = all(key[p] in coded for (_, positions), coded
+                  in zip(groups, record.coded) for p in positions)
     if aligned and record.hi <= u_cur:
         return True
-    dev = _player_search(instance, cache, starts, player, mode="first",
-                         force=force, key=key)
+    dev = _player_search(instance, cache, key, player, mode="first", force=force)
     if aligned:
         if dev is None:
             record.hi = u_cur
@@ -364,9 +384,11 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     tuples in ascending (lexicographic) order, the last group varying
     fastest. The search stops at the first strategy that covers every job of
     the player, since nothing can beat it; that does not change the answer.
+    A joint search of more than `BEST_RESPONSE_MAX_SEARCH` strategies raises
+    `GuardError` before its first one is evaluated, unless `force` is set.
     """
     cache = MachineCache.of(instance)
-    return _player_search(instance, cache, profile.as_dict(), player,
+    return _player_search(instance, cache, cache.key(profile.as_dict()), player,
                           mode="best", force=force)
 
 
@@ -380,18 +402,18 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     restricts the scan to a subset of colors.
     """
     cache = MachineCache.of(instance)
-    starts = profile.as_dict()
+    key = cache.key(profile.as_dict())
     scan = instance.color_ids if players is None else tuple(sorted(players))
     for player in scan:
         if first_improvement:
-            dev = _player_search(instance, cache, starts, player, mode="first",
+            dev = _player_search(instance, cache, key, player, mode="first",
                                  force=force)
             if dev is not None:
                 return dev
         else:
-            strategy, u = _player_search(instance, cache, starts, player,
+            strategy, u = _player_search(instance, cache, key, player,
                                          mode="best", force=force)
-            u_cur = cache.utility(starts, player)
+            u_cur = cache.utility(key, player)
             if u > u_cur:
                 return Deviation(player, tuple(sorted(strategy.items())), u_cur, u)
     return None
@@ -467,47 +489,41 @@ def _global_groups(cache: MachineCache, candidates) -> list:
                   for groups in cache.groups.values() for ids_, positions in groups)
 
 
-def _profile_count(groups) -> int:
-    """Identical same-color jobs are interchangeable, so each group
-    contributes multisets, not tuples."""
-    return math.prod(math.comb(len(cands) + len(ids_) - 1, len(ids_))
-                     for ids_, _, cands in groups)
-
-
 def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
     """Number of enumerated joint profiles."""
-    return _profile_count(_global_groups(MachineCache.of(instance),
-                                         grid_candidates(instance, resolution)))
+    candidates = grid_candidates(instance, resolution)
+    return _profile_count((ids_, len(candidates[ids_[0]]))
+                          for ids_ in _job_groups(instance))
 
 
 def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                      cache: MachineCache):
-    """Yield (starts, key) for every joint grid profile."""
+    """Yield every joint grid profile as a memo key on the core's scale."""
     groups = _global_groups(cache, grid_candidates(instance, resolution))
-    size = _profile_count(groups)
+    size = _profile_count((ids_, len(cands)) for ids_, _, cands in groups)
     if size > GRID_ENUM_MAX_PROFILES and not force:
         raise GuardError(f"joint grid holds {size} profiles "
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
-    groups = [(ids_, positions, [(v, cache.intern(v)) for v in cands])
-              for ids_, positions, cands in groups]
+    groups = [(positions, [cache.ticks(v) for v in cands])
+              for _, positions, cands in groups]
     key = [0] * len(cache.ids)
     for combo in itertools.product(*(
-            itertools.combinations_with_replacement(coded, len(ids_))
-            for ids_, _, coded in groups)):
-        starts: dict[int, Fraction] = {}
-        for (ids_, positions, _), tup in zip(groups, combo):
-            for jid, p, (sv, code) in zip(ids_, positions, tup):
-                starts[jid] = sv
-                key[p] = code
-        yield starts, tuple(key)
+            itertools.combinations_with_replacement(times, len(positions))
+            for positions, times in groups)):
+        for (positions, _), tup in zip(groups, combo):
+            for p, x in zip(positions, tup):
+                key[p] = x
+        yield tuple(key)
 
 
 def grid_profiles(instance: Instance, resolution: int = 1, *,
                   force: bool = False) -> Iterator[Profile]:
     """All canonical joint profiles on the global grid (enumeration domain)."""
     cache = MachineCache.of(instance)
-    for starts, _ in _iter_grid_coded(instance, resolution, force, cache):
-        yield Profile.from_dict(starts)
+    td = 0  # the scale of the keys: a search between two yields may widen the core's
+    for key in _iter_grid_coded(instance, resolution, force, cache):
+        td = td or cache.td
+        yield cache.profile(key, td)
 
 
 def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
@@ -524,11 +540,11 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
     results = []
-    for starts, key in _iter_grid_coded(instance, resolution, force, cache):
-        value, per = cache.evaluate_key(key, starts)
-        if all(_player_stable(instance, cache, starts, key, per, player, force)
+    for key in _iter_grid_coded(instance, resolution, force, cache):
+        value, per = cache.evaluate_key(key)
+        if all(_player_stable(instance, cache, key, per, player, force)
                for player in scan_order):
-            results.append((Profile.from_dict(starts), value))
+            results.append((cache.profile(key), Fraction(value, cache.wden)))
     results.sort(key=lambda pv: (pv[1], pv[0].placements))
     return results
 
@@ -549,44 +565,46 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
         raise ValidationError(f"unknown BRD order {order!r}")
     validate_profile(instance, initial)
     cache = MachineCache.of(instance)
-    gcands = grid_candidates(instance, resolution)
-    starts = initial.as_dict()
+    key = cache.key(initial.as_dict())
+    gcands = {jid: [cache.ticks(x) for x in cands]
+              for jid, cands in grid_candidates(instance, resolution).items()}
     colors = instance.color_ids
-    ids = tuple(j.id for j in instance.jobs)
-    seen = {tuple(starts[i] for i in ids): 0}
-    history = [Profile.from_dict(starts)]
+    seen = {key: 0}
+    history = [cache.profile(key)]
     trace: list[tuple[int, Fraction, Fraction]] = []
     iterations = 0
     pointer = 0
     quiet = 0  # players checked since the last accepted move
     while True:
         if quiet >= len(colors):
-            return BrdOutcome("converged", Profile.from_dict(starts), None,
+            return BrdOutcome("converged", cache.profile(key), None,
                               iterations, tuple(trace))
         if iterations >= max_iters:
-            return BrdOutcome("iteration_cap", Profile.from_dict(starts), None,
+            return BrdOutcome("iteration_cap", cache.profile(key), None,
                               iterations, tuple(trace))
         if order == "round_robin":
             player = colors[pointer % len(colors)]
             pointer += 1
         else:
             player = colors[quiet]
-        strategy, u = _player_search(instance, cache, starts, player,
+        strategy, u = _player_search(instance, cache, key, player,
                                      mode="best", force=force,
                                      grid_override=gcands, prefer_value=True)
-        u_cur = cache.utility(starts, player)
+        u_cur = cache.utility(key, player)
         if u > u_cur:
-            starts.update(strategy)
+            moved = list(key)
+            for jid, x in strategy.items():
+                moved[cache.pos[jid]] = cache.ticks(x)
+            key = tuple(moved)
             iterations += 1
             quiet = 0
-            trace.append((player, u - u_cur, cache.value(starts)))
-            key = tuple(starts[i] for i in ids)
+            trace.append((player, u - u_cur, cache.value(key)))
             if key in seen:
                 cycle = tuple(history[seen[key]:])
                 return BrdOutcome("cycle_detected", None, cycle,
                                   iterations, tuple(trace))
             seen[key] = len(history)
-            history.append(Profile.from_dict(starts))
+            history.append(cache.profile(key))
         else:
             quiet += 1
 

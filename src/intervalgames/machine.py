@@ -7,15 +7,23 @@ length zero occupy an empty interval, so they are always covered) and the
 same post-pass (any job whose whole interval lies inside a busy segment of
 its own color is covered for free).
 
-Both routes and the post-pass compute in integers. `_scaled` writes every
-start and finish of a profile as a numerator over one common denominator (the
-lcm of the denominators of the lengths and of the starts) and every weight as
-a numerator over the lcm of the weight denominators, so every comparison and
-sum is exact. `Fraction`s appear only in the returned value and segment
-endpoints. What depends on the instance alone (scaled weights, length
-denominators, the zero-length jobs) is compiled once into the instance's
-`MachineCache`, which also holds the equilibrium search's memo. The core is
-stored on the `Instance` object and dies with it.
+Everything computes in integers on one time scale per instance. The
+instance's solver core (`MachineCache`, stored on the `Instance` object and
+dying with it) writes every time as a numerator over its time denominator
+`td` and every weight as a numerator over `wden`, the lcm of the weight
+denominators, so every comparison and sum is exact. `td` starts at 4L, where
+L is the lcm of the denominators of the horizon, the lengths and the window
+bounds: every global-grid point lies in (1/2L)Z and every local grid built
+against such starts in (1/4L)Z, so the game searches run on ints from end to
+end, and their memo keys are the start times themselves. A search entry
+(`MachineCache.key`) whose profile has a start of denominator d with 2d not
+dividing `td` widens `td` to their lcm, and drops the memo and the grid
+records, before it searches; no search widens it midway, so ints of two
+scales never meet in one key. The Fraction-profile entries
+(`solve_machine_dp`, `solve_machine_bruteforce`, `machine_value_and_covered`)
+scale each call to the lcm of `td` and the start denominators, run the same
+DP on the same rows, and never touch the memo. `Fraction`s are built only for
+returned values and segment endpoints.
 
 Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
 the one whose last job has the smallest id, the empty configuration counting
@@ -76,46 +84,59 @@ def in_set(instance: Instance, profile: Profile, job_id: int) -> frozenset[int]:
     return frozenset(members)
 
 
-class MachineCache:
-    """The solver core of one instance: its integer-scaled DP constants and
-    the memo of machine responses that the equilibrium search reads.
+def _ticks(x: Fraction, td: int) -> int:
+    """x as a numerator over td, which must be a multiple of x's denominator."""
+    q, r = divmod(td, x.denominator)
+    if r:
+        raise InternalFailure(f"time {x} is off the time scale 1/{td}")
+    return x.numerator * q
 
-    Weights are ints scaled by `wden`, the lcm of the weight denominators.
-    Memo keys are tuples of small ints, one start code per job in instance
-    order: every distinct start value is interned once, so the hot path never
-    hashes a Fraction. Memo values are (total, per-color utilities), colors
-    indexed densely, utilities scaled by `wden`; `utility` converts back.
+
+def _job_groups(instance: Instance) -> list[list[int]]:
+    """Interchangeable jobs (same color, length, weight and window) as sorted
+    id lists, ordered by smallest id."""
+    by_key: dict[tuple, list[int]] = {}
+    for j in instance.jobs:
+        by_key.setdefault((j.color, j.length, j.weight, j.window), []).append(j.id)
+    return sorted(map(sorted, by_key.values()))
+
+
+class MachineCache:
+    """The solver core of one instance: its integer DP rows on the time
+    scale `td`, and the game tables and memo the equilibrium search reads.
+
+    The DP rows hold each positive-length job as (key position, length over
+    `td`, id, weight over `wden`, dense color index). The game tables are
+    built on the first search use (`key` or `groups`), so a core that only
+    solves machines never holds them. Memo keys are tuples of start
+    numerators over `td`, one per job in instance order; memo values are
+    (value, per-color utilities), all ints over `wden`. `value`, `utility`,
+    `time` and `profile` convert back to `Fraction`s.
 
     `MachineCache.of(instance)` is the only way to it. The core is stored on
     the instance and dies with it; equal but distinct instances do not share
     it, and `Instance` leaves it out of its pickled and copied state."""
 
+    __slots__ = ("instance", "wden", "td", "rows", "base_scaled", "zero_ids",
+                 "color_ids", "ids", "pos", "color_index", "totals", "zero_per",
+                 "lens", "bounds", "other_pos", "_groups", "_others", "_cache",
+                 "grid_cache")
+
     def __init__(self, instance: Instance):
         jobs = instance.jobs
         self.instance = instance
         self.wden = math.lcm(*[j.weight.denominator for j in jobs])
-        self.ids = tuple(j.id for j in jobs)
-        self.pos = {jid: i for i, jid in enumerate(self.ids)}
-        self.color_index = {c: i for i, c in enumerate(instance.color_ids)}
-        self._job_cix = [self.color_index[j.color] for j in jobs]
-        self._job_w = [self.scaled(j.weight) for j in jobs]
-        self.totals = [0] * len(self.color_index)
-        for cix, w in zip(self._job_cix, self._job_w):
-            self.totals[cix] += w
-        # DP rows of the positive-length jobs: (length numerator, length
-        # denominator, id, scaled weight, color). Zero-length jobs are aside.
-        positive = [(j, w) for j, w in zip(jobs, self._job_w) if j.length > 0]
-        self.row_ids = [j.id for j, _ in positive]
-        self.rows = [(j.length.numerator, j.length.denominator, j.id, w, j.color)
-                     for j, w in positive]
-        self.len_den = math.lcm(*[j.length.denominator for j, _ in positive])
-        zero = [(j.id, w) for j, w in zip(jobs, self._job_w) if j.length == 0]
-        self.base_scaled = sum(w for _, w in zero)
-        self.zero_ids = frozenset(jid for jid, _ in zero)
-        self._intern: dict[Fraction, int] = {}
-        self._cache: dict = {}
-        self.grid_cache: dict = {}
-        self._groups = self._others = None
+        times = [instance.horizon, *[j.length for j in jobs],
+                 *[x for j in jobs if j.window is not None for x in j.window]]
+        self.td = td = 4 * math.lcm(*[x.denominator for x in times])
+        self.color_ids = instance.color_ids
+        cix = {c: i for i, c in enumerate(self.color_ids)}
+        self.rows = [(p, _ticks(j.length, td), j.id, self.scaled(j.weight), cix[j.color])
+                     for p, j in enumerate(jobs) if j.length > 0]
+        zero = [j for j in jobs if j.length == 0]
+        self.base_scaled = sum(self.scaled(j.weight) for j in zero)
+        self.zero_ids = frozenset(j.id for j in zero)
+        self._groups = None
 
     @classmethod
     def of(cls, instance: Instance) -> "MachineCache":
@@ -135,83 +156,134 @@ class MachineCache:
         return self._groups
 
     def _build_game_tables(self) -> None:
-        # Only the game searches read these, so a core that only solves
-        # machines never holds them. (A `cached_property` reads the core's
-        # `__dict__`, which measurably slowed grid-NE enumeration.)
-        self._groups, self._others = {}, {}
-        jobs = self.instance.jobs
-        for c in self.instance.color_ids:
-            by_key: dict[tuple, list[int]] = {}
-            for j in self.instance.jobs_of_color(c):
-                by_key.setdefault((j.length, j.weight, j.window), []).append(j.id)
-            self._groups[c] = [(ids_, [self.pos[i] for i in ids_])
-                               for ids_ in sorted(map(sorted, by_key.values()))]
-            other = [p for p, j in enumerate(jobs) if j.color != c]
+        # Built on the first search use, so a core that only solves machines
+        # never holds these. (Not a `cached_property`: it needs the core's
+        # `__dict__`, and it measurably slowed grid-NE enumeration.)
+        instance, td = self.instance, self.td
+        jobs = instance.jobs
+        self.ids = tuple(j.id for j in jobs)
+        self.pos = {jid: p for p, jid in enumerate(self.ids)}
+        self.color_index = {c: i for i, c in enumerate(self.color_ids)}
+        totals = [0] * len(self.color_ids)
+        self.zero_per = [0] * len(self.color_ids)
+        for j in jobs:
+            cix, w = self.color_index[j.color], self.scaled(j.weight)
+            totals[cix] += w
+            if j.length == 0:
+                self.zero_per[cix] += w
+        self.totals = tuple(totals)
+        self.lens = [_ticks(j.length, td) for j in jobs]
+        # Per player and group: (lowest start, highest start, length,
+        # windowed), the inputs of the local grid (`_grid_points`).
+        self._groups = {c: [] for c in self.color_ids}
+        self.bounds = {c: [] for c in self.color_ids}
+        for ids_ in _job_groups(instance):
+            j = instance.job(ids_[0])
+            self._groups[j.color].append((ids_, [self.pos[i] for i in ids_]))
+            length = self.lens[self.pos[j.id]]
+            self.bounds[j.color].append(
+                (_ticks(j.release, td), _ticks(j.due(instance.horizon), td) - length,
+                 length, j.window is not None))
+        # Per player: the other players' key positions, and their getter.
+        self.other_pos, self._others = {}, {}
+        for c in self.color_ids:
+            other = self.other_pos[c] = [p for p, j in enumerate(jobs) if j.color != c]
             self._others[c] = itemgetter(*other) if other else (lambda key: ())
+        self._cache: dict = {}
+        self.grid_cache: dict = {}
 
     def scaled(self, x: Fraction) -> int:
+        """A weight as a numerator over `wden`."""
         return x.numerator * (self.wden // x.denominator)
 
-    def intern(self, x: Fraction) -> int:
-        code = self._intern.get(x)
-        if code is None:
-            code = len(self._intern)
-            self._intern[x] = code
-        return code
-
     def key(self, starts: Mapping[int, Fraction]) -> tuple:
-        return tuple(self.intern(starts[i]) for i in self.ids)
+        """Fit the core to a profile and return the profile as a memo key.
+
+        Search entries call this once, before searching. A start whose
+        denominator d has 2d not dividing `td` widens `td` to their lcm (a
+        local grid halves gaps between such starts); the game tables, memo
+        and grid records are then rebuilt on the new scale."""
+        xs = [starts[j.id].as_integer_ratio() for j in self.instance.jobs]
+        td = math.lcm(self.td, *[2 * d for _, d in xs])
+        if td != self.td:
+            m = td // self.td
+            self.td = td
+            self.rows = [(p, ln * m, jid, w, c) for p, ln, jid, w, c in self.rows]
+            self._groups = None
+        if self._groups is None:
+            self._build_game_tables()
+        return tuple([n * (td // d) for n, d in xs])
 
     def others_key(self, player: int, key: tuple) -> tuple:
-        """The player and the other players' codes in a key."""
-        if self._others is None:
-            self._build_game_tables()
+        """The player and the other players' starts in a key."""
         return (player, self._others[player](key))
 
-    def evaluate_key(self, key: tuple, starts: Mapping[int, Fraction]):
+    def evaluate_key(self, key: tuple):
+        """(value, per-color utilities) of the profile `key`, ints over
+        `wden`. A miss runs `_dp_core` on the key; the utilities come from
+        its covered mask."""
         hit = self._cache.get(key)
         if hit is None:
-            value, covered = machine_value_and_covered(self.instance, dict(starts))
-            per = [0] * len(self.totals)
-            for jid in covered:
-                idx = self.pos[jid]
-                per[self._job_cix[idx]] += self._job_w[idx]
-            hit = (value, tuple(per))
+            top, mask, view = _dp_core(self.rows, key)
+            w, col = view[2], view[3]
+            per = self.zero_per.copy()
+            for k in range(len(w)):
+                if mask >> k & 1:
+                    per[col[k]] += w[k]
+            hit = (self.base_scaled + top, tuple(per))
             if len(self._cache) > 600_000:
                 self._cache.clear()
             self._cache[key] = hit
         return hit
 
-    def evaluate(self, starts: Mapping[int, Fraction]):
-        return self.evaluate_key(self.key(starts), starts)
+    def ticks(self, x: Fraction) -> int:
+        """A time on the core's scale; it must lie on it."""
+        return _ticks(x, self.td)
 
-    def value(self, starts) -> Fraction:
-        return self.evaluate(starts)[0]
+    def time(self, n: int) -> Fraction:
+        return Fraction(n, self.td)
 
-    def utility(self, starts, color: int) -> Fraction:
-        return Fraction(self.evaluate(starts)[1][self.color_index[color]], self.wden)
+    def profile(self, key: tuple, td: int = 0) -> Profile:
+        """The profile a key over `td` (default: the core's) stands for."""
+        td = td or self.td
+        return Profile.from_dict({i: Fraction(n, td) for i, n in zip(self.ids, key)})
+
+    def value(self, key: tuple) -> Fraction:
+        return Fraction(self.evaluate_key(key)[0], self.wden)
+
+    def utility(self, key: tuple, color: int) -> Fraction:
+        return Fraction(self.evaluate_key(key)[1][self.color_index[color]], self.wden)
 
 
-def _scaled(instance: Instance, starts: dict[int, Fraction]):
-    """Integer-scaled view of one profile's positive-length jobs, sorted by
-    (finish, id): the tuple (starts, finishes, weights, colors, ids, td,
-    core), where times are numerators over the common denominator td and
-    weights numerators over core.wden. Exact."""
+def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
+    """A `Fraction` profile on the core's scale, widened for this call only:
+    (core, DP rows, start numerators in instance order, td), where td is the
+    lcm of the core's `td` and the start denominators. Exact."""
     st = MachineCache.of(instance)
-    xs = [starts[jid].as_integer_ratio() for jid in st.row_ids]
-    td = math.lcm(st.len_den, *[d for _, d in xs])
-    rows = sorted([(si + num * (td // den), jid, si, wi, ci)
-                   for si, (num, den, jid, wi, ci)
-                   in zip([num * (td // d) for num, d in xs], st.rows)])
+    xs = [starts[j.id].as_integer_ratio() for j in instance.jobs]
+    td = math.lcm(st.td, *[d for _, d in xs])
+    rows = st.rows
+    if td != st.td:
+        m = td // st.td
+        rows = [(p, ln * m, jid, w, c) for p, ln, jid, w, c in rows]
+    return st, rows, [n * (td // d) for n, d in xs], td
+
+
+def _view(rows, times):
+    """The positive-length jobs at the start numerators `times` (instance
+    order), sorted by (finish, id): (starts, finishes, weights, color
+    indices, ids)."""
+    rows = sorted([(times[p] + ln, jid, times[p], w, c) for p, ln, jid, w, c in rows])
     f, ids, s, w, col = zip(*rows) if rows else ((),) * 5
-    return s, f, w, col, ids, td, st
+    return s, f, w, col, ids
 
 
-def _dp_core(instance: Instance, starts: dict[int, Fraction]):
-    """Return (value, covered mask over the view's finish order, scaled view)
-    for the optimal configuration."""
-    view = _scaled(instance, starts)
-    s, f, w, col, ids, _, st = view
+def _dp_core(rows, times):
+    """Return (value, covered mask over the view's finish order, view) for
+    the optimal configuration; the value counts positive-length jobs only,
+    over the core's `wden`."""
+    view = _view(rows, times)
+    s, f, w, col, ids = view
     n = len(s)
 
     # Cell i + 1 holds the best configuration whose last job is job i, and
@@ -276,11 +348,11 @@ def _dp_core(instance: Instance, starts: dict[int, Fraction]):
         cell = back[cell]
     if sum(w[k] for k in range(n) if (covered_mask >> k) & 1) != top_v:
         raise InternalFailure("dp credit mismatch: recurrence double-counted a job")
-    return Fraction(st.base_scaled + top_v, st.wden), covered_mask, view
+    return top_v, covered_mask, view
 
 
-def _covered_ids(mask: int, view) -> frozenset[int]:
-    ids, st = view[4], view[6]
+def _covered_ids(st: MachineCache, mask: int, view) -> frozenset[int]:
+    ids = view[4]
     covered = set(st.zero_ids)
     covered.update(ids[k] for k in range(len(ids)) if (mask >> k) & 1)
     # Copied from a set, the frozenset's table is sized for its final count;
@@ -288,9 +360,9 @@ def _covered_ids(mask: int, view) -> frozenset[int]:
     return frozenset(covered)
 
 
-def _brute_core(instance: Instance, starts: dict[int, Fraction], force: bool):
-    view = _scaled(instance, starts)
-    s, f, w, col, ids, _, st = view
+def _brute_core(rows, times, force: bool):
+    view = _view(rows, times)
+    s, f, w, col, ids = view
     n = len(s)
     if n > BRUTE_FORCE_MAX_JOBS and not force:
         raise GuardError(f"brute-force machine solver limited to "
@@ -323,17 +395,18 @@ def _brute_core(instance: Instance, starts: dict[int, Fraction], force: bool):
         search(i + 1, mask, value, chosen)
 
     search(0, 0, 0, 0)
-    return Fraction(st.base_scaled + best_val, st.wden), best_mask, view
+    return best_val, best_mask, view
 
 
-def _closure(starts: dict[int, Fraction], value: Fraction, mask: int,
-             view) -> Schedule:
+def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
+             mask: int, view, td: int) -> Schedule:
     """Merge covered intervals into maximal per-color segments, then cover
     every job nested inside a segment of its own color (free additions).
 
-    Works on the scaled view; a segment's start is returned as the profile's
-    own start of a covered job there, its end as a new `Fraction`."""
-    s, f, w, col, ids, td, _ = view
+    Works on the view over td; a segment's start is returned as the
+    profile's own start of a covered job there, its end as a new `Fraction`,
+    and the value `top` (over `wden`) with the zero-length jobs added."""
+    s, f, w, col, ids = view
     per_color: dict[int, list[tuple[int, int]]] = {}
     first: dict[int, int] = {}  # scaled start -> a covered job starting there
     for k in range(len(s)):
@@ -356,6 +429,7 @@ def _closure(starts: dict[int, Fraction], value: Fraction, mask: int,
         lows.append(cur_s)
         highs.append(cur_f)
         segments.extend((a, b, color) for a, b in zip(lows, highs))
+    # Color indices follow the sorted colors, so this is the color order too.
     segments.sort()
     for (_, b1, _), (a2, _, _) in zip(segments, segments[1:]):
         if a2 < b1:
@@ -374,26 +448,32 @@ def _closure(starts: dict[int, Fraction], value: Fraction, mask: int,
     if extra:
         raise InternalFailure("closure pass found uncounted positive weight "
                               "(solver bug)")
-    return Schedule(_covered_ids(mask | free, view),
-                    tuple((starts[first[a]], Fraction(b, td), c)
-                          for a, b, c in segments), value)
+    colors = st.color_ids
+    return Schedule(_covered_ids(st, mask | free, view),
+                    tuple((starts[first[a]], Fraction(b, td), colors[c])
+                          for a, b, c in segments),
+                    Fraction(st.base_scaled + top, st.wden))
 
 
 def solve_machine_dp(instance: Instance, profile: Profile) -> Schedule:
     """Optimal machine configuration via dynamic programming over finish times."""
     starts = profile.as_dict()
-    return _closure(starts, *_dp_core(instance, starts))
+    st, rows, times, td = _scaled(instance, starts)
+    return _closure(st, starts, *_dp_core(rows, times), td)
 
 
 def solve_machine_bruteforce(instance: Instance, profile: Profile,
                              force: bool = False) -> Schedule:
     """Oracle: enumerate all cross-color-compatible job subsets (n <= 20)."""
     starts = profile.as_dict()
-    return _closure(starts, *_brute_core(instance, starts, force))
+    st, rows, times, td = _scaled(instance, starts)
+    return _closure(st, starts, *_brute_core(rows, times, force), td)
 
 
 def machine_value_and_covered(instance: Instance,
-                              starts: dict[int, Fraction]) -> tuple[Fraction, frozenset[int]]:
-    """Fast-path entry used by the equilibrium search: no segment building."""
-    value, mask, view = _dp_core(instance, starts)
-    return value, _covered_ids(mask, view)
+                              starts: Mapping[int, Fraction]) -> tuple[Fraction, frozenset[int]]:
+    """The machine's value and covered set for a `Fraction` profile, without
+    segments; it never touches the memo."""
+    st, rows, times, _ = _scaled(instance, starts)
+    top, mask, view = _dp_core(rows, times)
+    return Fraction(st.base_scaled + top, st.wden), _covered_ids(st, mask, view)

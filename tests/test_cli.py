@@ -152,6 +152,33 @@ def test_analyze_family(capsys):
     assert len(payload["reports"]) == 4
 
 
+def test_analyze_family_passes_force(capsys, monkeypatch):
+    seen = []
+    analyze = cli.analyze
+
+    def recording(instance, **kwargs):
+        seen.append(kwargs["force"])
+        return analyze(instance, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", recording)
+    for flags in ((), ("--force",)):
+        code, payload = _run(capsys, "analyze", "--family", "single", "--count", "2",
+                             "--seed", "11", "--n", "2", "--c", "2", *flags)
+        assert code == 0 and len(payload["reports"]) == 2
+    assert seen == [False, False, True, True]
+
+
+def test_brd_guards_a_large_joint_search(capsys, tmp_path):
+    """pos_c's six-job player has 11,486,475 joint strategies on the global
+    grid at c = 4; `brd` stops with exit 2 before searching them."""
+    start = tmp_path / "start.json"
+    start.write_text(profile_to_json(random_profile(fixture("pos_c", c=4).instance, 0)))
+    code = main(["brd", "--fixture", "pos_c", "--c", "4", str(start)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "player 2's joint search holds 11486475 strategies" in captured.err
+
+
 def test_fixture_list_and_export(capsys, tmp_path):
     code, payload = _run(capsys, "fixture", "list")
     assert code == 0 and "ex1" in payload["fixtures"]

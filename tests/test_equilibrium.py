@@ -9,8 +9,10 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intervalgames import (GuardError, Instance, Job, Profile,
+from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            UnsupportedInstanceError, analyze, applicable_bounds,
                            best_response, brd, build_grid, enumerate_grid_ne,
                            fixture, from_partition_br, from_partition_decide,
@@ -19,7 +21,9 @@ from intervalgames import (GuardError, Instance, Job, Profile,
                            ne_unit, random_instance, random_profile,
                            solve_machine_dp, tightest_bound, utilities,
                            validate_instance, verify_deviation)
-from intervalgames.equilibrium import _coded_grid, _coded_lists, _player_search
+from intervalgames import equilibrium
+from intervalgames.equilibrium import (_coded_grid, _coded_lists, _grid_points,
+                                        _player_search, _player_stable)
 from intervalgames.machine import MachineCache, machine_value_and_covered
 from conftest import guard_instances
 
@@ -63,6 +67,15 @@ def test_grid_tags():
     grid = build_grid(inst, {2: F(0)}, player=1)
     tags = {tag for _, cands in grid.entries for _, tag in cands}
     assert "endpoint-aligned" in tags and "interior-shifted" in tags
+
+
+def test_grid_points_refuse_a_gap_they_cannot_halve():
+    # Points 0 and 3 over one denominator: half the gap is not on the scale.
+    with pytest.raises(InternalFailure, match="cannot be halved"):
+        _grid_points(0, 3, 1, [], False)
+    assert _grid_points(0, 4, 1, [], False) == {0: "endpoint-aligned",
+                                                 4: "endpoint-aligned",
+                                                 2: "interior-shifted"}
 
 
 # --- best responses ----------------------------------------------------------
@@ -332,13 +345,22 @@ def test_enumerate_guards_raise(name):
 
 # --- best responses against an exhaustive search -----------------------------
 
+def _on_scale(cache, grid_override):
+    """A Fraction candidate map as times on the core's scale."""
+    return {jid: [cache.ticks(x) for x in cands] for jid, cands in grid_override.items()}
+
+
 def _search_lists(inst, starts, player, grid_override):
-    """The per-group (ids, coded candidate list) pairs the search walks."""
+    """The per-group (ids, candidate list) pairs the search walks, as Fractions."""
     cache = MachineCache.of(inst)
+    key = cache.key(starts)
     if grid_override is None:
-        return _coded_grid(inst, cache, starts, player, cache.key(starts))[1]
-    return list(zip([ids_ for ids_, _ in cache.groups[player]],
-                    _coded_lists(cache, player, grid_override.__getitem__)))
+        lists = _coded_grid(cache, key, player)[1]
+    else:
+        lists = list(zip([ids_ for ids_, _ in cache.groups[player]],
+                         _coded_lists(cache, player,
+                                      _on_scale(cache, grid_override).__getitem__)))
+    return [(ids_, [cache.time(x) for x in coded]) for ids_, coded in lists]
 
 
 def _reference_best(inst, starts, player, grid_override=None, prefer_value=False):
@@ -359,7 +381,7 @@ def _reference_best(inst, starts, player, grid_override=None, prefer_value=False
             itertools.combinations_with_replacement(coded, len(ids_))
             for ids_, coded in groups)):
         for (ids_, _), tup in zip(groups, combo):
-            work.update((jid, sv) for jid, (sv, _) in zip(ids_, tup))
+            work.update(zip(ids_, tup))
         value, u = evaluate(work)
         if u > best_u or (prefer_value and best is not None
                           and u == best_u and value > best_value):
@@ -371,7 +393,11 @@ def _reference_best(inst, starts, player, grid_override=None, prefer_value=False
 
 
 def _search_best(inst, starts, player, grid_override=None, prefer_value=False):
-    return _player_search(inst, MachineCache.of(inst), starts, player, mode="best",
+    cache = MachineCache.of(inst)
+    key = cache.key(starts)
+    if grid_override is not None:
+        grid_override = _on_scale(cache, grid_override)
+    return _player_search(inst, cache, key, player, mode="best",
                           grid_override=grid_override, prefer_value=prefer_value)
 
 
@@ -433,9 +459,9 @@ def test_best_response_stops_at_the_utility_ceiling(monkeypatch, values, stops_e
     calls = []
     evaluate_key = MachineCache.evaluate_key
 
-    def counting(self, key, starts):
+    def counting(self, key):
         calls.append(key)
-        return evaluate_key(self, key, starts)
+        return evaluate_key(self, key)
 
     monkeypatch.setattr(MachineCache, "evaluate_key", counting)
     _, u = best_response(inst, profile, 1)
@@ -445,6 +471,131 @@ def test_best_response_stops_at_the_utility_ceiling(monkeypatch, values, stops_e
     else:
         # The current profile, then every combination of the joint search.
         assert len(calls) == 1 + size
+
+
+# --- the time scale ---------------------------------------------------------------
+
+def test_widening_the_time_scale_keeps_every_answer():
+    """A profile off the core's scale widens it and drops the memo; neither
+    that nor going back to grid profiles may change an answer."""
+    inst = fixture("ex1").instance  # L = 1: the core starts on quarters
+    grid = inst.__class__(inst.horizon, inst.jobs)
+    quarters = Profile.from_dict({1: F(0), 2: F(1, 4), 3: F(5, 4)})
+    profile = next(p for p in grid_profiles(grid) if is_nash(grid, p) is not None)
+
+    calls = [lambda i: best_response(i, profile, 1),
+             lambda i: is_nash(i, quarters),
+             lambda i: best_response(i, quarters, 1),
+             lambda i: best_response(i, quarters, 2),
+             lambda i: is_nash(i, quarters, first_improvement=True),
+             lambda i: best_response(i, profile, 1),
+             lambda i: is_nash(i, profile),
+             lambda i: brd(i, profile, max_iters=6),
+             enumerate_grid_ne]
+    cache = MachineCache.of(inst)
+    assert cache.td == 4
+    for k, call in enumerate(calls):
+        fresh = copy.copy(inst)
+        assert call(inst) == call(fresh), k
+        # Starts of denominator 4 need eighths: the local grids halve gaps
+        # between them (1/8, 3/8 and 11/8 are candidates).
+        assert cache.td == (4 if k == 0 else 8)
+        if k == 1:
+            # The widening dropped every entry keyed on quarters.
+            core = MachineCache.of(fresh)
+            assert cache._cache == core._cache and cache._cache
+            assert cache.grid_cache.keys() == core.grid_cache.keys()
+    grid8 = build_grid(inst, {3: F(5, 4)}, player=1)
+    assert {F(1, 8), F(3, 8), F(11, 8)} <= set(grid8.starts(2))
+
+
+_SCALED_SHAPES = (("general", 3, 2, 3), ("prop", 4, 2, 3), ("nonsymm", 3, 2, 3),
+                  ("unit", 3, 3, 2), ("general", 4, 3, 2))
+
+
+def _times_k(inst, k):
+    """The instance with every time (horizon, lengths, windows) times k."""
+    jobs = tuple(Job(j.id, j.color, j.length * k, j.weight,
+                     None if j.window is None else (j.window[0] * k, j.window[1] * k))
+                 for j in inst.jobs)
+    return validate_instance(Instance(inst.horizon * k, jobs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(_SCALED_SHAPES), seed=st.integers(0, 10 ** 6),
+       k=st.sampled_from((2, 3)),
+       fractions=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5)),
+                          min_size=4, max_size=4))
+def test_scaling_every_time_by_k_scales_the_answers(shape, seed, k, fractions):
+    inst = random_instance(*shape, seed)
+    starts = {}
+    for j, (a, q) in zip(inst.jobs, fractions):
+        lo, hi = j.release, j.due(inst.horizon) - j.length
+        starts[j.id] = lo + (hi - lo) * F(min(a, q), q)
+    profile = Profile.from_dict(starts)
+    big = _times_k(inst, k)
+    big_profile = Profile.from_dict({i: s * k for i, s in starts.items()})
+    small_sched = solve_machine_dp(inst, profile)
+    big_sched = solve_machine_dp(big, big_profile)
+    assert big_sched.covered == small_sched.covered
+    assert big_sched.value == small_sched.value
+    assert big_sched.segments == tuple((a * k, b * k, c) for a, b, c in small_sched.segments)
+    for player in inst.color_ids:
+        try:
+            strategy, u = best_response(inst, profile, player)
+        except GuardError:
+            with pytest.raises(GuardError):
+                best_response(big, big_profile, player)
+            continue
+        big_strategy, big_u = best_response(big, big_profile, player)
+        assert big_u == u
+        assert big_strategy == {i: s * k for i, s in strategy.items()}
+
+
+# --- the joint-search guard --------------------------------------------------------
+
+def test_joint_search_guard_fires_before_the_first_combination(monkeypatch):
+    fx = fixture("pos_c", c=4)
+    inst, profile = fx.instance, random_profile(fx.instance, 0)
+    calls = []
+    evaluate_key = MachineCache.evaluate_key
+
+    def counting(self, key):
+        calls.append(key)
+        return evaluate_key(self, key)
+
+    monkeypatch.setattr(MachineCache, "evaluate_key", counting)
+    with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
+        best_response(inst, profile, 2)
+    assert len(calls) == 1  # the current profile only
+    cache = MachineCache.of(inst)
+    gcands = _on_scale(cache, grid_candidates(inst))
+    calls.clear()
+    with pytest.raises(GuardError, match="player 2's joint search holds 11486475"):
+        _player_search(inst, cache, cache.key(profile.as_dict()), 2, mode="best",
+                       grid_override=gcands, prefer_value=True)
+    assert len(calls) == 1
+    # Grid-NE enumeration checks the same guard at the same point, before
+    # the grid record's bounds or a search can settle the verdict.
+    key = cache.key(profile.as_dict())
+    per = cache.evaluate_key(key)[1]
+    calls.clear()
+    with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
+        _player_stable(inst, cache, key, per, 2, False)
+    assert calls == []
+
+
+def test_force_overrides_the_joint_search_guard(monkeypatch):
+    fx = fixture("ex1")
+    profile = fx.notable_profiles["figure_a"]
+    expected = best_response(fx.instance, profile, 1)
+    monkeypatch.setattr(equilibrium, "BEST_RESPONSE_MAX_SEARCH", 1)
+    inst = copy.copy(fx.instance)
+    with pytest.raises(GuardError, match="joint search holds"):
+        best_response(inst, profile, 1)
+    with pytest.raises(GuardError, match="joint search holds"):
+        is_nash(inst, profile, first_improvement=True)
+    assert best_response(inst, profile, 1, force=True) == expected
 
 
 # --- analysis ---------------------------------------------------------------------

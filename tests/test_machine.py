@@ -249,11 +249,12 @@ def test_dp_golden_tie_breaks():
 _INCONSISTENT_CLOSURE = """
 from fractions import Fraction as F
 from intervalgames import Instance, InternalFailure, Job, validate_instance
-from intervalgames.machine import _closure, _scaled
+from intervalgames.machine import _closure, _scaled, _view
 inst = validate_instance(Instance(F(4), (Job(1, 1, F(2), F(1)), Job(2, 2, F(2), F(1)))))
 starts = {1: F(0), 2: F(1)}  # [0,2) and [1,3) overlap
+st, rows, times, td = _scaled(inst, starts)
 try:
-    _closure(starts, F(2), 0b11, _scaled(inst, starts))
+    _closure(st, starts, 2, 0b11, _view(rows, times), td)
 except InternalFailure as exc:
     print("InternalFailure:", exc)
 """
