@@ -16,28 +16,33 @@ key is the tuple of a profile's start times. `best_response`, `is_nash` and
 and drops the memo and grid records, before the search, never during it.
 One function makes every local grid (`_grid_points`); `build_grid` is its
 `Fraction` view, and it raises `InternalFailure` rather than truncate a gap
-that the scale cannot halve.
+that the scale cannot halve. `_global_ticks` makes the global grid of `brd`
+and grid-NE enumeration on ints over 2L, half of the core's smallest scale;
+`global_grid_points` and `grid_candidates` are its `Fraction` views.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
-bounds that a search over the same grid proved. It is bounded: it lives in
-the core's grid cache, which is cleared past 100,000 entries. It leaves the
-searched grid unchanged, so the enumerated equilibria are those of the plain
-search. Utilities are compared as integers over the lcm of the weight
-denominators. `Fraction`s are built only for what is returned: strategies,
-utilities, deviations and profiles.
+bounds that a search over the same grid proved, by three rules that also
+settle profiles whose starts are off the aligned lists. It is bounded: it
+lives in the core's grid cache, which is cleared past 100,000 entries. It
+leaves the searched grid unchanged, so the enumerated equilibria are those of
+the plain search. Utilities are compared as integers over the lcm of the
+weight denominators, and equilibria are sorted as (value, starts) ints.
+`Fraction`s are built only for what is returned: strategies, utilities,
+deviations and profiles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-from .machine import MachineCache, _job_groups, _ticks, machine_value_and_covered
+from .machine import (MachineCache, _job_groups, _ticks, _time_lcm,
+                      machine_value_and_covered)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
                     UnsupportedInstanceError, ValidationError, validate_profile)
 
@@ -127,28 +132,32 @@ class AnalysisReport:
     instance_classes: tuple[str, ...]
 
 
+def _interior(event: list, hi: int) -> list:
+    """The points of the sorted int list `event` shifted by half its
+    smallest gap, kept up to `hi`. The denominator must make every gap even;
+    an odd one raises `InternalFailure`."""
+    if len(event) < 2:
+        return []
+    gap = min([b - a for a, b in zip(event, event[1:])])
+    if gap % 2:
+        raise InternalFailure(f"grid gap {gap} cannot be halved on its time scale")
+    delta = gap // 2
+    return [m + delta for m in event if m + delta <= hi]
+
+
 def _grid_points(lo: int, hi: int, length: int, fixed, windowed: bool) -> dict[int, str]:
     """One job's candidate starts in [lo, hi], ints over one denominator, each
     with its provenance tag. Aligned: the bounds, and each fixed (start,
     finish) pair's finish, start, and start minus `length`. Interior: every
-    aligned point shifted by half the smallest gap. The denominator must make
-    every gap even; an odd one raises `InternalFailure`."""
+    aligned point shifted by half the smallest gap (`_interior`)."""
     bound_tag = "window-clipped" if windowed else "endpoint-aligned"
     points = {lo: bound_tag, hi: bound_tag}
     for sk, fk in fixed:
         for cand in (fk, sk - length, sk):
             if lo <= cand <= hi:
                 points.setdefault(cand, "endpoint-aligned")
-    event = sorted(points)
-    if len(event) > 1:
-        gap = min([b - a for a, b in zip(event, event[1:])])
-        if gap % 2:
-            raise InternalFailure(f"grid gap {gap} cannot be halved on its time scale")
-        delta = gap // 2
-        for m in event:
-            cand = m + delta
-            if lo <= cand <= hi:
-                points.setdefault(cand, "interior-shifted")
+    for cand in _interior(sorted(points), hi):
+        points.setdefault(cand, "interior-shifted")
     return points
 
 
@@ -186,6 +195,13 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
 def _missing(coded, positions, key: tuple) -> int:
     """Number of distinct starts of a group's jobs absent from `coded`."""
     return len({key[p] for p in positions if key[p] not in coded})
+
+
+def _aligned(groups, record: _GridRecord, key: tuple) -> bool:
+    """Whether each of the player's starts in `key` lies on its group's
+    aligned list in `record`."""
+    return all(key[p] in coded for (_, positions), coded
+               in zip(groups, record.coded) for p in positions)
 
 
 def _profile_count(sized) -> int:
@@ -275,7 +291,8 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     utility go to the strategy the machine values most (dynamics use this:
     stacking onto an already-covered slot never lowers the machine's total).
     The search stops once its incumbent reaches the top of that ranking.
-    mode="first": return the first strictly improving Deviation, or None.
+    mode="first": return the first strictly improving (key, utility) pair,
+    the utility an int over `wden`, or None.
     `grid_override` maps each job id to its candidate starts on the core's
     scale, replacing the local grid.
     """
@@ -318,8 +335,7 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
         if u > best_u or (prefer_value and best is not None
                           and u == best_u and value > best_value):
             if mode == "first":
-                return Deviation(player, tuple(_strategy(cache, base, own).items()),
-                                 Fraction(u_cur, wden), Fraction(u, wden))
+                return tuple(base), u
             best_u = u
             best_value = value
             best = tuple(base)
@@ -336,18 +352,25 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     first-improvement `_player_search`, with the same guards in the same
     order, read from the grid record's bounds when they settle it.
 
-    Only the player's current starts make its searched grid differ from the
-    aligned grid of the record, and a deviation's utility depends only on
-    the other players' placements. So a recorded aligned-grid deviation
-    worth more than the current utility refutes the player, and when every
-    current start is already on its group's aligned list, a recorded
-    ceiling no higher than the current utility proves it stable. A search
-    updates the bounds only in that second case."""
+    The player's searched lists are the aligned lists of the record plus
+    its current starts, and a deviation's utility does not depend on the
+    player's current starts. So the bounds hold for every profile with
+    these other placements:
+    (a) a search that finds no improvement proves every aligned strategy
+        worth at most the current utility, so `hi` drops to it;
+    (b) a found deviation whose starts all lie on their groups' aligned
+        lists raises `lo` to its utility, which refutes every such profile
+        whose current utility is lower;
+    (c) `hi` no higher than the current utility proves the player stable
+        when every current start is aligned, or when the player has one
+        job: its one candidate off the aligned list is its current start.
+    The guards fire before any bound is read, as in the search."""
     pix = cache.color_index[player]
     u_cur = per[pix]
     if u_cur == cache.totals[pix]:
         return True
-    _job_guard(player, len(instance.jobs_of_color(player)), force)
+    count = len(instance.jobs_of_color(player))
+    _job_guard(player, count, force)
     record = cache.grid_cache.get(cache.others_key(player, key))
     if record is None:
         record, _ = _coded_grid(cache, key, player)
@@ -360,17 +383,15 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
         _search_guard(player, sized, force)
     if record.lo > u_cur:
         return False
-    aligned = all(key[p] in coded for (_, positions), coded
-                  in zip(groups, record.coded) for p in positions)
-    if aligned and record.hi <= u_cur:
+    if record.hi <= u_cur and (count == 1 or _aligned(groups, record, key)):
         return True
-    dev = _player_search(instance, cache, key, player, mode="first", force=force)
-    if aligned:
-        if dev is None:
-            record.hi = u_cur
-        else:
-            record.lo = cache.scaled(dev.utility_after)
-    return dev is None
+    found = _player_search(instance, cache, key, player, mode="first", force=force)
+    if found is None:
+        record.hi = min(record.hi, u_cur)
+        return True
+    if _aligned(groups, record, found[0]):
+        record.lo = found[1]
+    return False
 
 
 def best_response(instance: Instance, profile: Profile, player: int, *,
@@ -406,10 +427,13 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     scan = instance.color_ids if players is None else tuple(sorted(players))
     for player in scan:
         if first_improvement:
-            dev = _player_search(instance, cache, key, player, mode="first",
-                                 force=force)
-            if dev is not None:
-                return dev
+            found = _player_search(instance, cache, key, player, mode="first",
+                                   force=force)
+            if found is not None:
+                moved, u = found
+                own = instance.jobs_of_color(player)
+                return Deviation(player, tuple(_strategy(cache, moved, own).items()),
+                                 cache.utility(key, player), Fraction(u, cache.wden))
         else:
             strategy, u = _player_search(instance, cache, key, player,
                                          mode="best", force=force)
@@ -436,50 +460,53 @@ def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bo
 # ---------------------------------------------------------------------------
 # Global event grid (finite play space for BRD and NE enumeration)
 
+def _global_ticks(instance: Instance, resolution: int) -> tuple[int, list[int]]:
+    """2L and the global grid as sorted ints over 2L, where L is the lcm of
+    the denominators of the horizon, the lengths and the window bounds
+    (`machine._time_lcm`). The alignment closure of {0, T} and the window
+    bounds under adding and subtracting job lengths, `resolution` rounds
+    deep, lies in (1/L)Z; its shift by half the minimum gap lies in
+    (1/2L)Z. A resolution below 1 raises `ValidationError`."""
+    if resolution < 1:
+        raise ValidationError(f"grid resolution must be at least 1, got {resolution}")
+    den = 2 * _time_lcm(instance)
+    T = _ticks(instance.horizon, den)
+    pts = {0, T, *[_ticks(x, den) for j in instance.jobs for x in j.window or ()]}
+    lengths = {_ticks(j.length, den) for j in instance.jobs} - {0}
+    for _ in range(resolution):
+        pts |= {y for x in pts for p in lengths for y in (x + p, x - p) if 0 <= y <= T}
+    return den, sorted(pts.union(_interior(sorted(pts), T)))
+
+
+def _grid_ticks(instance: Instance, resolution: int) -> tuple[int, dict[int, list[int]]]:
+    """2L and, per job id, the global-grid points in the job's range of
+    starts plus both ends of that range, as sorted ints over 2L (see
+    `_global_ticks`). A solver core's `td` is a multiple of 4L, so callers
+    that hold one scale these by `td // 2L`."""
+    den, points = _global_ticks(instance, resolution)
+    out = {}
+    for j in instance.jobs:
+        lo = _ticks(j.release, den)
+        hi = _ticks(j.due(instance.horizon), den) - _ticks(j.length, den)
+        inside = points[bisect_left(points, lo):bisect_right(points, hi)]
+        out[j.id] = sorted({lo, hi, *inside})
+    return den, out
+
+
 def global_grid_points(instance: Instance, resolution: int = 1) -> tuple[Fraction, ...]:
     """Alignment closure of {0, T} (and window bounds) under adding and
     subtracting job lengths, `resolution` rounds deep, plus one interior
-    shift by half the minimum gap."""
-    T = instance.horizon
-    pts = {ZERO, T}
-    for j in instance.jobs:
-        if j.window is not None:
-            pts.add(j.window[0])
-            pts.add(j.window[1])
-    lengths = sorted({j.length for j in instance.jobs if j.length > 0})
-    for _ in range(max(1, resolution)):
-        for x in list(pts):
-            for p in lengths:
-                y = x + p
-                if y <= T:
-                    pts.add(y)
-                y = x - p
-                if y >= ZERO:
-                    pts.add(y)
-    event = sorted(pts)
-    gaps = [b - a for a, b in zip(event, event[1:])]
-    if gaps:
-        delta = min(gaps) / 2
-        for x in event:
-            y = x + delta
-            if y <= T:
-                pts.add(y)
-    return tuple(sorted(pts))
+    shift by half the minimum gap. A resolution below 1 raises
+    `ValidationError`."""
+    den, points = _global_ticks(instance, resolution)
+    return tuple(Fraction(x, den) for x in points)
 
 
 def grid_candidates(instance: Instance,
                     resolution: int = 1) -> dict[int, tuple[Fraction, ...]]:
     """Global-grid start candidates per job, clipped to feasibility."""
-    points = global_grid_points(instance, resolution)
-    out = {}
-    for j in instance.jobs:
-        lo = j.release
-        hi = j.due(instance.horizon) - j.length
-        cands = {g for g in points if lo <= g <= hi}
-        cands.add(lo)
-        cands.add(hi)
-        out[j.id] = tuple(sorted(cands))
-    return out
+    den, candidates = _grid_ticks(instance, resolution)
+    return {jid: tuple(Fraction(x, den) for x in cands) for jid, cands in candidates.items()}
 
 
 def _global_groups(cache: MachineCache, candidates) -> list:
@@ -491,7 +518,7 @@ def _global_groups(cache: MachineCache, candidates) -> list:
 
 def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
     """Number of enumerated joint profiles."""
-    candidates = grid_candidates(instance, resolution)
+    _, candidates = _grid_ticks(instance, resolution)
     return _profile_count((ids_, len(candidates[ids_[0]]))
                           for ids_ in _job_groups(instance))
 
@@ -499,13 +526,14 @@ def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
 def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                      cache: MachineCache):
     """Yield every joint grid profile as a memo key on the core's scale."""
-    groups = _global_groups(cache, grid_candidates(instance, resolution))
+    den, candidates = _grid_ticks(instance, resolution)
+    groups = _global_groups(cache, candidates)
     size = _profile_count((ids_, len(cands)) for ids_, _, cands in groups)
     if size > GRID_ENUM_MAX_PROFILES and not force:
         raise GuardError(f"joint grid holds {size} profiles "
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
-    groups = [(positions, [cache.ticks(v) for v in cands])
-              for _, positions, cands in groups]
+    m = cache.td // den
+    groups = [(positions, [x * m for x in cands]) for _, positions, cands in groups]
     key = [0] * len(cache.ids)
     for combo in itertools.product(*(
             itertools.combinations_with_replacement(times, len(positions))
@@ -539,14 +567,17 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
-    results = []
+    found = []
     for key in _iter_grid_coded(instance, resolution, force, cache):
         value, per = cache.evaluate_key(key)
         if all(_player_stable(instance, cache, key, per, player, force)
                for player in scan_order):
-            results.append((cache.profile(key), Fraction(value, cache.wden)))
-    results.sort(key=lambda pv: (pv[1], pv[0].placements))
-    return results
+            found.append((value, key))
+    # Every key is on one scale, so (value, starts in job-id order) sorts the
+    # results as (Fraction value, placements) does.
+    by_id = [cache.pos[jid] for jid in sorted(cache.ids)]
+    found.sort(key=lambda vk: (vk[0], [vk[1][p] for p in by_id]))
+    return [(cache.profile(key), Fraction(value, cache.wden)) for value, key in found]
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +597,9 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     validate_profile(instance, initial)
     cache = MachineCache.of(instance)
     key = cache.key(initial.as_dict())
-    gcands = {jid: [cache.ticks(x) for x in cands]
-              for jid, cands in grid_candidates(instance, resolution).items()}
+    den, candidates = _grid_ticks(instance, resolution)
+    m = cache.td // den
+    gcands = {jid: [x * m for x in cands] for jid, cands in candidates.items()}
     colors = instance.color_ids
     seen = {key: 0}
     history = [cache.profile(key)]

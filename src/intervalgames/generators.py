@@ -339,10 +339,10 @@ def random_instance(family: str, n: int, c: int, horizon, seed: int) -> Instance
 def random_profile(instance: Instance, seed: int,
                    resolution: int = 1) -> Profile:
     """Seeded profile on the instance's global grid (plus its own bounds)."""
-    from .equilibrium import grid_candidates
+    from .equilibrium import _grid_ticks
     rng = random.Random(f"igl-profile:{seed}")
-    cands = grid_candidates(instance, resolution)
-    return Profile.from_dict({jid: rng.choice(c) for jid, c in cands.items()})
+    den, cands = _grid_ticks(instance, resolution)
+    return Profile.from_dict({jid: Fraction(rng.choice(c), den) for jid, c in cands.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,13 @@ def _ticks(x: Fraction, td: int) -> int:
     return x.numerator * q
 
 
+def _time_lcm(instance: Instance) -> int:
+    """L: the lcm of the denominators of the horizon, the lengths and the
+    window bounds."""
+    return math.lcm(instance.horizon.denominator, *[
+        x.denominator for j in instance.jobs for x in (j.length, *(j.window or ()))])
+
+
 def _job_groups(instance: Instance) -> list[list[int]]:
     """Interchangeable jobs (same color, length, weight and window) as sorted
     id lists, ordered by smallest id."""
@@ -126,9 +133,7 @@ class MachineCache:
         jobs = instance.jobs
         self.instance = instance
         self.wden = math.lcm(*[j.weight.denominator for j in jobs])
-        times = [instance.horizon, *[j.length for j in jobs],
-                 *[x for j in jobs if j.window is not None for x in j.window]]
-        self.td = td = 4 * math.lcm(*[x.denominator for x in times])
+        self.td = td = 4 * _time_lcm(instance)
         self.color_ids = instance.color_ids
         cix = {c: i for i, c in enumerate(self.color_ids)}
         self.rows = [(p, _ticks(j.length, td), j.id, self.scaled(j.weight), cix[j.color])

@@ -179,6 +179,20 @@ def test_brd_guards_a_large_joint_search(capsys, tmp_path):
     assert "player 2's joint search holds 11486475 strategies" in captured.err
 
 
+def test_resolution_below_one_exits_2(capsys, ex1_files):
+    instance, profile = ex1_files
+    for argv in (["ne", "--fixture", "ex1", "--resolution", "0"],
+                 ["ne", instance, "--enumerate", "--resolution", "-1"],
+                 ["brd", instance, profile, "--resolution", "0"],
+                 ["analyze", "--fixture", "unit_tight", "--c", "2", "--resolution", "0"],
+                 ["analyze", "--family", "unit", "--count", "1", "--resolution", "0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "grid resolution must be at least 1, got" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_fixture_list_and_export(capsys, tmp_path):
     code, payload = _run(capsys, "fixture", "list")
     assert code == 0 and "ex1" in payload["fixtures"]

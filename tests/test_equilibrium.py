@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import pickle
+import random
 import weakref
 from fractions import Fraction as F
 
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
-                           UnsupportedInstanceError, analyze, applicable_bounds,
-                           best_response, brd, build_grid, enumerate_grid_ne,
-                           fixture, from_partition_br, from_partition_decide,
+                           UnsupportedInstanceError, ValidationError, analyze,
+                           applicable_bounds, best_response, brd, build_grid,
+                           enumerate_grid_ne, fixture, fixture_names,
+                           from_partition_br, from_partition_decide,
                            from_partition_nonsymm, grid_candidates,
                            grid_profiles, is_nash, joint_grid_size, ne_single,
                            ne_unit, random_instance, random_profile,
@@ -24,7 +26,7 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
 from intervalgames import equilibrium
 from intervalgames.equilibrium import (_coded_grid, _coded_lists, _grid_points,
                                         _player_search, _player_stable)
-from intervalgames.machine import MachineCache, machine_value_and_covered
+from intervalgames.machine import MachineCache, _job_groups, machine_value_and_covered
 from conftest import guard_instances
 
 
@@ -76,6 +78,100 @@ def test_grid_points_refuse_a_gap_they_cannot_halve():
     assert _grid_points(0, 4, 1, [], False) == {0: "endpoint-aligned",
                                                  4: "endpoint-aligned",
                                                  2: "interior-shifted"}
+
+
+# --- the global grid against a Fraction reference ------------------------------
+
+def _reference_global_grid_points(instance, resolution=1):
+    """The global grid computed in `Fraction`s, independently of the
+    integer builder."""
+    T = instance.horizon
+    pts = {F(0), T}
+    for j in instance.jobs:
+        if j.window is not None:
+            pts.add(j.window[0])
+            pts.add(j.window[1])
+    lengths = sorted({j.length for j in instance.jobs if j.length > 0})
+    for _ in range(resolution):
+        for x in list(pts):
+            for p in lengths:
+                y = x + p
+                if y <= T:
+                    pts.add(y)
+                y = x - p
+                if y >= 0:
+                    pts.add(y)
+    event = sorted(pts)
+    gaps = [b - a for a, b in zip(event, event[1:])]
+    if gaps:
+        delta = min(gaps) / 2
+        for x in event:
+            y = x + delta
+            if y <= T:
+                pts.add(y)
+    return tuple(sorted(pts))
+
+
+def _reference_grid_candidates(instance, resolution=1):
+    points = _reference_global_grid_points(instance, resolution)
+    out = {}
+    for j in instance.jobs:
+        lo = j.release
+        hi = j.due(instance.horizon) - j.length
+        cands = {g for g in points if lo <= g <= hi}
+        cands.add(lo)
+        cands.add(hi)
+        out[j.id] = tuple(sorted(cands))
+    return out
+
+
+def _grid_pin_instances():
+    """Every fixture (poa_tight at epsilon 1/10, so L = 10), and the
+    differential family instances, windowed ones included."""
+    params = {"poa_tight": {"n": 5, "epsilon": F(1, 10)}, "pos_c": {"c": 3},
+              "unit_tight": {"c": 4}}
+    instances = [fixture(name, **params.get(name, {})).instance
+                 for name in fixture_names()]
+    return instances + _differential_instances()
+
+
+def test_integer_global_grid_matches_the_fraction_reference():
+    instances = _grid_pin_instances()
+    for inst in instances:
+        for resolution in (1, 2, 3):
+            points = equilibrium.global_grid_points(inst, resolution)
+            assert points == _reference_global_grid_points(inst, resolution)
+            assert type(points) is tuple and all(type(x) is F for x in points)
+            cands = grid_candidates(inst, resolution)
+            reference = _reference_grid_candidates(inst, resolution)
+            assert list(cands.items()) == list(reference.items())
+            assert all(type(c) is tuple and all(type(x) is F for x in c)
+                       for c in cands.values())
+            assert joint_grid_size(inst, resolution) == math.prod(
+                math.comb(len(reference[ids[0]]) + len(ids) - 1, len(ids))
+                for ids in _job_groups(inst))
+            # random_profile draws the same starts from the same lists.
+            rng = random.Random(f"igl-profile:{resolution}")
+            assert random_profile(inst, resolution, resolution) == Profile.from_dict(
+                {jid: rng.choice(c) for jid, c in reference.items()})
+
+
+def test_resolution_below_one_is_rejected():
+    fx = fixture("ex1")
+    inst, profile = fx.instance, fx.notable_profiles["figure_a"]
+    routes = (lambda r: equilibrium.global_grid_points(inst, r),
+              lambda r: grid_candidates(inst, r),
+              lambda r: joint_grid_size(inst, r),
+              lambda r: list(grid_profiles(inst, r)),
+              lambda r: enumerate_grid_ne(inst, r),
+              lambda r: brd(inst, profile, resolution=r),
+              lambda r: analyze(fixture("unit_tight", c=2).instance, r),
+              lambda r: random_profile(inst, 0, r))
+    for route in routes:
+        for resolution in (0, -1):
+            with pytest.raises(ValidationError, match="resolution must be at least 1"):
+                route(resolution)
+        route(1)
 
 
 # --- best responses ----------------------------------------------------------
@@ -334,6 +430,121 @@ def test_enumerate_matches_plain_search():
     for route in (enumerate_grid_ne, _plain_grid_ne):
         with pytest.raises(GuardError, match="joint grid"):
             route(pos_c)
+
+
+def _counting_searches(monkeypatch) -> list:
+    """Record the key of every `_player_search` call made through the module."""
+    calls = []
+    search = equilibrium._player_search
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "_player_search", counting)
+    return calls
+
+
+def test_every_player_verdict_matches_a_plain_search():
+    # Stronger than comparing the survivors: every player is asked at every
+    # grid profile, in enumeration order and in reverse, so the bounds that
+    # earlier profiles left in the grid records settle many verdicts,
+    # including those of profiles whose starts are off the aligned lists.
+    instances = [fx.instance for fx in _enumerable_fixtures()]
+    instances += [from_partition_decide((1, 2, 3)).instance, _two_group_instance()]
+    instances += _differential_instances()
+    for inst in instances:
+        for order in (list, reversed):
+            inst = copy.copy(inst)  # a fresh solver core, so fresh records
+            cache = MachineCache.of(inst)
+            for key in order(list(equilibrium._iter_grid_coded(inst, 1, False, cache))):
+                per = cache.evaluate_key(key)[1]
+                for player in inst.color_ids:
+                    plain = _player_search(inst, cache, key, player, mode="first")
+                    assert _player_stable(inst, cache, key, per, player, False) \
+                        == (plain is None)
+
+
+def test_verdict_bounds_settle_profiles_off_the_aligned_lists(monkeypatch):
+    # With bounds read only at profiles on the aligned lists, enumerating
+    # unit_tight (c = 4) took 625 searches; today it takes 575.
+    calls = _counting_searches(monkeypatch)
+    enumerate_grid_ne(fixture("unit_tight", c=4).instance)
+    assert len(calls) < 625
+
+
+def test_one_job_player_off_its_aligned_list_is_settled_by_its_ceiling(monkeypatch):
+    # Job 2 on [1/2, 5/2) outweighs job 1 wherever job 1 starts, so player 1
+    # is stable at utility 0. Its aligned list against job 2 is
+    # {0, 1/4, 1/2, 3/4, 2}: the global-grid start 1 is off it.
+    inst = _inst(3, (1, 1, 2), (2, 2, 3))
+    cache = MachineCache.of(inst)
+    aligned_key = cache.key({1: F(0), 2: F(1, 2)})
+    off_key = cache.key({1: F(1), 2: F(1, 2)})
+    record, lists = _coded_grid(cache, off_key, 1)
+    assert off_key[0] not in record.coded[0] and off_key[0] in lists[0][1]
+    calls = _counting_searches(monkeypatch)
+    per = cache.evaluate_key(aligned_key)[1]
+    assert _player_stable(inst, cache, aligned_key, per, 1, False)
+    assert calls == [aligned_key] and record.hi == 0
+    per = cache.evaluate_key(off_key)[1]
+    assert per[0] == 0
+    assert _player_stable(inst, cache, off_key, per, 1, False)
+    assert calls == [aligned_key]  # the proved ceiling settles it
+    assert _player_search(inst, cache, off_key, 1, mode="first") is None
+
+
+def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
+    # Player 1 owns a length-1 and a length-2 job; against job 3 at 3/2,
+    # job 2's aligned list lacks 1/2. A two-job player's search can combine
+    # an off-list start with aligned ones, so a proved ceiling does not
+    # settle it there.
+    inst = _two_group_instance()
+    cache = MachineCache.of(inst)
+    aligned_key = cache.key({1: F(0), 2: F(0), 3: F(3, 2)})
+    off_key = cache.key({1: F(0), 2: F(1, 2), 3: F(3, 2)})
+    record, _ = _coded_grid(cache, off_key, 1)
+    assert off_key[1] not in record.coded[1]
+    calls = _counting_searches(monkeypatch)
+    for key in (aligned_key, off_key):
+        assert _player_stable(inst, cache, key, cache.evaluate_key(key)[1], 1, False)
+    assert record.hi <= cache.evaluate_key(off_key)[1][0]
+    assert calls == [aligned_key, off_key]
+    # Against job 3 at 1/2, job 2's start 1 is off its aligned list. A
+    # deviation that keeps it there is worth 1 > 0, but it proves nothing
+    # about the aligned grid, so it leaves `lo` alone; an aligned one sets it.
+    key = cache.key({1: F(0), 2: F(1), 3: F(1, 2)})
+    moved = cache.key({1: F(3, 2), 2: F(1), 3: F(1, 2)})
+    record, _ = _coded_grid(cache, key, 1)
+    assert key[1] == moved[1] and moved[1] not in record.coded[1]
+    u_cur, u = cache.evaluate_key(key)[1][0], cache.evaluate_key(moved)[1][0]
+    assert u > u_cur
+    monkeypatch.setattr(equilibrium, "_player_search", lambda *a, **k: (moved, u))
+    assert not _player_stable(inst, cache, key, cache.evaluate_key(key)[1], 1, False)
+    assert record.lo == -1
+    monkeypatch.undo()
+    assert not _player_stable(inst, cache, key, cache.evaluate_key(key)[1], 1, False)
+    found = _player_search(inst, cache, key, 1, mode="first")
+    assert record.lo == found[1] > u_cur
+
+
+def test_enumeration_builds_no_fraction_before_it_returns(monkeypatch):
+    # Three games without an equilibrium: nothing is returned, so nothing
+    # needs a Fraction.
+    instances = [fixture("prop_no_ne").instance, fixture("nonsymm_no_ne").instance,
+                 from_partition_decide((1, 3, 3, 3)).instance]
+    made = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    found = [enumerate_grid_ne(inst) for inst in instances]
+    monkeypatch.undo()
+    assert found == [[], [], []]
+    assert made == []
 
 
 @pytest.mark.parametrize("name", sorted(guard_instances()))
