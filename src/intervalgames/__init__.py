@@ -15,8 +15,7 @@ from .model import (FormatError, GameError, GuardError, Instance, InternalFailur
                     profile_to_document, profile_to_json, schedule_to_document,
                     schedule_to_json, to_rational, utilities, validate_instance,
                     validate_profile)
-from .machine import (in_set, prev_index, solve_machine_bruteforce,
-                      solve_machine_dp)
+from .machine import solve_machine_bruteforce, solve_machine_dp
 from .optimum import (ColorAllocation, social_optimum_bruteforce,
                       social_optimum_enumerate, social_optimum_single_knapsack)
 from .equilibrium import (AnalysisReport, BrdOutcome, CandidateGrid, Deviation,
@@ -39,10 +38,10 @@ __all__ = [
     "applicable_bounds", "best_response", "brd", "build_grid",
     "enumerate_grid_ne", "fixture", "fixture_names", "from_knapsack",
     "from_partition_br", "from_partition_decide", "from_partition_nonsymm",
-    "grid_candidates", "grid_profiles", "in_set", "instance_from_document",
+    "grid_candidates", "grid_profiles", "instance_from_document",
     "instance_to_document", "instance_to_json", "is_nash", "joint_grid_size",
     "ne_single", "ne_unit", "parse_instance", "parse_profile", "parse_schedule",
-    "prev_index", "profile_from_document", "profile_to_document",
+    "profile_from_document", "profile_to_document",
     "profile_to_json", "random_instance", "random_profile",
     "schedule_to_document", "schedule_to_json", "social_optimum_bruteforce",
     "social_optimum_enumerate", "social_optimum_single_knapsack",

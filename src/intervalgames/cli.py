@@ -214,8 +214,9 @@ def _analyze_one(task) -> dict:
 def cmd_analyze(args) -> int:
     if args.family:
         horizon = to_rational(args.horizon or "3", "horizon")
-        n = args.n or 3
-        c = args.c or 2
+        single = args.family == "single"  # n == c: a missing one follows the other
+        n = args.n or (single and args.c) or 3
+        c = args.c or (n if single else 2)
         seed = args.seed if args.seed is not None else _default_seed()
         tasks = [(args.family, n, c, horizon, seed + i, args.resolution, args.force)
                  for i in range(args.count)]

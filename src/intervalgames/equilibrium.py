@@ -525,7 +525,9 @@ def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
 
 def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                      cache: MachineCache):
-    """Yield every joint grid profile as a memo key on the core's scale."""
+    """An iterator over every joint grid profile as a memo key on the core's
+    scale. The resolution and the size guard are checked at the call, before
+    the first key is asked for."""
     den, candidates = _grid_ticks(instance, resolution)
     groups = _global_groups(cache, candidates)
     size = _profile_count((ids_, len(cands)) for ids_, _, cands in groups)
@@ -533,8 +535,14 @@ def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
         raise GuardError(f"joint grid holds {size} profiles "
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
     m = cache.td // den
-    groups = [(positions, [x * m for x in cands]) for _, positions, cands in groups]
-    key = [0] * len(cache.ids)
+    return _grid_keys([(positions, [x * m for x in cands])
+                       for _, positions, cands in groups], len(cache.ids))
+
+
+def _grid_keys(groups, size: int):
+    """Yield one key of `size` starts per combination of the groups'
+    multisets, given as (key positions, candidate times)."""
+    key = [0] * size
     for combo in itertools.product(*(
             itertools.combinations_with_replacement(times, len(positions))
             for positions, times in groups)):
@@ -564,11 +572,18 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     the other players.
     """
     cache = MachineCache.of(instance)
+    return _grid_ne(instance, cache, _iter_grid_coded(instance, resolution, force, cache),
+                    force)
+
+
+def _grid_ne(instance: Instance, cache: MachineCache, keys,
+             force: bool) -> list[tuple[Profile, Fraction]]:
+    """`enumerate_grid_ne` over the grid keys `keys`."""
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
     found = []
-    for key in _iter_grid_coded(instance, resolution, force, cache):
+    for key in keys:
         value, per = cache.evaluate_key(key)
         if all(_player_stable(instance, cache, key, per, player, force)
                for player in scan_order):
@@ -766,8 +781,12 @@ def analyze(instance: Instance, resolution: int = 1, *,
     applicable anarchy bound. Results are grid-relative: an empty NE list
     means none exists on this grid, not necessarily in the continuum."""
     from .optimum import social_optimum_enumerate
+    cache = MachineCache.of(instance)
+    # Built first, so a bad resolution or an oversized grid is reported
+    # before the optimum's subset enumeration runs.
+    keys = _iter_grid_coded(instance, resolution, force, cache)
     _, opt = social_optimum_enumerate(instance, force=force)
-    nes = enumerate_grid_ne(instance, resolution, force=force)
+    nes = _grid_ne(instance, cache, keys, force)
     name, bound = tightest_bound(instance)
     classes = instance_classes(instance)
     if not nes:

@@ -46,44 +46,6 @@ from .model import GuardError, Instance, InternalFailure, Profile, Schedule
 BRUTE_FORCE_MAX_JOBS = 20
 
 
-def _ordered(instance: Instance, starts: dict[int, Fraction]):
-    """Positive-length jobs sorted by (finish, id); zero-length jobs aside."""
-    positive = [j for j in instance.jobs if j.length > 0]
-    zero = [j for j in instance.jobs if j.length == 0]
-    positive.sort(key=lambda j: (starts[j.id] + j.length, j.id))
-    return positive, zero
-
-
-def prev_index(instance: Instance, profile: Profile, job_id: int) -> int:
-    """Id of the last job (in finish order) ending no later than this job
-    starts, or 0 if none. Touching half-open intervals are compatible."""
-    starts = profile.as_dict()
-    jobs, _ = _ordered(instance, starts)
-    s_j = starts[job_id]
-    best = 0
-    for k in jobs:
-        if k.id == job_id:
-            continue
-        if starts[k.id] + k.length <= s_j:
-            best = k.id  # scan is in finish order, so the last hit wins
-    return best
-
-
-def in_set(instance: Instance, profile: Profile, job_id: int) -> frozenset[int]:
-    """Ids of same-color jobs whose interval is contained in this job's interval."""
-    starts = profile.as_dict()
-    j = instance.job(job_id)
-    s_j, f_j = starts[job_id], starts[job_id] + j.length
-    members = set()
-    for k in instance.jobs:
-        if k.color != j.color:
-            continue
-        s_k = starts[k.id]
-        if s_j <= s_k and s_k + k.length <= f_j:
-            members.add(k.id)
-    return frozenset(members)
-
-
 def _ticks(x: Fraction, td: int) -> int:
     """x as a numerator over td, which must be a multiple of x's denominator."""
     q, r = divmod(td, x.denominator)
@@ -232,9 +194,11 @@ class MachineCache:
             top, mask, view = _dp_core(self.rows, key)
             w, col = view[2], view[3]
             per = self.zero_per.copy()
-            for k in range(len(w)):
-                if mask >> k & 1:
-                    per[col[k]] += w[k]
+            while mask:
+                low = mask & -mask
+                k = low.bit_length() - 1
+                per[col[k]] += w[k]
+                mask ^= low
             hit = (self.base_scaled + top, tuple(per))
             if len(self._cache) > 600_000:
                 self._cache.clear()
@@ -303,6 +267,8 @@ def _dp_core(rows, times):
     back = [0] * (n + 1)
     best = [(0, 0, 0)] * (n + 1)  # (value, last-job id, cell)
     nested = [0] * n  # bitmask of same-color jobs inside job i's interval
+    prevsame = [0] * n  # the previous index of job i's color, or -1
+    last: dict[int, int] = {}  # color -> its latest index so far
     top_v, top_id, top_cell = 0, 0, 0
     for i in range(n):
         si, fi, c = s[i], f[i], col[i]
@@ -311,27 +277,39 @@ def _dp_core(rows, times):
         # start before s[i]. Extending k's configuration adds the nested jobs
         # that end after f[k] (the others lie inside k's interval too).
         # Same-color jobs ending by s[i] would repeat a branch X candidate.
-        # The window is found by bisection; other colors are skipped at once.
-        mask = 0
-        add = 0
-        after = 0
-        last_f = None
+        # The scan has two parts. Jobs k > i in the window tie with f[i] (they
+        # come later in (finish, id) order); a short forward loop takes the
+        # nested ones, and the others can be neither nested nor candidates.
+        # Then the chain prevsame[i], prevsame[prevsame[i]], ... visits the
+        # jobs k < i of color c in descending order, down to the bisected
+        # window start p, so other colors cost nothing.
+        mask = 1 << i
+        add = w[i]
+        k = i + 1
+        while k < n and f[k] == fi:
+            if col[k] == c and s[k] >= si:
+                mask |= 1 << k
+                add += w[k]
+            k += 1
+        after = 0  # the nested weight ending after last_f
+        last_f = fi
         y_v, y_id, y_k = -1, 0, 0
         p = bisect_right(f, si, 0, i)  # prev[i]: the jobs ending by s[i]
-        for k in range(bisect_right(f, fi, i) - 1, p - 1, -1):
-            if col[k] != c:
-                continue
+        k = prevsame[i] = last.get(c, -1)
+        last[c] = i
+        while k >= p:
             fk = f[k]
             if fk != last_f:
                 after, last_f = add, fk
             if s[k] >= si:
                 mask |= 1 << k
                 add += w[k]
-            elif k < i:
+            else:
                 v = A[k + 1] + after
                 kid = ids[k]
                 if v > y_v or (v == y_v and kid < y_id):
                     y_v, y_id, y_k = v, kid, k + 1
+            k = prevsame[k]
         nested[i] = mask
         # Branch X: the previous covered job ends by s[i], so it is one of
         # the first p jobs; best[p] is their best by the tie-break rule.
@@ -351,7 +329,13 @@ def _dp_core(rows, times):
     while cell != 0:
         covered_mask |= nested[cell - 1]
         cell = back[cell]
-    if sum(w[k] for k in range(n) if (covered_mask >> k) & 1) != top_v:
+    credit = 0
+    m = covered_mask
+    while m:
+        low = m & -m
+        credit += w[low.bit_length() - 1]
+        m ^= low
+    if credit != top_v:
         raise InternalFailure("dp credit mismatch: recurrence double-counted a job")
     return top_v, covered_mask, view
 
@@ -414,10 +398,13 @@ def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
     s, f, w, col, ids = view
     per_color: dict[int, list[tuple[int, int]]] = {}
     first: dict[int, int] = {}  # scaled start -> a covered job starting there
-    for k in range(len(s)):
-        if (mask >> k) & 1:
-            per_color.setdefault(col[k], []).append((s[k], f[k]))
-            first[s[k]] = ids[k]
+    m = mask
+    while m:  # the covered jobs, in view order
+        low = m & -m
+        k = low.bit_length() - 1
+        per_color.setdefault(col[k], []).append((s[k], f[k]))
+        first[s[k]] = ids[k]
+        m ^= low
     segments = []
     merged: dict[int, tuple[list[int], list[int]]] = {}
     for color, ivals in per_color.items():
@@ -442,13 +429,17 @@ def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
 
     free = 0
     extra = 0
-    for k in range(len(s)):
-        if (mask >> k) & 1 or col[k] not in merged:
+    m = ((1 << len(s)) - 1) ^ mask
+    while m:  # the uncovered jobs
+        low = m & -m
+        m ^= low
+        k = low.bit_length() - 1
+        if col[k] not in merged:
             continue
         lows, highs = merged[col[k]]
         j = bisect_right(lows, s[k]) - 1
         if j >= 0 and f[k] <= highs[j]:
-            free |= 1 << k
+            free |= low
             extra += w[k]
     if extra:
         raise InternalFailure("closure pass found uncounted positive weight "

@@ -168,6 +168,24 @@ def test_analyze_family_passes_force(capsys, monkeypatch):
     assert seen == [False, False, True, True]
 
 
+def test_analyze_single_family_takes_n_equal_to_c(capsys, monkeypatch):
+    # The single family needs n == c, so a missing --n or --c follows the
+    # other, and both missing give n = c = 3.
+    sizes = []
+    analyze = cli.analyze
+
+    def recording(instance, **kwargs):
+        sizes.append((len(instance.jobs), len(instance.color_ids)))
+        return analyze(instance, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", recording)
+    for flags in ((), ("--n", "2"), ("--c", "4")):
+        code, payload = _run(capsys, "analyze", "--family", "single", "--count", "1",
+                             "--seed", "11", *flags)
+        assert code == 0 and len(payload["reports"]) == 1
+    assert sizes == [(3, 3), (2, 2), (4, 4)]
+
+
 def test_brd_guards_a_large_joint_search(capsys, tmp_path):
     """pos_c's six-job player has 11,486,475 joint strategies on the global
     grid at c = 4; `brd` stops with exit 2 before searching them."""

@@ -21,7 +21,8 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            from_partition_nonsymm, grid_candidates,
                            grid_profiles, is_nash, joint_grid_size, ne_single,
                            ne_unit, random_instance, random_profile,
-                           solve_machine_dp, tightest_bound, utilities,
+                           solve_machine_bruteforce, solve_machine_dp,
+                           tightest_bound, utilities,
                            validate_instance, verify_deviation)
 from intervalgames import equilibrium
 from intervalgames.equilibrium import (_coded_grid, _coded_lists, _grid_points,
@@ -684,6 +685,92 @@ def test_best_response_stops_at_the_utility_ceiling(monkeypatch, values, stops_e
         assert len(calls) == 1 + size
 
 
+# --- best responses against the continuum ------------------------------------------
+
+def _lattice_best_utility(inst, starts, player):
+    """The player's best utility over all of its continuous placements.
+
+    The machine compares only endpoints, so fixing the other players, every
+    order type of the interval endpoints is a cell cut out by difference
+    constraints on the player's k starts, with constants in (1/L)Z, where L
+    is the lcm of the denominators of the horizon, the lengths, the windows
+    and the others' starts. A nonempty cell holds a point of step
+    1/((k+1)L): shortest-path potentials with each strict edge tightened by
+    1/(k+1) work, since a simple cycle has at most k+1 edges. So the
+    lattice of that step, clipped to each job's feasible starts, meets every
+    cell. Each point is evaluated by the brute-force machine, and
+    interchangeable jobs are placed as multisets."""
+    k = len(inst.jobs_of_color(player))
+    L = math.lcm(inst.horizon.denominator,
+                 *[x.denominator for j in inst.jobs for x in (j.length, *(j.window or ()))],
+                 *[starts[j.id].denominator for j in inst.jobs if j.color != player])
+    step = F(1, (k + 1) * L)
+    groups = []
+    for ids_ in _job_groups(inst):
+        j = inst.job(ids_[0])
+        if j.color == player:
+            lo, hi = j.release, j.due(inst.horizon) - j.length
+            groups.append((ids_, [lo + i * step for i in range((hi - lo) // step + 1)]))
+    work = dict(starts)
+    best = None
+    for combo in itertools.product(*(
+            itertools.combinations_with_replacement(points, len(ids_))
+            for ids_, points in groups)):
+        for (ids_, _), tup in zip(groups, combo):
+            work.update(zip(ids_, tup))
+        covered = solve_machine_bruteforce(inst, Profile.from_dict(work)).covered
+        u = sum((inst.job(i).weight for i in covered if inst.job(i).color == player), F(0))
+        if best is None or u > best:
+            best = u
+    return best
+
+
+@st.composite
+def lattice_games(draw):
+    """T <= 3, player 1 with 1-3 jobs against 1-3 jobs of players 2-3, some
+    windowed; times on halves (integers when player 1 has 3 jobs, which
+    keeps the lattice at most 9^3 points). The weights are distinct powers
+    of two, so no two covered sets have equal value: the brute force and the
+    DP then cover the same jobs, though their tie-break rules differ."""
+    horizon = draw(st.sampled_from((2, 3)))
+    own = draw(st.integers(min_value=1, max_value=3))
+    total = own + draw(st.integers(min_value=1, max_value=3))
+    den = 1 if own == 3 else draw(st.sampled_from((1, 2)))
+    weights = draw(st.permutations([F(2 ** i) for i in range(total)]))
+    jobs, starts = [], {}
+    for i in range(total):
+        color = 1 if i < own else 2 if i == own else draw(st.sampled_from((2, 3)))
+        length = draw(st.integers(min_value=1, max_value=horizon * den))
+        lo, hi = 0, horizon * den - length
+        window = None
+        if draw(st.booleans()):
+            lo = draw(st.integers(min_value=0, max_value=hi))
+            hi = draw(st.integers(min_value=lo, max_value=hi))
+            window = (F(lo, den), F(hi + length, den))
+        jobs.append(Job(i + 1, color, F(length, den), weights[i], window))
+        starts[i + 1] = F(draw(st.integers(min_value=lo, max_value=hi)), den)
+    return validate_instance(Instance(F(horizon), tuple(jobs))), starts
+
+
+@given(lattice_games())
+@settings(max_examples=300, deadline=None)
+def test_best_response_matches_the_continuum(game):
+    inst, starts = game
+    _, u = best_response(inst, Profile.from_dict(starts), 1)
+    assert u == _lattice_best_utility(inst, starts, 1)
+
+
+def test_best_response_matches_the_continuum_on_partition_games():
+    # Three values: player 1 owns four jobs, so the lattice step is 1/5.
+    cases = [from_partition_br(v) for v in ((1, 1, 2), (1, 2, 3), (2, 2, 4),
+                                            (1, 1, 4), (2, 2, 2), (3, 4, 5))]
+    assert [fx.params["partition_exists"] for fx in cases] == [True] * 3 + [False] * 3
+    for fx in cases:
+        profile = fx.notable_profiles["initial"]
+        _, u = best_response(fx.instance, profile, 1)
+        assert u == _lattice_best_utility(fx.instance, profile.as_dict(), 1), fx.params
+
+
 # --- the time scale ---------------------------------------------------------------
 
 def test_widening_the_time_scale_keeps_every_answer():
@@ -853,6 +940,27 @@ def test_analyze_rejects_windows():
     fx = fixture("nonsymm_no_ne")
     with pytest.raises(UnsupportedInstanceError):
         analyze(fx.instance)
+
+
+def test_analyze_checks_the_grid_before_the_optimum(monkeypatch):
+    # A bad resolution and an oversized joint grid are reported before the
+    # optimum's subset enumeration runs.
+    from intervalgames import optimum
+    calls = []
+    enumerate_optimum = optimum.social_optimum_enumerate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_optimum(*args, **kwargs)
+
+    monkeypatch.setattr(optimum, "social_optimum_enumerate", counting)
+    with pytest.raises(ValidationError, match="resolution must be at least 1"):
+        analyze(fixture("unit_tight", c=2).instance, resolution=0)
+    with pytest.raises(GuardError, match="joint grid"):
+        analyze(fixture("pos_c", c=3).instance)
+    assert calls == []
+    assert analyze(fixture("unit_tight", c=2).instance).opt == 2
+    assert len(calls) == 1
 
 
 def test_unit_ne_coverage_closure():

@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -14,16 +15,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intervalgames
-from intervalgames import (GuardError, Instance, Job, Profile, fixture, in_set,
-                           prev_index, random_instance, random_profile,
+from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
+                           fixture, random_instance, random_profile,
                            solve_machine_bruteforce, solve_machine_dp,
                            validate_instance)
+from intervalgames.machine import _dp_core, _view
 from conftest import check_schedule_invariants
 
 
 def _inst(horizon, *jobs):
     return validate_instance(Instance(F(horizon), tuple(
         Job(i + 1, c, F(p), F(w)) for i, (c, p, w) in enumerate(jobs))))
+
+
+# --- reference helpers: the DP's definitions, in Fractions ------------------
+
+def prev_index(instance, profile, job_id):
+    """Id of the last positive-length job in (finish, id) order ending no
+    later than this job starts, or 0 if none. Touching half-open intervals
+    are compatible."""
+    starts = profile.as_dict()
+    jobs = sorted((j for j in instance.jobs if j.length > 0),
+                  key=lambda j: (starts[j.id] + j.length, j.id))
+    s_j = starts[job_id]
+    best = 0
+    for k in jobs:
+        if k.id == job_id:
+            continue
+        if starts[k.id] + k.length <= s_j:
+            best = k.id  # scan is in finish order, so the last hit wins
+    return best
+
+
+def in_set(instance, profile, job_id):
+    """Ids of same-color jobs whose interval is contained in this job's interval."""
+    starts = profile.as_dict()
+    j = instance.job(job_id)
+    s_j, f_j = starts[job_id], starts[job_id] + j.length
+    members = set()
+    for k in instance.jobs:
+        if k.color != j.color:
+            continue
+        s_k = starts[k.id]
+        if s_j <= s_k and s_k + k.length <= f_j:
+            members.add(k.id)
+    return frozenset(members)
 
 
 def test_prev_disjoint():
@@ -244,6 +280,80 @@ def test_dp_golden_tie_breaks():
         lines.append(repr((seed, sched.value, sorted(sched.covered), sched.segments)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_TIES_SHA256
+
+
+def _scan_dp_core(rows, times):
+    """Reference for `machine._dp_core`: the same recurrence with a plain
+    backward scan over every job of the window, skipping other colors."""
+    view = _view(rows, times)
+    s, f, w, col, ids = view
+    n = len(s)
+    A = [0] * (n + 1)
+    back = [0] * (n + 1)
+    best = [(0, 0, 0)] * (n + 1)  # (value, last-job id, cell)
+    nested = [0] * n
+    top_v, top_id, top_cell = 0, 0, 0
+    for i in range(n):
+        si, fi, c = s[i], f[i], col[i]
+        mask = 0
+        add = 0
+        after = 0
+        last_f = None
+        y_v, y_id, y_k = -1, 0, 0
+        p = bisect_right(f, si, 0, i)
+        for k in range(bisect_right(f, fi, i) - 1, p - 1, -1):
+            if col[k] != c:
+                continue
+            fk = f[k]
+            if fk != last_f:
+                after, last_f = add, fk
+            if s[k] >= si:
+                mask |= 1 << k
+                add += w[k]
+            elif k < i:
+                v = A[k + 1] + after
+                kid = ids[k]
+                if v > y_v or (v == y_v and kid < y_id):
+                    y_v, y_id, y_k = v, kid, k + 1
+        nested[i] = mask
+        best_v, best_id, best_k = best[p]
+        best_v += add
+        if y_v > best_v or (y_v == best_v and y_id < best_id):
+            best_v, best_id, best_k = y_v, y_id, y_k
+        A[i + 1] = best_v
+        back[i + 1] = best_k
+        if best_v > top_v or (best_v == top_v and ids[i] < top_id):
+            top_v, top_id, top_cell = best_v, ids[i], i + 1
+        best[i + 1] = (top_v, top_id, top_cell)
+    covered_mask = 0
+    cell = top_cell
+    while cell != 0:
+        covered_mask |= nested[cell - 1]
+        cell = back[cell]
+    if sum(w[k] for k in range(n) if (covered_mask >> k) & 1) != top_v:
+        raise InternalFailure("dp credit mismatch: recurrence double-counted a job")
+    return top_v, covered_mask, view
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """DP rows and integer start times where equal finishes, nested
+    same-color jobs and equal-valued configurations are common."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    colors = draw(st.integers(min_value=1, max_value=5))
+    ids = draw(st.permutations(range(1, n + 1)))
+    rows = [(p, draw(st.integers(min_value=1, max_value=3)), ids[p],
+             draw(st.sampled_from((0, 1, 2, 3))),
+             draw(st.integers(min_value=0, max_value=colors - 1))) for p in range(n)]
+    times = draw(st.lists(st.integers(min_value=0, max_value=8), min_size=n, max_size=n))
+    return rows, times
+
+
+@given(tie_heavy_rows())
+@settings(max_examples=400, deadline=None)
+def test_dp_core_matches_the_plain_scan(case):
+    rows, times = case
+    assert _dp_core(rows, times) == _scan_dp_core(rows, times)
 
 
 _INCONSISTENT_CLOSURE = """
