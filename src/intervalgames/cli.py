@@ -34,7 +34,8 @@ EXIT_INTERNAL = 3
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
+    # One-shot `dumps` runs the C encoder; `dump` to a stream does not.
+    sys.stdout.write(json.dumps(payload, sort_keys=True))
     sys.stdout.write("\n")
 
 

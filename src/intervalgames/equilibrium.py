@@ -14,11 +14,18 @@ it): every start is a numerator over the core's time denominator, and a memo
 key is the tuple of a profile's start times. `best_response`, `is_nash` and
 `brd` fit the core to their profile first; a start off the scale widens it,
 and drops the memo and grid records, before the search, never during it.
-One function makes every local grid (`_grid_points`); `build_grid` is its
-`Fraction` view, and it raises `InternalFailure` rather than truncate a gap
+One function makes every local grid (`_grid_points`, untagged ints);
+`build_grid` is its `Fraction` view and the only place that tags points with
+their provenance, and it raises `InternalFailure` rather than truncate a gap
 that the scale cannot halve. `_global_ticks` makes the global grid of `brd`
 and grid-NE enumeration on ints over 2L, half of the core's smallest scale;
 `global_grid_points` and `grid_candidates` are its `Fraction` views.
+
+A grid record (`_grid_record`) holds one player's aligned lists against one
+placement of the other players; a search walks those lists with the player's
+current starts merged in (`_coded_grid`). The record's `big` flag says
+whether a per-group or joint-search guard could fire on the merged lists,
+which add at most one start per job; the guards run only when it is set.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -145,20 +152,17 @@ def _interior(event: list, hi: int) -> list:
     return [m + delta for m in event if m + delta <= hi]
 
 
-def _grid_points(lo: int, hi: int, length: int, fixed, windowed: bool) -> dict[int, str]:
-    """One job's candidate starts in [lo, hi], ints over one denominator, each
-    with its provenance tag. Aligned: the bounds, and each fixed (start,
-    finish) pair's finish, start, and start minus `length`. Interior: every
-    aligned point shifted by half the smallest gap (`_interior`)."""
-    bound_tag = "window-clipped" if windowed else "endpoint-aligned"
-    points = {lo: bound_tag, hi: bound_tag}
+def _grid_points(lo: int, hi: int, length: int, fixed) -> tuple[set, list]:
+    """One job's candidate starts in [lo, hi], ints over one denominator:
+    the aligned set (the bounds, and each fixed (start, finish) pair's
+    finish, start, and start minus `length`) and the interior points (every
+    aligned point shifted by half the smallest gap, `_interior`)."""
+    aligned = {lo, hi}
     for sk, fk in fixed:
         for cand in (fk, sk - length, sk):
             if lo <= cand <= hi:
-                points.setdefault(cand, "endpoint-aligned")
-    for cand in _interior(sorted(points), hi):
-        points.setdefault(cand, "interior-shifted")
-    return points
+                aligned.add(cand)
+    return aligned, _interior(sorted(aligned), hi)
 
 
 def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
@@ -170,7 +174,10 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     representatives: every aligned point shifted by half the smallest gap.
     Computed by the searches' own grid function (`_grid_points`) on integer
     numerators over twice the common denominator of the inputs, so half a
-    gap is an integer too.
+    gap is an integer too. Only this view tags the points, each with its
+    first source: the bounds ("window-clipped" for a windowed job), then
+    the other aligned points ("endpoint-aligned"), then the interior ones
+    ("interior-shifted").
     """
     T = instance.horizon
     own = instance.jobs_of_color(player)
@@ -184,11 +191,17 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     entries = []
     for j in own:
         length = _ticks(j.length, den)
-        points = _grid_points(_ticks(j.release, den), _ticks(j.due(T), den) - length,
-                              length, [(sk, fk) for kid, sk, fk in fixed_n if kid != j.id],
-                              j.window is not None)
+        lo, hi = _ticks(j.release, den), _ticks(j.due(T), den) - length
+        aligned, interior = _grid_points(
+            lo, hi, length, [(sk, fk) for kid, sk, fk in fixed_n if kid != j.id])
+        bound_tag = "window-clipped" if j.window is not None else "endpoint-aligned"
+        tags = {lo: bound_tag, hi: bound_tag}
+        for x in aligned:
+            tags.setdefault(x, "endpoint-aligned")
+        for x in interior:
+            tags.setdefault(x, "interior-shifted")
         entries.append((j.id, tuple((Fraction(n, den), tag)
-                                    for n, tag in sorted(points.items()))))
+                                    for n, tag in sorted(tags.items()))))
     return CandidateGrid(player, tuple(entries))
 
 
@@ -239,32 +252,40 @@ def _coded_lists(cache: MachineCache, player: int, candidates) -> list:
             for ids_, _ in cache.groups[player]]
 
 
-def _coded_grid(cache: MachineCache, key: tuple, player: int):
-    """The player's grid record and per-group (ids, candidate list) pairs.
+def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
+    """The player's grid record against the other placements in `key`.
 
-    The aligned part depends only on the other players' placements, which
-    repeat across enumeration sweeps, so it is cached in a `_GridRecord`;
-    each job's current start is merged into its group's list afterwards.
-    Interchangeable jobs share one group searched over nondecreasing tuples,
-    and they have the same aligned candidates, so each group's list is
-    built once."""
+    The aligned lists depend only on the other players' placements, which
+    repeat across enumeration sweeps, so they are built once per placement
+    and kept in the core's grid cache. Interchangeable jobs share one group
+    with the same aligned candidates, so each group's list is built once."""
     others_key = cache.others_key(player, key)
     record = cache.grid_cache.get(others_key)
-    groups = cache.groups[player]
     if record is None:
         fixed = [(key[p], key[p] + cache.lens[p]) for p in cache.other_pos[player]]
-        coded = [sorted(_grid_points(lo, hi, length, fixed, windowed))
-                 for lo, hi, length, windowed in cache.bounds[player]]
+        coded = []
+        for lo, hi, length in cache.bounds[player]:
+            aligned, interior = _grid_points(lo, hi, length, fixed)
+            coded.append(sorted(aligned.union(interior)))
         # A group's searched list adds at most one start per job.
-        sized = [(ids_, len(c) + len(ids_)) for (ids_, _), c in zip(groups, coded)]
+        sized = [(ids_, len(c) + len(ids_))
+                 for (ids_, _), c in zip(cache.groups[player], coded)]
         big = (any(n > BEST_RESPONSE_MAX_GRID for _, n in sized)
                or _profile_count(sized) > BEST_RESPONSE_MAX_SEARCH)
         if len(cache.grid_cache) > 100_000:
             cache.grid_cache.clear()
         record = cache.grid_cache[others_key] = _GridRecord(
             coded, cache.totals[cache.color_index[player]], big)
+    return record
+
+
+def _coded_grid(cache: MachineCache, key: tuple, player: int):
+    """The player's grid record and per-group (ids, candidate list) pairs:
+    each group's aligned list with its jobs' current starts in `key` merged
+    in, as the local-grid search walks it."""
+    record = _grid_record(cache, key, player)
     lists = []
-    for (ids_, positions), coded in zip(groups, record.coded):
+    for (ids_, positions), coded in zip(cache.groups[player], record.coded):
         union = coded
         for p in positions:
             x = key[p]
@@ -309,12 +330,17 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     groups = cache.groups[player]
     if grid_override is not None:
         lists = _coded_lists(cache, player, grid_override.__getitem__)
+        big = True
     else:
-        lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
-    for (ids_, _), coded in zip(groups, lists):
-        _grid_guard(ids_, len(coded), force)
-    _search_guard(player, [(ids_, len(coded)) for (ids_, _), coded
-                           in zip(groups, lists)], force)
+        record, pairs = _coded_grid(cache, key, player)
+        lists = [coded for _, coded in pairs]
+        # A record that is not big bounds every merged list below both limits.
+        big = record.big
+    if big:
+        for (ids_, _), coded in zip(groups, lists):
+            _grid_guard(ids_, len(coded), force)
+        _search_guard(player, [(ids_, len(coded)) for (ids_, _), coded
+                               in zip(groups, lists)], force)
 
     base = list(key)
     positions = [positions for _, positions in groups]
@@ -371,9 +397,7 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
         return True
     count = len(instance.jobs_of_color(player))
     _job_guard(player, count, force)
-    record = cache.grid_cache.get(cache.others_key(player, key))
-    if record is None:
-        record, _ = _coded_grid(cache, key, player)
+    record = _grid_record(cache, key, player)
     groups = cache.groups[player]
     if record.big and not force:
         sized = [(ids_, len(coded) + _missing(coded, positions, key))
@@ -543,12 +567,18 @@ def _grid_keys(groups, size: int):
     """Yield one key of `size` starts per combination of the groups'
     multisets, given as (key positions, candidate times)."""
     key = [0] * size
+    positions = [ps for ps, _ in groups]
+    last = [None] * len(groups)
+    # `product` hands back the same tuple object for a group that did not
+    # change, so only the groups that moved are rewritten.
     for combo in itertools.product(*(
-            itertools.combinations_with_replacement(times, len(positions))
-            for positions, times in groups)):
-        for (positions, _), tup in zip(groups, combo):
-            for p, x in zip(positions, tup):
-                key[p] = x
+            itertools.combinations_with_replacement(times, len(ps))
+            for ps, times in groups)):
+        for g, tup in enumerate(combo):
+            if tup is not last[g]:
+                last[g] = tup
+                for p, x in zip(positions[g], tup):
+                    key[p] = x
         yield tuple(key)
 
 
@@ -572,27 +602,31 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     the other players.
     """
     cache = MachineCache.of(instance)
-    return _grid_ne(instance, cache, _iter_grid_coded(instance, resolution, force, cache),
-                    force)
+    found = _grid_ne(instance, cache, _iter_grid_coded(instance, resolution, force, cache),
+                     force)
+    return [(cache.profile(key), Fraction(value, cache.wden)) for value, key in found]
 
 
 def _grid_ne(instance: Instance, cache: MachineCache, keys,
-             force: bool) -> list[tuple[Profile, Fraction]]:
-    """`enumerate_grid_ne` over the grid keys `keys`."""
+             force: bool) -> list[tuple[int, tuple]]:
+    """The grid equilibria among the keys `keys` as (value over `wden`,
+    key) pairs, sorted as `enumerate_grid_ne` returns them."""
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
     found = []
     for key in keys:
         value, per = cache.evaluate_key(key)
-        if all(_player_stable(instance, cache, key, per, player, force)
-               for player in scan_order):
+        for player in scan_order:
+            if not _player_stable(instance, cache, key, per, player, force):
+                break
+        else:
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.
     by_id = [cache.pos[jid] for jid in sorted(cache.ids)]
     found.sort(key=lambda vk: (vk[0], [vk[1][p] for p in by_id]))
-    return [(cache.profile(key), Fraction(value, cache.wden)) for value, key in found]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +826,12 @@ def analyze(instance: Instance, resolution: int = 1, *,
     if not nes:
         return AnalysisReport(opt, (), None, None, name, bound, None,
                               "no_ne_found", None, None, classes)
-    values = tuple(v for _, v in nes)
-    worst_profile, worst = nes[0]
-    best_profile, best = nes[-1]
+    # Only the worst and the best equilibria are reported as profiles. Many
+    # equilibria share a value, so each distinct value is one Fraction.
+    as_fraction = {v: Fraction(v, cache.wden) for v in {v for v, _ in nes}}
+    values = tuple([as_fraction[v] for v, _ in nes])
+    worst, best = values[0], values[-1]
+    worst_profile, best_profile = cache.profile(nes[0][1]), cache.profile(nes[-1][1])
     poa_lower = opt / worst if worst > 0 else None
     pos_upper = opt / best if best > 0 else None
     satisfied = None if poa_lower is None else poa_lower <= bound

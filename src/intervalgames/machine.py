@@ -140,8 +140,8 @@ class MachineCache:
                 self.zero_per[cix] += w
         self.totals = tuple(totals)
         self.lens = [_ticks(j.length, td) for j in jobs]
-        # Per player and group: (lowest start, highest start, length,
-        # windowed), the inputs of the local grid (`_grid_points`).
+        # Per player and group: (lowest start, highest start, length), the
+        # inputs of the local grid (`_grid_points`).
         self._groups = {c: [] for c in self.color_ids}
         self.bounds = {c: [] for c in self.color_ids}
         for ids_ in _job_groups(instance):
@@ -150,7 +150,7 @@ class MachineCache:
             length = self.lens[self.pos[j.id]]
             self.bounds[j.color].append(
                 (_ticks(j.release, td), _ticks(j.due(instance.horizon), td) - length,
-                 length, j.window is not None))
+                 length))
         # Per player: the other players' key positions, and their getter.
         self.other_pos, self._others = {}, {}
         for c in self.color_ids:
@@ -343,7 +343,10 @@ def _dp_core(rows, times):
 def _covered_ids(st: MachineCache, mask: int, view) -> frozenset[int]:
     ids = view[4]
     covered = set(st.zero_ids)
-    covered.update(ids[k] for k in range(len(ids)) if (mask >> k) & 1)
+    while mask:
+        low = mask & -mask
+        covered.add(ids[low.bit_length() - 1])
+        mask ^= low
     # Copied from a set, the frozenset's table is sized for its final count;
     # one grown item by item can be twice as large.
     return frozenset(covered)

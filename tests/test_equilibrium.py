@@ -21,8 +21,8 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            from_partition_nonsymm, grid_candidates,
                            grid_profiles, is_nash, joint_grid_size, ne_single,
                            ne_unit, random_instance, random_profile,
-                           solve_machine_bruteforce, solve_machine_dp,
-                           tightest_bound, utilities,
+                           social_optimum_enumerate, solve_machine_bruteforce,
+                           solve_machine_dp, tightest_bound, utilities,
                            validate_instance, verify_deviation)
 from intervalgames import equilibrium
 from intervalgames.equilibrium import (_coded_grid, _coded_lists, _grid_points,
@@ -75,10 +75,64 @@ def test_grid_tags():
 def test_grid_points_refuse_a_gap_they_cannot_halve():
     # Points 0 and 3 over one denominator: half the gap is not on the scale.
     with pytest.raises(InternalFailure, match="cannot be halved"):
-        _grid_points(0, 3, 1, [], False)
-    assert _grid_points(0, 4, 1, [], False) == {0: "endpoint-aligned",
-                                                 4: "endpoint-aligned",
-                                                 2: "interior-shifted"}
+        _grid_points(0, 3, 1, [])
+    assert _grid_points(0, 4, 1, []) == ({0, 4}, [2])
+    # The same points as `build_grid` tags them: one job of length 1 in
+    # [0, 3) has bounds 0 and 2, over a denominator of 2 the ints 0 and 4.
+    grid = build_grid(_inst(3, (1, 1, 1)), {}, player=1)
+    assert grid.entries == ((1, ((F(0), "endpoint-aligned"), (F(1), "interior-shifted"),
+                                 (F(2), "endpoint-aligned"))),)
+
+
+def _tagged_grid_points(lo, hi, length, fixed, windowed):
+    """The local grid builder as it was when it also tagged every point:
+    the bounds first, then the other aligned points, then the interior."""
+    bound_tag = "window-clipped" if windowed else "endpoint-aligned"
+    points = {lo: bound_tag, hi: bound_tag}
+    for sk, fk in fixed:
+        for cand in (fk, sk - length, sk):
+            if lo <= cand <= hi:
+                points.setdefault(cand, "endpoint-aligned")
+    for cand in equilibrium._interior(sorted(points), hi):
+        points.setdefault(cand, "interior-shifted")
+    return points
+
+
+def _reference_build_grid(inst, fixed_starts, player):
+    """`build_grid` over `_tagged_grid_points`, on the same denominator."""
+    T = inst.horizon
+    own = inst.jobs_of_color(player)
+    fixed = [(inst.job(jid), s) for jid, s in fixed_starts.items()]
+    den = 2 * math.lcm(*[x.denominator for k, s in fixed for x in (s, k.length)],
+                       *[x.denominator for j in own
+                         for x in (j.release, j.due(T), j.length)])
+
+    def ticks(x):
+        return x.numerator * (den // x.denominator)
+
+    entries = []
+    for j in own:
+        length = ticks(j.length)
+        points = _tagged_grid_points(
+            ticks(j.release), ticks(j.due(T)) - length, length,
+            [(ticks(s), ticks(s + k.length)) for k, s in fixed if k.id != j.id],
+            j.window is not None)
+        entries.append((j.id, tuple((F(n, den), tag) for n, tag in sorted(points.items()))))
+    return equilibrium.CandidateGrid(player, tuple(entries))
+
+
+def test_build_grid_tags_points_as_the_tagging_builder_did():
+    windowed = 0
+    for inst in _grid_pin_instances():
+        windowed += inst.has_windows
+        for seed in range(3):
+            starts = random_profile(inst, seed).as_dict()
+            for player in inst.color_ids:
+                others = {jid: s for jid, s in starts.items()
+                          if inst.job(jid).color != player}
+                assert build_grid(inst, others, player) == \
+                    _reference_build_grid(inst, others, player)
+    assert windowed > 0
 
 
 # --- the global grid against a Fraction reference ------------------------------
@@ -431,6 +485,41 @@ def test_enumerate_matches_plain_search():
     for route in (enumerate_grid_ne, _plain_grid_ne):
         with pytest.raises(GuardError, match="joint grid"):
             route(pos_c)
+
+
+def _plain_grid_keys(groups, size):
+    """Reference for `_grid_keys`: every combination writes every group."""
+    key = [0] * size
+    for combo in itertools.product(*(
+            itertools.combinations_with_replacement(times, len(positions))
+            for positions, times in groups)):
+        for (positions, _), tup in zip(groups, combo):
+            for p, x in zip(positions, tup):
+                key[p] = x
+        yield tuple(key)
+
+
+def test_grid_keys_match_a_plain_product(monkeypatch):
+    # Job 1 (length 2 in [0, 2)) has one candidate, jobs 2 and 3 are one
+    # group of two, and job 4 is a group of its own after them.
+    mixed = _inst(2, (1, 2, 1), (2, 1, 1), (2, 1, 1), (1, 1, 2))
+    instances = [fx.instance for fx in _enumerable_fixtures()]
+    instances += _differential_instances() + [mixed]
+    seen = []
+    grid_keys = equilibrium._grid_keys
+
+    def recording(groups, size):
+        seen.append((groups, size))
+        return grid_keys(groups, size)
+
+    monkeypatch.setattr(equilibrium, "_grid_keys", recording)
+    for inst in instances:
+        keys = list(equilibrium._iter_grid_coded(inst, 1, False, MachineCache.of(inst)))
+        groups, size = seen.pop()
+        assert keys == list(_plain_grid_keys(groups, size))
+        assert len(keys) == joint_grid_size(inst)
+    sizes = sorted((len(positions), len(times)) for positions, times in groups)
+    assert sizes == [(1, 1), (1, 3), (2, 3)]
 
 
 def _counting_searches(monkeypatch) -> list:
@@ -883,6 +972,64 @@ def test_joint_search_guard_fires_before_the_first_combination(monkeypatch):
     assert calls == []
 
 
+def _counting_guards(monkeypatch) -> list:
+    """Record the name of every guard called after the job guard."""
+    calls = []
+    for name in ("_grid_guard", "_search_guard"):
+        guard = getattr(equilibrium, name)
+
+        def counting(*args, _name=name, _guard=guard):
+            calls.append(_name)
+            return _guard(*args)
+
+        monkeypatch.setattr(equilibrium, name, counting)
+    return calls
+
+
+def test_a_search_runs_the_grid_guards_only_on_a_big_record(monkeypatch):
+    fx = fixture("ex1")
+    inst = copy.copy(fx.instance)
+    cache = MachineCache.of(inst)
+    key = cache.key(fx.notable_profiles["figure_a"].as_dict())
+    calls = _counting_guards(monkeypatch)
+    expected = _player_search(inst, cache, key, 1, mode="best")
+    assert not equilibrium._grid_record(cache, key, 1).big and calls == []
+    # Past a patched limit the same search's record is big, and both guards
+    # run (with force, so they pass).
+    monkeypatch.setattr(equilibrium, "BEST_RESPONSE_MAX_SEARCH", 1)
+    inst = copy.copy(fx.instance)
+    cache = MachineCache.of(inst)
+    key = cache.key(fx.notable_profiles["figure_a"].as_dict())
+    assert _player_search(inst, cache, key, 1, mode="best", force=True) == expected
+    assert equilibrium._grid_record(cache, key, 1).big
+    assert calls == ["_grid_guard"] * len(cache.groups[1]) + ["_search_guard"]
+
+
+@pytest.mark.parametrize("max_grid, max_search", [(64, 10 ** 5), (6, 20), (4, 6)])
+def test_records_that_are_not_big_keep_merged_lists_within_the_limits(
+        monkeypatch, max_grid, max_search):
+    monkeypatch.setattr(equilibrium, "BEST_RESPONSE_MAX_GRID", max_grid)
+    monkeypatch.setattr(equilibrium, "BEST_RESPONSE_MAX_SEARCH", max_search)
+    instances = [fx.instance for fx in _enumerable_fixtures()]
+    instances += [_two_group_instance()] + _differential_instances()
+    checked = big = 0
+    for inst in instances:
+        inst = copy.copy(inst)  # a fresh solver core, so records see the limits
+        cache = MachineCache.of(inst)
+        for key in equilibrium._iter_grid_coded(inst, 1, False, cache):
+            for player in inst.color_ids:
+                record, lists = _coded_grid(cache, key, player)
+                if record.big:
+                    big += 1
+                    continue
+                checked += 1
+                assert all(len(coded) <= max_grid for _, coded in lists)
+                assert equilibrium._profile_count(
+                    [(ids_, len(coded)) for ids_, coded in lists]) <= max_search
+    assert checked > 0
+    assert (big > 0) is (max_grid < 64)
+
+
 def test_force_overrides_the_joint_search_guard(monkeypatch):
     fx = fixture("ex1")
     profile = fx.notable_profiles["figure_a"]
@@ -934,6 +1081,31 @@ def test_analyze_no_ne_status():
     report = analyze(fx.instance)
     assert report.status == "no_ne_found"
     assert report.ne_values == () and report.poa_lower is None
+
+
+def test_analyze_matches_a_report_built_from_the_enumeration():
+    instances = [fx.instance for fx in _enumerable_fixtures()]
+    instances += _differential_instances()
+    instances = [inst for inst in instances if not inst.has_windows]
+    assert len(instances) >= 40
+    reported = 0
+    for inst in instances:
+        report = analyze(copy.copy(inst))
+        found = enumerate_grid_ne(copy.copy(inst))
+        _, opt = social_optimum_enumerate(inst)
+        assert report.opt == opt
+        assert report.ne_values == tuple(v for _, v in found)
+        if not found:
+            assert report.status == "no_ne_found"
+            assert report.worst_ne is report.best_ne is report.poa_lower is None
+            continue
+        reported += 1
+        (worst_profile, worst), (best_profile, best) = found[0], found[-1]
+        assert report.status == "ok"
+        assert (report.worst_ne, report.best_ne) == (worst_profile, best_profile)
+        assert report.poa_lower == (opt / worst if worst > 0 else None)
+        assert report.pos_upper_witness == (opt / best if best > 0 else None)
+    assert reported > 0
 
 
 def test_analyze_rejects_windows():
