@@ -25,7 +25,8 @@ A grid record (`_grid_record`) holds one player's aligned lists against one
 placement of the other players; a search walks those lists with the player's
 current starts merged in (`_coded_grid`). The record's `big` flag says
 whether a per-group or joint-search guard could fire on the merged lists,
-which add at most one start per job; the guards run only when it is set.
+which add at most one start per job; `_player_stable` runs the guards only
+when it is set, and a search runs them always.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -330,17 +331,12 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     groups = cache.groups[player]
     if grid_override is not None:
         lists = _coded_lists(cache, player, grid_override.__getitem__)
-        big = True
     else:
-        record, pairs = _coded_grid(cache, key, player)
-        lists = [coded for _, coded in pairs]
-        # A record that is not big bounds every merged list below both limits.
-        big = record.big
-    if big:
-        for (ids_, _), coded in zip(groups, lists):
-            _grid_guard(ids_, len(coded), force)
-        _search_guard(player, [(ids_, len(coded)) for (ids_, _), coded
-                               in zip(groups, lists)], force)
+        lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
+    for (ids_, _), coded in zip(groups, lists):
+        _grid_guard(ids_, len(coded), force)
+    _search_guard(player, [(ids_, len(coded)) for (ids_, _), coded
+                           in zip(groups, lists)], force)
 
     base = list(key)
     positions = [positions for _, positions in groups]
@@ -826,10 +822,8 @@ def analyze(instance: Instance, resolution: int = 1, *,
     if not nes:
         return AnalysisReport(opt, (), None, None, name, bound, None,
                               "no_ne_found", None, None, classes)
-    # Only the worst and the best equilibria are reported as profiles. Many
-    # equilibria share a value, so each distinct value is one Fraction.
-    as_fraction = {v: Fraction(v, cache.wden) for v in {v for v, _ in nes}}
-    values = tuple([as_fraction[v] for v, _ in nes])
+    # Only the worst and the best equilibria are reported as profiles.
+    values = tuple(Fraction(v, cache.wden) for v, _ in nes)
     worst, best = values[0], values[-1]
     worst_profile, best_profile = cache.profile(nes[0][1]), cache.profile(nes[-1][1])
     poa_lower = opt / worst if worst > 0 else None

@@ -972,39 +972,6 @@ def test_joint_search_guard_fires_before_the_first_combination(monkeypatch):
     assert calls == []
 
 
-def _counting_guards(monkeypatch) -> list:
-    """Record the name of every guard called after the job guard."""
-    calls = []
-    for name in ("_grid_guard", "_search_guard"):
-        guard = getattr(equilibrium, name)
-
-        def counting(*args, _name=name, _guard=guard):
-            calls.append(_name)
-            return _guard(*args)
-
-        monkeypatch.setattr(equilibrium, name, counting)
-    return calls
-
-
-def test_a_search_runs_the_grid_guards_only_on_a_big_record(monkeypatch):
-    fx = fixture("ex1")
-    inst = copy.copy(fx.instance)
-    cache = MachineCache.of(inst)
-    key = cache.key(fx.notable_profiles["figure_a"].as_dict())
-    calls = _counting_guards(monkeypatch)
-    expected = _player_search(inst, cache, key, 1, mode="best")
-    assert not equilibrium._grid_record(cache, key, 1).big and calls == []
-    # Past a patched limit the same search's record is big, and both guards
-    # run (with force, so they pass).
-    monkeypatch.setattr(equilibrium, "BEST_RESPONSE_MAX_SEARCH", 1)
-    inst = copy.copy(fx.instance)
-    cache = MachineCache.of(inst)
-    key = cache.key(fx.notable_profiles["figure_a"].as_dict())
-    assert _player_search(inst, cache, key, 1, mode="best", force=True) == expected
-    assert equilibrium._grid_record(cache, key, 1).big
-    assert calls == ["_grid_guard"] * len(cache.groups[1]) + ["_search_guard"]
-
-
 @pytest.mark.parametrize("max_grid, max_search", [(64, 10 ** 5), (6, 20), (4, 6)])
 def test_records_that_are_not_big_keep_merged_lists_within_the_limits(
         monkeypatch, max_grid, max_search):
