@@ -221,6 +221,10 @@ def cmd_analyze(args) -> int:
         seed = args.seed if args.seed is not None else _default_seed()
         tasks = [(args.family, n, c, horizon, seed + i, args.resolution, args.force)
                  for i in range(args.count)]
+        cpus = os.cpu_count() or 1
+        if args.jobs > cpus and not args.force:
+            raise GuardError(f"--jobs {args.jobs} exceeds the {cpus} CPUs "
+                             f"(pass --force to override)")
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(_analyze_one, tasks))

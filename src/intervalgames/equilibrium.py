@@ -24,9 +24,9 @@ and grid-NE enumeration on ints over 2L, half of the core's smallest scale;
 A grid record (`_grid_record`) holds one player's aligned lists against one
 placement of the other players; a search walks those lists with the player's
 current starts merged in (`_coded_grid`). The record's `big` flag says
-whether a per-group or joint-search guard could fire on the merged lists,
-which add at most one start per job; `_player_stable` runs the guards only
-when it is set, and a search runs them always.
+whether a guard could fire on the merged lists, which add at most one start
+per job; `_player_stable` runs the guards (`_guards`, one sequence for both)
+only when it is set, and a search runs them always.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -38,6 +38,19 @@ the plain search. Utilities are compared as integers over the lcm of the
 weight denominators, and equilibria are sorted as (value, starts) ints.
 `Fraction`s are built only for what is returned: strategies, utilities,
 deviations and profiles.
+
+Grid-NE enumeration also runs one machine DP per order type of the
+enumerated profiles, not one per profile. The DP only compares interval
+endpoints and breaks ties by job id, so profiles whose positive-length
+endpoints compare the same way get the same (value, per-color utilities).
+`_grid_ne` keeps a memo from order type to that pair for the length of one
+call, bounded like the core's memo; a profile missing from the core's memo
+whose type was seen is written to it as a DP call would write it, so the
+core's memo and every search's DP calls stay those of one DP per profile.
+The signature (`_type_signer`) is built incrementally: the other jobs'
+endpoints are ranked again only when they move, and the jobs `_grid_keys`
+moves fastest are placed among them by bisection. The memo is not kept on
+the core, because best-response keys seldom repeat an order type.
 """
 
 from __future__ import annotations
@@ -47,9 +60,10 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
-from .machine import (MachineCache, _job_groups, _ticks, _time_lcm,
+from .machine import (MEMO_LIMIT, MachineCache, _job_groups, _ticks, _time_lcm,
                       machine_value_and_covered)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
                     UnsupportedInstanceError, ValidationError, validate_profile)
@@ -225,21 +239,21 @@ def _profile_count(sized) -> int:
     return math.prod(math.comb(n + len(ids_) - 1, len(ids_)) for ids_, n in sized)
 
 
-def _job_guard(player: int, count: int, force: bool) -> None:
-    if count > BEST_RESPONSE_MAX_JOBS and not force:
-        raise GuardError(f"player {player} controls {count} jobs "
-                         f"(joint search limit {BEST_RESPONSE_MAX_JOBS})")
-
-
-def _grid_guard(ids_, size: int, force: bool) -> None:
-    if size > BEST_RESPONSE_MAX_GRID and not force:
-        raise GuardError(f"jobs {ids_} have {size} candidate "
-                         f"starts (limit {BEST_RESPONSE_MAX_GRID})")
-
-
-def _search_guard(player: int, sized, force: bool) -> None:
+def _guards(player: int, sized, force: bool) -> None:
+    """The joint search's size guards over the player's groups, given as a
+    list of (ids, candidate count) pairs, in their fixed order: the player's
+    job count, each group's candidate count, then the joint strategy count.
+    Each raises `GuardError` unless `force` is set."""
     if force:
         return
+    count = sum(len(ids_) for ids_, _ in sized)
+    if count > BEST_RESPONSE_MAX_JOBS:
+        raise GuardError(f"player {player} controls {count} jobs "
+                         f"(joint search limit {BEST_RESPONSE_MAX_JOBS})")
+    for ids_, size in sized:
+        if size > BEST_RESPONSE_MAX_GRID:
+            raise GuardError(f"jobs {ids_} have {size} candidate "
+                             f"starts (limit {BEST_RESPONSE_MAX_GRID})")
     size = _profile_count(sized)
     if size > BEST_RESPONSE_MAX_SEARCH:
         raise GuardError(f"player {player}'s joint search holds {size} "
@@ -271,7 +285,8 @@ def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
         # A group's searched list adds at most one start per job.
         sized = [(ids_, len(c) + len(ids_))
                  for (ids_, _), c in zip(cache.groups[player], coded)]
-        big = (any(n > BEST_RESPONSE_MAX_GRID for _, n in sized)
+        big = (sum(len(ids_) for ids_, _ in sized) > BEST_RESPONSE_MAX_JOBS
+               or any(n > BEST_RESPONSE_MAX_GRID for _, n in sized)
                or _profile_count(sized) > BEST_RESPONSE_MAX_SEARCH)
         if len(cache.grid_cache) > 100_000:
             cache.grid_cache.clear()
@@ -326,17 +341,14 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     u_cur = cache.evaluate_key(key)[1][pix]
     if u_cur == cache.totals[pix]:  # fully covered players cannot improve
         return (_strategy(cache, key, own), Fraction(u_cur, wden)) if mode == "best" else None
-    _job_guard(player, len(own), force)
 
     groups = cache.groups[player]
     if grid_override is not None:
         lists = _coded_lists(cache, player, grid_override.__getitem__)
     else:
         lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
-    for (ids_, _), coded in zip(groups, lists):
-        _grid_guard(ids_, len(coded), force)
-    _search_guard(player, [(ids_, len(coded)) for (ids_, _), coded
-                           in zip(groups, lists)], force)
+    _guards(player, [(ids_, len(coded)) for (ids_, _), coded in zip(groups, lists)],
+            force)
 
     base = list(key)
     positions = [positions for _, positions in groups]
@@ -391,19 +403,16 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     u_cur = per[pix]
     if u_cur == cache.totals[pix]:
         return True
-    count = len(instance.jobs_of_color(player))
-    _job_guard(player, count, force)
     record = _grid_record(cache, key, player)
     groups = cache.groups[player]
     if record.big and not force:
-        sized = [(ids_, len(coded) + _missing(coded, positions, key))
-                 for (ids_, positions), coded in zip(groups, record.coded)]
-        for ids_, size in sized:
-            _grid_guard(ids_, size, force)
-        _search_guard(player, sized, force)
+        _guards(player, [(ids_, len(coded) + _missing(coded, positions, key))
+                         for (ids_, positions), coded in zip(groups, record.coded)],
+                force)
     if record.lo > u_cur:
         return False
-    if record.hi <= u_cur and (count == 1 or _aligned(groups, record, key)):
+    if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1
+                               or _aligned(groups, record, key)):
         return True
     found = _player_search(instance, cache, key, player, mode="first", force=force)
     if found is None:
@@ -603,16 +612,89 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     return [(cache.profile(key), Fraction(value, cache.wden)) for value, key in found]
 
 
+def _type_signer(cache: MachineCache, moving):
+    """A function from a key on the core's scale to a signature of the order
+    type of its positive-length jobs' endpoints: two keys get equal
+    signatures exactly when every pair of endpoints compares the same way.
+
+    The jobs at the key positions `moving` are split from the rest, the
+    head. The head's sorted distinct endpoints `F` and their rank pattern,
+    interned to an int, are rebuilt only when the head's starts change. Each
+    moving endpoint x is coded by its place in `F`, 2·bisect_left(F, x) plus
+    1 if x is in `F`, and, when more than one job moves, by its dense rank
+    among the moving endpoints."""
+    lens = cache.lens
+    head = [p for p, n in enumerate(lens) if n and p not in moving]
+    head_lens = [lens[p] for p in head]
+    mov = [(p, lens[p]) for p in moving if lens[p]]
+    head_starts = (itemgetter(*head) if len(head) > 1
+                   else lambda key: tuple([key[p] for p in head]))
+    patterns: dict = {}
+    last, F, rank, pid = None, [], {}, 0
+
+    def sign(key: tuple) -> tuple:
+        nonlocal last, F, rank, pid
+        starts = head_starts(key)
+        if starts != last:
+            ends = [x + n for x, n in zip(starts, head_lens)]
+            F = sorted(set(starts).union(ends))
+            rank = {x: i for i, x in enumerate(F)}
+            pattern = tuple([rank[x] for x in starts] + [rank[x] for x in ends])
+            last, pid = starts, patterns.setdefault(pattern, len(patterns))
+        if len(mov) == 1:
+            (p, n), = mov
+            x = key[p]
+            y = x + n
+            i = bisect_left(F, x)
+            return pid, 2 * i + (x in rank), 2 * bisect_left(F, y, i) + (y in rank)
+        points = [key[p] for p, _ in mov] + [key[p] + n for p, n in mov]
+        own = {x: i for i, x in enumerate(sorted(set(points)))}
+        return (pid, *[2 * bisect_left(F, x) + (x in rank) for x in points],
+                *[own[x] for x in points])
+
+    return sign
+
+
+def _bounded_put(table: dict, key, value):
+    """Store `value` under `key` and return it, clearing `table` first when
+    it holds more than `MEMO_LIMIT` entries, as the core's memo does."""
+    if len(table) > MEMO_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def _grid_ne(instance: Instance, cache: MachineCache, keys,
              force: bool) -> list[tuple[int, tuple]]:
     """The grid equilibria among the keys `keys` as (value over `wden`,
-    key) pairs, sorted as `enumerate_grid_ne` returns them."""
+    key) pairs, sorted as `enumerate_grid_ne` returns them.
+
+    A key's (value, per-color utilities) comes from the core's memo, else
+    from an order-type memo that lives for this call only, else from a DP
+    call, and is recorded under the key's order type (`_type_signer`, split
+    at the group `_grid_keys` moves fastest). A type hit is written to the
+    core's memo as a DP call would write it, so that memo, and every
+    search's DP calls, stay those of one DP per key."""
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
+    _, moving = max(group for groups in cache.groups.values() for group in groups)
+    sign = _type_signer(cache, moving)
+    memo = cache._cache
+    types: dict = {}
     found = []
     for key in keys:
-        value, per = cache.evaluate_key(key)
+        sig = sign(key)
+        hit = memo.get(key)
+        if hit is None:
+            hit = types.get(sig)
+            if hit is None:
+                hit = _bounded_put(types, sig, cache.evaluate_key(key))
+            else:
+                _bounded_put(memo, key, hit)
+        elif sig not in types:
+            _bounded_put(types, sig, hit)
+        value, per = hit
         for player in scan_order:
             if not _player_stable(instance, cache, key, per, player, force):
                 break

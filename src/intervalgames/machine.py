@@ -44,6 +44,7 @@ from typing import Mapping
 from .model import GuardError, Instance, InternalFailure, Profile, Schedule
 
 BRUTE_FORCE_MAX_JOBS = 20
+MEMO_LIMIT = 600_000  # a core's memo is cleared when it grows past this
 
 
 def _ticks(x: Fraction, td: int) -> int:
@@ -200,7 +201,7 @@ class MachineCache:
                 per[col[k]] += w[k]
                 mask ^= low
             hit = (self.base_scaled + top, tuple(per))
-            if len(self._cache) > 600_000:
+            if len(self._cache) > MEMO_LIMIT:
                 self._cache.clear()
             self._cache[key] = hit
         return hit

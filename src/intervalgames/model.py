@@ -71,11 +71,6 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
-def overlaps(s1: Fraction, f1: Fraction, s2: Fraction, f2: Fraction) -> bool:
-    """Positive-length intersection of [s1,f1) and [s2,f2)."""
-    return max(s1, s2) < min(f1, f2)
-
-
 @dataclass(frozen=True)
 class Job:
     """One job: owner color, processing length, weight, optional feasibility window."""
@@ -211,12 +206,12 @@ def validate_instance(raw: Instance) -> Instance:
         raise ValidationError(f"horizon must be positive, got {T}")
     seen_ids: set[int] = set()
     for j in raw.jobs:
-        if not isinstance(j.id, int) or j.id < 1:
+        if isinstance(j.id, bool) or not isinstance(j.id, int) or j.id < 1:
             raise ValidationError(f"job id {j.id!r} must be a positive integer")
         if j.id in seen_ids:
             raise ValidationError(f"duplicate job id {j.id}")
         seen_ids.add(j.id)
-        if not isinstance(j.color, int):
+        if isinstance(j.color, bool) or not isinstance(j.color, int):
             raise ValidationError(f"job {j.id}: color must be an integer")
         if j.length < 0:
             raise ValidationError(f"job {j.id}: negative length")
@@ -305,6 +300,10 @@ def instance_from_document(doc) -> Instance:
         for key in ("id", "color", "length", "weight"):
             if key not in entry:
                 raise FormatError(f"job entry missing '{key}'")
+        for key in ("id", "color"):
+            # Checked before an `Instance` hashes and sorts them.
+            if isinstance(entry[key], bool) or not isinstance(entry[key], int):
+                raise FormatError(f"job {key} {entry[key]!r} must be an integer")
         window = None
         if entry.get("window") is not None:
             pair = entry["window"]

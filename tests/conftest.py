@@ -30,6 +30,20 @@ def guard_instances():
     }
 
 
+# Job entries whose id or color is not a JSON integer. Before they were
+# type-checked, a list id raised TypeError (unhashable) and mixed str/int ids
+# of one color raised TypeError (unorderable) while the `Instance` was built,
+# and `"id": true` was read as job 1.
+BAD_ID_JOBS = {
+    "list_id": [{"id": [1], "color": 1, "length": "1", "weight": "1"}],
+    "mixed_ids": [{"id": "1", "color": 1, "length": "1", "weight": "1"},
+                  {"id": 2, "color": 1, "length": "1", "weight": "1"}],
+    "true_id": [{"id": True, "color": 1, "length": "1", "weight": "1"}],
+    "list_color": [{"id": 1, "color": [1], "length": "1", "weight": "1"}],
+    "true_color": [{"id": 1, "color": True, "length": "1", "weight": "1"}],
+}
+
+
 def check_schedule_invariants(instance, profile, schedule):
     """Segments ordered and disjoint inside [0, T); covered jobs nested in
     segments of their color; value is the covered weight; closure holds."""

@@ -11,7 +11,7 @@ from intervalgames import (InternalFailure, fixture, instance_to_json,
                            profile_to_json, random_profile)
 from intervalgames import cli
 from intervalgames.cli import main
-from conftest import guard_instances
+from conftest import BAD_ID_JOBS, guard_instances
 
 
 @pytest.fixture()
@@ -240,6 +240,49 @@ def test_parse_error_exit_code(capsys, tmp_path):
     profile.write_text('{"starts": {}}')
     code, _ = _run(capsys, "solve", str(bad), str(profile))
     assert code == 2
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_ID_JOBS))
+def test_non_integer_id_or_color_exits_2(capsys, tmp_path, shape):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"horizon": "4", "jobs": BAD_ID_JOBS[shape]}))
+    code = main(["opt", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must be an integer" in captured.err and "Traceback" not in captured.err
+
+
+def test_analyze_family_bounds_jobs_by_cpu_count(capsys, monkeypatch):
+    started = []
+
+    class InlineExecutor:
+        """A stand-in for ProcessPoolExecutor that starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    family = ("analyze", "--family", "single", "--count", "2", "--seed", "11",
+              "--n", "2", "--c", "2")
+    code = main([*family, "--jobs", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--jobs 3 exceeds the 2 CPUs" in captured.err
+    assert started == []
+    for jobs, flags in (("2", ()), ("3", ("--force",))):
+        code, payload = _run(capsys, *family, "--jobs", jobs, *flags)
+        assert code == 0 and len(payload["reports"]) == 2
+    assert started == [2, 3]
 
 
 def test_missing_file_exit_code(capsys):

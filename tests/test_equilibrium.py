@@ -1010,6 +1010,101 @@ def test_force_overrides_the_joint_search_guard(monkeypatch):
     assert best_response(inst, profile, 1, force=True) == expected
 
 
+# --- the order-type memo of grid-NE enumeration ---------------------------------
+
+def _order_type(cache, key):
+    """The dense ranks of every positive-length job's (start, finish) among
+    all such endpoints of `key`, in key order."""
+    ends = [(key[p], key[p] + n) for p, n in enumerate(cache.lens) if n]
+    rank = {x: i for i, x in enumerate(sorted({x for e in ends for x in e}))}
+    return tuple((rank[s], rank[f]) for s, f in ends)
+
+
+@st.composite
+def _typed_instances(draw):
+    """Up to six jobs of lengths 0..2 in halves on [0, 4], often some of
+    them interchangeable, and a denominator to widen the core by (1: none)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    jobs = [(draw(st.integers(1, 2)), F(draw(st.integers(0, 4)), 2),
+             draw(st.integers(1, 2))) for _ in range(n)]
+    return _inst(4, *jobs), draw(st.sampled_from((1, 3, 5)))
+
+
+@given(_typed_instances(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_type_signatures_are_the_order_types(drawn, rng):
+    # Keys on and off the global grid, in a shuffled order so the signer's
+    # head moves back and forth, after a widening of the core's scale.
+    inst, widen = drawn
+    cache = MachineCache.of(inst)
+    cache.key({j.id: F(1, widen) for j in inst.jobs})
+    grid = _on_scale(cache, grid_candidates(inst))
+    pools = []
+    for j in inst.jobs:
+        hi = cache.ticks(inst.horizon - j.length)
+        pools.append(sorted(set(rng.sample(grid[j.id], min(3, len(grid[j.id])))
+                                + [rng.randint(0, hi) for _ in range(2)])))
+    keys = [tuple(rng.choice(pool) for pool in pools) for _ in range(40)]
+    groups = sorted(g for gs in cache.groups.values() for g in gs)
+    _, moving = rng.choice([max(groups, key=lambda g: len(g[0])), *groups])
+    sign = equilibrium._type_signer(cache, moving)
+    sigs = [sign(key) for key in keys]
+    types = [_order_type(cache, key) for key in keys]
+    for (s1, t1), (s2, t2) in itertools.combinations(zip(sigs, types), 2):
+        assert (s1 == s2) == (t1 == t2)
+    by_type = {}
+    for key, t in zip(keys, types):
+        assert by_type.setdefault(t, cache.evaluate_key(key)) == cache.evaluate_key(key)
+
+
+def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
+    # from_partition_decide((1, 3, 3, 3)): 12,012 grid profiles of 4,510
+    # order types. Run once with the order-type memo and once with a signer
+    # that keys it on the exact key (one DP per key, as without the memo).
+    from intervalgames import machine
+    counts = {}
+    depth = [0]
+    dp_core, search, evaluate_key = (machine._dp_core, equilibrium._player_search,
+                                     MachineCache.evaluate_key)
+
+    def counting_dp(rows, key):
+        counts["search_dp" if depth[0] else "enum_dp"] += 1
+        return dp_core(rows, key)
+
+    def counting_search(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return search(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counting_lookup(self, key):
+        if depth[0]:
+            counts["search_lookups"] += 1
+            counts["search_hits"] += key in self._cache
+        return evaluate_key(self, key)
+
+    monkeypatch.setattr(machine, "_dp_core", counting_dp)
+    monkeypatch.setattr(equilibrium, "_player_search", counting_search)
+    monkeypatch.setattr(MachineCache, "evaluate_key", counting_lookup)
+    signer = equilibrium._type_signer
+    runs = {}
+    for name, make in (("typed", signer), ("exact", lambda cache, moving: lambda key: key)):
+        monkeypatch.setattr(equilibrium, "_type_signer", make)
+        counts.update(dict.fromkeys(("enum_dp", "search_dp", "search_lookups",
+                                     "search_hits"), 0))
+        inst = from_partition_decide((1, 3, 3, 3)).instance
+        cache = MachineCache.of(inst)
+        keys = list(equilibrium._iter_grid_coded(inst, 1, False, cache))
+        found = equilibrium._grid_ne(inst, cache, iter(keys), False)
+        runs[name] = found, dict(counts), len({_order_type(cache, k) for k in keys})
+    (found, typed, types), (exact_found, exact, _) = runs["typed"], runs["exact"]
+    assert types == 4510 and found == exact_found == []
+    assert typed["enum_dp"] <= types < exact["enum_dp"]
+    for count in ("search_dp", "search_lookups", "search_hits"):
+        assert typed[count] == exact[count] > 0
+
+
 # --- analysis ---------------------------------------------------------------------
 
 def test_bound_table():

@@ -12,6 +12,7 @@ from intervalgames import (FormatError, Instance, Job, Profile, ValidationError,
                            parse_profile, profile_to_json, solve_machine_dp,
                            to_rational, utilities, validate_instance,
                            validate_profile)
+from conftest import BAD_ID_JOBS
 
 EX1_DOC = """
 {"horizon": "4", "jobs": [
@@ -58,6 +59,19 @@ def test_parse_rejects_empty_jobs():
 def test_parse_syntax_error_position():
     with pytest.raises(FormatError, match="line"):
         parse_instance('{"horizon": ')
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_ID_JOBS))
+def test_ids_and_colors_must_be_integers(shape):
+    doc = json.dumps({"horizon": "4", "jobs": BAD_ID_JOBS[shape]})
+    with pytest.raises(FormatError, match="must be an integer"):
+        parse_instance(doc)
+
+
+@pytest.mark.parametrize("job", [Job(True, 1, F(1), F(1)), Job(1, True, F(1), F(1))])
+def test_validation_rejects_boolean_ids_and_colors(job):
+    with pytest.raises(ValidationError, match="must be"):
+        validate_instance(Instance(F(4), (job,)))
 
 
 def test_length_exceeds_horizon():
