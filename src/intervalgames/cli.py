@@ -216,8 +216,8 @@ def cmd_analyze(args) -> int:
     if args.family:
         horizon = to_rational(args.horizon or "3", "horizon")
         single = args.family == "single"  # n == c: a missing one follows the other
-        n = args.n or (single and args.c) or 3
-        c = args.c or (n if single else 2)
+        n = args.n if args.n is not None else args.c if single and args.c is not None else 3
+        c = args.c if args.c is not None else n if single else 2
         seed = args.seed if args.seed is not None else _default_seed()
         tasks = [(args.family, n, c, horizon, seed + i, args.resolution, args.force)
                  for i in range(args.count)]

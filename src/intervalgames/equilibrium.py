@@ -23,10 +23,11 @@ and grid-NE enumeration on ints over 2L, half of the core's smallest scale;
 
 A grid record (`_grid_record`) holds one player's aligned lists against one
 placement of the other players; a search walks those lists with the player's
-current starts merged in (`_coded_grid`). The record's `big` flag says
-whether a guard could fire on the merged lists, which add at most one start
-per job; `_player_stable` runs the guards (`_guards`, one sequence for both)
-only when it is set, and a search runs them always.
+current starts merged in (`_coded_grid`), by the key walker of enumeration
+(`_grid_keys`), which rewrites only the groups that moved. The record's
+`big` flag says whether a guard could fire on the merged lists, which add at
+most one start per job; `_player_stable` runs the guards (`_guards`, one
+sequence for both) only when it is set, and a search always.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -39,18 +40,17 @@ weight denominators, and equilibria are sorted as (value, starts) ints.
 `Fraction`s are built only for what is returned: strategies, utilities,
 deviations and profiles.
 
-Grid-NE enumeration also runs one machine DP per order type of the
-enumerated profiles, not one per profile. The DP only compares interval
-endpoints and breaks ties by job id, so profiles whose positive-length
-endpoints compare the same way get the same (value, per-color utilities).
-`_grid_ne` keeps a memo from order type to that pair for the length of one
-call, bounded like the core's memo; a profile missing from the core's memo
-whose type was seen is written to it as a DP call would write it, so the
-core's memo and every search's DP calls stay those of one DP per profile.
-The signature (`_type_signer`) is built incrementally: the other jobs'
-endpoints are ranked again only when they move, and the jobs `_grid_keys`
-moves fastest are placed among them by bisection. The memo is not kept on
-the core, because best-response keys seldom repeat an order type.
+Grid-NE enumeration runs one machine DP per order type of its profiles. The
+DP only compares interval endpoints and breaks ties by job id, so profiles
+whose positive-length endpoints compare the same way get the same (value,
+per-color utilities). `_grid_ne` keeps a memo from order type to that pair
+for one call, bounded like the core's memo; a profile whose type was seen is
+written to the core's memo as a DP call would write it, so that memo and
+every search's DP calls stay those of one DP per profile. The signature
+(`_type_signer`) is built incrementally: the other jobs' endpoints are
+ranked again only when they move, and the jobs `_grid_keys` moves fastest
+are placed among them by bisection. Best-response keys seldom repeat a type,
+so the memo is not kept on the core.
 """
 
 from __future__ import annotations
@@ -350,29 +350,20 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     _guards(player, [(ids_, len(coded)) for (ids_, _), coded in zip(groups, lists)],
             force)
 
-    base = list(key)
-    positions = [positions for _, positions in groups]
-    best_u = u_cur
-    best_value = None
-    best = None
+    best_u, best_value, best = u_cur, None, None
     # Only a strictly higher rank replaces the incumbent, so none can once it
     # covers every job of the player (with prefer_value: of the instance).
     full = cache.totals
-    for combo in itertools.product(*(
-            itertools.combinations_with_replacement(coded, len(ps))
-            for ps, coded in zip(positions, lists))):
-        for ps, tup in zip(positions, combo):
-            for p, x in zip(ps, tup):
-                base[p] = x
-        value, per = cache.evaluate_key(tuple(base))
+    for cand in _grid_keys([(ps, coded) for (_, ps), coded in zip(groups, lists)], key):
+        value, per = cache.evaluate_key(cand)
         u = per[pix]
         if u > best_u or (prefer_value and best is not None
                           and u == best_u and value > best_value):
             if mode == "first":
-                return tuple(base), u
+                return cand, u
             best_u = u
             best_value = value
-            best = tuple(base)
+            best = cand
             if u == full[pix] and (not prefer_value or per == full):
                 break
     if mode == "first":
@@ -565,13 +556,14 @@ def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
     m = cache.td // den
     return _grid_keys([(positions, [x * m for x in cands])
-                       for _, positions, cands in groups], len(cache.ids))
+                       for _, positions, cands in groups], [0] * len(cache.ids))
 
 
-def _grid_keys(groups, size: int):
-    """Yield one key of `size` starts per combination of the groups'
-    multisets, given as (key positions, candidate times)."""
-    key = [0] * size
+def _grid_keys(groups, base):
+    """Yield one key per combination of the groups' multisets, given as (key
+    positions, candidate times): the key `base` with each group's positions
+    rewritten. Both the searches and enumeration walk their grids here."""
+    key = list(base)
     positions = [ps for ps, _ in groups]
     last = [None] * len(groups)
     # `product` hands back the same tuple object for a group that did not

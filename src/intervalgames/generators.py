@@ -8,6 +8,7 @@ deterministic tie-breaking.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -271,12 +272,18 @@ def fixture_names() -> tuple[str, ...]:
 def fixture(name: str, **params) -> Fixture:
     """Build a named fixture; parametrized ones take keyword arguments
     (poa_tight: n, epsilon; pos_two: epsilon; pos_c: c, epsilon_prime;
-    prop_no_ne: epsilon; unit_tight: c)."""
-    try:
-        builder = _FIXTURES[name]
-    except KeyError:
+    prop_no_ne: epsilon; unit_tight: c). A missing or unexpected parameter
+    raises `ValidationError`, naming the fixture's parameters."""
+    builder = _FIXTURES.get(name)
+    if builder is None:
         raise ValidationError(f"unknown fixture {name!r}; "
-                              f"known: {', '.join(fixture_names())}") from None
+                              f"known: {', '.join(fixture_names())}")
+    takes = inspect.signature(builder).parameters.values()
+    need = {p.name for p in takes if p.default is p.empty}
+    if not need <= params.keys() <= {p.name for p in takes}:
+        names = [p.name if p.name in need else f"{p.name}={p.default}" for p in takes]
+        raise ValidationError(f"fixture {name!r} takes ({', '.join(names)}), "
+                              f"got ({', '.join(sorted(params))})")
     return builder(**params)
 
 

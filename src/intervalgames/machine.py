@@ -30,7 +30,8 @@ the one whose last job has the smallest id, the empty configuration counting
 as id 0, both when it picks a job's predecessor and when it picks the final
 configuration (see `_dp_core`). The brute force keeps the lexicographically
 smallest sorted tuple of covered ids. Solver invariants raise
-`InternalFailure`, so they also hold under `python -O`.
+`InternalFailure`, so they also hold under `python -O`. The DP's credit
+check walks the covered mask once and yields a memo miss's utilities.
 """
 
 from __future__ import annotations
@@ -188,19 +189,12 @@ class MachineCache:
 
     def evaluate_key(self, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over
-        `wden`. A miss runs `_dp_core` on the key; the utilities come from
-        its covered mask."""
+        `wden`. A miss runs `_dp_core` on the key, whose credit walk over
+        the covered mask adds each covered weight to the utilities."""
         hit = self._cache.get(key)
         if hit is None:
-            top, mask, view = _dp_core(self.rows, key)
-            w, col = view[2], view[3]
             per = self.zero_per.copy()
-            while mask:
-                low = mask & -mask
-                k = low.bit_length() - 1
-                per[col[k]] += w[k]
-                mask ^= low
-            hit = (self.base_scaled + top, tuple(per))
+            hit = (self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per))
             if len(self._cache) > MEMO_LIMIT:
                 self._cache.clear()
             self._cache[key] = hit
@@ -248,10 +242,10 @@ def _view(rows, times):
     return s, f, w, col, ids
 
 
-def _dp_core(rows, times):
+def _dp_core(rows, times, per=None):
     """Return (value, covered mask over the view's finish order, view) for
     the optimal configuration; the value counts positive-length jobs only,
-    over the core's `wden`."""
+    over `wden`. The credit walk adds covered weights to `per` by color index."""
     view = _view(rows, times)
     s, f, w, col, ids = view
     n = len(s)
@@ -270,7 +264,7 @@ def _dp_core(rows, times):
     nested = [0] * n  # bitmask of same-color jobs inside job i's interval
     prevsame = [0] * n  # the previous index of job i's color, or -1
     last: dict[int, int] = {}  # color -> its latest index so far
-    top_v, top_id, top_cell = 0, 0, 0
+    top_v, top_id, top = 0, 0, best[0]  # top: the incumbent, shared until it changes
     for i in range(n):
         si, fi, c = s[i], f[i], col[i]
         # One backward scan over the same-color jobs ending in (s[i], f[i]]
@@ -321,20 +315,27 @@ def _dp_core(rows, times):
         A[i + 1] = best_v
         back[i + 1] = best_k
         if best_v > top_v or (best_v == top_v and ids[i] < top_id):
-            top_v, top_id, top_cell = best_v, ids[i], i + 1
-        best[i + 1] = (top_v, top_id, top_cell)
+            top_v, top_id = best_v, ids[i]
+            top = (top_v, top_id, i + 1)
+        best[i + 1] = top
 
     # The final pick is the same ranking over every cell.
     covered_mask = 0
-    cell = top_cell
+    cell = top[2]
     while cell != 0:
         covered_mask |= nested[cell - 1]
         cell = back[cell]
-    credit = 0
-    m = covered_mask
-    while m:
+    credit, m = 0, covered_mask
+    if per is None:
+        while m:
+            low = m & -m
+            credit += w[low.bit_length() - 1]
+            m ^= low
+    while m:  # when `per` is given: the same walk, also filling it
         low = m & -m
-        credit += w[low.bit_length() - 1]
+        k = low.bit_length() - 1
+        credit += w[k]
+        per[col[k]] += w[k]
         m ^= low
     if credit != top_v:
         raise InternalFailure("dp credit mismatch: recurrence double-counted a job")

@@ -1,13 +1,16 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
+import copy
 import hashlib
 import json
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from intervalgames import (InternalFailure, fixture, instance_to_json,
+from intervalgames import (InternalFailure, fixture, fixture_names, instance_to_json,
                            profile_to_json, random_profile)
 from intervalgames import cli
 from intervalgames.cli import main
@@ -184,6 +187,34 @@ def test_analyze_single_family_takes_n_equal_to_c(capsys, monkeypatch):
                              "--seed", "11", *flags)
         assert code == 0 and len(payload["reports"]) == 1
     assert sizes == [(3, 3), (2, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ne", "--fixture", "poa_tight"), "fixture 'poa_tight' takes (n, epsilon=1/10), got ()"),
+    (("opt", "--fixture", "pos_c"), "fixture 'pos_c' takes (c, epsilon_prime=1/4), got ()"),
+    (("fixture", "export", "ex1", "--n", "3"), "fixture 'ex1' takes (), got (n)"),
+    (("analyze", "--fixture", "unit_tight", "--n", "4"), "takes (c), got (n)"),
+])
+def test_fixture_parameter_errors_exit_2(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags", [("general", "--c", "0"), ("general", "--n", "0"),
+                                   ("single", "--c", "0"), ("single", "--n", "0"),
+                                   ("unit", "--n", "0", "--c", "0")])
+def test_analyze_family_reads_an_explicit_zero(capsys, flags):
+    # `--n 0` or `--c 0` is a value, not a missing flag: the generator's
+    # n >= c >= 1 check rejects it, as `igl gen` does.
+    family, *sizes = flags
+    code = main(["analyze", "--family", family, "--count", "1", *sizes])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "need n >= c >= 1" in captured.err
+    code = main(["gen", "--family", family, "--n", "0", "--c", "0", "--horizon", "3"])
+    assert code == 2 and capsys.readouterr().out == ""
 
 
 def test_brd_guards_a_large_joint_search(capsys, tmp_path):
@@ -376,3 +407,112 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
                        "(joint search limit 8)\n")
     assert cli.build_parser() is cli.build_parser()
     assert cli.build_parser().parse_args(verify).force is False
+
+
+# --- robustness: mutated documents through every subcommand ------------------
+
+_BASE_INSTANCES = (
+    # The README's instance document, with a window.
+    {"horizon": "4", "jobs": [{"id": 1, "color": 1, "length": "4", "weight": "2"},
+                              {"id": 2, "color": 1, "length": "1", "weight": "2"},
+                              {"id": 3, "color": 2, "length": "1", "weight": "3",
+                               "window": ["0", "3"]}]},
+    # One job per color and no windows, so the constructions and the
+    # optimum routes run too.
+    {"horizon": "3", "jobs": [{"id": 1, "color": 1, "length": "1", "weight": "2"},
+                              {"id": 2, "color": 2, "length": "2", "weight": "1"},
+                              {"id": 3, "color": 3, "length": "1", "weight": "1"}]},
+)
+_BASE_PROFILE = {"starts": {"1": "0", "2": "1", "3": "1/2"}}
+_ODD_VALUES = st.sampled_from([
+    0, 1, -1, 2, 7, 10 ** 30, 0.5, 1e300, float("nan"), float("inf"), True, False, None,
+    "", "x", "0", "1", "-1", "1/3", "1/0", "0.5", "2", "1e3", [], {}, ["0", "3"],
+    ["3", "0"], ["0"], {"id": 1}])
+_COMMANDS = (("solve", "{i}", "{p}"), ("solve", "{i}", "{p}", "--oracle"), ("opt", "{i}"),
+             ("opt", "{i}", "--method", "brute"), ("opt", "{i}", "--method", "knapsack"),
+             ("ne", "{i}", "--verify", "{p}"), ("ne", "{i}", "--enumerate"),
+             ("ne", "{i}", "--construct", "single"), ("ne", "{i}", "--construct", "unit"),
+             ("brd", "{i}", "{p}"), ("analyze", "{i}"))
+_FIXTURE_COMMANDS = (("fixture", "export", "{f}"), ("opt", "--fixture", "{f}"),
+                     ("ne", "--fixture", "{f}", "--enumerate"),
+                     ("ne", "--fixture", "{f}", "--construct", "single"),
+                     ("analyze", "--fixture", "{f}"))
+
+
+def _paths(doc, prefix=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield prefix, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def _mutated(draw, base):
+    """`base` after one to three edits: a value replaced by an odd one, a
+    key or list item deleted, or a list item duplicated."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        path, _ = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = copy.deepcopy(draw(_ODD_VALUES))
+            continue
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        op = draw(st.sampled_from(("replace", "delete", "duplicate")))
+        if op == "replace":
+            parent[path[-1]] = copy.deepcopy(draw(_ODD_VALUES))
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[path[-1]]))
+    return doc
+
+
+def _check_main(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)  # raises if an exception escapes
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), (argv, code)
+    if out:
+        assert out.endswith("\n") and out.count("\n") == 1, out
+        json.loads(out)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_documents_never_escape_main(capsys, tmp_path, data):
+    """ROADMAP item 4: on mutated instance and profile documents, every
+    subcommand returns 0, 1 or 2, no exception escapes `main`, and stdout is
+    empty or one JSON document."""
+    base = data.draw(st.sampled_from(_BASE_INSTANCES))
+    instance, profile = tmp_path / "instance.json", tmp_path / "profile.json"
+    mutate_instance = data.draw(st.booleans())
+    instance.write_text(json.dumps(data.draw(_mutated(base)) if mutate_instance else base))
+    profile.write_text(json.dumps(data.draw(_mutated(_BASE_PROFILE))
+                                  if not mutate_instance or data.draw(st.booleans())
+                                  else _BASE_PROFILE))
+    command = data.draw(st.sampled_from(_COMMANDS))
+    _check_main(capsys, [a.format(i=instance, p=profile) for a in command])
+
+
+@given(name=st.sampled_from(fixture_names()), command=st.sampled_from(_FIXTURE_COMMANDS),
+       params=st.dictionaries(
+           st.sampled_from(("--n", "--c", "--epsilon", "--epsilon-prime")),
+           st.sampled_from(("-1", "0", "1", "2", "3", "4", "1/10", "1/2", "x")),
+           max_size=3))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fixture_parameter_subsets_never_escape_main(capsys, name, command, params):
+    """Random subsets of the fixture parameters, including missing and
+    unexpected ones, through every subcommand that takes `--fixture`."""
+    argv = [a.format(f=name) for a in command]
+    for flag, value in params.items():
+        if flag in ("--n", "--c") and value.lstrip("-").isdigit():
+            argv += [flag, value]
+        elif flag.startswith("--epsilon"):
+            argv += [flag, value]
+    _check_main(capsys, argv)

@@ -508,9 +508,9 @@ def test_grid_keys_match_a_plain_product(monkeypatch):
     seen = []
     grid_keys = equilibrium._grid_keys
 
-    def recording(groups, size):
-        seen.append((groups, size))
-        return grid_keys(groups, size)
+    def recording(groups, base):
+        seen.append((groups, len(base)))
+        return grid_keys(groups, base)
 
     monkeypatch.setattr(equilibrium, "_grid_keys", recording)
     for inst in instances:
@@ -772,6 +772,82 @@ def test_best_response_stops_at_the_utility_ceiling(monkeypatch, values, stops_e
     else:
         # The current profile, then every combination of the joint search.
         assert len(calls) == 1 + size
+
+
+def _plain_walk(cache, key, player, mode, lists, prefer_value):
+    """Reference for the walk of `_player_search`: the plain product loop,
+    which writes every group at every combination, with the same tie rules
+    and stops. Returns the keys it evaluates, in order, and the key it
+    returns or stops at (None when no key beats the current one)."""
+    pix, full = cache.color_index[player], cache.totals
+    visited = [key]
+    best_u, best_value, best = cache.evaluate_key(key)[1][pix], None, None
+    if best_u == full[pix]:
+        return visited, None
+    base = list(key)
+    positions = [ps for _, ps in cache.groups[player]]
+    for combo in itertools.product(*(
+            itertools.combinations_with_replacement(coded, len(ps))
+            for ps, coded in zip(positions, lists))):
+        for ps, tup in zip(positions, combo):
+            for p, x in zip(ps, tup):
+                base[p] = x
+        visited.append(tuple(base))
+        value, per = cache.evaluate_key(tuple(base))
+        if per[pix] > best_u or (prefer_value and best is not None
+                                 and per[pix] == best_u and value > best_value):
+            best_u, best_value, best = per[pix], value, tuple(base)
+            if mode == "first" or (per[pix] == full[pix]
+                                   and (not prefer_value or per == full)):
+                break
+    return visited, best
+
+
+def test_player_search_walks_the_keys_of_a_plain_product(monkeypatch):
+    visited = []
+    evaluate_key = MachineCache.evaluate_key
+
+    def recording(self, key):
+        visited.append(key)
+        return evaluate_key(self, key)
+
+    cases = [(fx.instance, fx.notable_profiles["initial"], None) for fx in _partition_games()]
+    cases += [(fx.instance, p, None) for fx in _enumerable_fixtures()
+              for p in fx.notable_profiles.values()]
+    cases += [(inst, random_profile(inst, k), grid_candidates(inst))
+              for k, inst in enumerate(_differential_instances()[::3])]
+    seen = {"first": 0, "best": 0, "found": 0, "stopped": 0}
+    for inst, profile, gcands in cases:
+        inst = copy.copy(inst)  # a fresh core: the search fills its memo
+        cache = MachineCache.of(inst)
+        key = cache.key(profile.as_dict())
+        override = None if gcands is None else _on_scale(cache, gcands)
+        for player in inst.color_ids:
+            if override is None:
+                lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
+            else:
+                lists = _coded_lists(cache, player, override.__getitem__)
+            size = math.prod(math.comb(len(coded) + len(ps) - 1, len(ps))
+                             for (_, ps), coded in zip(cache.groups[player], lists))
+            if size > 5000:
+                continue
+            for mode, prefer_value in (("first", False), ("best", False), ("best", True)):
+                expected, stop = _plain_walk(cache, key, player, mode, lists, prefer_value)
+                visited.clear()
+                monkeypatch.setattr(MachineCache, "evaluate_key", recording)
+                got = _player_search(inst, cache, key, player, mode=mode,
+                                     grid_override=override, prefer_value=prefer_value)
+                monkeypatch.setattr(MachineCache, "evaluate_key", evaluate_key)
+                assert visited == expected, (inst, player, mode, prefer_value)
+                seen[mode] += 1
+                if mode == "first":
+                    assert (None if got is None else got[0]) == stop
+                    seen["found"] += got is not None
+                else:
+                    own = inst.jobs_of_color(player)
+                    assert got[0] == equilibrium._strategy(cache, stop or key, own)
+                    seen["stopped"] += 1 < len(expected) < 1 + size
+    assert min(seen.values()) > 0, seen
 
 
 # --- best responses against the continuum ------------------------------------------
@@ -1067,9 +1143,9 @@ def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
     dp_core, search, evaluate_key = (machine._dp_core, equilibrium._player_search,
                                      MachineCache.evaluate_key)
 
-    def counting_dp(rows, key):
+    def counting_dp(rows, key, per=None):
         counts["search_dp" if depth[0] else "enum_dp"] += 1
-        return dp_core(rows, key)
+        return dp_core(rows, key, per)
 
     def counting_search(*args, **kwargs):
         depth[0] += 1

@@ -23,6 +23,20 @@ def test_fixture_registry():
         fixture("nope")
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("poa_tight", {}, r"fixture 'poa_tight' takes \(n, epsilon=1/10\), got \(\)"),
+    ("pos_c", {"epsilon_prime": F(1, 8)},
+     r"fixture 'pos_c' takes \(c, epsilon_prime=1/4\), got \(epsilon_prime\)"),
+    ("unit_tight", {}, r"takes \(c\), got \(\)"),
+    ("ex1", {"n": 3}, r"fixture 'ex1' takes \(\), got \(n\)"),
+    ("poa_tight", {"n": 3, "c": 2}, r"takes \(n, epsilon=1/10\), got \(c, n\)"),
+    ("pos_two", {"epsilon_prime": F(1, 4)}, r"takes \(epsilon=1/2\)"),
+])
+def test_fixture_rejects_missing_or_unexpected_parameters(name, params, message):
+    with pytest.raises(ValidationError, match=message):
+        fixture(name, **params)
+
+
 def test_ex1_contents():
     fx = fixture("ex1")
     inst = fx.instance

@@ -19,7 +19,8 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            fixture, random_instance, random_profile,
                            solve_machine_bruteforce, solve_machine_dp,
                            validate_instance)
-from intervalgames.machine import _dp_core, _view
+from intervalgames import machine
+from intervalgames.machine import MachineCache, _dp_core, _view
 from conftest import check_schedule_invariants
 
 
@@ -356,6 +357,51 @@ def test_dp_core_matches_the_plain_scan(case):
     assert _dp_core(rows, times) == _scan_dp_core(rows, times)
 
 
+@st.composite
+def _zero_length_profiles(draw):
+    """An instance with some zero-length jobs, and start maps over it whose
+    denominators the core's scale already holds."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    colors = draw(st.integers(min_value=1, max_value=4))
+    jobs = tuple(Job(i + 1, draw(st.integers(min_value=1, max_value=colors)),
+                     F(draw(st.sampled_from((0, 0, 1, 2, 3))), 2),
+                     F(draw(st.integers(min_value=0, max_value=5)),
+                       draw(st.sampled_from((1, 2, 3)))))
+                 for i in range(n))
+    inst = validate_instance(Instance(F(3), jobs))
+    profiles = draw(st.lists(st.fixed_dictionaries({
+        j.id: st.integers(min_value=0, max_value=int(2 * (3 - j.length))).map(
+            lambda x: F(x, 2)) for j in jobs}), min_size=1, max_size=12))
+    return inst, profiles
+
+
+@given(_zero_length_profiles(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_key_utilities_match_the_covered_mask(case, limit):
+    inst, profiles = case
+    cache = MachineCache.of(inst)
+    keys = [cache.key(starts) for starts in profiles]
+
+    def independent(key):
+        # The covered ids from `_dp_core`'s mask, plus every zero-length job,
+        # summed per color from the instance's own weights.
+        top, mask, view = _dp_core(cache.rows, key)
+        ids = view[4]
+        covered = {ids[k] for k in range(len(ids)) if mask >> k & 1}
+        covered |= {j.id for j in inst.jobs if j.length == 0}
+        per = tuple(sum(cache.scaled(j.weight) for j in inst.jobs
+                        if j.id in covered and j.color == c) for c in inst.color_ids)
+        return cache.base_scaled + top, per
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine, "MEMO_LIMIT", limit)  # cleared past `limit` entries
+        for key in keys + keys[::-1]:
+            assert cache.evaluate_key(key) == independent(key)
+            assert len(cache._cache) <= limit + 1
+        assert cache.value(keys[0]) == solve_machine_dp(inst, Profile.from_dict(
+            profiles[0])).value
+
+
 _INCONSISTENT_CLOSURE = """
 from fractions import Fraction as F
 from intervalgames import Instance, InternalFailure, Job, validate_instance
@@ -365,6 +411,17 @@ starts = {1: F(0), 2: F(1)}  # [0,2) and [1,3) overlap
 st, rows, times, td = _scaled(inst, starts)
 try:
     _closure(st, starts, 2, 0b11, _view(rows, times), td)
+except InternalFailure as exc:
+    print("InternalFailure:", exc)
+# A window search that takes every earlier job as ending by s[i] double-counts
+# job 2, nested in both job 1 and job 3; the memo path's credit check sees it.
+from intervalgames import machine
+machine.bisect_right = lambda f, x, lo, hi: hi
+inst = validate_instance(Instance(F(4), (Job(1, 1, F(2), F(1)), Job(2, 1, F(1), F(1)),
+                                         Job(3, 1, F(2), F(1)))))
+cache = machine.MachineCache.of(inst)
+try:
+    cache.evaluate_key(cache.key({1: F(0), 2: F(1), 3: F(1)}))
 except InternalFailure as exc:
     print("InternalFailure:", exc)
 """
@@ -377,6 +434,7 @@ def test_closure_invariant_survives_optimize_flag():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("InternalFailure: covered jobs of different colors")
+    assert "\nInternalFailure: dp credit mismatch" in done.stdout
 
 
 def test_no_bare_assert_in_package():
