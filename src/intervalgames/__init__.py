@@ -8,16 +8,15 @@ rational arithmetic.
 """
 
 from .model import (FormatError, GameError, GuardError, Instance, InternalFailure,
-                    Job, Profile, Rational, Schedule, UnsupportedInstanceError,
-                    UtilityVector, ValidationError, instance_from_document,
-                    instance_to_document, instance_to_json, parse_instance,
-                    parse_profile, parse_schedule, profile_from_document,
-                    profile_to_document, profile_to_json, schedule_to_document,
-                    schedule_to_json, to_rational, utilities, validate_instance,
-                    validate_profile)
+                    Job, Profile, Schedule, UnsupportedInstanceError, UtilityVector,
+                    ValidationError, instance_from_document, instance_to_document,
+                    instance_to_json, parse_instance, parse_profile, parse_schedule,
+                    profile_from_document, profile_to_document, profile_to_json,
+                    schedule_to_document, schedule_to_json, to_rational, utilities,
+                    validate_instance, validate_profile)
 from .machine import solve_machine_bruteforce, solve_machine_dp
-from .optimum import (ColorAllocation, social_optimum_bruteforce,
-                      social_optimum_enumerate, social_optimum_single_knapsack)
+from .optimum import (social_optimum_bruteforce, social_optimum_enumerate,
+                      social_optimum_single_knapsack)
 from .equilibrium import (AnalysisReport, BrdOutcome, CandidateGrid, Deviation,
                           analyze, applicable_bounds, best_response, brd,
                           build_grid, enumerate_grid_ne, grid_candidates,
@@ -30,19 +29,17 @@ from .generators import (FAMILIES, Fact, Fixture, fixture, fixture_names,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport", "BrdOutcome", "CandidateGrid", "ColorAllocation",
-    "Deviation", "FAMILIES", "Fact", "Fixture", "FormatError", "GameError",
-    "GuardError", "Instance", "InternalFailure", "Job", "Profile", "Rational",
-    "Schedule", "UnsupportedInstanceError", "UtilityVector", "ValidationError",
-    "analyze",
-    "applicable_bounds", "best_response", "brd", "build_grid",
-    "enumerate_grid_ne", "fixture", "fixture_names", "from_knapsack",
-    "from_partition_br", "from_partition_decide", "from_partition_nonsymm",
-    "grid_candidates", "grid_profiles", "instance_from_document",
-    "instance_to_document", "instance_to_json", "is_nash", "joint_grid_size",
-    "ne_single", "ne_unit", "parse_instance", "parse_profile", "parse_schedule",
-    "profile_from_document", "profile_to_document",
-    "profile_to_json", "random_instance", "random_profile",
+    "AnalysisReport", "BrdOutcome", "CandidateGrid", "Deviation", "FAMILIES",
+    "Fact", "Fixture", "FormatError", "GameError", "GuardError", "Instance",
+    "InternalFailure", "Job", "Profile", "Schedule", "UnsupportedInstanceError",
+    "UtilityVector", "ValidationError", "analyze", "applicable_bounds",
+    "best_response", "brd", "build_grid", "enumerate_grid_ne", "fixture",
+    "fixture_names", "from_knapsack", "from_partition_br", "from_partition_decide",
+    "from_partition_nonsymm", "grid_candidates", "grid_profiles",
+    "instance_from_document", "instance_to_document", "instance_to_json",
+    "is_nash", "joint_grid_size", "ne_single", "ne_unit", "parse_instance",
+    "parse_profile", "parse_schedule", "profile_from_document",
+    "profile_to_document", "profile_to_json", "random_instance", "random_profile",
     "schedule_to_document", "schedule_to_json", "social_optimum_bruteforce",
     "social_optimum_enumerate", "social_optimum_single_knapsack",
     "solve_machine_bruteforce", "solve_machine_dp", "tightest_bound",

@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import Optional
 
 from . import generators
 from .equilibrium import (analyze, brd, enumerate_grid_ne, is_nash, ne_single,
@@ -48,13 +49,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_instance(args) -> Instance:
-    if getattr(args, "fixture", None):
-        fx = _fixture_from_args(args)
-        return fx.instance
+def _load_instance(args) -> tuple[Instance, Optional[generators.Fixture]]:
+    """The instance of `--fixture` or of the instance path, and the fixture
+    it came from (None for a path)."""
+    if args.fixture:
+        fx = generators.fixture(args.fixture, **_fixture_params(args))
+        return fx.instance, fx
     if not args.instance:
         raise GameError("an instance path (or --fixture) is required")
-    return parse_instance(_read(args.instance))
+    return parse_instance(_read(args.instance)), None
 
 
 def _fixture_params(args) -> dict:
@@ -70,12 +73,8 @@ def _fixture_params(args) -> dict:
     return params
 
 
-def _fixture_from_args(args) -> generators.Fixture:
-    return generators.fixture(args.fixture, **_fixture_params(args))
-
-
 def cmd_solve(args) -> int:
-    instance = _load_instance(args)
+    instance, _ = _load_instance(args)
     profile = parse_profile(_read(args.profile), instance)
     schedule = solve_machine_dp(instance, profile)
     payload = schedule_to_document(schedule)
@@ -92,7 +91,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_opt(args) -> int:
-    instance = _load_instance(args)
+    instance, _ = _load_instance(args)
     if args.method == "brute":
         value = social_optimum_bruteforce(instance, force=args.force)
         _emit({"value": rational_str(value), "method": "brute"})
@@ -111,7 +110,7 @@ def cmd_opt(args) -> int:
 
 
 def cmd_ne(args) -> int:
-    instance = _load_instance(args)
+    instance, fx = _load_instance(args)
     if args.construct:
         profile = ne_single(instance) if args.construct == "single" else ne_unit(instance)
         value = solve_machine_dp(instance, profile).value
@@ -144,15 +143,11 @@ def cmd_ne(args) -> int:
     payload = {"ne": [{"profile": profile_to_document(p), "value": rational_str(v)}
                       for p, v in found],
                "grid_resolution": args.resolution}
-    expected_no_ne = False
-    if getattr(args, "fixture", None):
-        fx = _fixture_from_args(args)
-        expected_no_ne = any(f.kind == "no_ne" for f in fx.facts)
     if found:
         payload["status"] = "ok"
         _emit(payload)
         return EXIT_OK
-    if expected_no_ne:
+    if fx is not None and any(f.kind == "no_ne" for f in fx.facts):
         payload["status"] = "no_ne_expected"
         _emit(payload)
         return EXIT_OK
@@ -163,7 +158,7 @@ def cmd_ne(args) -> int:
 
 
 def cmd_brd(args) -> int:
-    instance = _load_instance(args)
+    instance, _ = _load_instance(args)
     initial = parse_profile(_read(args.initial), instance)
     outcome = brd(instance, initial, order=args.order, max_iters=args.max_iters,
                   resolution=args.resolution, force=args.force)
@@ -246,7 +241,7 @@ def cmd_analyze(args) -> int:
         if violated:
             raise InternalFailure(f"bound violated on seeds {violated}")
         return EXIT_OK
-    instance = _load_instance(args)
+    instance, _ = _load_instance(args)
     report = analyze(instance, resolution=args.resolution, force=args.force)
     _emit(_report_doc(report))
     if report.bound_satisfied is False:
@@ -312,6 +307,10 @@ def cmd_gen(args) -> int:
 
 def _add_fixture_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixture", help="use a named fixture instead of a file")
+    _add_fixture_params(p)
+
+
+def _add_fixture_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="fixture parameter n")
     p.add_argument("--c", type=int, help="fixture parameter c")
     p.add_argument("--epsilon", help="fixture parameter epsilon (rational)")
@@ -387,10 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixture", help="list or export named fixtures")
     p.add_argument("action", choices=("list", "export"))
     p.add_argument("name", nargs="?")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--epsilon")
-    p.add_argument("--epsilon-prime", dest="epsilon_prime")
+    _add_fixture_params(p)
     p.add_argument("-o", "--out", help="write the instance document here")
     p.set_defaults(func=cmd_fixture)
 

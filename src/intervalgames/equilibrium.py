@@ -33,12 +33,12 @@ Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
 bounds that a search over the same grid proved, by three rules that also
 settle profiles whose starts are off the aligned lists. It is bounded: it
-lives in the core's grid cache, which is cleared past 100,000 entries. It
-leaves the searched grid unchanged, so the enumerated equilibria are those of
-the plain search. Utilities are compared as integers over the lcm of the
-weight denominators, and equilibria are sorted as (value, starts) ints.
-`Fraction`s are built only for what is returned: strategies, utilities,
-deviations and profiles.
+lives in the core's grid cache, which is cleared past
+`machine.GRID_CACHE_LIMIT` entries. It leaves the searched grid unchanged, so
+the enumerated equilibria are those of the plain search. Utilities are
+compared as integers over the lcm of the weight denominators, and equilibria
+are sorted as (value, starts) ints. `Fraction`s are built only for what is
+returned: strategies, utilities, deviations and profiles.
 
 Grid-NE enumeration runs one machine DP per order type of its profiles. The
 DP only compares interval endpoints and breaks ties by job id, so profiles
@@ -63,7 +63,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
-from .machine import (MEMO_LIMIT, MachineCache, _job_groups, _ticks, _time_lcm,
+from . import machine
+from .machine import (MachineCache, _bounded_put, _job_groups, _ticks, _time_lcm,
                       machine_value_and_covered)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
                     UnsupportedInstanceError, ValidationError, validate_profile)
@@ -288,10 +289,8 @@ def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
         big = (sum(len(ids_) for ids_, _ in sized) > BEST_RESPONSE_MAX_JOBS
                or any(n > BEST_RESPONSE_MAX_GRID for _, n in sized)
                or _profile_count(sized) > BEST_RESPONSE_MAX_SEARCH)
-        if len(cache.grid_cache) > 100_000:
-            cache.grid_cache.clear()
-        record = cache.grid_cache[others_key] = _GridRecord(
-            coded, cache.totals[cache.color_index[player]], big)
+        record = _GridRecord(coded, cache.totals[cache.color_index[player]], big)
+        _bounded_put(cache.grid_cache, others_key, record, machine.GRID_CACHE_LIMIT)
     return record
 
 
@@ -529,13 +528,6 @@ def grid_candidates(instance: Instance,
     return {jid: tuple(Fraction(x, den) for x in cands) for jid, cands in candidates.items()}
 
 
-def _global_groups(cache: MachineCache, candidates) -> list:
-    """Every player's interchangeable-job groups as (sorted ids, key
-    positions, global-grid candidates), ordered by smallest id."""
-    return sorted((ids_, positions, candidates[ids_[0]])
-                  for groups in cache.groups.values() for ids_, positions in groups)
-
-
 def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
     """Number of enumerated joint profiles."""
     _, candidates = _grid_ticks(instance, resolution)
@@ -549,7 +541,10 @@ def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
     scale. The resolution and the size guard are checked at the call, before
     the first key is asked for."""
     den, candidates = _grid_ticks(instance, resolution)
-    groups = _global_groups(cache, candidates)
+    # Every player's groups as (ids, key positions, global-grid candidates),
+    # ordered by smallest id.
+    groups = sorted((ids_, positions, candidates[ids_[0]])
+                    for own in cache.groups.values() for ids_, positions in own)
     size = _profile_count((ids_, len(cands)) for ids_, _, cands in groups)
     if size > GRID_ENUM_MAX_PROFILES and not force:
         raise GuardError(f"joint grid holds {size} profiles "
@@ -645,15 +640,6 @@ def _type_signer(cache: MachineCache, moving):
                 *[own[x] for x in points])
 
     return sign
-
-
-def _bounded_put(table: dict, key, value):
-    """Store `value` under `key` and return it, clearing `table` first when
-    it holds more than `MEMO_LIMIT` entries, as the core's memo does."""
-    if len(table) > MEMO_LIMIT:
-        table.clear()
-    table[key] = value
-    return value
 
 
 def _grid_ne(instance: Instance, cache: MachineCache, keys,
@@ -833,10 +819,6 @@ def ne_unit(instance: Instance) -> Profile:
 # ---------------------------------------------------------------------------
 # Analysis
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def instance_classes(instance: Instance) -> tuple[str, ...]:
     tags = []
     if instance.is_single:
@@ -869,7 +851,7 @@ def applicable_bounds(instance: Instance) -> list[tuple[str, Fraction]]:
         if instance.is_prop:
             bounds.append(("prop-single", Fraction(3)))
     if instance.is_unit:
-        k = _floor(instance.horizon)
+        k = math.floor(instance.horizon)
         if k >= 1:
             bounds.append(("unit", min(3 - Fraction(2, k), 3 - Fraction(2, c))))
     return bounds

@@ -46,6 +46,17 @@ from .model import GuardError, Instance, InternalFailure, Profile, Schedule
 
 BRUTE_FORCE_MAX_JOBS = 20
 MEMO_LIMIT = 600_000  # a core's memo is cleared when it grows past this
+GRID_CACHE_LIMIT = 100_000  # and its grid cache past this
+
+
+def _bounded_put(table: dict, key, value, limit=None):
+    """Store `value` under `key` and return it, clearing `table` first when
+    it holds more than `limit` entries (default: `MEMO_LIMIT`, read at the
+    call)."""
+    if len(table) > (MEMO_LIMIT if limit is None else limit):
+        table.clear()
+    table[key] = value
+    return value
 
 
 def _ticks(x: Fraction, td: int) -> int:
@@ -172,16 +183,24 @@ class MachineCache:
         denominator d has 2d not dividing `td` widens `td` to their lcm (a
         local grid halves gaps between such starts); the game tables, memo
         and grid records are then rebuilt on the new scale."""
-        xs = [starts[j.id].as_integer_ratio() for j in self.instance.jobs]
-        td = math.lcm(self.td, *[2 * d for _, d in xs])
+        rows, times, td = self._widen(starts, 2)
         if td != self.td:
-            m = td // self.td
-            self.td = td
-            self.rows = [(p, ln * m, jid, w, c) for p, ln, jid, w, c in self.rows]
-            self._groups = None
+            self.td, self.rows, self._groups = td, rows, None
         if self._groups is None:
             self._build_game_tables()
-        return tuple([n * (td // d) for n, d in xs])
+        return tuple(times)
+
+    def _widen(self, starts: Mapping[int, Fraction], factor: int):
+        """(DP rows, start numerators in instance order, td) on td, the lcm
+        of the core's `td` and `factor` times each start's denominator. The
+        core itself is unchanged."""
+        xs = [starts[j.id].as_integer_ratio() for j in self.instance.jobs]
+        td = math.lcm(self.td, *[factor * d for _, d in xs])
+        rows = self.rows
+        if td != self.td:
+            m = td // self.td
+            rows = [(p, ln * m, jid, w, c) for p, ln, jid, w, c in rows]
+        return rows, [n * (td // d) for n, d in xs], td
 
     def others_key(self, player: int, key: tuple) -> tuple:
         """The player and the other players' starts in a key."""
@@ -194,10 +213,8 @@ class MachineCache:
         hit = self._cache.get(key)
         if hit is None:
             per = self.zero_per.copy()
-            hit = (self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per))
-            if len(self._cache) > MEMO_LIMIT:
-                self._cache.clear()
-            self._cache[key] = hit
+            hit = _bounded_put(self._cache, key, (
+                self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per)))
         return hit
 
     def ticks(self, x: Fraction) -> int:
@@ -224,13 +241,7 @@ def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
     (core, DP rows, start numerators in instance order, td), where td is the
     lcm of the core's `td` and the start denominators. Exact."""
     st = MachineCache.of(instance)
-    xs = [starts[j.id].as_integer_ratio() for j in instance.jobs]
-    td = math.lcm(st.td, *[d for _, d in xs])
-    rows = st.rows
-    if td != st.td:
-        m = td // st.td
-        rows = [(p, ln * m, jid, w, c) for p, ln, jid, w, c in rows]
-    return st, rows, [n * (td // d) for n, d in xs], td
+    return (st, *st._widen(starts, 1))
 
 
 def _view(rows, times):

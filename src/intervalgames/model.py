@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -155,17 +153,8 @@ class Profile:
     def from_dict(starts: Mapping[int, Fraction]) -> "Profile":
         return Profile(tuple(sorted(starts.items())))
 
-    def start(self, job_id: int) -> Fraction:
-        for jid, s in self.placements:
-            if jid == job_id:
-                return s
-        raise ValidationError(f"profile has no start for job {job_id}")
-
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.placements)
-
-    def __len__(self) -> int:
-        return len(self.placements)
 
 
 @dataclass(frozen=True)
@@ -183,12 +172,6 @@ class UtilityVector:
 
     entries: tuple[tuple[int, Fraction], ...]
     total: Fraction
-
-    def of(self, color: int) -> Fraction:
-        for c, u in self.entries:
-            if c == color:
-                return u
-        raise ValidationError(f"unknown color {color}")
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return tuple(u for _, u in self.entries)

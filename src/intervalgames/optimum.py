@@ -11,7 +11,6 @@ windows break the reshaping argument, so all three routes reject them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,20 +20,6 @@ from .model import (ZERO, GuardError, Instance, InternalFailure, Job, Profile,
 
 ENUMERATION_MAX_TUPLES = 10 ** 7
 KNAPSACK_MAX_CAPACITY = 10 ** 6
-
-
-@dataclass(frozen=True)
-class ColorAllocation:
-    """Interval lengths granted to each color (0 allowed), laid out in
-    ascending color-id order."""
-
-    lengths: tuple[tuple[int, Fraction], ...]
-
-    def of(self, color: int) -> Fraction:
-        for c, length in self.lengths:
-            if c == color:
-                return length
-        return ZERO
 
 
 def _require_symmetric(instance: Instance, op: str):
@@ -124,9 +109,7 @@ def social_optimum_single_knapsack(instance: Instance,
         raise UnsupportedInstanceError(
             "knapsack route requires exactly one job per color")
     jobs = sorted(instance.jobs, key=lambda j: j.id)
-    denom = instance.horizon.denominator
-    for j in jobs:
-        denom = denom * j.length.denominator // math.gcd(denom, j.length.denominator)
+    denom = math.lcm(instance.horizon.denominator, *[j.length.denominator for j in jobs])
     cap = instance.horizon * denom
     if cap.denominator != 1:
         raise InternalFailure(f"scaled horizon {cap} is not an integer")

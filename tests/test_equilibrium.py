@@ -1181,6 +1181,26 @@ def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
         assert typed[count] == exact[count] > 0
 
 
+def test_bounded_tables_clear_without_changing_results(monkeypatch):
+    # With both limits at 1, the core's memo, the order-type memo and the
+    # grid cache are cleared at every other write during one enumeration.
+    from intervalgames import machine
+    instances = [fixture(name, **params).instance for name, params in (
+        ("ex1", {}), ("prop_no_ne", {}), ("pos_two", {}), ("poa_tight", {"n": 3}),
+        ("poa_tight", {"n": 5}), ("unit_tight", {"c": 2}))]
+    assert not any(inst.has_windows for inst in instances)
+    expected = [(enumerate_grid_ne(copy.copy(inst)), analyze(copy.copy(inst)))
+                for inst in instances]
+    monkeypatch.setattr(machine, "MEMO_LIMIT", 1)
+    monkeypatch.setattr(machine, "GRID_CACHE_LIMIT", 1)
+    for inst, (found, report) in zip(instances, expected):
+        fresh = copy.copy(inst)
+        assert enumerate_grid_ne(fresh) == found
+        cache = MachineCache.of(fresh)
+        assert len(cache._cache) <= 2 and len(cache.grid_cache) <= 2
+        assert analyze(copy.copy(inst)) == report
+
+
 # --- analysis ---------------------------------------------------------------------
 
 def test_bound_table():

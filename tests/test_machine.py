@@ -1,6 +1,7 @@
 """Machine solver: worked examples, oracle equivalence, output invariants."""
 
 import ast
+import collections
 import hashlib
 import os
 import pathlib
@@ -445,3 +446,24 @@ def test_no_bare_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level `_name` function or class is referenced somewhere in
+    the package outside its own definition, so no helper outlives its last
+    caller."""
+    files = sorted(pathlib.Path(intervalgames.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path)) for path in files]
+    helpers = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert any(node.name == "_dp_core" for node in helpers)
+
+    def references(root) -> collections.Counter:
+        return collections.Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(root) if isinstance(node, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(references, trees), collections.Counter())
+    assert [node.name for node in helpers
+            if everywhere[node.name] == references(node)[node.name]] == []
