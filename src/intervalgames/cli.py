@@ -22,9 +22,9 @@ from .equilibrium import (analyze, brd, enumerate_grid_ne, is_nash, ne_single,
                           ne_unit, tightest_bound)
 from .machine import solve_machine_bruteforce, solve_machine_dp
 from .model import (GameError, GuardError, Instance, InternalFailure,
-                    rational_str, instance_to_document, parse_instance,
-                    parse_profile, profile_to_document, schedule_to_document,
-                    to_rational)
+                    ValidationError, instance_to_document, instance_to_json,
+                    parse_instance, parse_profile, profile_to_document,
+                    rational_str, schedule_to_document, to_rational)
 from .optimum import (social_optimum_bruteforce, social_optimum_enumerate,
                       social_optimum_single_knapsack)
 
@@ -61,16 +61,15 @@ def _load_instance(args) -> tuple[Instance, Optional[generators.Fixture]]:
 
 
 def _fixture_params(args) -> dict:
-    params = {}
-    for key in ("n", "c"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    for key in ("epsilon", "epsilon_prime"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = to_rational(value, key)
-    return params
+    """The fixture parameters given, unparsed: each builder parses its own."""
+    return {key: value for key in ("n", "c", "epsilon", "epsilon_prime")
+            if (value := getattr(args, key)) is not None}
+
+
+def _save(path: str, instance: Instance) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(instance_to_json(instance) + "\n")
+    _note(f"instance written to {path}")
 
 
 def cmd_solve(args) -> int:
@@ -209,6 +208,9 @@ def _analyze_one(task) -> dict:
 
 def cmd_analyze(args) -> int:
     if args.family:
+        if args.count < 0:
+            raise ValidationError(f"--count must be at least 0, got {args.count}")
+        # Parsed here too: with --count 0 no instance checks the horizon.
         horizon = to_rational(args.horizon or "3", "horizon")
         single = args.family == "single"  # n == c: a missing one follows the other
         n = args.n if args.n is not None else args.c if single and args.c is not None else 3
@@ -225,19 +227,12 @@ def cmd_analyze(args) -> int:
                 reports = list(pool.map(_analyze_one, tasks))
         else:
             reports = [_analyze_one(t) for t in tasks]
-        worst = None
-        violated = []
-        for doc in reports:
-            if doc["poa_lower"] is not None:
-                ratio = Fraction(doc["poa_lower"])
-                if worst is None or ratio > worst:
-                    worst = ratio
-                if doc["bound_satisfied"] is False:
-                    violated.append(doc["seed"])
-        payload = {"family": args.family, "count": args.count,
-                   "max_poa_lower": rational_str(worst) if worst is not None else None,
-                   "violations": violated, "reports": reports}
-        _emit(payload)
+        worst = max((Fraction(d["poa_lower"]) for d in reports
+                     if d["poa_lower"] is not None), default=None)
+        violated = [d["seed"] for d in reports if d["bound_satisfied"] is False]
+        _emit({"family": args.family, "count": args.count,
+               "max_poa_lower": rational_str(worst) if worst is not None else None,
+               "violations": violated, "reports": reports})
         if violated:
             raise InternalFailure(f"bound violated on seeds {violated}")
         return EXIT_OK
@@ -253,6 +248,8 @@ def cmd_fixture(args) -> int:
     if args.action == "list":
         _emit({"fixtures": list(generators.fixture_names())})
         return EXIT_OK
+    if not args.name:
+        raise GameError("fixture export requires a name")
     fx = generators.fixture(args.name, **_fixture_params(args))
     doc = {"name": fx.name,
            "instance": instance_to_document(fx.instance),
@@ -264,10 +261,7 @@ def cmd_fixture(args) -> int:
                      for f in fx.facts],
            "params": {k: _payload_doc(v) for k, v in fx.params.items()}}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(instance_to_document(fx.instance), fh, sort_keys=True)
-            fh.write("\n")
-        _note(f"instance written to {args.out}")
+        _save(args.out, fx.instance)
     _emit(doc)
     return EXIT_OK
 
@@ -293,29 +287,11 @@ def _default_seed() -> int:
 def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     instance = generators.random_instance(args.family, args.n, args.c,
-                                          to_rational(args.horizon, "horizon"),
-                                          seed)
-    doc = instance_to_document(instance)
+                                          args.horizon, seed)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        _note(f"instance written to {args.out}")
-    _emit(doc)
+        _save(args.out, instance)
+    _emit(instance_to_document(instance))
     return EXIT_OK
-
-
-def _add_fixture_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fixture", help="use a named fixture instead of a file")
-    _add_fixture_params(p)
-
-
-def _add_fixture_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, help="fixture parameter n")
-    p.add_argument("--c", type=int, help="fixture parameter c")
-    p.add_argument("--epsilon", help="fixture parameter epsilon (rational)")
-    p.add_argument("--epsilon-prime", dest="epsilon_prime",
-                   help="fixture parameter epsilon' (rational)")
 
 
 @functools.cache
@@ -323,54 +299,57 @@ def build_parser() -> argparse.ArgumentParser:
     """The `igl` parser, built once per process. Parsing leaves it unchanged
     (each call fills a new namespace), so callers share it and must not
     modify it."""
+    # The instance source of five subcommands; `fixture` takes `params` too.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("instance", nargs="?")
+    source.add_argument("--force", action="store_true", help="override size guards")
+    source.add_argument("--fixture", help="use a named fixture instead of a file")
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--n", type=int, help="fixture parameter n")
+    params.add_argument("--c", type=int, help="fixture parameter c")
+    params.add_argument("--epsilon", help="fixture parameter epsilon (rational)")
+    params.add_argument("--epsilon-prime", dest="epsilon_prime",
+                        help="fixture parameter epsilon' (rational)")
+    shared = [source, params]
+
     parser = argparse.ArgumentParser(
         prog="igl",
         description="Interval scheduling games: solvers, equilibria, analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="machine response for a fixed profile")
-    p.add_argument("instance", nargs="?")
+    p = sub.add_parser("solve", parents=shared,
+                       help="machine response for a fixed profile")
     p.add_argument("profile")
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force oracle and compare")
-    p.add_argument("--force", action="store_true", help="override size guards")
-    _add_fixture_options(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("opt", help="social optimum")
-    p.add_argument("instance", nargs="?")
+    p = sub.add_parser("opt", parents=shared, help="social optimum")
     p.add_argument("--method", choices=("enumerate", "knapsack", "brute"),
                    default="enumerate")
-    p.add_argument("--force", action="store_true")
-    _add_fixture_options(p)
     p.set_defaults(func=cmd_opt)
 
-    p = sub.add_parser("ne", help="construct, verify, or enumerate equilibria")
-    p.add_argument("instance", nargs="?")
+    p = sub.add_parser("ne", parents=shared,
+                       help="construct, verify, or enumerate equilibria")
     p.add_argument("--construct", choices=("single", "unit"))
     p.add_argument("--verify", metavar="PROFILE",
                    help="profile document to certify")
     p.add_argument("--enumerate", action="store_true",
                    help="enumerate grid equilibria (default action)")
     p.add_argument("--resolution", type=int, default=1)
-    p.add_argument("--force", action="store_true")
-    _add_fixture_options(p)
     p.set_defaults(func=cmd_ne)
 
-    p = sub.add_parser("brd", help="best-response dynamics")
-    p.add_argument("instance", nargs="?")
+    p = sub.add_parser("brd", parents=shared, help="best-response dynamics")
     p.add_argument("initial", help="initial profile document")
     p.add_argument("--order", choices=("round_robin", "first_improving"),
                    default="round_robin")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--resolution", type=int, default=1)
     p.add_argument("--trace", help="write the move trace as CSV")
-    p.add_argument("--force", action="store_true")
-    _add_fixture_options(p)
     p.set_defaults(func=cmd_brd)
 
-    p = sub.add_parser("analyze", help="optimum, equilibria, and bound check")
-    p.add_argument("instance", nargs="?")
+    p = sub.add_parser("analyze", parents=shared,
+                       help="optimum, equilibria, and bound check")
     p.add_argument("--family", choices=generators.FAMILIES,
                    help="analyze a seeded random family instead of one instance")
     p.add_argument("--count", type=int, default=10)
@@ -379,14 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers in family mode")
-    p.add_argument("--force", action="store_true")
-    _add_fixture_options(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("fixture", help="list or export named fixtures")
+    p = sub.add_parser("fixture", parents=[params],
+                       help="list or export named fixtures")
     p.add_argument("action", choices=("list", "export"))
     p.add_argument("name", nargs="?")
-    _add_fixture_params(p)
     p.add_argument("-o", "--out", help="write the instance document here")
     p.set_defaults(func=cmd_fixture)
 
@@ -405,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "fixture" and args.action == "export" and not args.name:
-        _note("fixture export requires a name")
-        return EXIT_INPUT
     if getattr(args, "force", False):
         _note("WARNING: --force disables size guards; large inputs may take "
               "unbounded time and memory")

@@ -12,8 +12,8 @@ The searches run on ints on the time scale of the instance's solver core
 (`machine.MachineCache`, stored on the `Instance` object and dropped with
 it): every start is a numerator over the core's time denominator, and a memo
 key is the tuple of a profile's start times. `best_response`, `is_nash` and
-`brd` fit the core to their profile first; a start off the scale widens it,
-and drops the memo and grid records, before the search, never during it.
+`brd` validate their profile and fit the core to it; a start off the scale
+widens it and drops the memo and grid records before a search, never during.
 One function makes every local grid (`_grid_points`, untagged ints);
 `build_grid` is its `Fraction` view and the only place that tags points with
 their provenance, and it raises `InternalFailure` rather than truncate a gap
@@ -64,10 +64,12 @@ from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from . import machine
+# Not called here: perfbench's tracer finds `machine_value_and_covered` here.
 from .machine import (MachineCache, _bounded_put, _job_groups, _ticks, _time_lcm,
-                      machine_value_and_covered)
+                      machine_value_and_covered, solve_machine_dp)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
-                    UnsupportedInstanceError, ValidationError, validate_profile)
+                    UnsupportedInstanceError, ValidationError, utilities,
+                    validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
 BEST_RESPONSE_MAX_GRID = 64
@@ -122,9 +124,6 @@ class Deviation:
             raise InternalFailure(
                 f"deviation of player {self.player} does not improve: "
                 f"{self.utility_before} -> {self.utility_after}")
-
-    def strategy_dict(self) -> dict[int, Fraction]:
-        return dict(self.new_strategy)
 
 
 @dataclass(frozen=True)
@@ -427,6 +426,7 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     A joint search of more than `BEST_RESPONSE_MAX_SEARCH` strategies raises
     `GuardError` before its first one is evaluated, unless `force` is set.
     """
+    validate_profile(instance, profile)
     cache = MachineCache.of(instance)
     return _player_search(instance, cache, cache.key(profile.as_dict()), player,
                           mode="best", force=force)
@@ -441,6 +441,7 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     improving move (same stable/unstable verdict, cheaper witness). `players`
     restricts the scan to a subset of colors.
     """
+    validate_profile(instance, profile)
     cache = MachineCache.of(instance)
     key = cache.key(profile.as_dict())
     scan = instance.color_ids if players is None else tuple(sorted(players))
@@ -463,15 +464,11 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
 
 
 def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bool:
-    """Re-check a deviation from scratch (no caches): exact strict improvement."""
-    before, covered_before = machine_value_and_covered(instance, profile.as_dict())
-    starts = profile.as_dict()
-    starts.update(dev.strategy_dict())
-    after, covered_after = machine_value_and_covered(instance, starts)
-    weight = {j.id: j.weight for j in instance.jobs}
-    color = {j.id: j.color for j in instance.jobs}
-    u_before = sum((weight[i] for i in covered_before if color[i] == dev.player), ZERO)
-    u_after = sum((weight[i] for i in covered_after if color[i] == dev.player), ZERO)
+    """Re-check a deviation from scratch with the machine DP (no memo): exact
+    strict improvement."""
+    moved = Profile.from_dict({**profile.as_dict(), **dict(dev.new_strategy)})
+    u_before, u_after = (dict(utilities(instance, p, solve_machine_dp(instance, p))
+                              .entries)[dev.player] for p in (profile, moved))
     return (u_before == dev.utility_before and u_after == dev.utility_after
             and u_after > u_before)
 
@@ -699,6 +696,8 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     """
     if order not in ("round_robin", "first_improving"):
         raise ValidationError(f"unknown BRD order {order!r}")
+    if max_iters < 0:
+        raise ValidationError(f"max_iters must be at least 0, got {max_iters}")
     validate_profile(instance, initial)
     cache = MachineCache.of(instance)
     key = cache.key(initial.as_dict())

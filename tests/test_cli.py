@@ -1,5 +1,6 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -516,3 +517,151 @@ def test_fixture_parameter_subsets_never_escape_main(capsys, name, command, para
         elif flag.startswith("--epsilon"):
             argv += [flag, value]
     _check_main(capsys, argv)
+
+
+# --- the parser's surface, pinned --------------------------------------------
+
+# Per subcommand: positionals in parse order as (dest, nargs, choices), and
+# options as (option strings, dest, default, type, choices, required).
+_FAMILIES = ("single", "unit", "prop", "general", "nonsymm")
+PARSER_SURFACE = {
+    "solve": ([("instance", "?", None), ("profile", None, None)], [
+        (("--c",), "c", None, int, None, False),
+        (("--epsilon",), "epsilon", None, None, None, False),
+        (("--epsilon-prime",), "epsilon_prime", None, None, None, False),
+        (("--fixture",), "fixture", None, None, None, False),
+        (("--force",), "force", False, None, None, False),
+        (("--n",), "n", None, int, None, False),
+        (("--oracle",), "oracle", False, None, None, False)]),
+    "opt": ([("instance", "?", None)], [
+        (("--c",), "c", None, int, None, False),
+        (("--epsilon",), "epsilon", None, None, None, False),
+        (("--epsilon-prime",), "epsilon_prime", None, None, None, False),
+        (("--fixture",), "fixture", None, None, None, False),
+        (("--force",), "force", False, None, None, False),
+        (("--method",), "method", "enumerate", None, ("enumerate", "knapsack", "brute"),
+         False),
+        (("--n",), "n", None, int, None, False)]),
+    "ne": ([("instance", "?", None)], [
+        (("--c",), "c", None, int, None, False),
+        (("--construct",), "construct", None, None, ("single", "unit"), False),
+        (("--enumerate",), "enumerate", False, None, None, False),
+        (("--epsilon",), "epsilon", None, None, None, False),
+        (("--epsilon-prime",), "epsilon_prime", None, None, None, False),
+        (("--fixture",), "fixture", None, None, None, False),
+        (("--force",), "force", False, None, None, False),
+        (("--n",), "n", None, int, None, False),
+        (("--resolution",), "resolution", 1, int, None, False),
+        (("--verify",), "verify", None, None, None, False)]),
+    "brd": ([("instance", "?", None), ("initial", None, None)], [
+        (("--c",), "c", None, int, None, False),
+        (("--epsilon",), "epsilon", None, None, None, False),
+        (("--epsilon-prime",), "epsilon_prime", None, None, None, False),
+        (("--fixture",), "fixture", None, None, None, False),
+        (("--force",), "force", False, None, None, False),
+        (("--max-iters",), "max_iters", 500, int, None, False),
+        (("--n",), "n", None, int, None, False),
+        (("--order",), "order", "round_robin", None, ("round_robin", "first_improving"),
+         False),
+        (("--resolution",), "resolution", 1, int, None, False),
+        (("--trace",), "trace", None, None, None, False)]),
+    "analyze": ([("instance", "?", None)], [
+        (("--c",), "c", None, int, None, False),
+        (("--count",), "count", 10, int, None, False),
+        (("--epsilon",), "epsilon", None, None, None, False),
+        (("--epsilon-prime",), "epsilon_prime", None, None, None, False),
+        (("--family",), "family", None, None, _FAMILIES, False),
+        (("--fixture",), "fixture", None, None, None, False),
+        (("--force",), "force", False, None, None, False),
+        (("--horizon",), "horizon", None, None, None, False),
+        (("--jobs",), "jobs", 1, int, None, False),
+        (("--n",), "n", None, int, None, False),
+        (("--resolution",), "resolution", 1, int, None, False),
+        (("--seed",), "seed", None, int, None, False)]),
+    "fixture": ([("action", None, ("list", "export")), ("name", "?", None)], [
+        (("--c",), "c", None, int, None, False),
+        (("--epsilon",), "epsilon", None, None, None, False),
+        (("--epsilon-prime",), "epsilon_prime", None, None, None, False),
+        (("--n",), "n", None, int, None, False),
+        (("-o", "--out"), "out", None, None, None, False)]),
+    "gen": ([], [
+        (("--c",), "c", None, int, None, True),
+        (("--family",), "family", None, None, _FAMILIES, True),
+        (("--horizon",), "horizon", None, None, None, True),
+        (("--n",), "n", None, int, None, True),
+        (("--seed",), "seed", None, int, None, False),
+        (("-o", "--out"), "out", None, None, None, False)]),
+}
+
+
+def test_parser_surface_matches_the_pinned_table():
+    """Every subcommand keeps its option strings, dests and defaults, however
+    the parser declares them."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        surface[name] = (
+            [(a.dest, a.nargs, a.choices) for a in actions if not a.option_strings],
+            sorted((tuple(a.option_strings), a.dest, a.default, a.type,
+                    None if a.choices is None else tuple(a.choices), a.required)
+                   for a in actions if a.option_strings))
+    assert surface == PARSER_SURFACE
+    for name, p in sub.choices.items():
+        assert p.get_default("func") is getattr(cli, f"cmd_{name}")
+
+
+def test_written_instance_is_the_printed_document(capsys, tmp_path):
+    out = tmp_path / "gen.json"
+    code = main(["gen", "--family", "general", "--n", "4", "--c", "2",
+                 "--horizon", "5/2", "--seed", "3", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and out.read_text(encoding="utf-8") == captured.out
+    assert captured.err == f"instance written to {out}\n"
+    code = main(["fixture", "export", "poa_tight", "--n", "5", "--epsilon", "0.2",
+                 "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == f"instance written to {out}\n"
+    fx = fixture("poa_tight", n=5, epsilon=F(1, 5))
+    assert out.read_text(encoding="utf-8") == instance_to_json(fx.instance) + "\n"
+    assert json.loads(captured.out)["params"] == {"n": 5, "epsilon": "1/5"}
+
+
+def test_fixture_export_without_a_name_exits_2(capsys):
+    code = main(["fixture", "export"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "fixture export requires a name" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "unit", "--n", "2", "--c", "2", "--horizon", "3"],
+    ["analyze", "--family", "unit", "--count", "1", "--n", "2", "--c", "2"],
+])
+def test_non_integer_seed_variable_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("IGL_SEED", "five")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "IGL_SEED must be an integer, got 'five'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_negative_count_or_iteration_cap_exits_2(capsys, ex1_files):
+    instance, profile = ex1_files
+    for argv, message in (
+            (["analyze", "--family", "single", "--count", "-2"],
+             "--count must be at least 0, got -2"),
+            (["brd", instance, profile, "--max-iters", "-3"],
+             "max_iters must be at least 0, got -3")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+    code, payload = _run(capsys, "analyze", "--family", "single", "--count", "0")
+    assert code == 0 and payload == {"family": "single", "count": 0,
+                                     "max_poa_lower": None, "violations": [],
+                                     "reports": []}
+    code, payload = _run(capsys, "brd", instance, profile, "--max-iters", "0")
+    assert code == 0 and payload["status"] == "iteration_cap"

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import weakref
 from fractions import Fraction as F
 
@@ -1341,3 +1342,39 @@ def test_solver_core_is_not_part_of_the_value(jobs):
         assert twin.job(1) == solved.job(1)
     assert solved == fresh and hash(solved) == hash(fresh)
     assert repr(solved) == repr(fresh)
+
+
+@pytest.mark.parametrize("starts, message", [
+    ({1: F(0), 2: F(0)}, "missing start for job 3"),
+    ({1: F(0), 2: F(0), 3: F(7)}, "job 3: interval [7, 8) outside [0, 4)"),
+    ({1: F(0), 2: F(0), 3: F(-1)}, "job 3: interval [-1, 0) outside [0, 4)"),
+    ({1: F(0), 2: F(0), 3: F(0), 9: F(0)}, "start given for unknown job 9"),
+])
+def test_search_entries_validate_their_profile(starts, message):
+    """`best_response` and `is_nash` reject a profile that `brd` rejects,
+    instead of searching from starts the game does not allow."""
+    inst = fixture("ex1").instance
+    profile = Profile.from_dict(starts)
+    for search in (lambda: best_response(inst, profile, 2),
+                   lambda: is_nash(inst, profile),
+                   lambda: is_nash(inst, profile, first_improvement=True),
+                   lambda: brd(inst, profile)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            search()
+
+
+def test_brd_rejects_a_negative_iteration_cap():
+    fx = fixture("ex1")
+    with pytest.raises(ValidationError, match="max_iters must be at least 0, got -1"):
+        brd(fx.instance, fx.notable_profiles["figure_a"], max_iters=-1)
+
+
+def test_verify_deviation_rejects_a_misstated_utility():
+    fx = fixture("ex1")
+    profile = fx.notable_profiles["figure_a"]
+    dev = is_nash(fx.instance, profile)
+    assert dev is not None and verify_deviation(fx.instance, profile, dev)
+    for before, after in ((dev.utility_before - 1, dev.utility_after),
+                          (dev.utility_before, dev.utility_after + 1)):
+        forged = equilibrium.Deviation(dev.player, dev.new_strategy, before, after)
+        assert not verify_deviation(fx.instance, profile, forged)
