@@ -208,8 +208,9 @@ def _analyze_one(task) -> dict:
 
 def cmd_analyze(args) -> int:
     if args.family:
-        if args.count < 0:
-            raise ValidationError(f"--count must be at least 0, got {args.count}")
+        for flag, value, least in (("--count", args.count, 0), ("--jobs", args.jobs, 1)):
+            if value < least:
+                raise ValidationError(f"{flag} must be at least {least}, got {value}")
         # Parsed here too: with --count 0 no instance checks the horizon.
         horizon = to_rational(args.horizon or "3", "horizon")
         single = args.family == "single"  # n == c: a missing one follows the other

@@ -17,9 +17,10 @@ widens it and drops the memo and grid records before a search, never during.
 One function makes every local grid (`_grid_points`, untagged ints);
 `build_grid` is its `Fraction` view and the only place that tags points with
 their provenance, and it raises `InternalFailure` rather than truncate a gap
-that the scale cannot halve. `_global_ticks` makes the global grid of `brd`
-and grid-NE enumeration on ints over 2L, half of the core's smallest scale;
-`global_grid_points` and `grid_candidates` are its `Fraction` views.
+that the scale cannot halve. `_grid_ticks` makes the global grid of `brd`
+and grid-NE enumeration, and each job's candidates on it, on ints over 2L,
+half of the core's smallest scale; `global_grid_points` and
+`grid_candidates` are its `Fraction` views.
 
 A grid record (`_grid_record`) holds one player's aligned lists against one
 placement of the other players; a search walks those lists with the player's
@@ -188,20 +189,18 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     finish, start, and start minus the moving job's length. Interior
     representatives: every aligned point shifted by half the smallest gap.
     Computed by the searches' own grid function (`_grid_points`) on integer
-    numerators over twice the common denominator of the inputs, so half a
-    gap is an integer too. Only this view tags the points, each with its
-    first source: the bounds ("window-clipped" for a windowed job), then
-    the other aligned points ("endpoint-aligned"), then the interior ones
-    ("interior-shifted").
+    numerators over twice the lcm of L (`machine._time_lcm`) and the fixed
+    starts' denominators, so half a gap is an integer too. Only this view
+    tags the points, each with its first source: the bounds
+    ("window-clipped" for a windowed job), then the other aligned points
+    ("endpoint-aligned"), then the interior ones ("interior-shifted").
     """
     T = instance.horizon
     own = instance.jobs_of_color(player)
     if not own:
         raise ValidationError(f"instance has no player {player}")
     fixed = [(instance.job(jid), s) for jid, s in fixed_starts.items()]
-    den = 2 * math.lcm(*[x.denominator for k, s in fixed for x in (s, k.length)],
-                       *[x.denominator for j in own
-                         for x in (j.release, j.due(T), j.length)])
+    den = 2 * math.lcm(_time_lcm(instance), *[s.denominator for _, s in fixed])
     fixed_n = [(k.id, _ticks(s, den), _ticks(s + k.length, den)) for k, s in fixed]
     entries = []
     for j in own:
@@ -476,13 +475,16 @@ def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bo
 # ---------------------------------------------------------------------------
 # Global event grid (finite play space for BRD and NE enumeration)
 
-def _global_ticks(instance: Instance, resolution: int) -> tuple[int, list[int]]:
-    """2L and the global grid as sorted ints over 2L, where L is the lcm of
-    the denominators of the horizon, the lengths and the window bounds
-    (`machine._time_lcm`). The alignment closure of {0, T} and the window
-    bounds under adding and subtracting job lengths, `resolution` rounds
-    deep, lies in (1/L)Z; its shift by half the minimum gap lies in
-    (1/2L)Z. A resolution below 1 raises `ValidationError`."""
+def _grid_ticks(instance: Instance, resolution: int):
+    """(2L, the global grid, per job id its candidates) as sorted ints over
+    2L, where L is the lcm of the denominators of the horizon, the lengths
+    and the window bounds (`machine._time_lcm`). The grid is the alignment
+    closure of {0, T} and the window bounds under adding and subtracting job
+    lengths, `resolution` rounds deep, which lies in (1/L)Z, and its shift
+    by half the minimum gap, which lies in (1/2L)Z. A job's candidates are
+    the grid points in its range of starts plus both ends of that range. A
+    solver core's `td` is a multiple of 4L, so callers that hold one scale
+    these by `td // 2L`. A resolution below 1 raises `ValidationError`."""
     if resolution < 1:
         raise ValidationError(f"grid resolution must be at least 1, got {resolution}")
     den = 2 * _time_lcm(instance)
@@ -491,22 +493,13 @@ def _global_ticks(instance: Instance, resolution: int) -> tuple[int, list[int]]:
     lengths = {_ticks(j.length, den) for j in instance.jobs} - {0}
     for _ in range(resolution):
         pts |= {y for x in pts for p in lengths for y in (x + p, x - p) if 0 <= y <= T}
-    return den, sorted(pts.union(_interior(sorted(pts), T)))
-
-
-def _grid_ticks(instance: Instance, resolution: int) -> tuple[int, dict[int, list[int]]]:
-    """2L and, per job id, the global-grid points in the job's range of
-    starts plus both ends of that range, as sorted ints over 2L (see
-    `_global_ticks`). A solver core's `td` is a multiple of 4L, so callers
-    that hold one scale these by `td // 2L`."""
-    den, points = _global_ticks(instance, resolution)
+    points = sorted(pts.union(_interior(sorted(pts), T)))
     out = {}
     for j in instance.jobs:
         lo = _ticks(j.release, den)
         hi = _ticks(j.due(instance.horizon), den) - _ticks(j.length, den)
-        inside = points[bisect_left(points, lo):bisect_right(points, hi)]
-        out[j.id] = sorted({lo, hi, *inside})
-    return den, out
+        out[j.id] = sorted({lo, hi, *points[bisect_left(points, lo):bisect_right(points, hi)]})
+    return den, points, out
 
 
 def global_grid_points(instance: Instance, resolution: int = 1) -> tuple[Fraction, ...]:
@@ -514,20 +507,20 @@ def global_grid_points(instance: Instance, resolution: int = 1) -> tuple[Fractio
     subtracting job lengths, `resolution` rounds deep, plus one interior
     shift by half the minimum gap. A resolution below 1 raises
     `ValidationError`."""
-    den, points = _global_ticks(instance, resolution)
+    den, points, _ = _grid_ticks(instance, resolution)
     return tuple(Fraction(x, den) for x in points)
 
 
 def grid_candidates(instance: Instance,
                     resolution: int = 1) -> dict[int, tuple[Fraction, ...]]:
     """Global-grid start candidates per job, clipped to feasibility."""
-    den, candidates = _grid_ticks(instance, resolution)
+    den, _, candidates = _grid_ticks(instance, resolution)
     return {jid: tuple(Fraction(x, den) for x in cands) for jid, cands in candidates.items()}
 
 
 def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
     """Number of enumerated joint profiles."""
-    _, candidates = _grid_ticks(instance, resolution)
+    *_, candidates = _grid_ticks(instance, resolution)
     return _profile_count((ids_, len(candidates[ids_[0]]))
                           for ids_ in _job_groups(instance))
 
@@ -537,7 +530,7 @@ def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
     """An iterator over every joint grid profile as a memo key on the core's
     scale. The resolution and the size guard are checked at the call, before
     the first key is asked for."""
-    den, candidates = _grid_ticks(instance, resolution)
+    den, _, candidates = _grid_ticks(instance, resolution)
     # Every player's groups as (ids, key positions, global-grid candidates),
     # ordered by smallest id.
     groups = sorted((ids_, positions, candidates[ids_[0]])
@@ -701,12 +694,11 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     validate_profile(instance, initial)
     cache = MachineCache.of(instance)
     key = cache.key(initial.as_dict())
-    den, candidates = _grid_ticks(instance, resolution)
+    den, _, candidates = _grid_ticks(instance, resolution)
     m = cache.td // den
     gcands = {jid: [x * m for x in cands] for jid, cands in candidates.items()}
     colors = instance.color_ids
-    seen = {key: 0}
-    history = [cache.profile(key)]
+    seen = {key: 0}  # the visited keys, in visiting order
     trace: list[tuple[int, Fraction, Fraction]] = []
     iterations = 0
     pointer = 0
@@ -736,11 +728,10 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
             quiet = 0
             trace.append((player, u - u_cur, cache.value(key)))
             if key in seen:
-                cycle = tuple(history[seen[key]:])
+                cycle = tuple(map(cache.profile, list(seen)[seen[key]:]))
                 return BrdOutcome("cycle_detected", None, cycle,
                                   iterations, tuple(trace))
-            seen[key] = len(history)
-            history.append(cache.profile(key))
+            seen[key] = len(seen)
         else:
             quiet += 1
 

@@ -348,7 +348,7 @@ def random_profile(instance: Instance, seed: int,
     """Seeded profile on the instance's global grid (plus its own bounds)."""
     from .equilibrium import _grid_ticks
     rng = random.Random(f"igl-profile:{seed}")
-    den, cands = _grid_ticks(instance, resolution)
+    den, _, cands = _grid_ticks(instance, resolution)
     return Profile.from_dict({jid: Fraction(rng.choice(c), den) for jid, c in cands.items()})
 
 

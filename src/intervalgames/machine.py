@@ -4,8 +4,9 @@ Two independent routes compute the maximum total weight of covered jobs:
 a dynamic program over jobs sorted by finish time, and a subset-enumeration
 brute force used as an oracle in tests. Both apply the same pre-pass (jobs of
 length zero occupy an empty interval, so they are always covered) and the
-same post-pass (any job whose whole interval lies inside a busy segment of
-its own color is covered for free).
+same post-pass, `_closure`: one sweep over the covered intervals sorted by
+start merges them into disjoint one-color busy segments, and any job whose
+whole interval lies inside a segment of its own color is covered for free.
 
 Everything computes in integers on one time scale per instance. The
 instance's solver core (`MachineCache`, stored on the `Instance` object and
@@ -405,65 +406,51 @@ def _brute_core(rows, times, force: bool):
 
 def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
              mask: int, view, td: int) -> Schedule:
-    """Merge covered intervals into maximal per-color segments, then cover
-    every job nested inside a segment of its own color (free additions).
+    """Merge the covered intervals into maximal one-color segments in one
+    sweep by start, then cover every job nested inside a segment of its own
+    color (free additions).
 
     Works on the view over td; a segment's start is returned as the
-    profile's own start of a covered job there, its end as a new `Fraction`,
-    and the value `top` (over `wden`) with the zero-length jobs added."""
+    profile's own start of its first job, its end as a new `Fraction`, and
+    the value `top` (over `wden`) with the zero-length jobs added."""
     s, f, w, col, ids = view
-    per_color: dict[int, list[tuple[int, int]]] = {}
-    first: dict[int, int] = {}  # scaled start -> a covered job starting there
+    covered = []
     m = mask
-    while m:  # the covered jobs, in view order
+    while m:  # the covered jobs
         low = m & -m
         k = low.bit_length() - 1
-        per_color.setdefault(col[k], []).append((s[k], f[k]))
-        first[s[k]] = ids[k]
+        covered.append((s[k], f[k], col[k], ids[k]))
         m ^= low
-    segments = []
-    merged: dict[int, tuple[list[int], list[int]]] = {}
-    for color, ivals in per_color.items():
-        ivals.sort()
-        lows, highs = merged[color] = ([], [])
-        cur_s, cur_f = ivals[0]
-        for a, b in ivals[1:]:
-            if a <= cur_f:  # merge overlapping and touching same-color intervals
-                cur_f = max(cur_f, b)
-            else:
-                lows.append(cur_s)
-                highs.append(cur_f)
-                cur_s, cur_f = a, b
-        lows.append(cur_s)
-        highs.append(cur_f)
-        segments.extend((a, b, color) for a, b in zip(lows, highs))
-    # Color indices follow the sorted colors, so this is the color order too.
-    segments.sort()
-    for (_, b1, _), (a2, _, _) in zip(segments, segments[1:]):
-        if a2 < b1:
+    # Segments as [start, end, color index, first job id]; the first is an
+    # empty sentinel of no color before every start (an unvalidated profile
+    # may start a job below 0), so every bisection below finds one.
+    segments = [last := [-math.inf, -math.inf, -1, 0]]
+    for a, b, c, jid in sorted(covered):
+        if c == last[2] and a <= last[1]:  # same color, overlapping or touching
+            last[1] = max(last[1], b)
+        elif a < last[1]:
             raise InternalFailure("covered jobs of different colors overlap")
-
+        else:
+            segments.append(last := [a, b, c, jid])
+    # The segments are disjoint, so a job lies in one only if it lies in the
+    # last one starting at or before it.
+    lows = [seg[0] for seg in segments]
     free = 0
-    extra = 0
     m = ((1 << len(s)) - 1) ^ mask
     while m:  # the uncovered jobs
         low = m & -m
         m ^= low
         k = low.bit_length() - 1
-        if col[k] not in merged:
-            continue
-        lows, highs = merged[col[k]]
-        j = bisect_right(lows, s[k]) - 1
-        if j >= 0 and f[k] <= highs[j]:
+        _, b, c, _ = segments[bisect_right(lows, s[k]) - 1]
+        if c == col[k] and f[k] <= b:
+            if w[k]:
+                raise InternalFailure("closure pass found uncounted positive weight "
+                                      "(solver bug)")
             free |= low
-            extra += w[k]
-    if extra:
-        raise InternalFailure("closure pass found uncounted positive weight "
-                              "(solver bug)")
     colors = st.color_ids
     return Schedule(_covered_ids(st, mask | free, view),
-                    tuple((starts[first[a]], Fraction(b, td), colors[c])
-                          for a, b, c in segments),
+                    tuple((starts[jid], Fraction(b, td), colors[c])
+                          for _, b, c, jid in segments[1:]),
                     Fraction(st.base_scaled + top, st.wden))
 
 

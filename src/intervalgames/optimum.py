@@ -10,11 +10,10 @@ windows break the reshaping argument, so all three routes reject them.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
-from .machine import BRUTE_FORCE_MAX_JOBS
+from .machine import BRUTE_FORCE_MAX_JOBS, _ticks, _time_lcm
 from .model import (ZERO, GuardError, Instance, InternalFailure, Job, Profile,
                     UnsupportedInstanceError)
 
@@ -109,15 +108,12 @@ def social_optimum_single_knapsack(instance: Instance,
         raise UnsupportedInstanceError(
             "knapsack route requires exactly one job per color")
     jobs = sorted(instance.jobs, key=lambda j: j.id)
-    denom = math.lcm(instance.horizon.denominator, *[j.length.denominator for j in jobs])
-    cap = instance.horizon * denom
-    if cap.denominator != 1:
-        raise InternalFailure(f"scaled horizon {cap} is not an integer")
-    cap = int(cap)
+    denom = _time_lcm(instance)  # windows are rejected: the lcm of T and the lengths
+    cap = _ticks(instance.horizon, denom)
     if cap > KNAPSACK_MAX_CAPACITY and not force:
         raise GuardError(f"scaled capacity {cap} exceeds {KNAPSACK_MAX_CAPACITY}")
 
-    sizes = [int(j.length * denom) for j in jobs]
+    sizes = [_ticks(j.length, denom) for j in jobs]
     n = len(jobs)
     # Suffix tables: best[i][c] = best value from jobs i.. with capacity c.
     best = [[ZERO] * (cap + 1) for _ in range(n + 1)]

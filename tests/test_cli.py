@@ -665,3 +665,11 @@ def test_negative_count_or_iteration_cap_exits_2(capsys, ex1_files):
                                      "reports": []}
     code, payload = _run(capsys, "brd", instance, profile, "--max-iters", "0")
     assert code == 0 and payload["status"] == "iteration_cap"
+
+
+def test_analyze_family_jobs_below_one_exits_2(capsys):
+    for jobs in ("0", "-2"):
+        code = main(["analyze", "--family", "single", "--count", "1", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--jobs must be at least 1, got {jobs}" in captured.err

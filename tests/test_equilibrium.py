@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,7 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            ne_unit, random_instance, random_profile,
                            social_optimum_enumerate, solve_machine_bruteforce,
                            solve_machine_dp, tightest_bound, utilities,
-                           validate_instance, verify_deviation)
+                           validate_instance, validate_profile, verify_deviation)
 from intervalgames import equilibrium
 from intervalgames.equilibrium import (_coded_grid, _coded_lists, _grid_points,
                                         _player_search, _player_stable)
@@ -1361,6 +1362,34 @@ def test_search_entries_validate_their_profile(starts, message):
                    lambda: brd(inst, profile)):
         with pytest.raises(ValidationError, match=re.escape(message)):
             search()
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, "1", None])
+def test_inexact_numbers_are_rejected_at_the_library_boundary(value):
+    """A horizon, length, weight, window bound or start that is not an int
+    or a `Fraction` raises `ValidationError`. Before, a float length reached
+    the DP as `AttributeError`, and a float start came back as a float
+    segment start."""
+    inst = fixture("ex1").instance
+    with pytest.raises(ValidationError, match=f"horizon {re.escape(repr(value))} must"):
+        validate_instance(Instance(value, inst.jobs))
+    j1, rest = inst.jobs[0], inst.jobs[1:]
+    for bad in (replace(j1, length=value), replace(j1, weight=value),
+                replace(j1, window=(value, F(4))), replace(j1, window=(F(0), value))):
+        with pytest.raises(ValidationError, match="job 1: length, weight and window"):
+            validate_instance(Instance(inst.horizon, (bad, *rest)))
+    profile = Profile.from_dict({1: F(0), 2: F(0), 3: value})
+    for check in (lambda: validate_profile(inst, profile),
+                  lambda: best_response(inst, profile, 2),
+                  lambda: is_nash(inst, profile),
+                  lambda: is_nash(inst, profile, first_improvement=True),
+                  lambda: brd(inst, profile)):
+        with pytest.raises(ValidationError, match=f"job 3: start {re.escape(repr(value))}"):
+            check()
+    # Ints are exact: an int horizon and int starts solve as their Fractions do.
+    ints = validate_instance(Instance(4, inst.jobs))
+    assert is_nash(ints, Profile.from_dict({1: 0, 2: 0, 3: 3})) == is_nash(
+        inst, Profile.from_dict({1: F(0), 2: F(0), 3: F(3)}))
 
 
 def test_brd_rejects_a_negative_iteration_cap():

@@ -21,7 +21,10 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            solve_machine_bruteforce, solve_machine_dp,
                            validate_instance)
 from intervalgames import machine
-from intervalgames.machine import MachineCache, _dp_core, _view
+from intervalgames.generators import FAMILIES
+from intervalgames.machine import (MachineCache, _closure, _covered_ids, _dp_core,
+                                   _scaled, _view)
+from intervalgames.model import Schedule
 from conftest import check_schedule_invariants
 
 
@@ -401,6 +404,129 @@ def test_evaluate_key_utilities_match_the_covered_mask(case, limit):
             assert len(cache._cache) <= limit + 1
         assert cache.value(keys[0]) == solve_machine_dp(inst, Profile.from_dict(
             profiles[0])).value
+
+
+def _per_color_closure(st, starts, top, mask, view, td):
+    """Reference for `machine._closure`: merge each color's covered
+    intervals in its own table, check the sorted segments pairwise, then
+    bisect each uncovered job's own-color segments."""
+    s, f, w, col, ids = view
+    per_color = {}
+    first = {}  # scaled start -> a covered job starting there
+    m = mask
+    while m:
+        low = m & -m
+        k = low.bit_length() - 1
+        per_color.setdefault(col[k], []).append((s[k], f[k]))
+        first[s[k]] = ids[k]
+        m ^= low
+    segments = []
+    merged = {}
+    for color, ivals in per_color.items():
+        ivals.sort()
+        lows, highs = merged[color] = ([], [])
+        cur_s, cur_f = ivals[0]
+        for a, b in ivals[1:]:
+            if a <= cur_f:
+                cur_f = max(cur_f, b)
+            else:
+                lows.append(cur_s)
+                highs.append(cur_f)
+                cur_s, cur_f = a, b
+        lows.append(cur_s)
+        highs.append(cur_f)
+        segments.extend((a, b, color) for a, b in zip(lows, highs))
+    segments.sort()
+    for (_, b1, _), (a2, _, _) in zip(segments, segments[1:]):
+        if a2 < b1:
+            raise InternalFailure("covered jobs of different colors overlap")
+    free = 0
+    extra = 0
+    m = ((1 << len(s)) - 1) ^ mask
+    while m:
+        low = m & -m
+        m ^= low
+        k = low.bit_length() - 1
+        if col[k] not in merged:
+            continue
+        lows, highs = merged[col[k]]
+        j = bisect_right(lows, s[k]) - 1
+        if j >= 0 and f[k] <= highs[j]:
+            free |= low
+            extra += w[k]
+    if extra:
+        raise InternalFailure("closure pass found uncounted positive weight "
+                              "(solver bug)")
+    colors = st.color_ids
+    return Schedule(_covered_ids(st, mask | free, view),
+                    tuple((starts[first[a]], F(b, td), colors[c]) for a, b, c in segments),
+                    F(st.base_scaled + top, st.wden))
+
+
+def _closure_outcome(closure, *args):
+    try:
+        return closure(*args)
+    except InternalFailure as exc:
+        return str(exc)
+
+
+def test_closure_matches_the_per_color_reference():
+    """On DP outputs and on random covered masks over random-family views
+    with weights in {0, 1, 2}, the one-sweep closure returns the reference's
+    `Schedule` or raises its `InternalFailure` message. The tally checks
+    that free additions, touching segments and both raises occur."""
+    tally = collections.Counter()
+    for seed in range(120):
+        rng = random.Random(f"closure:{seed}")
+        family = FAMILIES[seed % len(FAMILIES)]
+        n = 2 + seed % 9
+        c = n if family == "single" else rng.randint(1, min(3, n))
+        raw = random_instance(family, n, c, 2 + seed % 5, seed)
+        inst = validate_instance(Instance(raw.horizon, tuple(
+            Job(j.id, j.color, j.length, F(rng.choice((0, 1, 2))), j.window)
+            for j in raw.jobs)))
+        for k in range(4):
+            starts = random_profile(inst, 4 * seed + k).as_dict()
+            if k == 3:  # `solve_machine_dp` does not validate: starts below 0
+                starts = {jid: x - 2 for jid, x in starts.items()}
+            st, rows, times, td = _scaled(inst, starts)
+            top, mask, view = _dp_core(rows, times)
+            masks = [mask] + [rng.getrandbits(len(view[0])) for _ in range(6)]
+            for i, m in enumerate(masks):
+                args = (st, starts, top, m, view, td)
+                got = _closure_outcome(_closure, *args)
+                assert got == _closure_outcome(_per_color_closure, *args)
+                if isinstance(got, str):
+                    assert i > 0, got  # the DP's own mask always closes
+                    tally[got.split()[0]] += 1
+                    continue
+                tally["free"] += len(got.covered) > len(_covered_ids(st, m, view))
+                tally["adjacent"] += any(b == a for (_, b, _), (a, _, _)
+                                         in zip(got.segments, got.segments[1:]))
+                s, f, col = view[0], view[1], view[3]
+                tally["merged"] += any(
+                    m >> x & 1 and m >> y & 1 and col[x] == col[y] and f[x] == s[y]
+                    for x in range(len(s)) for y in range(len(s)))
+    assert tally["free"] and tally["adjacent"] and tally["merged"], tally
+    assert tally["covered"] and tally["closure"], tally
+
+
+def test_closure_raises_on_an_uncounted_nested_job():
+    # Job 2 ([0, 1), weight 1) lies inside job 1 ([0, 2)) of its own color,
+    # but the mask covers job 1 alone: the closure would add weight the
+    # value `top` does not count. At weight 0 the same job is a free addition.
+    for weight, outcome in ((1, "closure pass found uncounted positive weight"),
+                            (0, frozenset({1, 2}))):
+        inst = _inst(2, (1, 2, 1), (1, 1, weight))
+        starts = {1: F(0), 2: F(0)}
+        st, rows, times, td = _scaled(inst, starts)
+        view = _view(rows, times)  # finish order: job 2, then job 1
+        if isinstance(outcome, str):
+            with pytest.raises(InternalFailure, match=outcome):
+                _closure(st, starts, 1, 0b10, view, td)
+        else:
+            sched = _closure(st, starts, 1, 0b10, view, td)
+            assert sched.covered == outcome and sched.segments == ((0, 2, 1),)
 
 
 _INCONSISTENT_CLOSURE = """
