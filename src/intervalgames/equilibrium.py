@@ -28,7 +28,9 @@ current starts merged in (`_coded_grid`), by the key walker of enumeration
 (`_grid_keys`), which rewrites only the groups that moved. The record's
 `big` flag says whether a guard could fire on the merged lists, which add at
 most one start per job; `_player_stable` runs the guards (`_guards`, one
-sequence for both) only when it is set, and a search always.
+sequence for both) only when it is set, and a search always. A best-mode
+search installs the core's background route (`machine._background`) for its
+walk only, and removes it also when the walk raises.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -351,18 +353,24 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     # Only a strictly higher rank replaces the incumbent, so none can once it
     # covers every job of the player (with prefer_value: of the instance).
     full = cache.totals
-    for cand in _grid_keys([(ps, coded) for (_, ps), coded in zip(groups, lists)], key):
-        value, per = cache.evaluate_key(cand)
-        u = per[pix]
-        if u > best_u or (prefer_value and best is not None
-                          and u == best_u and value > best_value):
-            if mode == "first":
-                return cand, u
-            best_u = u
-            best_value = value
-            best = cand
-            if u == full[pix] and (not prefer_value or per == full):
-                break
+    walk = [(ps, coded) for (_, ps), coded in zip(groups, lists)]
+    # Only best-mode walks, which read most of their grid, pay for its set-up.
+    cache.background = machine._background(cache, key, pix) if mode == "best" else None
+    try:
+        for cand in _grid_keys(walk, key):
+            value, per = cache.evaluate_key(cand)
+            u = per[pix]
+            if u > best_u or (prefer_value and best is not None
+                              and u == best_u and value > best_value):
+                if mode == "first":
+                    return cand, u
+                best_u = u
+                best_value = value
+                best = cand
+                if u == full[pix] and (not prefer_value or per == full):
+                    break
+    finally:
+        cache.background = None
     if mode == "first":
         return None
     return (_strategy(cache, key if best is None else best, own), Fraction(best_u, wden))
@@ -422,6 +430,8 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     tuples in ascending (lexicographic) order, the last group varying
     fastest. The search stops at the first strategy that covers every job of
     the player, since nothing can beat it; that does not change the answer.
+    Its keys are valued against the other players' fixed jobs by the core's
+    background route, and by the machine DP where that route defers.
     A joint search of more than `BEST_RESPONSE_MAX_SEARCH` strategies raises
     `GuardError` before its first one is evaluated, unless `force` is set.
     """
@@ -484,7 +494,10 @@ def _grid_ticks(instance: Instance, resolution: int):
     by half the minimum gap, which lies in (1/2L)Z. A job's candidates are
     the grid points in its range of starts plus both ends of that range. A
     solver core's `td` is a multiple of 4L, so callers that hold one scale
-    these by `td // 2L`. A resolution below 1 raises `ValidationError`."""
+    these by `td // 2L`. A resolution that is not an int (a `bool` is not)
+    or is below 1 raises `ValidationError`."""
+    if isinstance(resolution, bool) or not isinstance(resolution, int):
+        raise ValidationError(f"grid resolution must be an int, got {resolution!r}")
     if resolution < 1:
         raise ValidationError(f"grid resolution must be at least 1, got {resolution}")
     den = 2 * _time_lcm(instance)
@@ -689,6 +702,8 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     """
     if order not in ("round_robin", "first_improving"):
         raise ValidationError(f"unknown BRD order {order!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
+        raise ValidationError(f"max_iters must be an int, got {max_iters!r}")
     if max_iters < 0:
         raise ValidationError(f"max_iters must be at least 0, got {max_iters}")
     validate_profile(instance, initial)

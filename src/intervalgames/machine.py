@@ -8,6 +8,13 @@ same post-pass, `_closure`: one sweep over the covered intervals sorted by
 start merges them into disjoint one-color busy segments, and any job whose
 whole interval lies inside a segment of its own color is covered for free.
 
+A best-mode search moves one player's jobs against the others' fixed ones,
+the background; its memo misses go to a background route (`_background`)
+first. The moving jobs share one color, so the optimum is the best, over the
+background's cross-color-compatible subsets K, of w(K) plus the weight of the
+moving jobs that overlap no job of K. The DP runs instead when the subsets
+outnumber its rows, or when the best ones differ in per-color utilities.
+
 Everything computes in integers on one time scale per instance. The
 instance's solver core (`MachineCache`, stored on the `Instance` object and
 dying with it) writes every time as a numerator over its time denominator
@@ -103,7 +110,7 @@ class MachineCache:
     __slots__ = ("instance", "wden", "td", "rows", "base_scaled", "zero_ids",
                  "color_ids", "ids", "pos", "color_index", "totals", "zero_per",
                  "lens", "bounds", "other_pos", "_groups", "_others", "_cache",
-                 "grid_cache")
+                 "grid_cache", "background")
 
     def __init__(self, instance: Instance):
         jobs = instance.jobs
@@ -118,6 +125,7 @@ class MachineCache:
         self.base_scaled = sum(self.scaled(j.weight) for j in zero)
         self.zero_ids = frozenset(j.id for j in zero)
         self._groups = None
+        self.background = None  # a best-mode walk's key evaluator (`_background`)
 
     @classmethod
     def of(cls, instance: Instance) -> "MachineCache":
@@ -209,13 +217,16 @@ class MachineCache:
 
     def evaluate_key(self, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over
-        `wden`. A miss runs `_dp_core` on the key, whose credit walk over
-        the covered mask adds each covered weight to the utilities."""
+        `wden`. A miss asks `background`, if set, and else runs `_dp_core` on
+        the key, whose credit walk over the covered mask adds each covered
+        weight to the utilities."""
         hit = self._cache.get(key)
         if hit is None:
-            per = self.zero_per.copy()
-            hit = _bounded_put(self._cache, key, (
-                self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per)))
+            hit = self.background and self.background(key)
+            if hit is None:
+                per = self.zero_per.copy()
+                hit = (self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per))
+            _bounded_put(self._cache, key, hit)
         return hit
 
     def ticks(self, x: Fraction) -> int:
@@ -352,6 +363,48 @@ def _dp_core(rows, times, per=None):
     if credit != top_v:
         raise InternalFailure("dp credit mismatch: recurrence double-counted a job")
     return top_v, covered_mask, view
+
+
+def _background(st: MachineCache, key: tuple, pix: int):
+    """The background route for keys that move only the jobs of color index
+    `pix` from `key`, or None when the other jobs have more compatible
+    subsets than the core has DP rows. Zero-weight jobs are left out."""
+    own = [(p, ln, w, {}) for p, ln, _, w, c in st.rows if c == pix and w]  # {start: mask}
+    fixed = [(key[p], key[p] + ln, w, c) for p, ln, _, w, c in st.rows if c != pix and w]
+    # (bitmask over `fixed`, weight, per-color utilities), grown one job at a time.
+    subsets = [(0, 0, tuple(st.zero_per))]
+    for i, (s, f, w, c) in enumerate(fixed):
+        clash = sum(1 << k for k, (sk, fk, _, ck) in enumerate(fixed[:i])
+                    if ck != c and sk < f and s < fk)
+        subsets += [(mask | 1 << i, v + w, per[:c] + (per[c] + w,) + per[c + 1:])
+                    for mask, v, per in subsets if not mask & clash]
+        if len(subsets) > len(st.rows):
+            return None
+    seen: dict = {}  # results by the moving jobs' overlap masks, which fix them
+
+    def evaluate(key: tuple):
+        ms = []
+        for p, ln, _, masks in own:
+            x = key[p]
+            m = masks.get(x)
+            if m is None:
+                m = masks[x] = sum(1 << k for k, (s, f, _, _) in enumerate(fixed)
+                                   if x < f and s < x + ln)
+            ms.append(m)
+        ms = tuple(ms)
+        if ms in seen:
+            return seen[ms]
+        best, tie = -1, False
+        for mask, v, per in subsets:
+            u = sum([job[2] for m, job in zip(ms, own) if not m & mask])
+            if v + u > best:
+                best, top, top_u, tie = v + u, per, u, False
+            elif v + u == best and per != top:
+                tie = True
+        return _bounded_put(seen, ms, None if tie else (
+            st.base_scaled + best, top[:pix] + (top[pix] + top_u,) + top[pix + 1:]))
+
+    return evaluate
 
 
 def _covered_ids(st: MachineCache, mask: int, view) -> frozenset[int]:

@@ -1,5 +1,6 @@
 """Grids, best responses, NE checks, dynamics, constructions, analysis."""
 
+import collections
 import copy
 import gc
 import itertools
@@ -1407,3 +1408,80 @@ def test_verify_deviation_rejects_a_misstated_utility():
                           (dev.utility_before, dev.utility_after + 1)):
         forged = equilibrium.Deviation(dev.player, dev.new_strategy, before, after)
         assert not verify_deviation(fx.instance, profile, forged)
+
+
+@pytest.mark.parametrize("bad", ["2", 1.5, True, False, F(1), None])
+def test_integer_parameters_must_be_ints(bad):
+    # Before the type check, a resolution of True ran as 1 and the other
+    # non-ints raised TypeError, and a max_iters of 1.5, True or F(1) ran.
+    fx = fixture("ex1")
+    inst, profile = fx.instance, fx.notable_profiles["figure_a"]
+    for call in (enumerate_grid_ne, joint_grid_size, grid_candidates, analyze,
+                 equilibrium.global_grid_points, lambda i, r: list(grid_profiles(i, r)),
+                 lambda i, r: brd(i, profile, resolution=r)):
+        with pytest.raises(ValidationError, match="grid resolution must be an int"):
+            call(inst, bad)
+    with pytest.raises(ValidationError, match="max_iters must be an int"):
+        brd(inst, profile, max_iters=bad)
+
+
+# --- the background route of best-mode searches ----------------------------------
+
+def _search_results(inst, profile):
+    """Every player's best response, the full-mode `is_nash` verdict and a
+    short `brd` run from `profile`."""
+    return ([best_response(inst, profile, c) for c in inst.color_ids],
+            is_nash(inst, profile), brd(inst, profile, max_iters=12))
+
+
+def test_background_route_changes_no_result(monkeypatch):
+    from intervalgames import machine
+    cases = [(fx.instance, fx.notable_profiles["initial"]) for fx in _partition_games()]
+    cases += [(inst, random_profile(inst, k))
+              for k, inst in enumerate(_differential_instances())]
+    route, served = machine._background, collections.Counter()
+
+    def counting(st, key, pix):
+        evaluate = route(st, key, pix)
+        served["built" if evaluate else "bound"] += 1
+
+        def count(cand):
+            got = evaluate(cand)
+            served["key" if got else "tie"] += 1
+            return got
+        return evaluate and count
+
+    monkeypatch.setattr(machine, "_background", counting)
+    routed = [_search_results(copy.copy(inst), profile) for inst, profile in cases]
+    monkeypatch.setattr(machine, "_background", lambda st, key, pix: lambda cand: None)
+    assert [_search_results(copy.copy(inst), profile) for inst, profile in cases] == routed
+    assert min(served[k] for k in ("built", "bound", "key", "tie")) > 0, served
+
+
+def test_no_background_route_outlives_its_search(monkeypatch):
+    from intervalgames import machine
+    fx = from_partition_br((1, 2, 3))
+    inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
+    cache = MachineCache.of(inst)
+    route = machine._background
+
+    def failing(st, key, pix):
+        evaluate, calls = route(st, key, pix), []
+
+        def fail_third(cand):
+            calls.append(cand)
+            if len(calls) == 3:
+                raise RuntimeError("midway")
+            return evaluate(cand)
+        return fail_third
+
+    monkeypatch.setattr(machine, "_background", failing)
+    with pytest.raises(RuntimeError, match="midway"):
+        best_response(inst, profile, 1)
+    assert cache.background is None
+    monkeypatch.setattr(machine, "_background", route)
+    for search in (lambda: best_response(inst, profile, 1), lambda: is_nash(inst, profile),
+                   lambda: brd(inst, profile), lambda: best_response(inst, profile, 2)):
+        search()
+        assert cache.background is None
+    assert enumerate_grid_ne(inst) == enumerate_grid_ne(copy.copy(fx.instance))

@@ -3,6 +3,7 @@
 import ast
 import collections
 import hashlib
+import math
 import os
 import pathlib
 import random
@@ -20,7 +21,7 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            fixture, random_instance, random_profile,
                            solve_machine_bruteforce, solve_machine_dp,
                            validate_instance)
-from intervalgames import machine
+from intervalgames import equilibrium, machine
 from intervalgames.generators import FAMILIES
 from intervalgames.machine import (MachineCache, _closure, _covered_ids, _dp_core,
                                    _scaled, _view)
@@ -404,6 +405,81 @@ def test_evaluate_key_utilities_match_the_covered_mask(case, limit):
             assert len(cache._cache) <= limit + 1
         assert cache.value(keys[0]) == solve_machine_dp(inst, Profile.from_dict(
             profiles[0])).value
+
+
+# --- the background route of best-mode walks -----------------------------------
+
+def _walk_lists(cache, key, player):
+    """The candidate lists of the player's best-mode walks from `key`: its
+    local grid, as `best_response` and `is_nash` walk it, and the global
+    grid, as `brd` walks it."""
+    inst = cache.instance
+    den, _, cands = equilibrium._grid_ticks(inst, 1)
+    m = cache.td // den
+    yield [coded for _, coded in equilibrium._coded_grid(cache, key, player)[1]]
+    yield equilibrium._coded_lists(cache, player, lambda jid: [x * m for x in cands[jid]])
+
+
+def _check_background_route(inst, profile, fallbacks):
+    """On every key of every player's best-mode walks from `profile`, the
+    background route gives `_dp_core`'s (value, per-color utilities) or
+    defers. Counts the walked keys, the deferred keys and the routes that
+    were not built."""
+    cache = MachineCache.of(inst)
+    key = cache.key(profile.as_dict())
+    for player in inst.color_ids:
+        evaluate = machine._background(cache, key, cache.color_index[player])
+        if evaluate is None:
+            fallbacks["bound"] += 1
+            continue
+        groups = cache.groups[player]
+        for lists in _walk_lists(cache, key, player):
+            if math.prod(math.comb(len(c) + len(ids_) - 1, len(ids_))
+                         for (ids_, _), c in zip(groups, lists)) > 5000:
+                continue
+            walk = [(positions, c) for (_, positions), c in zip(groups, lists)]
+            for cand in equilibrium._grid_keys(walk, key):
+                per = cache.zero_per.copy()
+                dp = cache.base_scaled + _dp_core(cache.rows, cand, per)[0], tuple(per)
+                got = evaluate(cand)
+                fallbacks["keys"] += 1
+                fallbacks["tie"] += got is None
+                assert got in (None, dp), (inst, player, cand)
+
+
+def test_background_route_matches_the_dp_on_every_walked_key():
+    cases = [(inst, random_profile(inst, seed))
+             for family in FAMILIES for n, c in ((3, 3), (4, 2), (5, 3), (6, 2))
+             if family != "single" or n == c
+             for seed in range(3)
+             for inst in [random_instance(family, n, c, 4, seed)]]
+    # Two background jobs of equal weight and different colors on one slot:
+    # either one, with player 1's job beside it, is a best subset.
+    tie = _inst(3, (1, 1, 1), (2, 1, 2), (3, 1, 2))
+    cases.append((tie, Profile.from_dict({1: F(2), 2: F(0), 3: F(0)})))
+    # Player 1's background, three jobs of one color, has eight compatible
+    # subsets, more than the instance's four jobs.
+    crowd = _inst(3, (1, 1, 1), (2, 1, 1), (2, 1, 1), (2, 1, 1))
+    cases.append((crowd, Profile.from_dict({1: F(0), 2: F(0), 3: F(1), 4: F(2)})))
+    # Zero lengths, zero weights and windows.
+    mixed = validate_instance(Instance(F(4), (
+        Job(1, 1, F(1), F(0)), Job(2, 1, F(0), F(2)), Job(3, 1, F(1), F(1)),
+        Job(4, 2, F(2), F(1), (F(0), F(3))), Job(5, 2, F(1), F(3)),
+        Job(6, 3, F(1), F(1), (F(1), F(3))), Job(7, 3, F(0), F(0)))))
+    cases += [(mixed, random_profile(mixed, seed)) for seed in range(4)]
+    fallbacks = collections.Counter()
+    for inst, profile in cases:
+        _check_background_route(inst, profile, fallbacks)
+    assert fallbacks["tie"] and fallbacks["bound"], fallbacks
+    assert fallbacks["keys"] > 10 * fallbacks["tie"], fallbacks
+
+
+@given(_zero_length_profiles())
+@settings(max_examples=100, deadline=None)
+def test_background_route_matches_the_dp_with_zero_lengths_and_weights(case):
+    inst, profiles = case
+    for starts in profiles[:3]:
+        _check_background_route(inst, Profile.from_dict(starts), collections.Counter())
 
 
 def _per_color_closure(st, starts, top, mask, view, td):
