@@ -29,8 +29,7 @@ current starts merged in (`_coded_grid`), by the key walker of enumeration
 `big` flag says whether a guard could fire on the merged lists, which add at
 most one start per job; `_player_stable` runs the guards (`_guards`, one
 sequence for both) only when it is set, and a search always. A best-mode
-search installs the core's background route (`machine._background`) for its
-walk only, and removes it also when the walk raises.
+search installs a background route (`machine._background`) for its walk.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -353,11 +352,11 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     # Only a strictly higher rank replaces the incumbent, so none can once it
     # covers every job of the player (with prefer_value: of the instance).
     full = cache.totals
-    walk = [(ps, coded) for (_, ps), coded in zip(groups, lists)]
     # Only best-mode walks, which read most of their grid, pay for its set-up.
-    cache.background = machine._background(cache, key, pix) if mode == "best" else None
+    route = machine._background(cache, key, pix) if mode == "best" else None
+    cache.background = route or cache.background
     try:
-        for cand in _grid_keys(walk, key):
+        for cand in _grid_keys([(ps, coded) for (_, ps), coded in zip(groups, lists)], key):
             value, per = cache.evaluate_key(cand)
             u = per[pix]
             if u > best_u or (prefer_value and best is not None
@@ -370,7 +369,8 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
                 if u == full[pix] and (not prefer_value or per == full):
                     break
     finally:
-        cache.background = None
+        if cache.background is route:  # not another search's route
+            cache.background = None
     if mode == "first":
         return None
     return (_strategy(cache, key if best is None else best, own), Fraction(best_u, wden))

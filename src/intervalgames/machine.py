@@ -8,12 +8,12 @@ same post-pass, `_closure`: one sweep over the covered intervals sorted by
 start merges them into disjoint one-color busy segments, and any job whose
 whole interval lies inside a segment of its own color is covered for free.
 
-A best-mode search moves one player's jobs against the others' fixed ones,
-the background; its memo misses go to a background route (`_background`)
-first. The moving jobs share one color, so the optimum is the best, over the
-background's cross-color-compatible subsets K, of w(K) plus the weight of the
-moving jobs that overlap no job of K. The DP runs instead when the subsets
-outnumber its rows, or when the best ones differ in per-color utilities.
+A best-mode search moves one player's jobs, all of one color, against the
+others' fixed ones; its memo misses go to `_background` first, which takes
+the best, over the fixed jobs' cross-color-compatible subsets K, of w(K)
+plus the moving weight that overlaps no job of K. It defers to the DP when
+the subsets outnumber its rows, on ties in per-color utilities, and on keys
+with another background or time scale, so memo values are functions of keys.
 
 Everything computes in integers on one time scale per instance. The
 instance's solver core (`MachineCache`, stored on the `Instance` object and
@@ -217,9 +217,8 @@ class MachineCache:
 
     def evaluate_key(self, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over
-        `wden`. A miss asks `background`, if set, and else runs `_dp_core` on
-        the key, whose credit walk over the covered mask adds each covered
-        weight to the utilities."""
+        `wden`. A miss asks `background`, if set, then runs `_dp_core`, whose
+        credit walk over the covered mask adds each covered weight to the utilities."""
         hit = self._cache.get(key)
         if hit is None:
             hit = self.background and self.background(key)
@@ -366,9 +365,11 @@ def _dp_core(rows, times, per=None):
 
 
 def _background(st: MachineCache, key: tuple, pix: int):
-    """The background route for keys that move only the jobs of color index
-    `pix` from `key`, or None when the other jobs have more compatible
-    subsets than the core has DP rows. Zero-weight jobs are left out."""
+    """The route for keys that move only the jobs of color index `pix` from
+    `key` (None if the fixed jobs have more compatible subsets than the core
+    has DP rows). Zero-weight jobs are left out; any other key defers."""
+    td, others = st.td, st._others[st.color_ids[pix]]
+    background = others(key)
     own = [(p, ln, w, {}) for p, ln, _, w, c in st.rows if c == pix and w]  # {start: mask}
     fixed = [(key[p], key[p] + ln, w, c) for p, ln, _, w, c in st.rows if c != pix and w]
     # (bitmask over `fixed`, weight, per-color utilities), grown one job at a time.
@@ -381,8 +382,9 @@ def _background(st: MachineCache, key: tuple, pix: int):
         if len(subsets) > len(st.rows):
             return None
     seen: dict = {}  # results by the moving jobs' overlap masks, which fix them
-
     def evaluate(key: tuple):
+        if st.td != td or others(key) != background:
+            return None
         ms = []
         for p, ln, _, masks in own:
             x = key[p]

@@ -1,23 +1,16 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import argparse
-import contextlib
 import copy
 import hashlib
-import io
 import json
-import os
-import pathlib
 import re
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import intervalgames
 from intervalgames import (InternalFailure, fixture, fixture_names, instance_to_json,
                            profile_to_json, random_profile)
 from intervalgames import cli
@@ -377,51 +370,6 @@ def test_golden_bytes_on_fixtures(capsys, tmp_path):
             digest.update(" ".join([*command, name, *flags]).encode())
             digest.update(f"\n{code}\n{out}\n".encode())
     assert digest.hexdigest() == GOLDEN_SHA256
-
-
-def _golden_stream(tmp_dir) -> bytes:
-    """The bytes `test_golden_bytes_on_fixtures` hashes: the same commands,
-    run through `main` in this process with stdout redirected."""
-    stream = io.BytesIO()
-    for name, kwargs, flags in GOLDEN_FIXTURES:
-        instance = fixture(name, **kwargs).instance
-        start = pathlib.Path(tmp_dir, f"{name}.start.json")
-        start.write_text(profile_to_json(random_profile(instance, 0)))
-        runs = [(("ne",), ()), (("brd", *GOLDEN_BRD_FLAGS.get(name, ())), (str(start),))]
-        if not instance.has_windows:
-            runs.append((("analyze",), ()))
-        runs += [(("ne", "--construct", cls), ()) for cls in ("single", "unit")
-                 if getattr(instance, f"is_{cls}")]
-        for command, paths in runs:
-            with contextlib.redirect_stdout(io.StringIO()) as out, \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main([*command, "--fixture", name, *flags, *paths])
-            stream.write(" ".join([*command, name, *flags]).encode())
-            stream.write(f"\n{code}\n{out.getvalue()}\n".encode())
-    return stream.getvalue()
-
-
-def test_golden_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    """`igl` run on the golden fixtures in fresh processes under two
-    `PYTHONHASHSEED` values prints the same bytes, which hash to
-    `GOLDEN_SHA256`. The searches iterate dicts and sets, whose order of
-    ints does not depend on the seed, but whose order of strs would."""
-    tests = pathlib.Path(__file__).parent
-    src = pathlib.Path(intervalgames.__file__).parent.parent
-    script = ("import sys, test_cli; "
-              "sys.stdout.buffer.write(test_cli._golden_stream(sys.argv[1]))")
-    streams = []
-    for seed in ("0", "12345"):
-        work = tmp_path / seed
-        work.mkdir()
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-        done = subprocess.run([sys.executable, "-c", script, str(work)], cwd=tests,
-                              capture_output=True, env=env, timeout=300)
-        assert done.returncode == 0, done.stderr.decode()
-        streams.append(done.stdout)
-    assert streams[0] == streams[1]
-    assert hashlib.sha256(streams[0]).hexdigest() == GOLDEN_SHA256
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):

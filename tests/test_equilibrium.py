@@ -1485,3 +1485,27 @@ def test_no_background_route_outlives_its_search(monkeypatch):
         search()
         assert cache.background is None
     assert enumerate_grid_ne(inst) == enumerate_grid_ne(copy.copy(fx.instance))
+
+
+def test_a_search_removes_only_its_own_route(monkeypatch):
+    """A route that another search installs on the shared core midway
+    through this one's walk stays installed when this one ends."""
+    from intervalgames import machine
+    fx = from_partition_br((1, 2, 3))
+    inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
+    cache = MachineCache.of(inst)
+    route, foreign = machine._background, []
+
+    def interleaved(st, key, pix):
+        evaluate = route(st, key, pix)
+
+        def install_foreign(cand):
+            if not foreign:
+                foreign.append(route(st, key, pix))
+                st.background = foreign[0]
+            return evaluate(cand)
+        return install_foreign
+
+    monkeypatch.setattr(machine, "_background", interleaved)
+    assert best_response(inst, profile, 1) == best_response(copy.copy(fx.instance), profile, 1)
+    assert foreign and cache.background is foreign[0]
