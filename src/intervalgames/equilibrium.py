@@ -29,7 +29,8 @@ current starts merged in (`_coded_grid`), by the key walker of enumeration
 `big` flag says whether a guard could fire on the merged lists, which add at
 most one start per job; `_player_stable` runs the guards (`_guards`, one
 sequence for both) only when it is set, and a search always. A best-mode
-search installs a background route (`machine._background`) for its walk.
+search installs a background route (`machine._background`) for its walk and
+then puts back the route it found.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -42,17 +43,22 @@ compared as integers over the lcm of the weight denominators, and equilibria
 are sorted as (value, starts) ints. `Fraction`s are built only for what is
 returned: strategies, utilities, deviations and profiles.
 
-Grid-NE enumeration runs one machine DP per order type of its profiles. The
-DP only compares interval endpoints and breaks ties by job id, so profiles
-whose positive-length endpoints compare the same way get the same (value,
-per-color utilities). `_grid_ne` keeps a memo from order type to that pair
-for one call, bounded like the core's memo; a profile whose type was seen is
-written to the core's memo as a DP call would write it, so that memo and
-every search's DP calls stay those of one DP per profile. The signature
-(`_type_signer`) is built incrementally: the other jobs' endpoints are
-ranked again only when they move, and the jobs `_grid_keys` moves fastest
-are placed among them by bisection. Best-response keys seldom repeat a type,
-so the memo is not kept on the core.
+Grid-NE enumeration shares one machine DP among the keys of a DP-exact type.
+The DP compares only finishes with finishes, finishes with starts (finish <=
+start) and starts with starts of one color, and breaks ties by job id, so
+keys whose positive-length endpoints agree on those comparisons get the same
+(value, per-color utilities). `_type_signer` splits the jobs at the group
+`_grid_keys` moves fastest: the other jobs, the head, keep their full order
+pattern, and each moving endpoint is coded by its class against the head,
+read from two tables per head pattern. `_grid_ne` installs a typed route for
+its call: a memo miss on the call's scale whose head is the current key's is
+answered from a type memo that lives for the call only, and the DP runs on a
+type miss. That serves the enumeration's own keys and the verdict searches
+of the player who owns the fastest group; other keys defer to the DP, and so
+does every key once the call has returned. The signature is built
+incrementally: the head's endpoints are ranked again only when they move,
+and the moving endpoints are placed among them by bisection. Best-response
+keys seldom repeat a type, so the memo is not kept on the core.
 """
 
 from __future__ import annotations
@@ -354,7 +360,8 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     full = cache.totals
     # Only best-mode walks, which read most of their grid, pay for its set-up.
     route = machine._background(cache, key, pix) if mode == "best" else None
-    cache.background = route or cache.background
+    outer = cache.background
+    cache.background = route or outer
     try:
         for cand in _grid_keys([(ps, coded) for (_, ps), coded in zip(groups, lists)], key):
             value, per = cache.evaluate_key(cand)
@@ -369,8 +376,8 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
                 if u == full[pix] and (not prefer_value or per == full):
                     break
     finally:
-        if cache.background is route:  # not another search's route
-            cache.background = None
+        if route and cache.background is route:  # not another search's route
+            cache.background = outer
     if mode == "first":
         return None
     return (_strategy(cache, key if best is None else best, own), Fraction(best_u, wden))
@@ -603,46 +610,83 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
 
 
 def _type_signer(cache: MachineCache, moving):
-    """A function from a key on the core's scale to a signature of the order
-    type of its positive-length jobs' endpoints: two keys get equal
-    signatures exactly when every pair of endpoints compares the same way.
+    """(head starts, sign) for the key positions `moving`, one job group. The
+    head is the other positive-length jobs; `head_starts(key)` gives their
+    starts, and `sign(key, head_starts(key))` a signature of the key's
+    DP-exact type: keys with equal signatures get equal (value, per-color
+    utilities) from `_dp_core`.
 
-    The jobs at the key positions `moving` are split from the rest, the
-    head. The head's sorted distinct endpoints `F` and their rank pattern,
-    interned to an int, are rebuilt only when the head's starts change. Each
-    moving endpoint x is coded by its place in `F`, 2·bisect_left(F, x) plus
-    1 if x is in `F`, and, when more than one job moves, by its dense rank
-    among the moving endpoints."""
+    The DP compares three kinds of endpoint pairs: finish with finish, finish
+    <= start, and start with start within one color. The signature holds the
+    head's full order pattern, interned to `pid`; each moving start's class,
+    (head finishes <= it, its code among the head starts of its color); each
+    moving finish's class, (its code among the head finishes, head starts
+    below it); and, when more than one job moves, the dense ranks of the
+    moving endpoints among themselves. The code of x in a sorted list L is
+    2·bisect_left(L, x) plus 1 if x is in L. The head's sorted distinct
+    endpoints `F` and their pattern are rebuilt only when the head's starts
+    change; a moving endpoint's class is read by its code in `F` from two
+    class tables, built once per pattern and kept in a bounded table."""
     lens = cache.lens
+    color = {p: c for p, _, _, _, c in cache.rows}
     head = [p for p, n in enumerate(lens) if n and p not in moving]
     head_lens = [lens[p] for p in head]
     mov = [(p, lens[p]) for p in moving if lens[p]]
+    moving_color = color[mov[0][0]] if mov else None
+    mine = [color[p] == moving_color for p in head]
     head_starts = (itemgetter(*head) if len(head) > 1
                    else lambda key: tuple([key[p] for p in head]))
-    patterns: dict = {}
-    last, F, rank, pid = None, [], {}, 0
+    patterns: dict = {}  # pattern -> (pid, start classes, finish classes)
+    pids = itertools.count()
 
-    def sign(key: tuple) -> tuple:
-        nonlocal last, F, rank, pid
-        starts = head_starts(key)
+    def tables(pattern: tuple):
+        # Code 2i lies below F's point i and 2i + 1 on it. Along the codes a
+        # start's class (head finishes <= it, code among own-color head
+        # starts) changes on a point that is a finish or an own-color start,
+        # and past an own-color start; a finish's class (code among head
+        # finishes, head starts below it) changes on a finish, and past a
+        # finish or a start. A class is numbered by the changes before it.
+        fin, start, own = ([0] * (max(pattern, default=-1) + 1) for _ in range(3))
+        for r, m in zip(pattern, mine):
+            start[r] = 1
+            own[r] |= m
+        for r in pattern[len(head):]:
+            fin[r] = 1
+        sc, fc = [0], [0]
+        for f, s, o in zip(fin, start, own):
+            sc += [sc[-1] + (f | o), sc[-1] + (f | o) + o]
+            fc += [fc[-1] + f, fc[-1] + f + (f | s)]
+        return next(pids), tuple(sc), tuple(fc)
+
+    # (head starts, F, F's ranks, the pattern's entry), replaced as one value.
+    state = (None, [], {}, None)
+
+    def sign(key: tuple, starts) -> tuple:
+        nonlocal state
+        last, F, rank, entry = state
         if starts != last:
             ends = [x + n for x, n in zip(starts, head_lens)]
             F = sorted(set(starts).union(ends))
             rank = {x: i for i, x in enumerate(F)}
             pattern = tuple([rank[x] for x in starts] + [rank[x] for x in ends])
-            last, pid = starts, patterns.setdefault(pattern, len(patterns))
+            entry = patterns.get(pattern) or _bounded_put(
+                patterns, pattern, tables(pattern), machine.GRID_CACHE_LIMIT)
+            state = starts, F, rank, entry
+        pid, sc, fc = entry
         if len(mov) == 1:
             (p, n), = mov
             x = key[p]
             y = x + n
             i = bisect_left(F, x)
-            return pid, 2 * i + (x in rank), 2 * bisect_left(F, y, i) + (y in rank)
-        points = [key[p] for p, _ in mov] + [key[p] + n for p, n in mov]
-        own = {x: i for i, x in enumerate(sorted(set(points)))}
-        return (pid, *[2 * bisect_left(F, x) + (x in rank) for x in points],
-                *[own[x] for x in points])
+            return pid, sc[2 * i + (x in rank)], fc[2 * bisect_left(F, y, i) + (y in rank)]
+        xs = [key[p] for p, _ in mov]
+        ys = [key[p] + n for p, n in mov]
+        own = {x: i for i, x in enumerate(sorted({*xs, *ys}))}
+        return (pid, *[sc[2 * bisect_left(F, x) + (x in rank)] for x in xs],
+                *[fc[2 * bisect_left(F, y) + (y in rank)] for y in ys],
+                *[own[x] for x in xs + ys])
 
-    return sign
+    return head_starts, sign
 
 
 def _grid_ne(instance: Instance, cache: MachineCache, keys,
@@ -650,37 +694,47 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     """The grid equilibria among the keys `keys` as (value over `wden`,
     key) pairs, sorted as `enumerate_grid_ne` returns them.
 
-    A key's (value, per-color utilities) comes from the core's memo, else
-    from an order-type memo that lives for this call only, else from a DP
-    call, and is recorded under the key's order type (`_type_signer`, split
-    at the group `_grid_keys` moves fastest). A type hit is written to the
-    core's memo as a DP call would write it, so that memo, and every
-    search's DP calls, stay those of one DP per key."""
+    A key missing from the core's memo is answered from a DP-exact type memo
+    that lives for this call only, and `_dp_core` runs only when that memo
+    misses too. The enumeration asks it for its own keys; for the whole call
+    the core's background route (`typed`) asks it for any key on the call's
+    scale whose head (`_type_signer`, split at the group `_grid_keys` moves
+    fastest) is the current key's, which serves the verdict searches of the
+    player who owns that group. Every other key, and every key once the call
+    has returned, defers to the DP."""
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
     _, moving = max(group for groups in cache.groups.values() for group in groups)
-    sign = _type_signer(cache, moving)
-    memo = cache._cache
-    types: dict = {}
-    found = []
-    for key in keys:
-        sig = sign(key)
-        hit = memo.get(key)
-        if hit is None:
-            hit = types.get(sig)
-            if hit is None:
-                hit = _bounded_put(types, sig, cache.evaluate_key(key))
+    head_starts, sign = _type_signer(cache, moving)
+    memo, types = cache._cache, {}
+    td, head = cache.td, None
+
+    def by_type(key: tuple, starts: tuple):
+        sig = sign(key, starts)
+        return types.get(sig) or _bounded_put(types, sig, cache.solve_key(key))
+
+    def typed(key: tuple):
+        starts = head_starts(key)
+        if cache.td != td or starts != head:
+            return None
+        return by_type(key, starts)
+
+    found, outer = [], cache.background
+    cache.background = typed
+    try:
+        for key in keys:
+            head = head_starts(key)
+            value, per = memo.get(key) or _bounded_put(memo, key, by_type(key, head))
+            for player in scan_order:
+                if not _player_stable(instance, cache, key, per, player, force):
+                    break
             else:
-                _bounded_put(memo, key, hit)
-        elif sig not in types:
-            _bounded_put(types, sig, hit)
-        value, per = hit
-        for player in scan_order:
-            if not _player_stable(instance, cache, key, per, player, force):
-                break
-        else:
-            found.append((value, key))
+                found.append((value, key))
+    finally:
+        td = 0  # the route defers from here on, wherever it is installed
+        if cache.background is typed:
+            cache.background = outer
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.
     by_id = [cache.pos[jid] for jid in sorted(cache.ids)]

@@ -125,7 +125,9 @@ class MachineCache:
         self.base_scaled = sum(self.scaled(j.weight) for j in zero)
         self.zero_ids = frozenset(j.id for j in zero)
         self._groups = None
-        self.background = None  # a best-mode walk's key evaluator (`_background`)
+        # A search's key evaluator: a best-mode walk's (`_background`), or
+        # grid-NE enumeration's typed route (`equilibrium._grid_ne`).
+        self.background = None
 
     @classmethod
     def of(cls, instance: Instance) -> "MachineCache":
@@ -217,16 +219,21 @@ class MachineCache:
 
     def evaluate_key(self, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over
-        `wden`. A miss asks `background`, if set, then runs `_dp_core`, whose
-        credit walk over the covered mask adds each covered weight to the utilities."""
+        `wden`. A miss asks `background`, if set, then `solve_key`."""
         hit = self._cache.get(key)
         if hit is None:
             hit = self.background and self.background(key)
             if hit is None:
-                per = self.zero_per.copy()
-                hit = (self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per))
+                hit = self.solve_key(key)
             _bounded_put(self._cache, key, hit)
         return hit
+
+    def solve_key(self, key: tuple):
+        """`evaluate_key`'s answer from `_dp_core`, without the memo: the
+        DP's credit walk over the covered mask adds each covered weight to
+        the utilities."""
+        per = self.zero_per.copy()
+        return self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per)
 
     def ticks(self, x: Fraction) -> int:
         """A time on the core's scale; it must lie on it."""

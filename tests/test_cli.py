@@ -1,10 +1,16 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -346,16 +352,17 @@ GOLDEN_BRD_FLAGS = {"pos_c": ("--max-iters", "0")}
 GOLDEN_SHA256 = "bc5d648940d0f1a2bc04742d3b6e34359b312aead1a5c42b93aa26a5e185ee71"
 
 
-def test_golden_bytes_on_fixtures(capsys, tmp_path):
-    """sha256 over the exit codes and stdout bytes of `ne`, `analyze`
-    (window-free instances only: `analyze` rejects windows), `brd` from a
-    seeded grid profile and `ne --construct` (single and unit classes) on
-    every fixture. `pos_c` exceeds the enumeration guard, so its `ne` and
-    `analyze` pin exit 2 with empty stdout."""
-    digest = hashlib.sha256()
+def _golden_stream(directory) -> bytes:
+    """The exit codes and stdout bytes of `ne`, `analyze` (window-free
+    instances only: `analyze` rejects windows), `brd` from a seeded grid
+    profile and `ne --construct` (single and unit classes) on every fixture,
+    each after its command line. `pos_c` exceeds the enumeration guard, so
+    its `ne` and `analyze` give exit 2 and empty stdout. Start profiles are
+    written to `directory`."""
+    stream = []
     for name, kwargs, flags in GOLDEN_FIXTURES:
         instance = fixture(name, **kwargs).instance
-        start = tmp_path / f"{name}.start.json"
+        start = pathlib.Path(directory) / f"{name}.start.json"
         start.write_text(profile_to_json(random_profile(instance, 0)))
         brd_flags = GOLDEN_BRD_FLAGS.get(name, ())
         runs = [(("ne",), ()), (("brd", *brd_flags), (str(start),))]
@@ -365,11 +372,29 @@ def test_golden_bytes_on_fixtures(capsys, tmp_path):
             if getattr(instance, f"is_{cls}"):
                 runs.append((("ne", "--construct", cls), ()))
         for command, paths in runs:
-            code = main([*command, "--fixture", name, *flags, *paths])
-            out = capsys.readouterr().out
-            digest.update(" ".join([*command, name, *flags]).encode())
-            digest.update(f"\n{code}\n{out}\n".encode())
-    assert digest.hexdigest() == GOLDEN_SHA256
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main([*command, "--fixture", name, *flags, *paths])
+            stream.append(" ".join([*command, name, *flags]))
+            stream.append(f"\n{code}\n{out.getvalue()}\n")
+    return "".join(stream).encode()
+
+
+def test_golden_bytes_on_fixtures(tmp_path):
+    assert hashlib.sha256(_golden_stream(tmp_path)).hexdigest() == GOLDEN_SHA256
+
+
+def test_golden_bytes_under_two_hash_seeds(tmp_path):
+    """`igl` prints the golden stream in fresh processes whose str hashes,
+    and so the iteration order of str-keyed sets, differ."""
+    tests = pathlib.Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    script = ("import sys; from test_cli import _golden_stream; "
+              "sys.stdout.buffer.write(_golden_stream(sys.argv[1]))")
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, check=True)
+        assert hashlib.sha256(run.stdout).hexdigest() == GOLDEN_SHA256, seed
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):

@@ -1089,7 +1089,7 @@ def test_force_overrides_the_joint_search_guard(monkeypatch):
     assert best_response(inst, profile, 1, force=True) == expected
 
 
-# --- the order-type memo of grid-NE enumeration ---------------------------------
+# --- the DP-exact type memo of grid-NE enumeration ------------------------------
 
 def _order_type(cache, key):
     """The dense ranks of every positive-length job's (start, finish) among
@@ -1097,6 +1097,18 @@ def _order_type(cache, key):
     ends = [(key[p], key[p] + n) for p, n in enumerate(cache.lens) if n]
     rank = {x: i for i, x in enumerate(sorted({x for e in ends for x in e}))}
     return tuple((rank[s], rank[f]) for s, f in ends)
+
+
+def _dp_relations(cache, key):
+    """The endpoint comparisons the machine DP reads, over the positive-length
+    jobs of `key` in key order: each pair's finishes (-1, 0 or 1), whether
+    one job's finish is at most another's start, and each same-color pair's
+    starts."""
+    jobs = [(key[p], key[p] + n, c) for p, n, _, _, c in cache.rows]
+    pairs = list(itertools.combinations(jobs, 2))
+    return (tuple((fa > fb) - (fa < fb) for (_, fa, _), (_, fb, _) in pairs),
+            tuple(fa <= sb for _, fa, _ in jobs for sb, _, _ in jobs),
+            tuple((sa > sb) - (sa < sb) for (sa, _, ca), (sb, _, cb) in pairs if ca == cb))
 
 
 @st.composite
@@ -1113,7 +1125,9 @@ def _typed_instances(draw):
 @settings(max_examples=80, deadline=None)
 def test_type_signatures_are_the_order_types(drawn, rng):
     # Keys on and off the global grid, in a shuffled order so the signer's
-    # head moves back and forth, after a widening of the core's scale.
+    # head moves back and forth, after a widening of the core's scale. A
+    # signature is a function of the order type, and equal signatures mean
+    # equal comparisons in the DP, so equal DP results.
     inst, widen = drawn
     cache = MachineCache.of(inst)
     cache.key({j.id: F(1, widen) for j in inst.jobs})
@@ -1126,20 +1140,22 @@ def test_type_signatures_are_the_order_types(drawn, rng):
     keys = [tuple(rng.choice(pool) for pool in pools) for _ in range(40)]
     groups = sorted(g for gs in cache.groups.values() for g in gs)
     _, moving = rng.choice([max(groups, key=lambda g: len(g[0])), *groups])
-    sign = equilibrium._type_signer(cache, moving)
-    sigs = [sign(key) for key in keys]
-    types = [_order_type(cache, key) for key in keys]
-    for (s1, t1), (s2, t2) in itertools.combinations(zip(sigs, types), 2):
-        assert (s1 == s2) == (t1 == t2)
-    by_type = {}
-    for key, t in zip(keys, types):
-        assert by_type.setdefault(t, cache.evaluate_key(key)) == cache.evaluate_key(key)
+    head_starts, sign = equilibrium._type_signer(cache, moving)
+    sigs = [sign(key, head_starts(key)) for key in keys]
+    for (k1, s1), (k2, s2) in itertools.combinations(zip(keys, sigs), 2):
+        if _order_type(cache, k1) == _order_type(cache, k2):
+            assert s1 == s2
+        if s1 == s2:
+            assert _dp_relations(cache, k1) == _dp_relations(cache, k2)
+    by_sig = {}
+    for key, sig in zip(keys, sigs):
+        assert by_sig.setdefault(sig, cache.evaluate_key(key)) == cache.evaluate_key(key)
 
 
 def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
     # from_partition_decide((1, 3, 3, 3)): 12,012 grid profiles of 4,510
-    # order types. Run once with the order-type memo and once with a signer
-    # that keys it on the exact key (one DP per key, as without the memo).
+    # order types, and fewer DP-exact types. Run once with the type memo and
+    # once with a signer that keys it on the exact key (one DP per key).
     from intervalgames import machine
     counts = {}
     depth = [0]
@@ -1163,12 +1179,16 @@ def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
             counts["search_hits"] += key in self._cache
         return evaluate_key(self, key)
 
+    def exact_signer(cache, moving):
+        head_starts, _ = signer(cache, moving)
+        return head_starts, lambda key, starts: key
+
     monkeypatch.setattr(machine, "_dp_core", counting_dp)
     monkeypatch.setattr(equilibrium, "_player_search", counting_search)
     monkeypatch.setattr(MachineCache, "evaluate_key", counting_lookup)
     signer = equilibrium._type_signer
     runs = {}
-    for name, make in (("typed", signer), ("exact", lambda cache, moving: lambda key: key)):
+    for name, make in (("typed", signer), ("exact", exact_signer)):
         monkeypatch.setattr(equilibrium, "_type_signer", make)
         counts.update(dict.fromkeys(("enum_dp", "search_dp", "search_lookups",
                                      "search_hits"), 0))
@@ -1179,14 +1199,18 @@ def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
         runs[name] = found, dict(counts), len({_order_type(cache, k) for k in keys})
     (found, typed, types), (exact_found, exact, _) = runs["typed"], runs["exact"]
     assert types == 4510 and found == exact_found == []
-    assert typed["enum_dp"] <= types < exact["enum_dp"]
-    for count in ("search_dp", "search_lookups", "search_hits"):
+    # The exact signer gives every key its own DP call: these are the
+    # counts without DP-exact types.
+    assert (typed["enum_dp"], typed["search_dp"]) == (1826, 681)
+    assert (exact["enum_dp"], exact["search_dp"]) == (10838, 2884)
+    for count in ("search_lookups", "search_hits"):
         assert typed[count] == exact[count] > 0
 
 
 def test_bounded_tables_clear_without_changing_results(monkeypatch):
-    # With both limits at 1, the core's memo, the order-type memo and the
-    # grid cache are cleared at every other write during one enumeration.
+    # With both limits at 1, the core's memo, the grid cache, the DP-exact
+    # type memo and the signer's per-pattern class tables are cleared at
+    # every other write during one enumeration.
     from intervalgames import machine
     instances = [fixture(name, **params).instance for name, params in (
         ("ex1", {}), ("prop_no_ne", {}), ("pos_two", {}), ("poa_tight", {"n": 3}),
@@ -1196,12 +1220,30 @@ def test_bounded_tables_clear_without_changing_results(monkeypatch):
                 for inst in instances]
     monkeypatch.setattr(machine, "MEMO_LIMIT", 1)
     monkeypatch.setattr(machine, "GRID_CACHE_LIMIT", 1)
+    put, cleared, cores, deltas = equilibrium._bounded_put, collections.Counter(), [], []
+
+    def recording(table, key, value, limit=None):
+        if len(table) > (machine.MEMO_LIMIT if limit is None else limit):
+            # The grid cache and the class tables take the grid limit.
+            cleared["types" if limit is None else
+                    "grid" if table is cores[-1].grid_cache else "classes"] += 1
+        return put(table, key, value, limit)
+
+    monkeypatch.setattr(equilibrium, "_bounded_put", recording)
     for inst, (found, report) in zip(instances, expected):
         fresh = copy.copy(inst)
+        cores.append(MachineCache.of(fresh))
+        before = cleared.copy()
         assert enumerate_grid_ne(fresh) == found
-        cache = MachineCache.of(fresh)
-        assert len(cache._cache) <= 2 and len(cache.grid_cache) <= 2
-        assert analyze(copy.copy(inst)) == report
+        deltas.append(cleared - before)
+        assert len(cores[-1]._cache) <= 2 and len(cores[-1].grid_cache) <= 2
+        fresh = copy.copy(inst)
+        cores.append(MachineCache.of(fresh))
+        assert analyze(fresh) == report
+    # Each table is cleared midway through some enumeration; the type memo
+    # in every one.
+    assert all(d["types"] for d in deltas), deltas
+    assert all(any(d[t] for d in deltas) for t in ("grid", "classes")), deltas
 
 
 # --- analysis ---------------------------------------------------------------------
@@ -1485,6 +1527,34 @@ def test_no_background_route_outlives_its_search(monkeypatch):
         search()
         assert cache.background is None
     assert enumerate_grid_ne(inst) == enumerate_grid_ne(copy.copy(fx.instance))
+    assert cache.background is None
+    # An enumeration whose verdict search raises: its typed route is taken
+    # down, and, wherever it is still held, it defers from then on.
+    guarded, message = guard_instances()["player_jobs"]
+    guarded = copy.copy(guarded)
+    cache, routes, stable = MachineCache.of(guarded), [], equilibrium._player_stable
+
+    def recording(instance, core, key, per, player, force):
+        routes.append((core.background, key, core.background(key)))
+        return stable(instance, core, key, per, player, force)
+
+    monkeypatch.setattr(equilibrium, "_player_stable", recording)
+    with pytest.raises(GuardError, match=message):
+        enumerate_grid_ne(guarded)
+    assert cache.background is None
+    typed, key, answered = routes[-1]
+    assert answered == cache.evaluate_key(key) and typed(key) is None
+
+
+def test_a_search_puts_back_the_route_it_found():
+    fx = from_partition_br((1, 2, 3))
+    inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
+    cache = MachineCache.of(inst)
+    installed = cache.background = lambda key: None
+    for player in inst.color_ids:
+        assert best_response(inst, profile, player) \
+            == best_response(copy.copy(fx.instance), profile, player)
+        assert cache.background is installed
 
 
 def test_a_search_removes_only_its_own_route(monkeypatch):
@@ -1509,3 +1579,45 @@ def test_a_search_removes_only_its_own_route(monkeypatch):
     monkeypatch.setattr(machine, "_background", interleaved)
     assert best_response(inst, profile, 1) == best_response(copy.copy(fx.instance), profile, 1)
     assert foreign and cache.background is foreign[0]
+
+
+def test_typed_route_matches_the_dp_and_defers_off_its_head(monkeypatch):
+    """During grid-NE enumeration the typed route answers each key a verdict
+    search evaluates with `_dp_core`'s (value, per-color utilities) when the
+    key's head (the jobs off the fastest group) is the enumerated key's, and
+    defers on any other head and on a widened time scale."""
+    from intervalgames import machine
+    instances = [fx.instance for fx in _enumerable_fixtures()]
+    instances += [from_partition_decide(v).instance for v in ((1, 2, 3), (2, 2, 2), (1, 1, 2, 2))]
+    checked, current = collections.Counter(), []
+    search, evaluate_key = equilibrium._player_search, MachineCache.evaluate_key
+
+    def recording(instance, cache, key, *args, **kwargs):
+        current.append(key)
+        try:
+            return search(instance, cache, key, *args, **kwargs)
+        finally:
+            current.pop()
+
+    def checking(self, key):
+        if current:
+            per = self.zero_per.copy()
+            dp = self.base_scaled + machine._dp_core(self.rows, key, per)[0], tuple(per)
+            _, moving = max(g for gs in self.groups.values() for g in gs)
+            head = [p for p, n in enumerate(self.lens) if n and p not in moving]
+            if all(key[p] == current[-1][p] for p in head):
+                assert self.background(key) == dp, key
+                checked["typed"] += 1
+                self.td *= 3
+                assert self.background(key) is None
+                self.td //= 3
+            else:
+                assert self.background(key) is None, key
+                checked["deferred"] += 1
+        return evaluate_key(self, key)
+
+    monkeypatch.setattr(equilibrium, "_player_search", recording)
+    monkeypatch.setattr(MachineCache, "evaluate_key", checking)
+    for inst in instances:
+        enumerate_grid_ne(copy.copy(inst))
+    assert checked["typed"] > 1000 and checked["deferred"] > 1000, checked
