@@ -29,8 +29,8 @@ current starts merged in (`_coded_grid`), by the key walker of enumeration
 `big` flag says whether a guard could fire on the merged lists, which add at
 most one start per job; `_player_stable` runs the guards (`_guards`, one
 sequence for both) only when it is set, and a search always. A best-mode
-search installs a background route (`machine._background`) for its walk and
-then puts back the route it found.
+search passes its own background route (`machine._background`) with each
+memo lookup of its walk. Searches return keys and int utilities.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -50,12 +50,11 @@ keys whose positive-length endpoints agree on those comparisons get the same
 (value, per-color utilities). `_type_signer` splits the jobs at the group
 `_grid_keys` moves fastest: the other jobs, the head, keep their full order
 pattern, and each moving endpoint is coded by its class against the head,
-read from two tables per head pattern. `_grid_ne` installs a typed route for
-its call: a memo miss on the call's scale whose head is the current key's is
-answered from a type memo that lives for the call only, and the DP runs on a
-type miss. That serves the enumeration's own keys and the verdict searches
-of the player who owns the fastest group; other keys defer to the DP, and so
-does every key once the call has returned. The signature is built
+read from two tables per head pattern. `_grid_ne` answers a memo miss whose
+head is the current key's from a type memo that lives for the call only, and
+the DP runs on a type miss. That serves the enumeration's own keys and, by
+the typed route it passes down to its verdict searches, those of the player
+who owns the fastest group; other keys defer to the DP. The signature is built
 incrementally: the head's endpoints are ranked again only when they move,
 and the moving endpoints are placed among them by bisection. Best-response
 keys seldom repeat a type, so the memo is not kept on the core.
@@ -76,7 +75,7 @@ from . import machine
 from .machine import (MachineCache, _bounded_put, _job_groups, _ticks, _time_lcm,
                       machine_value_and_covered, solve_machine_dp)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
-                    UnsupportedInstanceError, ValidationError, utilities,
+                    UnsupportedInstanceError, ValidationError, _inexact, utilities,
                     validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
@@ -200,12 +199,16 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     starts' denominators, so half a gap is an integer too. Only this view
     tags the points, each with its first source: the bounds
     ("window-clipped" for a windowed job), then the other aligned points
-    ("endpoint-aligned"), then the interior ones ("interior-shifted").
+    ("endpoint-aligned"), then the interior ones ("interior-shifted"). A
+    fixed start that is not an int or a `Fraction` raises `ValidationError`.
     """
     T = instance.horizon
     own = instance.jobs_of_color(player)
     if not own:
         raise ValidationError(f"instance has no player {player}")
+    for jid, s in fixed_starts.items():
+        if _inexact(s):
+            raise ValidationError(f"job {jid}: start {s!r} must be an int or a Fraction")
     fixed = [(instance.job(jid), s) for jid, s in fixed_starts.items()]
     den = 2 * math.lcm(_time_lcm(instance), *[s.denominator for _, s in fixed])
     fixed_n = [(k.id, _ticks(s, den), _ticks(s + k.length, den)) for k, s in fixed]
@@ -317,34 +320,34 @@ def _coded_grid(cache: MachineCache, key: tuple, player: int):
     return record, lists
 
 
-def _strategy(cache: MachineCache, key, own) -> dict[int, Fraction]:
-    """The own jobs' starts in a key, by id, as `Fraction`s."""
-    return {j.id: cache.time(key[cache.pos[j.id]]) for j in own}
+def _strategy(cache: MachineCache, key, player: int) -> dict[int, Fraction]:
+    """The player's starts in a key, by job id, as `Fraction`s."""
+    return {j.id: cache.time(key[cache.pos[j.id]])
+            for j in cache.instance.jobs_of_color(player)}
 
 
 def _player_search(instance: Instance, cache: MachineCache, key: tuple,
                    player: int, *, mode: str, force: bool = False,
-                   grid_override=None, prefer_value: bool = False):
+                   grid_override=None, prefer_value: bool = False, route=None):
     """Search the player's joint strategy grid from the profile `key`.
 
-    mode="best": return (strategy dict, utility), preferring the current
-    strategy when it already attains the maximum. With prefer_value, ties on
-    utility go to the strategy the machine values most (dynamics use this:
-    stacking onto an already-covered slot never lowers the machine's total).
-    The search stops once its incumbent reaches the top of that ranking.
-    mode="first": return the first strictly improving (key, utility) pair,
-    the utility an int over `wden`, or None.
+    mode="best": return the best (key, utility), the utility an int over
+    `wden`, preferring the current strategy when it attains the maximum.
+    With prefer_value, ties on utility go to the strategy the machine values
+    most (dynamics use this: stacking onto an already-covered slot never
+    lowers the machine's total). The search stops once its incumbent reaches
+    the top of that ranking. Memo misses go to `machine._background` first.
+    mode="first": return the first strictly improving (key, utility), or
+    None; its memo misses go to `route` first (see `evaluate_key`).
     `grid_override` maps each job id to its candidate starts on the core's
     scale, replacing the local grid.
     """
-    own = instance.jobs_of_color(player)
-    if not own:
+    if not instance.jobs_of_color(player):
         raise ValidationError(f"instance has no player {player}")
     pix = cache.color_index[player]
-    wden = cache.wden
-    u_cur = cache.evaluate_key(key)[1][pix]
+    u_cur = cache.evaluate_key(key, route)[1][pix]
     if u_cur == cache.totals[pix]:  # fully covered players cannot improve
-        return (_strategy(cache, key, own), Fraction(u_cur, wden)) if mode == "best" else None
+        return (key, u_cur) if mode == "best" else None
 
     groups = cache.groups[player]
     if grid_override is not None:
@@ -359,35 +362,30 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     # covers every job of the player (with prefer_value: of the instance).
     full = cache.totals
     # Only best-mode walks, which read most of their grid, pay for its set-up.
-    route = machine._background(cache, key, pix) if mode == "best" else None
-    outer = cache.background
-    cache.background = route or outer
-    try:
-        for cand in _grid_keys([(ps, coded) for (_, ps), coded in zip(groups, lists)], key):
-            value, per = cache.evaluate_key(cand)
-            u = per[pix]
-            if u > best_u or (prefer_value and best is not None
-                              and u == best_u and value > best_value):
-                if mode == "first":
-                    return cand, u
-                best_u = u
-                best_value = value
-                best = cand
-                if u == full[pix] and (not prefer_value or per == full):
-                    break
-    finally:
-        if route and cache.background is route:  # not another search's route
-            cache.background = outer
+    if mode == "best":
+        route = machine._background(cache, key, pix)
+    for cand in _grid_keys([(ps, coded) for (_, ps), coded in zip(groups, lists)], key):
+        value, per = cache.evaluate_key(cand, route)
+        u = per[pix]
+        if u > best_u or (prefer_value and best is not None
+                          and u == best_u and value > best_value):
+            if mode == "first":
+                return cand, u
+            best_u = u
+            best_value = value
+            best = cand
+            if u == full[pix] and (not prefer_value or per == full):
+                break
     if mode == "first":
         return None
-    return (_strategy(cache, key if best is None else best, own), Fraction(best_u, wden))
+    return key if best is None else best, best_u
 
 
 def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
-                   per: tuple, player: int, force: bool) -> bool:
+                   per: tuple, player: int, force: bool, route=None) -> bool:
     """Whether the player has no improving grid move: the verdict of a
-    first-improvement `_player_search`, with the same guards in the same
-    order, read from the grid record's bounds when they settle it.
+    first-improvement `_player_search` (given `route`), with the same guards
+    in the same order, read from the grid record's bounds when they settle it.
 
     The player's searched lists are the aligned lists of the record plus
     its current starts, and a deviation's utility does not depend on the
@@ -417,7 +415,8 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1
                                or _aligned(groups, record, key)):
         return True
-    found = _player_search(instance, cache, key, player, mode="first", force=force)
+    found = _player_search(instance, cache, key, player, mode="first", force=force,
+                           route=route)
     if found is None:
         record.hi = min(record.hi, u_cur)
         return True
@@ -444,8 +443,9 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     """
     validate_profile(instance, profile)
     cache = MachineCache.of(instance)
-    return _player_search(instance, cache, cache.key(profile.as_dict()), player,
-                          mode="best", force=force)
+    best, u = _player_search(instance, cache, cache.key(profile.as_dict()), player,
+                             mode="best", force=force)
+    return _strategy(cache, best, player), Fraction(u, cache.wden)
 
 
 def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = False,
@@ -462,27 +462,22 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     key = cache.key(profile.as_dict())
     scan = instance.color_ids if players is None else tuple(sorted(players))
     for player in scan:
-        if first_improvement:
-            found = _player_search(instance, cache, key, player, mode="first",
-                                   force=force)
-            if found is not None:
-                moved, u = found
-                own = instance.jobs_of_color(player)
-                return Deviation(player, tuple(_strategy(cache, moved, own).items()),
-                                 cache.utility(key, player), Fraction(u, cache.wden))
-        else:
-            strategy, u = _player_search(instance, cache, key, player,
-                                         mode="best", force=force)
-            u_cur = cache.utility(key, player)
-            if u > u_cur:
-                return Deviation(player, tuple(sorted(strategy.items())), u_cur, u)
+        found = _player_search(instance, cache, key, player, force=force,
+                               mode="first" if first_improvement else "best")
+        u_cur = cache.evaluate_key(key)[1][cache.color_index[player]]
+        if found is not None and found[1] > u_cur:
+            moved, u = found
+            return Deviation(player, tuple(_strategy(cache, moved, player).items()),
+                             Fraction(u_cur, cache.wden), Fraction(u, cache.wden))
     return None
 
 
 def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bool:
     """Re-check a deviation from scratch with the machine DP (no memo): exact
-    strict improvement."""
-    moved = Profile.from_dict({**profile.as_dict(), **dict(dev.new_strategy)})
+    strict improvement. An invalid profile or move raises `ValidationError`."""
+    validate_profile(instance, profile)
+    moved = validate_profile(instance, Profile.from_dict(
+        {**profile.as_dict(), **dict(dev.new_strategy)}))
     u_before, u_after = (dict(utilities(instance, p, solve_machine_dp(instance, p))
                               .entries)[dev.player] for p in (profile, moved))
     return (u_before == dev.utility_before and u_after == dev.utility_after
@@ -696,19 +691,17 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
 
     A key missing from the core's memo is answered from a DP-exact type memo
     that lives for this call only, and `_dp_core` runs only when that memo
-    misses too. The enumeration asks it for its own keys; for the whole call
-    the core's background route (`typed`) asks it for any key on the call's
-    scale whose head (`_type_signer`, split at the group `_grid_keys` moves
-    fastest) is the current key's, which serves the verdict searches of the
-    player who owns that group. Every other key, and every key once the call
-    has returned, defers to the DP."""
+    misses too. The enumeration asks it for its own keys, and the route
+    `typed`, which the verdict searches get, for any key whose head
+    (`_type_signer`, split at the group `_grid_keys` moves fastest) is the
+    current key's: that serves the verdict searches of the player who owns
+    that group. Every other key defers to the DP."""
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
     _, moving = max(group for groups in cache.groups.values() for group in groups)
     head_starts, sign = _type_signer(cache, moving)
-    memo, types = cache._cache, {}
-    td, head = cache.td, None
+    memo, types, head = cache._cache, {}, None
 
     def by_type(key: tuple, starts: tuple):
         sig = sign(key, starts)
@@ -716,25 +709,17 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
 
     def typed(key: tuple):
         starts = head_starts(key)
-        if cache.td != td or starts != head:
-            return None
-        return by_type(key, starts)
+        return by_type(key, starts) if starts == head else None
 
-    found, outer = [], cache.background
-    cache.background = typed
-    try:
-        for key in keys:
-            head = head_starts(key)
-            value, per = memo.get(key) or _bounded_put(memo, key, by_type(key, head))
-            for player in scan_order:
-                if not _player_stable(instance, cache, key, per, player, force):
-                    break
-            else:
-                found.append((value, key))
-    finally:
-        td = 0  # the route defers from here on, wherever it is installed
-        if cache.background is typed:
-            cache.background = outer
+    found = []
+    for key in keys:
+        head = head_starts(key)
+        value, per = memo.get(key) or _bounded_put(memo, key, by_type(key, head))
+        for player in scan_order:
+            if not _player_stable(instance, cache, key, per, player, force, route=typed):
+                break
+        else:
+            found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.
     by_id = [cache.pos[jid] for jid in sorted(cache.ids)]
@@ -784,18 +769,15 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
             pointer += 1
         else:
             player = colors[quiet]
-        strategy, u = _player_search(instance, cache, key, player,
-                                     mode="best", force=force,
-                                     grid_override=gcands, prefer_value=True)
-        u_cur = cache.utility(key, player)
+        best, u = _player_search(instance, cache, key, player,
+                                 mode="best", force=force,
+                                 grid_override=gcands, prefer_value=True)
+        u_cur = cache.evaluate_key(key)[1][cache.color_index[player]]
         if u > u_cur:
-            moved = list(key)
-            for jid, x in strategy.items():
-                moved[cache.pos[jid]] = cache.ticks(x)
-            key = tuple(moved)
+            key = best
             iterations += 1
             quiet = 0
-            trace.append((player, u - u_cur, cache.value(key)))
+            trace.append((player, Fraction(u - u_cur, cache.wden), cache.value(key)))
             if key in seen:
                 cycle = tuple(map(cache.profile, list(seen)[seen[key]:]))
                 return BrdOutcome("cycle_detected", None, cycle,

@@ -9,11 +9,11 @@ start merges them into disjoint one-color busy segments, and any job whose
 whole interval lies inside a segment of its own color is covered for free.
 
 A best-mode search moves one player's jobs, all of one color, against the
-others' fixed ones; its memo misses go to `_background` first, which takes
-the best, over the fixed jobs' cross-color-compatible subsets K, of w(K)
-plus the moving weight that overlaps no job of K. It defers to the DP when
-the subsets outnumber its rows, on ties in per-color utilities, and on keys
-with another background or time scale, so memo values are functions of keys.
+others' fixed ones; it passes `evaluate_key` a route, `_background`, for its
+walk's memo misses: the best, over the fixed jobs' cross-color-compatible
+subsets K, of w(K) plus the moving weight that overlaps no job of K. It
+defers to the DP when the subsets outnumber its rows and on ties in
+per-color utilities; no other walk's keys reach it.
 
 Everything computes in integers on one time scale per instance. The
 instance's solver core (`MachineCache`, stored on the `Instance` object and
@@ -100,8 +100,8 @@ class MachineCache:
     built on the first search use (`key` or `groups`), so a core that only
     solves machines never holds them. Memo keys are tuples of start
     numerators over `td`, one per job in instance order; memo values are
-    (value, per-color utilities), all ints over `wden`. `value`, `utility`,
-    `time` and `profile` convert back to `Fraction`s.
+    (value, per-color utilities), all ints over `wden`. `value`, `time` and
+    `profile` convert back to `Fraction`s.
 
     `MachineCache.of(instance)` is the only way to it. The core is stored on
     the instance and dies with it; equal but distinct instances do not share
@@ -110,7 +110,7 @@ class MachineCache:
     __slots__ = ("instance", "wden", "td", "rows", "base_scaled", "zero_ids",
                  "color_ids", "ids", "pos", "color_index", "totals", "zero_per",
                  "lens", "bounds", "other_pos", "_groups", "_others", "_cache",
-                 "grid_cache", "background")
+                 "grid_cache")
 
     def __init__(self, instance: Instance):
         jobs = instance.jobs
@@ -125,9 +125,6 @@ class MachineCache:
         self.base_scaled = sum(self.scaled(j.weight) for j in zero)
         self.zero_ids = frozenset(j.id for j in zero)
         self._groups = None
-        # A search's key evaluator: a best-mode walk's (`_background`), or
-        # grid-NE enumeration's typed route (`equilibrium._grid_ne`).
-        self.background = None
 
     @classmethod
     def of(cls, instance: Instance) -> "MachineCache":
@@ -217,12 +214,12 @@ class MachineCache:
         """The player and the other players' starts in a key."""
         return (player, self._others[player](key))
 
-    def evaluate_key(self, key: tuple):
+    def evaluate_key(self, key: tuple, route=None):
         """(value, per-color utilities) of the profile `key`, ints over
-        `wden`. A miss asks `background`, if set, then `solve_key`."""
+        `wden`. A miss asks `route`, if given, then `solve_key`."""
         hit = self._cache.get(key)
         if hit is None:
-            hit = self.background and self.background(key)
+            hit = route and route(key)
             if hit is None:
                 hit = self.solve_key(key)
             _bounded_put(self._cache, key, hit)
@@ -235,10 +232,6 @@ class MachineCache:
         per = self.zero_per.copy()
         return self.base_scaled + _dp_core(self.rows, key, per)[0], tuple(per)
 
-    def ticks(self, x: Fraction) -> int:
-        """A time on the core's scale; it must lie on it."""
-        return _ticks(x, self.td)
-
     def time(self, n: int) -> Fraction:
         return Fraction(n, self.td)
 
@@ -249,9 +242,6 @@ class MachineCache:
 
     def value(self, key: tuple) -> Fraction:
         return Fraction(self.evaluate_key(key)[0], self.wden)
-
-    def utility(self, key: tuple, color: int) -> Fraction:
-        return Fraction(self.evaluate_key(key)[1][self.color_index[color]], self.wden)
 
 
 def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
@@ -374,9 +364,7 @@ def _dp_core(rows, times, per=None):
 def _background(st: MachineCache, key: tuple, pix: int):
     """The route for keys that move only the jobs of color index `pix` from
     `key` (None if the fixed jobs have more compatible subsets than the core
-    has DP rows). Zero-weight jobs are left out; any other key defers."""
-    td, others = st.td, st._others[st.color_ids[pix]]
-    background = others(key)
+    has DP rows). Zero-weight jobs are left out."""
     own = [(p, ln, w, {}) for p, ln, _, w, c in st.rows if c == pix and w]  # {start: mask}
     fixed = [(key[p], key[p] + ln, w, c) for p, ln, _, w, c in st.rows if c != pix and w]
     # (bitmask over `fixed`, weight, per-color utilities), grown one job at a time.
@@ -390,8 +378,6 @@ def _background(st: MachineCache, key: tuple, pix: int):
             return None
     seen: dict = {}  # results by the moving jobs' overlap masks, which fix them
     def evaluate(key: tuple):
-        if st.td != td or others(key) != background:
-            return None
         ms = []
         for p, ln, _, masks in own:
             x = key[p]

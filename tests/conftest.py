@@ -8,6 +8,30 @@ from intervalgames import (Fixture, Instance, Job, best_response,
                            enumerate_grid_ne, fixture, is_nash,
                            social_optimum_enumerate, solve_machine_dp, utilities,
                            validate_instance)
+from intervalgames.machine import MachineCache
+
+
+class KeyLog(list):
+    """The keys `MachineCache.evaluate_key` was asked for, in call order;
+    `hits` counts those the core's memo already held."""
+
+    hits = 0
+
+
+@pytest.fixture
+def evaluated_keys(monkeypatch):
+    """Record every `MachineCache.evaluate_key` call in a `KeyLog` for the
+    test's duration."""
+    log = KeyLog()
+    evaluate_key = MachineCache.evaluate_key
+
+    def recording(self, key, route=None):
+        log.append(key)
+        log.hits += key in self._cache
+        return evaluate_key(self, key, route)
+
+    monkeypatch.setattr(MachineCache, "evaluate_key", recording)
+    return log
 
 
 def guard_instances():

@@ -30,7 +30,8 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
 from intervalgames import equilibrium
 from intervalgames.equilibrium import (_coded_grid, _coded_lists, _grid_points,
                                         _player_search, _player_stable)
-from intervalgames.machine import MachineCache, _job_groups, machine_value_and_covered
+from intervalgames.machine import (MachineCache, _job_groups, _ticks,
+                                  machine_value_and_covered)
 from conftest import guard_instances
 
 
@@ -651,7 +652,8 @@ def test_enumerate_guards_raise(name):
 
 def _on_scale(cache, grid_override):
     """A Fraction candidate map as times on the core's scale."""
-    return {jid: [cache.ticks(x) for x in cands] for jid, cands in grid_override.items()}
+    return {jid: [_ticks(x, cache.td) for x in cands]
+            for jid, cands in grid_override.items()}
 
 
 def _search_lists(inst, starts, player, grid_override):
@@ -701,8 +703,9 @@ def _search_best(inst, starts, player, grid_override=None, prefer_value=False):
     key = cache.key(starts)
     if grid_override is not None:
         grid_override = _on_scale(cache, grid_override)
-    return _player_search(inst, cache, key, player, mode="best",
-                          grid_override=grid_override, prefer_value=prefer_value)
+    best, u = _player_search(inst, cache, key, player, mode="best",
+                             grid_override=grid_override, prefer_value=prefer_value)
+    return equilibrium._strategy(cache, best, player), F(u, cache.wden)
 
 
 def _partition_games():
@@ -754,27 +757,20 @@ def test_dynamics_search_matches_exhaustive_search_on_families():
 
 @pytest.mark.parametrize("values, stops_early", [((1, 1, 2), True),
                                                  ((1, 1, 4), False)])
-def test_best_response_stops_at_the_utility_ceiling(monkeypatch, values, stops_early):
+def test_best_response_stops_at_the_utility_ceiling(evaluated_keys, values, stops_early):
     fx = from_partition_br(values)
     assert fx.params["partition_exists"] is stops_early
     inst, profile = fx.instance, fx.notable_profiles["initial"]
     size = math.prod(math.comb(len(coded) + len(ids_) - 1, len(ids_)) for ids_, coded
                      in _search_lists(inst, profile.as_dict(), 1, None))
-    calls = []
-    evaluate_key = MachineCache.evaluate_key
-
-    def counting(self, key):
-        calls.append(key)
-        return evaluate_key(self, key)
-
-    monkeypatch.setattr(MachineCache, "evaluate_key", counting)
+    evaluated_keys.clear()
     _, u = best_response(inst, profile, 1)
     assert (u == sum(j.weight for j in inst.jobs_of_color(1))) is stops_early
     if stops_early:
-        assert len(calls) < size
+        assert len(evaluated_keys) < size
     else:
         # The current profile, then every combination of the joint search.
-        assert len(calls) == 1 + size
+        assert len(evaluated_keys) == 1 + size
 
 
 def _plain_walk(cache, key, player, mode, lists, prefer_value):
@@ -806,14 +802,7 @@ def _plain_walk(cache, key, player, mode, lists, prefer_value):
     return visited, best
 
 
-def test_player_search_walks_the_keys_of_a_plain_product(monkeypatch):
-    visited = []
-    evaluate_key = MachineCache.evaluate_key
-
-    def recording(self, key):
-        visited.append(key)
-        return evaluate_key(self, key)
-
+def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys):
     cases = [(fx.instance, fx.notable_profiles["initial"], None) for fx in _partition_games()]
     cases += [(fx.instance, p, None) for fx in _enumerable_fixtures()
               for p in fx.notable_profiles.values()]
@@ -836,19 +825,16 @@ def test_player_search_walks_the_keys_of_a_plain_product(monkeypatch):
                 continue
             for mode, prefer_value in (("first", False), ("best", False), ("best", True)):
                 expected, stop = _plain_walk(cache, key, player, mode, lists, prefer_value)
-                visited.clear()
-                monkeypatch.setattr(MachineCache, "evaluate_key", recording)
+                evaluated_keys.clear()
                 got = _player_search(inst, cache, key, player, mode=mode,
                                      grid_override=override, prefer_value=prefer_value)
-                monkeypatch.setattr(MachineCache, "evaluate_key", evaluate_key)
-                assert visited == expected, (inst, player, mode, prefer_value)
+                assert evaluated_keys == expected, (inst, player, mode, prefer_value)
                 seen[mode] += 1
                 if mode == "first":
                     assert (None if got is None else got[0]) == stop
                     seen["found"] += got is not None
                 else:
-                    own = inst.jobs_of_color(player)
-                    assert got[0] == equilibrium._strategy(cache, stop or key, own)
+                    assert got[0] == (stop or key)
                     seen["stopped"] += 1 < len(expected) < 1 + size
     assert min(seen.values()) > 0, seen
 
@@ -1020,35 +1006,27 @@ def test_scaling_every_time_by_k_scales_the_answers(shape, seed, k, fractions):
 
 # --- the joint-search guard --------------------------------------------------------
 
-def test_joint_search_guard_fires_before_the_first_combination(monkeypatch):
+def test_joint_search_guard_fires_before_the_first_combination(evaluated_keys):
     fx = fixture("pos_c", c=4)
     inst, profile = fx.instance, random_profile(fx.instance, 0)
-    calls = []
-    evaluate_key = MachineCache.evaluate_key
-
-    def counting(self, key):
-        calls.append(key)
-        return evaluate_key(self, key)
-
-    monkeypatch.setattr(MachineCache, "evaluate_key", counting)
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
         best_response(inst, profile, 2)
-    assert len(calls) == 1  # the current profile only
+    assert len(evaluated_keys) == 1  # the current profile only
     cache = MachineCache.of(inst)
     gcands = _on_scale(cache, grid_candidates(inst))
-    calls.clear()
+    evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 11486475"):
         _player_search(inst, cache, cache.key(profile.as_dict()), 2, mode="best",
                        grid_override=gcands, prefer_value=True)
-    assert len(calls) == 1
+    assert len(evaluated_keys) == 1
     # Grid-NE enumeration checks the same guard at the same point, before
     # the grid record's bounds or a search can settle the verdict.
     key = cache.key(profile.as_dict())
     per = cache.evaluate_key(key)[1]
-    calls.clear()
+    evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
         _player_stable(inst, cache, key, per, 2, False)
-    assert calls == []
+    assert evaluated_keys == []
 
 
 @pytest.mark.parametrize("max_grid, max_search", [(64, 10 ** 5), (6, 20), (4, 6)])
@@ -1134,7 +1112,7 @@ def test_type_signatures_are_the_order_types(drawn, rng):
     grid = _on_scale(cache, grid_candidates(inst))
     pools = []
     for j in inst.jobs:
-        hi = cache.ticks(inst.horizon - j.length)
+        hi = _ticks(inst.horizon - j.length, cache.td)
         pools.append(sorted(set(rng.sample(grid[j.id], min(3, len(grid[j.id])))
                                 + [rng.randint(0, hi) for _ in range(2)])))
     keys = [tuple(rng.choice(pool) for pool in pools) for _ in range(40)]
@@ -1152,32 +1130,30 @@ def test_type_signatures_are_the_order_types(drawn, rng):
         assert by_sig.setdefault(sig, cache.evaluate_key(key)) == cache.evaluate_key(key)
 
 
-def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
+def test_enumeration_runs_one_dp_per_order_type(monkeypatch, evaluated_keys):
     # from_partition_decide((1, 3, 3, 3)): 12,012 grid profiles of 4,510
     # order types, and fewer DP-exact types. Run once with the type memo and
     # once with a signer that keys it on the exact key (one DP per key).
     from intervalgames import machine
     counts = {}
     depth = [0]
-    dp_core, search, evaluate_key = (machine._dp_core, equilibrium._player_search,
-                                     MachineCache.evaluate_key)
+    dp_core, search = machine._dp_core, equilibrium._player_search
 
     def counting_dp(rows, key, per=None):
         counts["search_dp" if depth[0] else "enum_dp"] += 1
         return dp_core(rows, key, per)
 
     def counting_search(*args, **kwargs):
+        # Searches do not nest here, so the lookups between entry and exit
+        # are the search's own.
+        lookups, hits = len(evaluated_keys), evaluated_keys.hits
         depth[0] += 1
         try:
             return search(*args, **kwargs)
         finally:
             depth[0] -= 1
-
-    def counting_lookup(self, key):
-        if depth[0]:
-            counts["search_lookups"] += 1
-            counts["search_hits"] += key in self._cache
-        return evaluate_key(self, key)
+            counts["search_lookups"] += len(evaluated_keys) - lookups
+            counts["search_hits"] += evaluated_keys.hits - hits
 
     def exact_signer(cache, moving):
         head_starts, _ = signer(cache, moving)
@@ -1185,7 +1161,6 @@ def test_enumeration_runs_one_dp_per_order_type(monkeypatch):
 
     monkeypatch.setattr(machine, "_dp_core", counting_dp)
     monkeypatch.setattr(equilibrium, "_player_search", counting_search)
-    monkeypatch.setattr(MachineCache, "evaluate_key", counting_lookup)
     signer = equilibrium._type_signer
     runs = {}
     for name, make in (("typed", signer), ("exact", exact_signer)):
@@ -1397,12 +1372,21 @@ def test_solver_core_is_not_part_of_the_value(jobs):
 def test_search_entries_validate_their_profile(starts, message):
     """`best_response` and `is_nash` reject a profile that `brd` rejects,
     instead of searching from starts the game does not allow."""
-    inst = fixture("ex1").instance
+    fx = fixture("ex1")
+    inst, valid = fx.instance, fx.notable_profiles["figure_a"]
     profile = Profile.from_dict(starts)
-    for search in (lambda: best_response(inst, profile, 2),
-                   lambda: is_nash(inst, profile),
-                   lambda: is_nash(inst, profile, first_improvement=True),
-                   lambda: brd(inst, profile)):
+    dev = equilibrium.Deviation(2, ((3, F(2)),), F(0), F(1))
+    searches = [lambda: best_response(inst, profile, 2),
+                lambda: is_nash(inst, profile),
+                lambda: is_nash(inst, profile, first_improvement=True),
+                lambda: brd(inst, profile),
+                lambda: verify_deviation(inst, profile, dev)]
+    # The starts past job 2, given as a move from a valid profile.
+    moved = tuple((j, s) for j, s in starts.items() if j > 2)
+    if moved:
+        move = equilibrium.Deviation(2, moved, F(0), F(1))
+        searches.append(lambda: verify_deviation(inst, valid, move))
+    for search in searches:
         with pytest.raises(ValidationError, match=re.escape(message)):
             search()
 
@@ -1422,11 +1406,17 @@ def test_inexact_numbers_are_rejected_at_the_library_boundary(value):
         with pytest.raises(ValidationError, match="job 1: length, weight and window"):
             validate_instance(Instance(inst.horizon, (bad, *rest)))
     profile = Profile.from_dict({1: F(0), 2: F(0), 3: value})
+    valid = Profile.from_dict({1: F(0), 2: F(0), 3: F(1)})
+    dev = equilibrium.Deviation(2, ((3, F(2)),), F(0), F(1))
+    move = equilibrium.Deviation(2, ((3, value),), F(0), F(1))
     for check in (lambda: validate_profile(inst, profile),
                   lambda: best_response(inst, profile, 2),
                   lambda: is_nash(inst, profile),
                   lambda: is_nash(inst, profile, first_improvement=True),
-                  lambda: brd(inst, profile)):
+                  lambda: brd(inst, profile),
+                  lambda: verify_deviation(inst, profile, dev),
+                  lambda: verify_deviation(inst, valid, move),
+                  lambda: build_grid(inst, {3: value}, player=1)):
         with pytest.raises(ValidationError, match=f"job 3: start {re.escape(repr(value))}"):
             check()
     # Ints are exact: an int horizon and int starts solve as their Fractions do.
@@ -1501,10 +1491,12 @@ def test_background_route_changes_no_result(monkeypatch):
 
 
 def test_no_background_route_outlives_its_search(monkeypatch):
+    """A best-mode walk whose route raises midway, or an enumeration whose
+    verdict search raises, leaves the core answering as a fresh copy does,
+    with only DP answers in its memo."""
     from intervalgames import machine
     fx = from_partition_br((1, 2, 3))
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
-    cache = MachineCache.of(inst)
     route = machine._background
 
     def failing(st, key, pix):
@@ -1520,101 +1512,107 @@ def test_no_background_route_outlives_its_search(monkeypatch):
     monkeypatch.setattr(machine, "_background", failing)
     with pytest.raises(RuntimeError, match="midway"):
         best_response(inst, profile, 1)
-    assert cache.background is None
     monkeypatch.setattr(machine, "_background", route)
-    for search in (lambda: best_response(inst, profile, 1), lambda: is_nash(inst, profile),
-                   lambda: brd(inst, profile), lambda: best_response(inst, profile, 2)):
-        search()
-        assert cache.background is None
-    assert enumerate_grid_ne(inst) == enumerate_grid_ne(copy.copy(fx.instance))
-    assert cache.background is None
-    # An enumeration whose verdict search raises: its typed route is taken
-    # down, and, wherever it is still held, it defers from then on.
+    for search in (lambda i: best_response(i, profile, 1), lambda i: is_nash(i, profile),
+                   lambda i: brd(i, profile), lambda i: best_response(i, profile, 2),
+                   enumerate_grid_ne):
+        assert search(inst) == search(copy.copy(fx.instance))
     guarded, message = guard_instances()["player_jobs"]
     guarded = copy.copy(guarded)
-    cache, routes, stable = MachineCache.of(guarded), [], equilibrium._player_stable
-
-    def recording(instance, core, key, per, player, force):
-        routes.append((core.background, key, core.background(key)))
-        return stable(instance, core, key, per, player, force)
-
-    monkeypatch.setattr(equilibrium, "_player_stable", recording)
     with pytest.raises(GuardError, match=message):
         enumerate_grid_ne(guarded)
-    assert cache.background is None
-    typed, key, answered = routes[-1]
-    assert answered == cache.evaluate_key(key) and typed(key) is None
+    for core in (MachineCache.of(inst), MachineCache.of(guarded)):
+        assert core._cache and all(
+            value == core.solve_key(key) for key, value in core._cache.items())
 
 
-def test_a_search_puts_back_the_route_it_found():
-    fx = from_partition_br((1, 2, 3))
-    inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
-    cache = MachineCache.of(inst)
-    installed = cache.background = lambda key: None
-    for player in inst.color_ids:
-        assert best_response(inst, profile, player) \
-            == best_response(copy.copy(fx.instance), profile, player)
-        assert cache.background is installed
-
-
-def test_a_search_removes_only_its_own_route(monkeypatch):
-    """A route that another search installs on the shared core midway
-    through this one's walk stays installed when this one ends."""
+def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
+    """Each walk's route answers only that walk's keys. Searches run on the
+    same core from inside a best-mode walk's route (each player's
+    first-improvement `is_nash`, another player's best response, a `brd`
+    walk that raises midway and a grid-NE enumeration) change neither that
+    walk's answer nor their own, and leave only DP answers in the memo."""
     from intervalgames import machine
     fx = from_partition_br((1, 2, 3))
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
-    cache = MachineCache.of(inst)
-    route, foreign = machine._background, []
+    route, plan, nested = machine._background, ["nest"], {}
 
-    def interleaved(st, key, pix):
-        evaluate = route(st, key, pix)
+    def fresh(search):
+        return search(copy.copy(fx.instance))
 
-        def install_foreign(cand):
-            if not foreign:
-                foreign.append(route(st, key, pix))
-                st.background = foreign[0]
+    def first_moves(i):
+        return [is_nash(i, profile, first_improvement=True, players=[c])
+                for c in i.color_ids]
+
+    def nested_searches():
+        nested["is_nash"] = first_moves(inst)
+        nested["best_response"] = best_response(inst, profile, 2)
+        plan.append("fail")
+        with pytest.raises(RuntimeError, match="midway"):
+            brd(inst, profile)
+        nested["enumerate"] = enumerate_grid_ne(inst)
+
+    def patched(st, key, pix):
+        evaluate, calls = route(st, key, pix), []
+        if not plan:
+            return evaluate
+        kind = plan.pop()
+
+        def wrapped(cand):
+            calls.append(cand)
+            if kind == "nest" and len(calls) == 1:
+                nested_searches()
+            if kind == "fail" and len(calls) == 3:
+                raise RuntimeError("midway")
             return evaluate(cand)
-        return install_foreign
+        return wrapped
 
-    monkeypatch.setattr(machine, "_background", interleaved)
-    assert best_response(inst, profile, 1) == best_response(copy.copy(fx.instance), profile, 1)
-    assert foreign and cache.background is foreign[0]
+    monkeypatch.setattr(machine, "_background", patched)
+    outer = best_response(inst, profile, 1)
+    monkeypatch.setattr(machine, "_background", route)
+    assert sorted(nested) == ["best_response", "enumerate", "is_nash"] and not plan
+    assert outer == fresh(lambda i: best_response(i, profile, 1))
+    assert nested["best_response"] == fresh(lambda i: best_response(i, profile, 2))
+    assert nested["is_nash"] == fresh(first_moves)
+    assert nested["enumerate"] == fresh(enumerate_grid_ne)
+    cache = MachineCache.of(inst)
+    assert all(value == cache.solve_key(key) for key, value in cache._cache.items())
 
 
 def test_typed_route_matches_the_dp_and_defers_off_its_head(monkeypatch):
-    """During grid-NE enumeration the typed route answers each key a verdict
+    """During grid-NE enumeration the route that `_grid_ne` hands to each
+    verdict search, which passes it to `evaluate_key`, answers every key the
     search evaluates with `_dp_core`'s (value, per-color utilities) when the
     key's head (the jobs off the fastest group) is the enumerated key's, and
-    defers on any other head and on a widened time scale."""
+    defers on any other head."""
     from intervalgames import machine
     instances = [fx.instance for fx in _enumerable_fixtures()]
     instances += [from_partition_decide(v).instance for v in ((1, 2, 3), (2, 2, 2), (1, 1, 2, 2))]
     checked, current = collections.Counter(), []
     search, evaluate_key = equilibrium._player_search, MachineCache.evaluate_key
 
-    def recording(instance, cache, key, *args, **kwargs):
-        current.append(key)
+    def recording(instance, cache, key, *args, route=None, **kwargs):
+        current.append((key, route))
         try:
-            return search(instance, cache, key, *args, **kwargs)
+            return search(instance, cache, key, *args, route=route, **kwargs)
         finally:
             current.pop()
 
-    def checking(self, key):
+    def checking(self, key, route=None):
         if current:
+            start, typed = current[-1]
+            assert typed is not None and route is typed
             per = self.zero_per.copy()
             dp = self.base_scaled + machine._dp_core(self.rows, key, per)[0], tuple(per)
             _, moving = max(g for gs in self.groups.values() for g in gs)
             head = [p for p, n in enumerate(self.lens) if n and p not in moving]
-            if all(key[p] == current[-1][p] for p in head):
-                assert self.background(key) == dp, key
+            if all(key[p] == start[p] for p in head):
+                assert typed(key) == dp, key
                 checked["typed"] += 1
-                self.td *= 3
-                assert self.background(key) is None
-                self.td //= 3
             else:
-                assert self.background(key) is None, key
+                assert typed(key) is None, key
                 checked["deferred"] += 1
-        return evaluate_key(self, key)
+        return evaluate_key(self, key, route)
 
     monkeypatch.setattr(equilibrium, "_player_search", recording)
     monkeypatch.setattr(MachineCache, "evaluate_key", checking)

@@ -483,40 +483,6 @@ def test_background_route_matches_the_dp_with_zero_lengths_and_weights(case):
         _check_background_route(inst, Profile.from_dict(starts), collections.Counter())
 
 
-def test_installed_route_defers_on_keys_with_another_background():
-    """A core, and the route installed on it, may be shared between
-    searches. A key that moves another player's jobs, or one on a widened
-    time scale, gets the DP's answer from `evaluate_key`."""
-    checked = 0
-    for family in FAMILIES:
-        for seed in range(4):
-            inst = random_instance(family, 3 if family == "single" else 5, 3, 4, seed)
-            cache = MachineCache.of(inst)
-            key = cache.key(random_profile(inst, seed).as_dict())
-            for first, second in itertools.permutations(inst.color_ids, 2):
-                cache.background = machine._background(cache, key, cache.color_index[first])
-                if cache.background is None:
-                    continue
-                cache._cache.clear()
-                lists = [c for _, c in equilibrium._coded_grid(cache, key, second)[1]]
-                walk = [(ps, c) for (_, ps), c in zip(cache.groups[second], lists)]
-                for cand in equilibrium._grid_keys(walk, key):
-                    per = cache.zero_per.copy()
-                    dp = cache.base_scaled + _dp_core(cache.rows, cand, per)[0], tuple(per)
-                    assert cache.evaluate_key(cand) == dp, (inst, first, cand)
-                    checked += 1
-    assert checked > 100, checked
-    # Every start at 0 reads the same on any scale; widening `td` must still
-    # retire a route built on the old one.
-    inst = _inst(4, (1, 1, 1), (2, 2, 2))
-    cache = MachineCache.of(inst)
-    key = cache.key({1: F(0), 2: F(0)})
-    td, route = cache.td, machine._background(cache, key, cache.color_index[1])
-    assert route(key) is not None
-    widened = cache.key({1: F(1, 7), 2: F(0)})
-    assert cache.td == 7 * td and route(widened) is None
-
-
 def _per_color_closure(st, starts, top, mask, view, td):
     """Reference for `machine._closure`: merge each color's covered
     intervals in its own table, check the sorted segments pairwise, then
