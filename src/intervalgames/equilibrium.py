@@ -47,17 +47,17 @@ Grid-NE enumeration shares one machine DP among the keys of a DP-exact type.
 The DP compares only finishes with finishes, finishes with starts (finish <=
 start) and starts with starts of one color, and breaks ties by job id, so
 keys whose positive-length endpoints agree on those comparisons get the same
-(value, per-color utilities). `_type_signer` splits the jobs at the group
-`_grid_keys` moves fastest: the other jobs, the head, keep their full order
-pattern, and each moving endpoint is coded by its class against the head,
-read from two tables per head pattern. `_grid_ne` answers a memo miss whose
-head is the current key's from a type memo that lives for the call only, and
-the DP runs on a type miss. That serves the enumeration's own keys and, by
-the typed route it passes down to its verdict searches, those of the player
-who owns the fastest group; other keys defer to the DP. The signature is built
-incrementally: the head's endpoints are ranked again only when they move,
-and the moving endpoints are placed among them by bisection. Best-response
-keys seldom repeat a type, so the memo is not kept on the core.
+(value, per-color utilities). `_type_signer` splits off the job that
+`_grid_keys` moves fastest, the last of the fastest group: the other jobs,
+the head, keep their full order pattern, and the moving job's start and
+finish are coded by their classes against the head, read from two tables per
+head pattern. `_grid_ne` answers a memo miss whose head is the current key's
+from a type memo that lives for the call only, and the DP runs on a type
+miss. That serves the enumeration's own keys and, by the typed route it
+passes down to its verdict searches, those of the moving job's owner that
+move that job alone; other keys defer to the DP. The head's endpoints are
+ranked again only when they move. Best-response keys seldom repeat a type,
+so the memo is not kept on the core.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from . import machine
 from .machine import (MachineCache, _bounded_put, _job_groups, _ticks, _time_lcm,
                       machine_value_and_covered, solve_machine_dp)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
-                    UnsupportedInstanceError, ValidationError, _inexact, utilities,
+                    UnsupportedInstanceError, ValidationError, _check_start, utilities,
                     validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
@@ -199,17 +199,18 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     starts' denominators, so half a gap is an integer too. Only this view
     tags the points, each with its first source: the bounds
     ("window-clipped" for a windowed job), then the other aligned points
-    ("endpoint-aligned"), then the interior ones ("interior-shifted"). A
-    fixed start that is not an int or a `Fraction` raises `ValidationError`.
+    ("endpoint-aligned"), then the interior ones ("interior-shifted"). An
+    invalid fixed start, or one of `player`'s jobs, raises `ValidationError`.
     """
     T = instance.horizon
     own = instance.jobs_of_color(player)
     if not own:
         raise ValidationError(f"instance has no player {player}")
-    for jid, s in fixed_starts.items():
-        if _inexact(s):
-            raise ValidationError(f"job {jid}: start {s!r} must be an int or a Fraction")
     fixed = [(instance.job(jid), s) for jid, s in fixed_starts.items()]
+    for k, s in fixed:
+        if k.color == player:
+            raise ValidationError(f"job {k.id} is a job of player {player}, not fixed")
+        _check_start(instance, k, s)
     den = 2 * math.lcm(_time_lcm(instance), *[s.denominator for _, s in fixed])
     fixed_n = [(k.id, _ticks(s, den), _ticks(s + k.length, den)) for k, s in fixed]
     entries = []
@@ -269,13 +270,6 @@ def _guards(player: int, sized, force: bool) -> None:
                          f"strategies (limit {BEST_RESPONSE_MAX_SEARCH})")
 
 
-def _coded_lists(cache: MachineCache, player: int, candidates) -> list:
-    """One sorted list per job group of the player: the union of
-    `candidates(job id)` (times on the core's scale) over the group's jobs."""
-    return [sorted({x for i in ids_ for x in candidates(i)})
-            for ids_, _ in cache.groups[player]]
-
-
 def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
     """The player's grid record against the other placements in `key`.
 
@@ -328,7 +322,7 @@ def _strategy(cache: MachineCache, key, player: int) -> dict[int, Fraction]:
 
 def _player_search(instance: Instance, cache: MachineCache, key: tuple,
                    player: int, *, mode: str, force: bool = False,
-                   grid_override=None, prefer_value: bool = False, route=None):
+                   lists=None, prefer_value: bool = False, route=None):
     """Search the player's joint strategy grid from the profile `key`.
 
     mode="best": return the best (key, utility), the utility an int over
@@ -339,8 +333,8 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     the top of that ranking. Memo misses go to `machine._background` first.
     mode="first": return the first strictly improving (key, utility), or
     None; its memo misses go to `route` first (see `evaluate_key`).
-    `grid_override` maps each job id to its candidate starts on the core's
-    scale, replacing the local grid.
+    `lists`, one candidate list per group of the player on the core's scale
+    (see `_global_lists`), replaces the local grid.
     """
     if not instance.jobs_of_color(player):
         raise ValidationError(f"instance has no player {player}")
@@ -350,9 +344,7 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
         return (key, u_cur) if mode == "best" else None
 
     groups = cache.groups[player]
-    if grid_override is not None:
-        lists = _coded_lists(cache, player, grid_override.__getitem__)
-    else:
+    if lists is None:
         lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
     _guards(player, [(ids_, len(coded)) for (ids_, _), coded in zip(groups, lists)],
             force)
@@ -476,6 +468,8 @@ def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bo
     """Re-check a deviation from scratch with the machine DP (no memo): exact
     strict improvement. An invalid profile or move raises `ValidationError`."""
     validate_profile(instance, profile)
+    if not instance.jobs_of_color(dev.player):
+        raise ValidationError(f"instance has no player {dev.player}")
     moved = validate_profile(instance, Profile.from_dict(
         {**profile.as_dict(), **dict(dev.new_strategy)}))
     u_before, u_after = (dict(utilities(instance, p, solve_machine_dp(instance, p))
@@ -540,23 +534,30 @@ def joint_grid_size(instance: Instance, resolution: int = 1) -> int:
                           for ids_ in _job_groups(instance))
 
 
+def _global_lists(cache: MachineCache, resolution: int) -> dict[int, list]:
+    """Per player, one global-grid candidate list per job group on the core's
+    scale: a group's jobs share length and window, so their candidates."""
+    den, _, candidates = _grid_ticks(cache.instance, resolution)
+    m = cache.td // den
+    return {player: [[x * m for x in candidates[ids_[0]]] for ids_, _ in own]
+            for player, own in cache.groups.items()}
+
+
 def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                      cache: MachineCache):
     """An iterator over every joint grid profile as a memo key on the core's
     scale. The resolution and the size guard are checked at the call, before
     the first key is asked for."""
-    den, _, candidates = _grid_ticks(instance, resolution)
-    # Every player's groups as (ids, key positions, global-grid candidates),
-    # ordered by smallest id.
-    groups = sorted((ids_, positions, candidates[ids_[0]])
-                    for own in cache.groups.values() for ids_, positions in own)
+    lists = _global_lists(cache, resolution)
+    # Every player's groups as (ids, key positions, candidates), by smallest id.
+    groups = sorted((ids_, positions, cands) for player, own in cache.groups.items()
+                    for (ids_, positions), cands in zip(own, lists[player]))
     size = _profile_count((ids_, len(cands)) for ids_, _, cands in groups)
     if size > GRID_ENUM_MAX_PROFILES and not force:
         raise GuardError(f"joint grid holds {size} profiles "
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
-    m = cache.td // den
-    return _grid_keys([(positions, [x * m for x in cands])
-                       for _, positions, cands in groups], [0] * len(cache.ids))
+    return _grid_keys([(positions, cands) for _, positions, cands in groups],
+                      [0] * len(cache.ids))
 
 
 def _grid_keys(groups, base):
@@ -604,31 +605,29 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     return [(cache.profile(key), Fraction(value, cache.wden)) for value, key in found]
 
 
-def _type_signer(cache: MachineCache, moving):
-    """(head starts, sign) for the key positions `moving`, one job group. The
-    head is the other positive-length jobs; `head_starts(key)` gives their
-    starts, and `sign(key, head_starts(key))` a signature of the key's
-    DP-exact type: keys with equal signatures get equal (value, per-color
-    utilities) from `_dp_core`.
+def _type_signer(cache: MachineCache, moving: int):
+    """(head starts, sign) for the key position `moving`, one job; the head
+    is every other positive-length job. `sign(key, head_starts(key))` is a
+    signature of the key's DP-exact type: keys with equal signatures get
+    equal (value, per-color utilities) from `_dp_core`.
 
     The DP compares three kinds of endpoint pairs: finish with finish, finish
-    <= start, and start with start within one color. The signature holds the
-    head's full order pattern, interned to `pid`; each moving start's class,
-    (head finishes <= it, its code among the head starts of its color); each
-    moving finish's class, (its code among the head finishes, head starts
-    below it); and, when more than one job moves, the dense ranks of the
-    moving endpoints among themselves. The code of x in a sorted list L is
-    2·bisect_left(L, x) plus 1 if x is in L. The head's sorted distinct
-    endpoints `F` and their pattern are rebuilt only when the head's starts
-    change; a moving endpoint's class is read by its code in `F` from two
-    class tables, built once per pattern and kept in a bounded table."""
+    <= start, and start with start within one color. The signature is the
+    head's full order pattern, interned to `pid`, the moving start's class
+    (head finishes <= it, its code among the head starts of its color) and
+    the moving finish's class (its code among the head finishes, head starts
+    below it); a zero-length moving job, which the DP never sees, signs as
+    (pid,). The code of x in a sorted list L is 2·bisect_left(L, x) plus 1
+    if x is in L. The head's sorted distinct endpoints `F` and their pattern
+    are rebuilt only when the head's starts change; the moving endpoints'
+    classes are read by their codes in `F` from two class tables, built once
+    per pattern and kept in a bounded table."""
     lens = cache.lens
+    n = lens[moving]
     color = {p: c for p, _, _, _, c in cache.rows}
-    head = [p for p, n in enumerate(lens) if n and p not in moving]
+    head = [p for p, length in enumerate(lens) if length and p != moving]
     head_lens = [lens[p] for p in head]
-    mov = [(p, lens[p]) for p in moving if lens[p]]
-    moving_color = color[mov[0][0]] if mov else None
-    mine = [color[p] == moving_color for p in head]
+    mine = [color[p] == color.get(moving) for p in head]
     head_starts = (itemgetter(*head) if len(head) > 1
                    else lambda key: tuple([key[p] for p in head]))
     patterns: dict = {}  # pattern -> (pid, start classes, finish classes)
@@ -660,7 +659,7 @@ def _type_signer(cache: MachineCache, moving):
         nonlocal state
         last, F, rank, entry = state
         if starts != last:
-            ends = [x + n for x, n in zip(starts, head_lens)]
+            ends = [x + h for x, h in zip(starts, head_lens)]
             F = sorted(set(starts).union(ends))
             rank = {x: i for i, x in enumerate(F)}
             pattern = tuple([rank[x] for x in starts] + [rank[x] for x in ends])
@@ -668,18 +667,12 @@ def _type_signer(cache: MachineCache, moving):
                 patterns, pattern, tables(pattern), machine.GRID_CACHE_LIMIT)
             state = starts, F, rank, entry
         pid, sc, fc = entry
-        if len(mov) == 1:
-            (p, n), = mov
-            x = key[p]
-            y = x + n
-            i = bisect_left(F, x)
-            return pid, sc[2 * i + (x in rank)], fc[2 * bisect_left(F, y, i) + (y in rank)]
-        xs = [key[p] for p, _ in mov]
-        ys = [key[p] + n for p, n in mov]
-        own = {x: i for i, x in enumerate(sorted({*xs, *ys}))}
-        return (pid, *[sc[2 * bisect_left(F, x) + (x in rank)] for x in xs],
-                *[fc[2 * bisect_left(F, y) + (y in rank)] for y in ys],
-                *[own[x] for x in xs + ys])
+        if not n:
+            return pid,
+        x = key[moving]
+        y = x + n
+        i = bisect_left(F, x)
+        return pid, sc[2 * i + (x in rank)], fc[2 * bisect_left(F, y, i) + (y in rank)]
 
     return head_starts, sign
 
@@ -693,14 +686,14 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     that lives for this call only, and `_dp_core` runs only when that memo
     misses too. The enumeration asks it for its own keys, and the route
     `typed`, which the verdict searches get, for any key whose head
-    (`_type_signer`, split at the group `_grid_keys` moves fastest) is the
+    (`_type_signer`, split off the job `_grid_keys` moves fastest) is the
     current key's: that serves the verdict searches of the player who owns
-    that group. Every other key defers to the DP."""
+    that job. Every other key defers to the DP."""
     # Stability is a conjunction over players, so scan cheap searches first.
     scan_order = sorted(instance.color_ids,
                         key=lambda c: (len(instance.jobs_of_color(c)), c))
-    _, moving = max(group for groups in cache.groups.values() for group in groups)
-    head_starts, sign = _type_signer(cache, moving)
+    _, positions = max(group for groups in cache.groups.values() for group in groups)
+    head_starts, sign = _type_signer(cache, positions[-1])
     memo, types, head = cache._cache, {}, None
 
     def by_type(key: tuple, starts: tuple):
@@ -748,9 +741,7 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     validate_profile(instance, initial)
     cache = MachineCache.of(instance)
     key = cache.key(initial.as_dict())
-    den, _, candidates = _grid_ticks(instance, resolution)
-    m = cache.td // den
-    gcands = {jid: [x * m for x in cands] for jid, cands in candidates.items()}
+    lists = _global_lists(cache, resolution)
     colors = instance.color_ids
     seen = {key: 0}  # the visited keys, in visiting order
     trace: list[tuple[int, Fraction, Fraction]] = []
@@ -769,9 +760,8 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
             pointer += 1
         else:
             player = colors[quiet]
-        best, u = _player_search(instance, cache, key, player,
-                                 mode="best", force=force,
-                                 grid_override=gcands, prefer_value=True)
+        best, u = _player_search(instance, cache, key, player, mode="best", force=force,
+                                 lists=lists[player], prefer_value=True)
         u_cur = cache.evaluate_key(key)[1][cache.color_index[player]]
         if u > u_cur:
             key = best

@@ -231,22 +231,26 @@ def validate_instance(raw: Instance) -> Instance:
     return Instance(T, jobs)
 
 
+def _check_start(instance: Instance, j: Job, s) -> None:
+    """Check that `s` is an exact start placing job `j` in [0, T) and its window."""
+    if _inexact(s):
+        raise ValidationError(f"job {j.id}: start {s!r} must be an int or a Fraction")
+    if s < 0 or s + j.length > instance.horizon:
+        raise ValidationError(f"job {j.id}: interval [{s}, {s + j.length}) "
+                              f"outside [0, {instance.horizon})")
+    if j.window is not None:
+        r, d = j.window
+        if s < r or s + j.length > d:
+            raise ValidationError(f"job {j.id}: interval outside window [{r}, {d})")
+
+
 def validate_profile(instance: Instance, profile: Profile) -> Profile:
     """Check the profile places every job inside [0, T) and its window."""
     starts = profile.as_dict()
     for j in instance.jobs:
         if j.id not in starts:
             raise ValidationError(f"missing start for job {j.id}")
-        s = starts[j.id]
-        if _inexact(s):
-            raise ValidationError(f"job {j.id}: start {s!r} must be an int or a Fraction")
-        if s < 0 or s + j.length > instance.horizon:
-            raise ValidationError(f"job {j.id}: interval [{s}, {s + j.length}) "
-                                  f"outside [0, {instance.horizon})")
-        if j.window is not None:
-            r, d = j.window
-            if s < r or s + j.length > d:
-                raise ValidationError(f"job {j.id}: interval outside window [{r}, {d})")
+        _check_start(instance, j, starts[j.id])
     extra = set(starts) - {j.id for j in instance.jobs}
     if extra:
         raise ValidationError(f"start given for unknown job {min(extra)}")

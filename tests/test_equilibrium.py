@@ -28,7 +28,7 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            solve_machine_dp, tightest_bound, utilities,
                            validate_instance, validate_profile, verify_deviation)
 from intervalgames import equilibrium
-from intervalgames.equilibrium import (_coded_grid, _coded_lists, _grid_points,
+from intervalgames.equilibrium import (_coded_grid, _global_lists, _grid_points,
                                         _player_search, _player_stable)
 from intervalgames.machine import (MachineCache, _job_groups, _ticks,
                                   machine_value_and_covered)
@@ -64,8 +64,9 @@ def test_grid_no_neighbors():
 
 def test_grid_interior_enables_hiding_move():
     fx = fixture("pos_two")
-    others = {1: F(0), 3: F(1)}
-    grid = build_grid(fx.instance, others, player=1)
+    # Player 2's job 3 fixed at 1. (Player 1's job 1 fixed at 0 added no
+    # point; a start for one of the gridded player's jobs is now rejected.)
+    grid = build_grid(fx.instance, {3: F(1)}, player=1)
     assert any(F(0) < s < F(1) for s in grid.starts(2))
 
 
@@ -86,6 +87,27 @@ def test_grid_points_refuse_a_gap_they_cannot_halve():
     grid = build_grid(_inst(3, (1, 1, 1)), {}, player=1)
     assert grid.entries == ((1, ((F(0), "endpoint-aligned"), (F(1), "interior-shifted"),
                                  (F(2), "endpoint-aligned"))),)
+
+
+def test_build_grid_rejects_a_start_the_profile_check_rejects():
+    # ex1: jobs 1 and 2 are player 1's, job 3 (length 1) player 2's, T = 4.
+    # A fixed start out of range or out of its window fails with
+    # `validate_profile`'s message; a start for a gridded job fails too.
+    ex1 = fixture("ex1").instance
+    windowed = validate_instance(Instance(F(4), (
+        Job(1, 1, F(1), F(1)), Job(2, 2, F(1), F(1), (F(1), F(3))))))
+    for inst, fixed, player, message in [
+            (ex1, {1: F(-5)}, 2, "job 1: interval [-5, -1) outside [0, 4)"),
+            (ex1, {3: F(7)}, 1, "job 3: interval [7, 8) outside [0, 4)"),
+            (windowed, {2: F(0)}, 1, "job 2: interval outside window [1, 3)")]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_grid(inst, fixed, player)
+        valid = {j.id: j.release for j in inst.jobs}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate_profile(inst, Profile.from_dict({**valid, **fixed}))
+    for fixed in ({1: F(-5)}, {1: F(0)}, {2: F(0), 3: F(0)}):
+        with pytest.raises(ValidationError, match="is a job of player 1, not fixed"):
+            build_grid(ex1, fixed, player=1)
 
 
 def _tagged_grid_points(lo, hi, length, fixed, windowed):
@@ -650,30 +672,30 @@ def test_enumerate_guards_raise(name):
 
 # --- best responses against an exhaustive search -----------------------------
 
-def _on_scale(cache, grid_override):
+def _on_scale(cache, candidates):
     """A Fraction candidate map as times on the core's scale."""
     return {jid: [_ticks(x, cache.td) for x in cands]
-            for jid, cands in grid_override.items()}
+            for jid, cands in candidates.items()}
 
 
-def _search_lists(inst, starts, player, grid_override):
-    """The per-group (ids, candidate list) pairs the search walks, as Fractions."""
+def _search_lists(inst, starts, player, resolution):
+    """The per-group (ids, candidate list) pairs the search walks, as
+    Fractions: the local grid, or with a resolution the global grid."""
     cache = MachineCache.of(inst)
     key = cache.key(starts)
-    if grid_override is None:
+    if resolution is None:
         lists = _coded_grid(cache, key, player)[1]
     else:
-        lists = list(zip([ids_ for ids_, _ in cache.groups[player]],
-                         _coded_lists(cache, player,
-                                      _on_scale(cache, grid_override).__getitem__)))
+        lists = zip([ids_ for ids_, _ in cache.groups[player]],
+                    _global_lists(cache, resolution)[player])
     return [(ids_, [cache.time(x) for x in coded]) for ids_, coded in lists]
 
 
-def _reference_best(inst, starts, player, grid_override=None, prefer_value=False):
+def _reference_best(inst, starts, player, resolution=None, prefer_value=False):
     """Best response with no memo that never stops early: every point of the
     same grid, evaluated from scratch. A strictly higher utility wins; with
     prefer_value, so does an equal utility with a higher machine value."""
-    groups = _search_lists(inst, starts, player, grid_override)
+    groups = _search_lists(inst, starts, player, resolution)
 
     def evaluate(point):
         value, covered = machine_value_and_covered(inst, dict(point))
@@ -698,13 +720,12 @@ def _reference_best(inst, starts, player, grid_override=None, prefer_value=False
     return best, best_u
 
 
-def _search_best(inst, starts, player, grid_override=None, prefer_value=False):
+def _search_best(inst, starts, player, resolution=None, prefer_value=False):
     cache = MachineCache.of(inst)
     key = cache.key(starts)
-    if grid_override is not None:
-        grid_override = _on_scale(cache, grid_override)
+    lists = None if resolution is None else _global_lists(cache, resolution)[player]
     best, u = _player_search(inst, cache, key, player, mode="best",
-                             grid_override=grid_override, prefer_value=prefer_value)
+                             lists=lists, prefer_value=prefer_value)
     return equilibrium._strategy(cache, best, player), F(u, cache.wden)
 
 
@@ -743,9 +764,12 @@ def test_dynamics_search_matches_exhaustive_search_on_families():
         starts = random_profile(inst, k).as_dict()
         total = sum(j.weight for j in inst.jobs)
         for player in inst.color_ids:
+            # A group's global list holds each of its jobs' grid candidates.
+            assert all(list(gcands[i]) == coded for ids_, coded
+                       in _search_lists(inst, starts, player, 1) for i in ids_)
             for prefer_value in (False, True):
-                expected = _reference_best(inst, starts, player, gcands, prefer_value)
-                assert _search_best(inst, starts, player, gcands,
+                expected = _reference_best(inst, starts, player, 1, prefer_value)
+                assert _search_best(inst, starts, player, 1,
                                     prefer_value) == expected, (k, player)
                 if prefer_value:
                     point = {**starts, **expected[0]}
@@ -806,19 +830,17 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys):
     cases = [(fx.instance, fx.notable_profiles["initial"], None) for fx in _partition_games()]
     cases += [(fx.instance, p, None) for fx in _enumerable_fixtures()
               for p in fx.notable_profiles.values()]
-    cases += [(inst, random_profile(inst, k), grid_candidates(inst))
+    cases += [(inst, random_profile(inst, k), 1)
               for k, inst in enumerate(_differential_instances()[::3])]
     seen = {"first": 0, "best": 0, "found": 0, "stopped": 0}
-    for inst, profile, gcands in cases:
+    for inst, profile, resolution in cases:
         inst = copy.copy(inst)  # a fresh core: the search fills its memo
         cache = MachineCache.of(inst)
         key = cache.key(profile.as_dict())
-        override = None if gcands is None else _on_scale(cache, gcands)
         for player in inst.color_ids:
-            if override is None:
-                lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
-            else:
-                lists = _coded_lists(cache, player, override.__getitem__)
+            override = (None if resolution is None
+                        else _global_lists(cache, resolution)[player])
+            lists = override or [coded for _, coded in _coded_grid(cache, key, player)[1]]
             size = math.prod(math.comb(len(coded) + len(ps) - 1, len(ps))
                              for (_, ps), coded in zip(cache.groups[player], lists))
             if size > 5000:
@@ -827,7 +849,7 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys):
                 expected, stop = _plain_walk(cache, key, player, mode, lists, prefer_value)
                 evaluated_keys.clear()
                 got = _player_search(inst, cache, key, player, mode=mode,
-                                     grid_override=override, prefer_value=prefer_value)
+                                     lists=override, prefer_value=prefer_value)
                 assert evaluated_keys == expected, (inst, player, mode, prefer_value)
                 seen[mode] += 1
                 if mode == "first":
@@ -1013,11 +1035,10 @@ def test_joint_search_guard_fires_before_the_first_combination(evaluated_keys):
         best_response(inst, profile, 2)
     assert len(evaluated_keys) == 1  # the current profile only
     cache = MachineCache.of(inst)
-    gcands = _on_scale(cache, grid_candidates(inst))
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 11486475"):
         _player_search(inst, cache, cache.key(profile.as_dict()), 2, mode="best",
-                       grid_override=gcands, prefer_value=True)
+                       lists=_global_lists(cache, 1)[2], prefer_value=True)
     assert len(evaluated_keys) == 1
     # Grid-NE enumeration checks the same guard at the same point, before
     # the grid record's bounds or a search can settle the verdict.
@@ -1116,9 +1137,9 @@ def test_type_signatures_are_the_order_types(drawn, rng):
         pools.append(sorted(set(rng.sample(grid[j.id], min(3, len(grid[j.id])))
                                 + [rng.randint(0, hi) for _ in range(2)])))
     keys = [tuple(rng.choice(pool) for pool in pools) for _ in range(40)]
-    groups = sorted(g for gs in cache.groups.values() for g in gs)
-    _, moving = rng.choice([max(groups, key=lambda g: len(g[0])), *groups])
-    head_starts, sign = equilibrium._type_signer(cache, moving)
+    # One moving job, drawn from any group: zero-length jobs make groups too.
+    _, positions = rng.choice(sorted(g for gs in cache.groups.values() for g in gs))
+    head_starts, sign = equilibrium._type_signer(cache, rng.choice(positions))
     sigs = [sign(key, head_starts(key)) for key in keys]
     for (k1, s1), (k2, s2) in itertools.combinations(zip(keys, sigs), 2):
         if _order_type(cache, k1) == _order_type(cache, k2):
@@ -1130,10 +1151,12 @@ def test_type_signatures_are_the_order_types(drawn, rng):
         assert by_sig.setdefault(sig, cache.evaluate_key(key)) == cache.evaluate_key(key)
 
 
-def test_enumeration_runs_one_dp_per_order_type(monkeypatch, evaluated_keys):
-    # from_partition_decide((1, 3, 3, 3)): 12,012 grid profiles of 4,510
-    # order types, and fewer DP-exact types. Run once with the type memo and
-    # once with a signer that keys it on the exact key (one DP per key).
+def _typed_and_exact_runs(monkeypatch, evaluated_keys, inst):
+    """Enumerate the grid equilibria of `inst` once with the type memo and
+    once with a signer that keys it on the exact key (one DP per key). Per
+    run: the equilibria, the DP calls of the enumeration and of its searches
+    and the searches' memo lookups and hits, and the number of order types
+    among the grid keys."""
     from intervalgames import machine
     counts = {}
     depth = [0]
@@ -1167,17 +1190,39 @@ def test_enumeration_runs_one_dp_per_order_type(monkeypatch, evaluated_keys):
         monkeypatch.setattr(equilibrium, "_type_signer", make)
         counts.update(dict.fromkeys(("enum_dp", "search_dp", "search_lookups",
                                      "search_hits"), 0))
-        inst = from_partition_decide((1, 3, 3, 3)).instance
-        cache = MachineCache.of(inst)
-        keys = list(equilibrium._iter_grid_coded(inst, 1, False, cache))
-        found = equilibrium._grid_ne(inst, cache, iter(keys), False)
+        fresh = copy.copy(inst)
+        cache = MachineCache.of(fresh)
+        keys = list(equilibrium._iter_grid_coded(fresh, 1, False, cache))
+        found = equilibrium._grid_ne(fresh, cache, iter(keys), False)
         runs[name] = found, dict(counts), len({_order_type(cache, k) for k in keys})
-    (found, typed, types), (exact_found, exact, _) = runs["typed"], runs["exact"]
+    return runs["typed"], runs["exact"]
+
+
+def test_enumeration_runs_one_dp_per_order_type(monkeypatch, evaluated_keys):
+    # from_partition_decide((1, 3, 3, 3)): 12,012 grid profiles of 4,510
+    # order types, and fewer DP-exact types.
+    (found, typed, types), (exact_found, exact, _) = _typed_and_exact_runs(
+        monkeypatch, evaluated_keys, from_partition_decide((1, 3, 3, 3)).instance)
     assert types == 4510 and found == exact_found == []
     # The exact signer gives every key its own DP call: these are the
     # counts without DP-exact types.
     assert (typed["enum_dp"], typed["search_dp"]) == (1826, 681)
     assert (exact["enum_dp"], exact["search_dp"]) == (10838, 2884)
+    for count in ("search_lookups", "search_hits"):
+        assert typed[count] == exact[count] > 0
+
+
+def test_type_memo_moves_one_job_of_a_multi_job_group(monkeypatch, evaluated_keys):
+    # prop_no_ne's fastest group holds four jobs; the type memo signs only
+    # the last, so the searches that move the others defer to the DP.
+    inst = fixture("prop_no_ne").instance
+    assert max(len(ids_) for gs in MachineCache.of(inst).groups.values()
+               for ids_, _ in gs) == 4
+    (found, typed, _), (exact_found, exact, _) = _typed_and_exact_runs(
+        monkeypatch, evaluated_keys, inst)
+    assert found == exact_found == []
+    assert (typed["enum_dp"], typed["search_dp"]) == (1635, 385)
+    assert (exact["enum_dp"], exact["search_dp"]) == (3376, 389)
     for count in ("search_lookups", "search_hits"):
         assert typed[count] == exact[count] > 0
 
@@ -1389,6 +1434,10 @@ def test_search_entries_validate_their_profile(starts, message):
     for search in searches:
         with pytest.raises(ValidationError, match=re.escape(message)):
             search()
+    # A deviation by a player the instance lacks, from a valid profile.
+    stranger = equilibrium.Deviation(9, ((3, F(1)),), F(0), F(1))
+    with pytest.raises(ValidationError, match="instance has no player 9"):
+        verify_deviation(inst, valid, stranger)
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, True, "1", None])
@@ -1583,7 +1632,8 @@ def test_typed_route_matches_the_dp_and_defers_off_its_head(monkeypatch):
     """During grid-NE enumeration the route that `_grid_ne` hands to each
     verdict search, which passes it to `evaluate_key`, answers every key the
     search evaluates with `_dp_core`'s (value, per-color utilities) when the
-    key's head (the jobs off the fastest group) is the enumerated key's, and
+    key's head (every positive-length job but the fastest group's last) is
+    the enumerated key's, and
     defers on any other head."""
     from intervalgames import machine
     instances = [fx.instance for fx in _enumerable_fixtures()]
@@ -1604,8 +1654,8 @@ def test_typed_route_matches_the_dp_and_defers_off_its_head(monkeypatch):
             assert typed is not None and route is typed
             per = self.zero_per.copy()
             dp = self.base_scaled + machine._dp_core(self.rows, key, per)[0], tuple(per)
-            _, moving = max(g for gs in self.groups.values() for g in gs)
-            head = [p for p, n in enumerate(self.lens) if n and p not in moving]
+            _, positions = max(g for gs in self.groups.values() for g in gs)
+            head = [p for p, n in enumerate(self.lens) if n and p != positions[-1]]
             if all(key[p] == start[p] for p in head):
                 assert typed(key) == dp, key
                 checked["typed"] += 1

@@ -414,11 +414,8 @@ def _walk_lists(cache, key, player):
     """The candidate lists of the player's best-mode walks from `key`: its
     local grid, as `best_response` and `is_nash` walk it, and the global
     grid, as `brd` walks it."""
-    inst = cache.instance
-    den, _, cands = equilibrium._grid_ticks(inst, 1)
-    m = cache.td // den
     yield [coded for _, coded in equilibrium._coded_grid(cache, key, player)[1]]
-    yield equilibrium._coded_lists(cache, player, lambda jid: [x * m for x in cands[jid]])
+    yield equilibrium._global_lists(cache, 1)[player]
 
 
 def _check_background_route(inst, profile, fallbacks):
