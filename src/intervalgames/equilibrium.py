@@ -12,8 +12,8 @@ The searches run on ints on the time scale of the instance's solver core
 (`machine.MachineCache`, stored on the `Instance` object and dropped with
 it): every start is a numerator over the core's time denominator, and a memo
 key is the tuple of a profile's start times. `best_response`, `is_nash` and
-`brd` validate their profile and fit the core to it; a start off the scale
-widens it and drops the memo and grid records before a search, never during.
+`brd` validate their profile and search on a core whose fixed scale fits it
+(`MachineCache.of`), so a nested search never rescales an outer walk's keys.
 One function makes every local grid (`_grid_points`, untagged ints);
 `build_grid` is its `Fraction` view and the only place that tags points with
 their provenance, and it raises `InternalFailure` rather than truncate a gap
@@ -433,9 +433,9 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     A joint search of more than `BEST_RESPONSE_MAX_SEARCH` strategies raises
     `GuardError` before its first one is evaluated, unless `force` is set.
     """
-    validate_profile(instance, profile)
-    cache = MachineCache.of(instance)
-    best, u = _player_search(instance, cache, cache.key(profile.as_dict()), player,
+    starts = validate_profile(instance, profile).as_dict()
+    cache = MachineCache.of(instance, starts)
+    best, u = _player_search(instance, cache, cache.key(starts), player,
                              mode="best", force=force)
     return _strategy(cache, best, player), Fraction(u, cache.wden)
 
@@ -449,9 +449,9 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     improving move (same stable/unstable verdict, cheaper witness). `players`
     restricts the scan to a subset of colors.
     """
-    validate_profile(instance, profile)
-    cache = MachineCache.of(instance)
-    key = cache.key(profile.as_dict())
+    starts = validate_profile(instance, profile).as_dict()
+    cache = MachineCache.of(instance, starts)
+    key = cache.key(starts)
     scan = instance.color_ids if players is None else tuple(sorted(players))
     for player in scan:
         found = _player_search(instance, cache, key, player, force=force,
@@ -472,6 +472,9 @@ def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bo
         raise ValidationError(f"instance has no player {dev.player}")
     moved = validate_profile(instance, Profile.from_dict(
         {**profile.as_dict(), **dict(dev.new_strategy)}))
+    for jid, _ in dev.new_strategy:
+        if instance.job(jid).color != dev.player:
+            raise ValidationError(f"job {jid} is not a job of player {dev.player}")
     u_before, u_after = (dict(utilities(instance, p, solve_machine_dp(instance, p))
                               .entries)[dev.player] for p in (profile, moved))
     return (u_before == dev.utility_before and u_after == dev.utility_after
@@ -584,10 +587,8 @@ def grid_profiles(instance: Instance, resolution: int = 1, *,
                   force: bool = False) -> Iterator[Profile]:
     """All canonical joint profiles on the global grid (enumeration domain)."""
     cache = MachineCache.of(instance)
-    td = 0  # the scale of the keys: a search between two yields may widen the core's
     for key in _iter_grid_coded(instance, resolution, force, cache):
-        td = td or cache.td
-        yield cache.profile(key, td)
+        yield cache.profile(key)
 
 
 def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
@@ -738,9 +739,9 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
         raise ValidationError(f"max_iters must be an int, got {max_iters!r}")
     if max_iters < 0:
         raise ValidationError(f"max_iters must be at least 0, got {max_iters}")
-    validate_profile(instance, initial)
-    cache = MachineCache.of(instance)
-    key = cache.key(initial.as_dict())
+    starts = validate_profile(instance, initial).as_dict()
+    cache = MachineCache.of(instance, starts)
+    key = cache.key(starts)
     lists = _global_lists(cache, resolution)
     colors = instance.color_ids
     seen = {key: 0}  # the visited keys, in visiting order

@@ -23,15 +23,16 @@ denominators, so every comparison and sum is exact. `td` starts at 4L, where
 L is the lcm of the denominators of the horizon, the lengths and the window
 bounds: every global-grid point lies in (1/2L)Z and every local grid built
 against such starts in (1/4L)Z, so the game searches run on ints from end to
-end, and their memo keys are the start times themselves. A search entry
-(`MachineCache.key`) whose profile has a start of denominator d with 2d not
-dividing `td` widens `td` to their lcm, and drops the memo and the grid
-records, before it searches; no search widens it midway, so ints of two
-scales never meet in one key. The Fraction-profile entries
-(`solve_machine_dp`, `solve_machine_bruteforce`, `machine_value_and_covered`)
-scale each call to the lcm of `td` and the start denominators, run the same
-DP on the same rows, and never touch the memo. `Fraction`s are built only for
-returned values and segment endpoints.
+end, and their memo keys are the start times themselves. A core's `td` is
+fixed when it is built. A search entry (`MachineCache.of(instance, starts)`)
+whose profile has a start of denominator d with 2d not dividing `td` gets a
+new core on their lcm, stored on the instance in the old one's place; a walk
+that holds the old core keeps it on its own scale, so ints of two scales
+never meet in one key. The Fraction-profile entries (`solve_machine_dp`,
+`solve_machine_bruteforce`, `machine_value_and_covered`) scale each call to
+the lcm of `td` and the start denominators, run the same DP on the same
+rows, and never touch the memo. `Fraction`s are built only for returned
+values and segment endpoints.
 
 Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
 the one whose last job has the smallest id, the empty configuration counting
@@ -50,7 +51,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping
 
-from .model import GuardError, Instance, InternalFailure, Profile, Schedule
+from .model import (GuardError, Instance, InternalFailure, Profile, Schedule,
+                    validate_profile)
 
 BRUTE_FORCE_MAX_JOBS = 20
 MEMO_LIMIT = 600_000  # a core's memo is cleared when it grows past this
@@ -96,27 +98,27 @@ class MachineCache:
     scale `td`, and the game tables and memo the equilibrium search reads.
 
     The DP rows hold each positive-length job as (key position, length over
-    `td`, id, weight over `wden`, dense color index). The game tables are
-    built on the first search use (`key` or `groups`), so a core that only
-    solves machines never holds them. Memo keys are tuples of start
-    numerators over `td`, one per job in instance order; memo values are
-    (value, per-color utilities), all ints over `wden`. `value`, `time` and
-    `profile` convert back to `Fraction`s.
+    `td`, id, weight over `wden`, dense color index); `td` and the rows are
+    set here and never change. The game tables are built on the first search
+    use (`key` or `groups`), so a core that only solves machines never holds
+    them. Memo keys are tuples of start numerators over `td`, one per job in
+    instance order; memo values are (value, per-color utilities), all ints
+    over `wden`. `value`, `time` and `profile` convert back to `Fraction`s.
 
-    `MachineCache.of(instance)` is the only way to it. The core is stored on
-    the instance and dies with it; equal but distinct instances do not share
-    it, and `Instance` leaves it out of its pickled and copied state."""
+    `MachineCache.of` is the only way to it. The core is stored on the
+    instance and dies with it; equal but distinct instances do not share it,
+    and `Instance` leaves it out of its pickled and copied state."""
 
     __slots__ = ("instance", "wden", "td", "rows", "base_scaled", "zero_ids",
                  "color_ids", "ids", "pos", "color_index", "totals", "zero_per",
                  "lens", "bounds", "other_pos", "_groups", "_others", "_cache",
                  "grid_cache")
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, td: int):
         jobs = instance.jobs
         self.instance = instance
         self.wden = math.lcm(*[j.weight.denominator for j in jobs])
-        self.td = td = 4 * _time_lcm(instance)
+        self.td = td
         self.color_ids = instance.color_ids
         cix = {c: i for i, c in enumerate(self.color_ids)}
         self.rows = [(p, _ticks(j.length, td), j.id, self.scaled(j.weight), cix[j.color])
@@ -127,11 +129,15 @@ class MachineCache:
         self._groups = None
 
     @classmethod
-    def of(cls, instance: Instance) -> "MachineCache":
-        """The instance's core, built on first use and stored on the instance."""
+    def of(cls, instance: Instance, starts: Mapping[int, Fraction] = {}) -> "MachineCache":
+        """The instance's core on a scale that fits `starts`: the stored one, or
+        a new one stored in its place, on the lcm of its `td` (first 4L) and 2d
+        for each start of denominator d. The old core is left as it was."""
         core = getattr(instance, "_core", None)
-        if core is None:
-            core = cls(instance)
+        td = math.lcm(core.td if core else 4 * _time_lcm(instance),
+                      *[2 * x.denominator for x in starts.values()])
+        if core is None or td != core.td:
+            core = cls(instance, td)
             object.__setattr__(instance, "_core", core)
         return core
 
@@ -185,30 +191,11 @@ class MachineCache:
         return x.numerator * (self.wden // x.denominator)
 
     def key(self, starts: Mapping[int, Fraction]) -> tuple:
-        """Fit the core to a profile and return the profile as a memo key.
-
-        Search entries call this once, before searching. A start whose
-        denominator d has 2d not dividing `td` widens `td` to their lcm (a
-        local grid halves gaps between such starts); the game tables, memo
-        and grid records are then rebuilt on the new scale."""
-        rows, times, td = self._widen(starts, 2)
-        if td != self.td:
-            self.td, self.rows, self._groups = td, rows, None
+        """A profile on the core's scale (see `of`) as a memo key; the game
+        tables are built on first use."""
         if self._groups is None:
             self._build_game_tables()
-        return tuple(times)
-
-    def _widen(self, starts: Mapping[int, Fraction], factor: int):
-        """(DP rows, start numerators in instance order, td) on td, the lcm
-        of the core's `td` and `factor` times each start's denominator. The
-        core itself is unchanged."""
-        xs = [starts[j.id].as_integer_ratio() for j in self.instance.jobs]
-        td = math.lcm(self.td, *[factor * d for _, d in xs])
-        rows = self.rows
-        if td != self.td:
-            m = td // self.td
-            rows = [(p, ln * m, jid, w, c) for p, ln, jid, w, c in rows]
-        return rows, [n * (td // d) for n, d in xs], td
+        return tuple([_ticks(starts[j.id], self.td) for j in self.instance.jobs])
 
     def others_key(self, player: int, key: tuple) -> tuple:
         """The player and the other players' starts in a key."""
@@ -235,10 +222,9 @@ class MachineCache:
     def time(self, n: int) -> Fraction:
         return Fraction(n, self.td)
 
-    def profile(self, key: tuple, td: int = 0) -> Profile:
-        """The profile a key over `td` (default: the core's) stands for."""
-        td = td or self.td
-        return Profile.from_dict({i: Fraction(n, td) for i, n in zip(self.ids, key)})
+    def profile(self, key: tuple) -> Profile:
+        """The profile a key stands for."""
+        return Profile.from_dict({i: Fraction(n, self.td) for i, n in zip(self.ids, key)})
 
     def value(self, key: tuple) -> Fraction:
         return Fraction(self.evaluate_key(key)[0], self.wden)
@@ -247,9 +233,18 @@ class MachineCache:
 def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
     """A `Fraction` profile on the core's scale, widened for this call only:
     (core, DP rows, start numerators in instance order, td), where td is the
-    lcm of the core's `td` and the start denominators. Exact."""
+    lcm of the core's `td` and the start denominators. Exact. A missing or
+    non-numeric start raises `validate_profile`'s `ValidationError`."""
     st = MachineCache.of(instance)
-    return (st, *st._widen(starts, 1))
+    try:
+        xs = [starts[j.id].as_integer_ratio() for j in instance.jobs]
+    except (KeyError, AttributeError):
+        validate_profile(instance, Profile.from_dict(starts))
+        raise
+    td = math.lcm(st.td, *[d for _, d in xs])
+    m = td // st.td
+    rows = st.rows if m == 1 else [(p, ln * m, jid, w, c) for p, ln, jid, w, c in st.rows]
+    return st, rows, [n * (td // d) for n, d in xs], td
 
 
 def _view(rows, times):

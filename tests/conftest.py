@@ -34,6 +34,14 @@ def evaluated_keys(monkeypatch):
     return log
 
 
+def core_keys(inst, *profiles):
+    """(the instance's solver core on a scale that fits every start map in
+    `profiles`, then their memo keys): what a search entry searches from."""
+    for starts in profiles:
+        cache = MachineCache.of(inst, starts)
+    return (cache, *[cache.key(starts) for starts in profiles])
+
+
 def guard_instances():
     """One instance per guard of grid-NE enumeration, with the start of its
     GuardError message: the joint grid, a player's job count, and the

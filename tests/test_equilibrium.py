@@ -32,7 +32,7 @@ from intervalgames.equilibrium import (_coded_grid, _global_lists, _grid_points,
                                         _player_search, _player_stable)
 from intervalgames.machine import (MachineCache, _job_groups, _ticks,
                                   machine_value_and_covered)
-from conftest import guard_instances
+from conftest import core_keys, guard_instances
 
 
 def _inst(horizon, *jobs):
@@ -594,9 +594,8 @@ def test_one_job_player_off_its_aligned_list_is_settled_by_its_ceiling(monkeypat
     # is stable at utility 0. Its aligned list against job 2 is
     # {0, 1/4, 1/2, 3/4, 2}: the global-grid start 1 is off it.
     inst = _inst(3, (1, 1, 2), (2, 2, 3))
-    cache = MachineCache.of(inst)
-    aligned_key = cache.key({1: F(0), 2: F(1, 2)})
-    off_key = cache.key({1: F(1), 2: F(1, 2)})
+    cache, aligned_key, off_key = core_keys(inst, {1: F(0), 2: F(1, 2)},
+                                            {1: F(1), 2: F(1, 2)})
     record, lists = _coded_grid(cache, off_key, 1)
     assert off_key[0] not in record.coded[0] and off_key[0] in lists[0][1]
     calls = _counting_searches(monkeypatch)
@@ -616,9 +615,8 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
     # an off-list start with aligned ones, so a proved ceiling does not
     # settle it there.
     inst = _two_group_instance()
-    cache = MachineCache.of(inst)
-    aligned_key = cache.key({1: F(0), 2: F(0), 3: F(3, 2)})
-    off_key = cache.key({1: F(0), 2: F(1, 2), 3: F(3, 2)})
+    cache, aligned_key, off_key = core_keys(inst, {1: F(0), 2: F(0), 3: F(3, 2)},
+                                            {1: F(0), 2: F(1, 2), 3: F(3, 2)})
     record, _ = _coded_grid(cache, off_key, 1)
     assert off_key[1] not in record.coded[1]
     calls = _counting_searches(monkeypatch)
@@ -629,8 +627,8 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
     # Against job 3 at 1/2, job 2's start 1 is off its aligned list. A
     # deviation that keeps it there is worth 1 > 0, but it proves nothing
     # about the aligned grid, so it leaves `lo` alone; an aligned one sets it.
-    key = cache.key({1: F(0), 2: F(1), 3: F(1, 2)})
-    moved = cache.key({1: F(3, 2), 2: F(1), 3: F(1, 2)})
+    cache, key, moved = core_keys(inst, {1: F(0), 2: F(1), 3: F(1, 2)},
+                                  {1: F(3, 2), 2: F(1), 3: F(1, 2)})
     record, _ = _coded_grid(cache, key, 1)
     assert key[1] == moved[1] and moved[1] not in record.coded[1]
     u_cur, u = cache.evaluate_key(key)[1][0], cache.evaluate_key(moved)[1][0]
@@ -681,8 +679,7 @@ def _on_scale(cache, candidates):
 def _search_lists(inst, starts, player, resolution):
     """The per-group (ids, candidate list) pairs the search walks, as
     Fractions: the local grid, or with a resolution the global grid."""
-    cache = MachineCache.of(inst)
-    key = cache.key(starts)
+    cache, key = core_keys(inst, starts)
     if resolution is None:
         lists = _coded_grid(cache, key, player)[1]
     else:
@@ -721,8 +718,7 @@ def _reference_best(inst, starts, player, resolution=None, prefer_value=False):
 
 
 def _search_best(inst, starts, player, resolution=None, prefer_value=False):
-    cache = MachineCache.of(inst)
-    key = cache.key(starts)
+    cache, key = core_keys(inst, starts)
     lists = None if resolution is None else _global_lists(cache, resolution)[player]
     best, u = _player_search(inst, cache, key, player, mode="best",
                              lists=lists, prefer_value=prefer_value)
@@ -835,8 +831,7 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys):
     seen = {"first": 0, "best": 0, "found": 0, "stopped": 0}
     for inst, profile, resolution in cases:
         inst = copy.copy(inst)  # a fresh core: the search fills its memo
-        cache = MachineCache.of(inst)
-        key = cache.key(profile.as_dict())
+        cache, key = core_keys(inst, profile.as_dict())
         for player in inst.color_ids:
             override = (None if resolution is None
                         else _global_lists(cache, resolution)[player])
@@ -950,14 +945,16 @@ def test_best_response_matches_the_continuum_on_partition_games():
 # --- the time scale ---------------------------------------------------------------
 
 def test_widening_the_time_scale_keeps_every_answer():
-    """A profile off the core's scale widens it and drops the memo; neither
-    that nor going back to grid profiles may change an answer."""
+    """A profile off the core's scale gets a new core on a wider scale, with
+    an empty memo, and leaves the old core as it was; neither that nor going
+    back to grid profiles may change an answer."""
     inst = fixture("ex1").instance  # L = 1: the core starts on quarters
     grid = inst.__class__(inst.horizon, inst.jobs)
     quarters = Profile.from_dict({1: F(0), 2: F(1, 4), 3: F(5, 4)})
     profile = next(p for p in grid_profiles(grid) if is_nash(grid, p) is not None)
 
     calls = [lambda i: best_response(i, profile, 1),
+             lambda i: is_nash(i, profile),  # grid records on quarters
              lambda i: is_nash(i, quarters),
              lambda i: best_response(i, quarters, 1),
              lambda i: best_response(i, quarters, 2),
@@ -966,16 +963,22 @@ def test_widening_the_time_scale_keeps_every_answer():
              lambda i: is_nash(i, profile),
              lambda i: brd(i, profile, max_iters=6),
              enumerate_grid_ne]
-    cache = MachineCache.of(inst)
-    assert cache.td == 4
+    assert MachineCache.of(inst).td == 4
     for k, call in enumerate(calls):
-        fresh = copy.copy(inst)
+        held, fresh = MachineCache.of(inst), copy.copy(inst)
+        if k == 2:  # the core on quarters, with its memo and grid records
+            kept = held.td, held.rows.copy(), held._cache.copy(), held.grid_cache.copy()
         assert call(inst) == call(fresh), k
         # Starts of denominator 4 need eighths: the local grids halve gaps
         # between them (1/8, 3/8 and 11/8 are candidates).
-        assert cache.td == (4 if k == 0 else 8)
-        if k == 1:
-            # The widening dropped every entry keyed on quarters.
+        cache = MachineCache.of(inst)
+        assert cache.td == (4 if k < 2 else 8)
+        assert (cache is held) is (k != 2)
+        if k == 2:
+            # The old core keeps its scale, rows, memo and grid records; the
+            # new one holds no entry keyed on quarters.
+            assert (held.td, held.rows, held._cache, held.grid_cache) == kept
+            assert kept[2] and kept[3]
             core = MachineCache.of(fresh)
             assert cache._cache == core._cache and cache._cache
             assert cache.grid_cache.keys() == core.grid_cache.keys()
@@ -1034,15 +1037,14 @@ def test_joint_search_guard_fires_before_the_first_combination(evaluated_keys):
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
         best_response(inst, profile, 2)
     assert len(evaluated_keys) == 1  # the current profile only
-    cache = MachineCache.of(inst)
+    cache, key = core_keys(inst, profile.as_dict())
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 11486475"):
-        _player_search(inst, cache, cache.key(profile.as_dict()), 2, mode="best",
+        _player_search(inst, cache, key, 2, mode="best",
                        lists=_global_lists(cache, 1)[2], prefer_value=True)
     assert len(evaluated_keys) == 1
     # Grid-NE enumeration checks the same guard at the same point, before
     # the grid record's bounds or a search can settle the verdict.
-    key = cache.key(profile.as_dict())
     per = cache.evaluate_key(key)[1]
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
@@ -1128,8 +1130,7 @@ def test_type_signatures_are_the_order_types(drawn, rng):
     # signature is a function of the order type, and equal signatures mean
     # equal comparisons in the DP, so equal DP results.
     inst, widen = drawn
-    cache = MachineCache.of(inst)
-    cache.key({j.id: F(1, widen) for j in inst.jobs})
+    cache, _ = core_keys(inst, {j.id: F(1, widen) for j in inst.jobs})
     grid = _on_scale(cache, grid_candidates(inst))
     pools = []
     for j in inst.jobs:
@@ -1438,6 +1439,11 @@ def test_search_entries_validate_their_profile(starts, message):
     stranger = equilibrium.Deviation(9, ((3, F(1)),), F(0), F(1))
     with pytest.raises(ValidationError, match="instance has no player 9"):
         verify_deviation(inst, valid, stranger)
+    # Player 1 "moving" job 3, which is player 2's: the move is not player
+    # 1's to make, though it would raise player 1's utility from 2 to 4.
+    intruder = equilibrium.Deviation(1, ((3, F(0)),), F(2), F(4))
+    with pytest.raises(ValidationError, match="job 3 is not a job of player 1"):
+        verify_deviation(inst, valid, intruder)
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, True, "1", None])
@@ -1577,14 +1583,18 @@ def test_no_background_route_outlives_its_search(monkeypatch):
 
 def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
     """Each walk's route answers only that walk's keys. Searches run on the
-    same core from inside a best-mode walk's route (each player's
-    first-improvement `is_nash`, another player's best response, a `brd`
-    walk that raises midway and a grid-NE enumeration) change neither that
-    walk's answer nor their own, and leave only DP answers in the memo."""
+    same instance from inside a best-mode walk's route (a best response from
+    a start off the core's scale, which gets the instance a new core, each
+    player's first-improvement `is_nash`, another player's best response, a
+    `brd` walk that raises midway and a grid-NE enumeration) change neither
+    that walk's answer nor their own, and leave only DP answers in the memos.
+    Before a core's scale was fixed, the off-scale search rescaled the
+    walk's core, and the walk returned job 3 at 1/7, not 3/2."""
     from intervalgames import machine
     fx = from_partition_br((1, 2, 3))
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
-    route, plan, nested = machine._background, ["nest"], {}
+    off_scale = Profile.from_dict({**profile.as_dict(), 1: F(1, 7)})
+    route, plan, nested, cores = machine._background, ["nest"], {}, []
 
     def fresh(search):
         return search(copy.copy(fx.instance))
@@ -1594,6 +1604,7 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
                 for c in i.color_ids]
 
     def nested_searches():
+        nested["off_scale"] = best_response(inst, off_scale, 1)
         nested["is_nash"] = first_moves(inst)
         nested["best_response"] = best_response(inst, profile, 2)
         plan.append("fail")
@@ -1606,6 +1617,7 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
         if not plan:
             return evaluate
         kind = plan.pop()
+        cores.append(st)
 
         def wrapped(cand):
             calls.append(cand)
@@ -1619,13 +1631,18 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
     monkeypatch.setattr(machine, "_background", patched)
     outer = best_response(inst, profile, 1)
     monkeypatch.setattr(machine, "_background", route)
-    assert sorted(nested) == ["best_response", "enumerate", "is_nash"] and not plan
+    assert sorted(nested) == ["best_response", "enumerate", "is_nash", "off_scale"]
+    assert not plan
     assert outer == fresh(lambda i: best_response(i, profile, 1))
+    assert nested["off_scale"] == fresh(lambda i: best_response(i, off_scale, 1))
     assert nested["best_response"] == fresh(lambda i: best_response(i, profile, 2))
     assert nested["is_nash"] == fresh(first_moves)
     assert nested["enumerate"] == fresh(enumerate_grid_ne)
-    cache = MachineCache.of(inst)
-    assert all(value == cache.solve_key(key) for key, value in cache._cache.items())
+    # The outer walk kept its core; the searches after the off-scale one ran
+    # on the new core, a brd walk among them.
+    assert cores[0].td < cores[1].td == MachineCache.of(inst).td
+    for cache in (cores[0], MachineCache.of(inst)):
+        assert all(value == cache.solve_key(key) for key, value in cache._cache.items())
 
 
 def test_typed_route_matches_the_dp_and_defers_off_its_head(monkeypatch):

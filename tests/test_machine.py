@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from bisect import bisect_right
@@ -19,15 +20,14 @@ from hypothesis import strategies as st
 
 import intervalgames
 from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
-                           fixture, random_instance, random_profile,
+                           ValidationError, fixture, random_instance, random_profile,
                            solve_machine_bruteforce, solve_machine_dp,
                            validate_instance)
 from intervalgames import equilibrium, machine
 from intervalgames.generators import FAMILIES
-from intervalgames.machine import (MachineCache, _closure, _covered_ids, _dp_core,
-                                   _scaled, _view)
+from intervalgames.machine import _closure, _covered_ids, _dp_core, _scaled, _view
 from intervalgames.model import Schedule
-from conftest import check_schedule_invariants
+from conftest import check_schedule_invariants, core_keys
 
 
 def _inst(horizon, *jobs):
@@ -125,6 +125,22 @@ def test_dp_example_profiles():
     assert sched_a.value == 5 and sched_a.covered == frozenset({2, 3})
     sched_b = solve_machine_dp(fx.instance, fx.notable_profiles["figure_b"])
     assert sched_b.value == 4 and sched_b.covered == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("solve", [
+    solve_machine_dp, solve_machine_bruteforce,
+    lambda inst, profile: machine.machine_value_and_covered(inst, profile.as_dict())])
+@pytest.mark.parametrize("starts, message", [
+    ({1: F(0), 2: F(0)}, "missing start for job 3"),
+    ({1: F(0), 2: F(0), 3: "1"}, "job 3: start '1' must be an int or a Fraction"),
+    ({1: F(0), 2: F(0), 3: None}, "job 3: start None must be an int or a Fraction"),
+])
+def test_machine_solvers_reject_a_profile_they_cannot_read(solve, starts, message):
+    """The machine solvers do not validate a profile they can read, but a
+    missing job or a start that is not a number raises `validate_profile`'s
+    `ValidationError`; it used to escape as `KeyError` or `AttributeError`."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        solve(fixture("ex1").instance, Profile.from_dict(starts))
 
 
 def test_dp_single_job():
@@ -385,8 +401,7 @@ def _zero_length_profiles(draw):
 @settings(max_examples=150, deadline=None)
 def test_evaluate_key_utilities_match_the_covered_mask(case, limit):
     inst, profiles = case
-    cache = MachineCache.of(inst)
-    keys = [cache.key(starts) for starts in profiles]
+    cache, *keys = core_keys(inst, *profiles)
 
     def independent(key):
         # The covered ids from `_dp_core`'s mask, plus every zero-length job,
@@ -423,8 +438,7 @@ def _check_background_route(inst, profile, fallbacks):
     background route gives `_dp_core`'s (value, per-color utilities) or
     defers. Counts the walked keys, the deferred keys and the routes that
     were not built."""
-    cache = MachineCache.of(inst)
-    key = cache.key(profile.as_dict())
+    cache, key = core_keys(inst, profile.as_dict())
     for player in inst.color_ids:
         evaluate = machine._background(cache, key, cache.color_index[player])
         if evaluate is None:
@@ -646,6 +660,34 @@ def test_no_bare_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_core_changes_its_time_scale_after_it_is_built():
+    """Nothing in the package writes a core's `td` or `rows` outside
+    `MachineCache.__init__`, by assignment, `setattr` or `del`: a search that
+    holds a core keeps its scale, and a finer profile gets a new core."""
+    files = sorted(pathlib.Path(intervalgames.__file__).parent.glob("*.py"))
+    writes = collections.Counter()
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        init = {id(node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "MachineCache"
+                for fn in cls.body if getattr(fn, "name", None) == "__init__"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif (isinstance(node, ast.Call) and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("setattr", "__setattr__")):
+                name = node.args[1].value
+            else:
+                continue
+            if name in ("td", "rows"):
+                where = "__init__" if id(node) in init else f"{path.name}:{node.lineno}"
+                writes[where] += 1
+    assert writes == {"__init__": 2}
 
 
 def test_every_private_helper_has_a_caller():
