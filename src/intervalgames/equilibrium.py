@@ -29,8 +29,11 @@ current starts merged in (`_coded_grid`), by the key walker of enumeration
 `big` flag says whether a guard could fire on the merged lists, which add at
 most one start per job; `_player_stable` runs the guards (`_guards`, one
 sequence for both) only when it is set, and a search always. A best-mode
-search passes its own background route (`machine._background`) with each
-memo lookup of its walk. Searches return keys and int utilities.
+walk goes through the same order (`_multisets`) without building keys: it
+scores each joint strategy from its groups' overlap masks by its own
+background route (`machine._background`), and builds a key only where the
+route defers to the memo and the DP, and for its result, the one key it
+stores. Searches return keys and int utilities.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -330,7 +333,8 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     With prefer_value, ties on utility go to the strategy the machine values
     most (dynamics use this: stacking onto an already-covered slot never
     lowers the machine's total). The search stops once its incumbent reaches
-    the top of that ranking. Memo misses go to `machine._background` first.
+    the top of that ranking. The walk is scored by `machine._background`,
+    and stores only the keys that route defers and the one it returns.
     mode="first": return the first strictly improving (key, utility), or
     None; its memo misses go to `route` first (see `evaluate_key`).
     `lists`, one candidate list per group of the player on the core's scale
@@ -349,28 +353,35 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     _guards(player, [(ids_, len(coded)) for (ids_, _), coded in zip(groups, lists)],
             force)
 
-    best_u, best_value, best = u_cur, None, None
-    # Only a strictly higher rank replaces the incumbent, so none can once it
-    # covers every job of the player (with prefer_value: of the instance).
-    full = cache.totals
-    # Only best-mode walks, which read most of their grid, pay for its set-up.
-    if mode == "best":
-        route = machine._background(cache, key, pix)
-    for cand in _grid_keys([(ps, coded) for (_, ps), coded in zip(groups, lists)], key):
-        value, per = cache.evaluate_key(cand, route)
-        u = per[pix]
-        if u > best_u or (prefer_value and best is not None
-                          and u == best_u and value > best_value):
-            if mode == "first":
+    walk = [(ps, coded) for (_, ps), coded in zip(groups, lists)]
+    if mode == "first":
+        for cand in _grid_keys(walk, key):
+            u = cache.evaluate_key(cand, route)[1][pix]
+            if u > u_cur:
                 return cand, u
-            best_u = u
-            best_value = value
-            best = cand
+        return None
+    # Only best-mode walks, which read most of their grid, pay for the route's
+    # set-up. A combination is scored from its overlap masks, and its key is
+    # built only where the route defers (the memo keeps it) and for the
+    # result, which the walk stores.
+    tables, score = machine._background(cache, key, pix, walk) or (lists, lambda ms: None)
+    positions = [ps for ps, _ in walk]
+    best_u, best, full = u_cur, None, cache.totals
+    for starts, ms in zip(_multisets(walk), _multisets(zip(positions, tables))):
+        value, per = score(ms) or cache.evaluate_key(_put(key, positions, starts))
+        u = per[pix]
+        if u > best_u or (prefer_value and best and u == best_u and value > best[1]):
+            best_u, best = u, (starts, value, per)
+            # Only a strictly higher rank replaces the incumbent, so none can
+            # once it covers every job of the player (with prefer_value: of
+            # the instance).
             if u == full[pix] and (not prefer_value or per == full):
                 break
-    if mode == "first":
-        return None
-    return key if best is None else best, best_u
+    if best is None:
+        return key, best_u
+    found = _put(key, positions, best[0])
+    _bounded_put(cache._cache, found, best[1:])
+    return found, best_u
 
 
 def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
@@ -428,7 +439,7 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     tuples in ascending (lexicographic) order, the last group varying
     fastest. The search stops at the first strategy that covers every job of
     the player, since nothing can beat it; that does not change the answer.
-    Its keys are valued against the other players' fixed jobs by the core's
+    Its strategies are valued against the other players' fixed jobs by a
     background route, and by the machine DP where that route defers.
     A joint search of more than `BEST_RESPONSE_MAX_SEARCH` strategies raises
     `GuardError` before its first one is evaluated, unless `force` is set.
@@ -563,18 +574,33 @@ def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                       [0] * len(cache.ids))
 
 
+def _multisets(groups):
+    """The product of the groups' multisets, given as (key positions, values):
+    per group its nondecreasing tuples of len(positions) values in ascending
+    order, the last group varying fastest. Every grid walk runs in this
+    order, and `product` hands back the same tuple for a group that did not
+    change."""
+    return itertools.product(*(itertools.combinations_with_replacement(values, len(ps))
+                               for ps, values in groups))
+
+
+def _put(key: tuple, positions, starts) -> tuple:
+    """`key` with each group's positions set to its tuple in `starts`."""
+    out = list(key)
+    for ps, tup in zip(positions, starts):
+        for p, x in zip(ps, tup):
+            out[p] = x
+    return tuple(out)
+
+
 def _grid_keys(groups, base):
     """Yield one key per combination of the groups' multisets, given as (key
     positions, candidate times): the key `base` with each group's positions
-    rewritten. Both the searches and enumeration walk their grids here."""
+    rewritten. First-mode searches and enumeration walk their grids here."""
     key = list(base)
     positions = [ps for ps, _ in groups]
     last = [None] * len(groups)
-    # `product` hands back the same tuple object for a group that did not
-    # change, so only the groups that moved are rewritten.
-    for combo in itertools.product(*(
-            itertools.combinations_with_replacement(times, len(ps))
-            for ps, times in groups)):
+    for combo in _multisets(groups):  # rewrites only the groups that moved
         for g, tup in enumerate(combo):
             if tup is not last[g]:
                 last[g] = tup

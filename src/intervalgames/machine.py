@@ -9,11 +9,12 @@ start merges them into disjoint one-color busy segments, and any job whose
 whole interval lies inside a segment of its own color is covered for free.
 
 A best-mode search moves one player's jobs, all of one color, against the
-others' fixed ones; it passes `evaluate_key` a route, `_background`, for its
-walk's memo misses: the best, over the fixed jobs' cross-color-compatible
-subsets K, of w(K) plus the moving weight that overlaps no job of K. It
-defers to the DP when the subsets outnumber its rows and on ties in
-per-color utilities; no other walk's keys reach it.
+others' fixed ones, and scores each joint strategy by its route,
+`_background`: the best, over the fixed jobs' cross-color-compatible subsets
+K, of w(K) plus the moving weight that overlaps no job of K, read from each
+moving job's overlap mask. It defers to the DP (`evaluate_key`, and the
+memo) when the subsets outnumber its rows and on ties in per-color
+utilities; it serves that walk alone and stores nothing in the memo.
 
 Everything computes in integers on one time scale per instance. The
 instance's solver core (`MachineCache`, stored on the `Instance` object and
@@ -52,7 +53,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .model import (GuardError, Instance, InternalFailure, Profile, Schedule,
-                    validate_profile)
+                    _inexact, validate_profile)
 
 BRUTE_FORCE_MAX_JOBS = 20
 MEMO_LIMIT = 600_000  # a core's memo is cleared when it grows past this
@@ -152,39 +153,41 @@ class MachineCache:
     def _build_game_tables(self) -> None:
         # Built on the first search use, so a core that only solves machines
         # never holds these. (Not a `cached_property`: it needs the core's
-        # `__dict__`, and it measurably slowed grid-NE enumeration.)
-        instance, td = self.instance, self.td
+        # `__dict__`, and it measurably slowed grid-NE enumeration.) Built in
+        # locals and published with `_groups` last, so a search that reaches
+        # the core mid-build builds them itself.
+        instance, td, colors = self.instance, self.td, self.color_ids
         jobs = instance.jobs
-        self.ids = tuple(j.id for j in jobs)
-        self.pos = {jid: p for p, jid in enumerate(self.ids)}
-        self.color_index = {c: i for i, c in enumerate(self.color_ids)}
-        totals = [0] * len(self.color_ids)
-        self.zero_per = [0] * len(self.color_ids)
+        ids = tuple(j.id for j in jobs)
+        pos = {jid: p for p, jid in enumerate(ids)}
+        color_index = {c: i for i, c in enumerate(colors)}
+        totals, zero_per = [0] * len(colors), [0] * len(colors)
         for j in jobs:
-            cix, w = self.color_index[j.color], self.scaled(j.weight)
+            cix, w = color_index[j.color], self.scaled(j.weight)
             totals[cix] += w
             if j.length == 0:
-                self.zero_per[cix] += w
-        self.totals = tuple(totals)
-        self.lens = [_ticks(j.length, td) for j in jobs]
+                zero_per[cix] += w
+        lens = [_ticks(j.length, td) for j in jobs]
         # Per player and group: (lowest start, highest start, length), the
         # inputs of the local grid (`_grid_points`).
-        self._groups = {c: [] for c in self.color_ids}
-        self.bounds = {c: [] for c in self.color_ids}
+        groups, bounds = {c: [] for c in colors}, {c: [] for c in colors}
         for ids_ in _job_groups(instance):
             j = instance.job(ids_[0])
-            self._groups[j.color].append((ids_, [self.pos[i] for i in ids_]))
-            length = self.lens[self.pos[j.id]]
-            self.bounds[j.color].append(
+            groups[j.color].append((ids_, [pos[i] for i in ids_]))
+            length = lens[pos[j.id]]
+            bounds[j.color].append(
                 (_ticks(j.release, td), _ticks(j.due(instance.horizon), td) - length,
                  length))
         # Per player: the other players' key positions, and their getter.
-        self.other_pos, self._others = {}, {}
-        for c in self.color_ids:
-            other = self.other_pos[c] = [p for p, j in enumerate(jobs) if j.color != c]
-            self._others[c] = itemgetter(*other) if other else (lambda key: ())
-        self._cache: dict = {}
-        self.grid_cache: dict = {}
+        other_pos, others = {}, {}
+        for c in colors:
+            other = other_pos[c] = [p for p, j in enumerate(jobs) if j.color != c]
+            others[c] = itemgetter(*other) if other else (lambda key: ())
+        (self.ids, self.pos, self.color_index, self.totals, self.zero_per, self.lens,
+         self.bounds, self.other_pos, self._others, self._cache, self.grid_cache) = (
+            ids, pos, color_index, tuple(totals), zero_per, lens, bounds, other_pos,
+            others, {}, {})
+        self._groups = groups
 
     def scaled(self, x: Fraction) -> int:
         """A weight as a numerator over `wden`."""
@@ -234,13 +237,18 @@ def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
     """A `Fraction` profile on the core's scale, widened for this call only:
     (core, DP rows, start numerators in instance order, td), where td is the
     lcm of the core's `td` and the start denominators. Exact. A missing or
-    non-numeric start raises `validate_profile`'s `ValidationError`."""
+    inexact start (the rule of `model._inexact`) raises `validate_profile`'s
+    `ValidationError`."""
     st = MachineCache.of(instance)
     try:
-        xs = [starts[j.id].as_integer_ratio() for j in instance.jobs]
-    except (KeyError, AttributeError):
+        values = [starts[j.id] for j in instance.jobs]
+        # The types are screened in C; `_inexact` runs only on an unusual one.
+        if not {int, Fraction}.issuperset(map(type, values)) and _inexact(*values):
+            raise TypeError("inexact start")
+    except (KeyError, TypeError):
         validate_profile(instance, Profile.from_dict(starts))
         raise
+    xs = [x.as_integer_ratio() for x in values]
     td = math.lcm(st.td, *[d for _, d in xs])
     m = td // st.td
     rows = st.rows if m == 1 else [(p, ln * m, jid, w, c) for p, ln, jid, w, c in st.rows]
@@ -356,11 +364,14 @@ def _dp_core(rows, times, per=None):
     return top_v, covered_mask, view
 
 
-def _background(st: MachineCache, key: tuple, pix: int):
-    """The route for keys that move only the jobs of color index `pix` from
-    `key` (None if the fixed jobs have more compatible subsets than the core
-    has DP rows). Zero-weight jobs are left out."""
-    own = [(p, ln, w, {}) for p, ln, _, w, c in st.rows if c == pix and w]  # {start: mask}
+def _background(st: MachineCache, key: tuple, pix: int, walk):
+    """The route of a best-mode walk that moves the groups `walk`, given as
+    (key positions, candidate starts), of color index `pix` from `key`:
+    (per group, its candidates' overlap masks over the fixed jobs; `score`),
+    or None if the fixed jobs have more compatible subsets than the core has
+    DP rows. `score` takes one mask tuple per group, combined as the walk
+    combines the candidates, and returns (value, per-color utilities), or
+    False on a tie in per-color utilities. Zero-weight jobs are left out."""
     fixed = [(key[p], key[p] + ln, w, c) for p, ln, _, w, c in st.rows if c != pix and w]
     # (bitmask over `fixed`, weight, per-color utilities), grown one job at a time.
     subsets = [(0, 0, tuple(st.zero_per))]
@@ -371,30 +382,29 @@ def _background(st: MachineCache, key: tuple, pix: int):
                     for mask, v, per in subsets if not mask & clash]
         if len(subsets) > len(st.rows):
             return None
-    seen: dict = {}  # results by the moving jobs' overlap masks, which fix them
-    def evaluate(key: tuple):
-        ms = []
-        for p, ln, _, masks in own:
-            x = key[p]
-            m = masks.get(x)
-            if m is None:
-                m = masks[x] = sum(1 << k for k, (s, f, _, _) in enumerate(fixed)
-                                   if x < f and s < x + ln)
-            ms.append(m)
-        ms = tuple(ms)
-        if ms in seen:
-            return seen[ms]
+    # A group's jobs share length and weight, so one table serves them all.
+    weight = {p: w for p, _, _, w, _ in st.rows}  # zero-length jobs: always covered
+    ws = [weight.get(ps[0], 0) for ps, _ in walk]
+    tables = [[w and sum(1 << k for k, (s, f, _, _) in enumerate(fixed)
+                         if x < f and s < x + st.lens[ps[0]]) for x in times]
+              for (ps, times), w in zip(walk, ws)]
+    seen: dict = {}  # answers by the moving jobs' overlap masks, which fix them
+
+    def score(ms: tuple):
+        hit = seen.get(ms)
+        if hit is not None:
+            return hit
         best, tie = -1, False
         for mask, v, per in subsets:
-            u = sum([job[2] for m, job in zip(ms, own) if not m & mask])
+            u = sum([w for g, w in zip(ms, ws) for m in g if not m & mask])
             if v + u > best:
                 best, top, top_u, tie = v + u, per, u, False
             elif v + u == best and per != top:
                 tie = True
-        return _bounded_put(seen, ms, None if tie else (
+        return _bounded_put(seen, ms, not tie and (
             st.base_scaled + best, top[:pix] + (top[pix] + top_u,) + top[pix + 1:]))
 
-    return evaluate
+    return tables, score
 
 
 def _covered_ids(st: MachineCache, mask: int, view) -> frozenset[int]:

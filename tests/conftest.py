@@ -8,6 +8,7 @@ from intervalgames import (Fixture, Instance, Job, best_response,
                            enumerate_grid_ne, fixture, is_nash,
                            social_optimum_enumerate, solve_machine_dp, utilities,
                            validate_instance)
+from intervalgames import equilibrium, machine
 from intervalgames.machine import MachineCache
 
 
@@ -31,6 +32,33 @@ def evaluated_keys(monkeypatch):
         return evaluate_key(self, key, route)
 
     monkeypatch.setattr(MachineCache, "evaluate_key", recording)
+    return log
+
+
+@pytest.fixture
+def walked_keys(monkeypatch):
+    """Record the key of every combination a best-mode walk scores, in walk
+    order, for the test's duration. The walk scores each combination once,
+    with the route `machine._background` gives it. The wrapped route hands
+    the walk the candidate starts as its tables, so its score sees each
+    combination's starts; it answers from the real route's masks, and defers
+    where no route was built."""
+    log = []
+    route = machine._background
+
+    def recording(st, key, pix, walk):
+        built = route(st, key, pix, walk)
+        positions = [ps for ps, _ in walk]
+        masks = [dict(zip(times, table)) for (_, times), table in zip(walk, built[0])
+                 ] if built else []
+
+        def score(starts):
+            log.append(equilibrium._put(key, positions, starts))
+            return built and built[1](tuple(tuple(map(m.__getitem__, tup))
+                                            for m, tup in zip(masks, starts)))
+        return [times for _, times in walk], score
+
+    monkeypatch.setattr(machine, "_background", recording)
     return log
 
 

@@ -777,7 +777,8 @@ def test_dynamics_search_matches_exhaustive_search_on_families():
 
 @pytest.mark.parametrize("values, stops_early", [((1, 1, 2), True),
                                                  ((1, 1, 4), False)])
-def test_best_response_stops_at_the_utility_ceiling(evaluated_keys, values, stops_early):
+def test_best_response_stops_at_the_utility_ceiling(evaluated_keys, walked_keys,
+                                                   values, stops_early):
     fx = from_partition_br(values)
     assert fx.params["partition_exists"] is stops_early
     inst, profile = fx.instance, fx.notable_profiles["initial"]
@@ -786,11 +787,14 @@ def test_best_response_stops_at_the_utility_ceiling(evaluated_keys, values, stop
     evaluated_keys.clear()
     _, u = best_response(inst, profile, 1)
     assert (u == sum(j.weight for j in inst.jobs_of_color(1))) is stops_early
+    # The current profile is read first, then the walk scores its combinations.
+    assert evaluated_keys[0] == core_keys(inst, profile.as_dict())[1]
+    walked = evaluated_keys[:1] + walked_keys
     if stops_early:
-        assert len(evaluated_keys) < size
+        assert len(walked) < size
     else:
         # The current profile, then every combination of the joint search.
-        assert len(evaluated_keys) == 1 + size
+        assert len(walked) == 1 + size
 
 
 def _plain_walk(cache, key, player, mode, lists, prefer_value):
@@ -822,7 +826,7 @@ def _plain_walk(cache, key, player, mode, lists, prefer_value):
     return visited, best
 
 
-def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys):
+def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys, walked_keys):
     cases = [(fx.instance, fx.notable_profiles["initial"], None) for fx in _partition_games()]
     cases += [(fx.instance, p, None) for fx in _enumerable_fixtures()
               for p in fx.notable_profiles.values()]
@@ -843,9 +847,16 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys):
             for mode, prefer_value in (("first", False), ("best", False), ("best", True)):
                 expected, stop = _plain_walk(cache, key, player, mode, lists, prefer_value)
                 evaluated_keys.clear()
+                walked_keys.clear()
                 got = _player_search(inst, cache, key, player, mode=mode,
                                      lists=override, prefer_value=prefer_value)
-                assert evaluated_keys == expected, (inst, player, mode, prefer_value)
+                # A first-mode search looks up each key; a best-mode walk
+                # reads the current key, then scores each combination and
+                # looks up only those its route defers.
+                walked = (evaluated_keys if mode == "first"
+                          else evaluated_keys[:1] + walked_keys)
+                assert walked == expected, (inst, player, mode, prefer_value)
+                assert set(evaluated_keys[1:]) <= set(walked)
                 seen[mode] += 1
                 if mode == "first":
                     assert (None if got is None else got[0]) == stop
@@ -1528,19 +1539,24 @@ def test_background_route_changes_no_result(monkeypatch):
               for k, inst in enumerate(_differential_instances())]
     route, served = machine._background, collections.Counter()
 
-    def counting(st, key, pix):
-        evaluate = route(st, key, pix)
-        served["built" if evaluate else "bound"] += 1
+    def counting(st, key, pix, walk):
+        built = route(st, key, pix, walk)
+        served["built" if built else "bound"] += 1
+        if built is None:
+            return None
+        tables, score = built
 
-        def count(cand):
-            got = evaluate(cand)
+        def count(ms):
+            got = score(ms)
             served["key" if got else "tie"] += 1
             return got
-        return evaluate and count
+        return tables, count
 
     monkeypatch.setattr(machine, "_background", counting)
     routed = [_search_results(copy.copy(inst), profile) for inst, profile in cases]
-    monkeypatch.setattr(machine, "_background", lambda st, key, pix: lambda cand: None)
+    # A route that defers on every combination: the DP answers them all.
+    monkeypatch.setattr(machine, "_background", lambda st, key, pix, walk: (
+        [times for _, times in walk], lambda ms: None))
     assert [_search_results(copy.copy(inst), profile) for inst, profile in cases] == routed
     assert min(served[k] for k in ("built", "bound", "key", "tie")) > 0, served
 
@@ -1554,15 +1570,15 @@ def test_no_background_route_outlives_its_search(monkeypatch):
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
     route = machine._background
 
-    def failing(st, key, pix):
-        evaluate, calls = route(st, key, pix), []
+    def failing(st, key, pix, walk):
+        (tables, score), calls = route(st, key, pix, walk), []
 
-        def fail_third(cand):
-            calls.append(cand)
+        def fail_third(ms):
+            calls.append(ms)
             if len(calls) == 3:
                 raise RuntimeError("midway")
-            return evaluate(cand)
-        return fail_third
+            return score(ms)
+        return tables, fail_third
 
     monkeypatch.setattr(machine, "_background", failing)
     with pytest.raises(RuntimeError, match="midway"):
@@ -1612,21 +1628,22 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
             brd(inst, profile)
         nested["enumerate"] = enumerate_grid_ne(inst)
 
-    def patched(st, key, pix):
-        evaluate, calls = route(st, key, pix), []
+    def patched(st, key, pix, walk):
+        built, calls = route(st, key, pix, walk), []
         if not plan:
-            return evaluate
+            return built
         kind = plan.pop()
         cores.append(st)
+        tables, score = built
 
-        def wrapped(cand):
-            calls.append(cand)
+        def wrapped(ms):
+            calls.append(ms)
             if kind == "nest" and len(calls) == 1:
                 nested_searches()
             if kind == "fail" and len(calls) == 3:
                 raise RuntimeError("midway")
-            return evaluate(cand)
-        return wrapped
+            return score(ms)
+        return tables, wrapped
 
     monkeypatch.setattr(machine, "_background", patched)
     outer = best_response(inst, profile, 1)
@@ -1643,6 +1660,66 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
     assert cores[0].td < cores[1].td == MachineCache.of(inst).td
     for cache in (cores[0], MachineCache.of(inst)):
         assert all(value == cache.solve_key(key) for key, value in cache._cache.items())
+
+
+def test_best_mode_walks_store_only_their_deferred_and_returned_keys(monkeypatch):
+    """After best responses and `brd` runs, the core's memo holds only the
+    searches' current keys, the keys their routes deferred to the DP and the
+    keys they returned, and every value is `solve_key`'s. A walk used to
+    store every key its route valued."""
+    cases = [(fx.instance, fx.notable_profiles["initial"]) for fx in _partition_games()]
+    cases += [(inst, random_profile(inst, k))
+              for k, inst in enumerate(_differential_instances())]
+    search, solve_key = equilibrium._player_search, MachineCache.solve_key
+    kept, solved = set(), set()  # current and returned keys; the DP's keys
+
+    def recording(instance, cache, key, *args, **kwargs):
+        found = search(instance, cache, key, *args, **kwargs)
+        kept.update([key, found[0]] if found else [key])
+        return found
+
+    def solving(self, key):
+        solved.add(key)
+        return solve_key(self, key)
+
+    monkeypatch.setattr(equilibrium, "_player_search", recording)
+    monkeypatch.setattr(MachineCache, "solve_key", solving)
+    deferred = moved = 0
+    for inst, profile in cases:
+        inst = copy.copy(inst)
+        kept.clear()
+        solved.clear()
+        _search_results(inst, profile)
+        core = MachineCache.of(inst)
+        assert kept <= set(core._cache) <= kept | solved, inst
+        assert all(value == solve_key(core, key) for key, value in core._cache.items())
+        deferred += len(solved - kept)
+        moved += len(kept) > len(inst.color_ids)
+    assert deferred and moved
+
+
+def test_a_search_that_reaches_the_core_mid_build_matches_a_fresh_copy(monkeypatch):
+    """A best response run on the same instance from inside the build of
+    its core's game tables (from `_job_groups`), and the best response that
+    started the build, both answer as a fresh copy does. The tables used to
+    be published one at a time with `_groups` first, so the nested search
+    found no memo and raised `AttributeError`."""
+    from intervalgames import machine
+    fx = fixture("prop_no_ne")
+    inst, profile = copy.copy(fx.instance), fx.notable_profiles["overlap"]
+    job_groups, nested = machine._job_groups, []
+
+    def nesting(instance):
+        if not nested:
+            nested.append(None)
+            nested[0] = best_response(inst, profile, 1)
+        return job_groups(instance)
+
+    monkeypatch.setattr(machine, "_job_groups", nesting)
+    outer = best_response(inst, profile, 1)
+    monkeypatch.setattr(machine, "_job_groups", job_groups)
+    fresh = best_response(copy.copy(fx.instance), profile, 1)
+    assert nested == [fresh] and outer == fresh
 
 
 def test_typed_route_matches_the_dp_and_defers_off_its_head(monkeypatch):

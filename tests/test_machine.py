@@ -134,11 +134,16 @@ def test_dp_example_profiles():
     ({1: F(0), 2: F(0)}, "missing start for job 3"),
     ({1: F(0), 2: F(0), 3: "1"}, "job 3: start '1' must be an int or a Fraction"),
     ({1: F(0), 2: F(0), 3: None}, "job 3: start None must be an int or a Fraction"),
+    ({1: F(0), 2: F(0), 3: 1.1}, "job 3: start 1.1 must be an int or a Fraction"),
+    ({1: F(0), 2: F(0), 3: True}, "job 3: start True must be an int or a Fraction"),
 ])
 def test_machine_solvers_reject_a_profile_they_cannot_read(solve, starts, message):
     """The machine solvers do not validate a profile they can read, but a
-    missing job or a start that is not a number raises `validate_profile`'s
-    `ValidationError`; it used to escape as `KeyError` or `AttributeError`."""
+    missing job or a start that is not an exact number raises
+    `validate_profile`'s `ValidationError`. A missing job or a non-number
+    used to escape as `KeyError` or `AttributeError`; a float start of 1.1
+    widened the time scale to 2^51 and came back as a segment start, and a
+    start of True ran as 1."""
     with pytest.raises(ValidationError, match=re.escape(message)):
         solve(fixture("ex1").instance, Profile.from_dict(starts))
 
@@ -434,29 +439,31 @@ def _walk_lists(cache, key, player):
 
 
 def _check_background_route(inst, profile, fallbacks):
-    """On every key of every player's best-mode walks from `profile`, the
-    background route gives `_dp_core`'s (value, per-color utilities) or
-    defers. Counts the walked keys, the deferred keys and the routes that
-    were not built."""
+    """On every combination of every player's best-mode walks from
+    `profile`, the background route's score gives `_dp_core`'s (value,
+    per-color utilities) or defers. Counts the walked combinations, the
+    deferred ones and the routes that were not built."""
     cache, key = core_keys(inst, profile.as_dict())
     for player in inst.color_ids:
-        evaluate = machine._background(cache, key, cache.color_index[player])
-        if evaluate is None:
-            fallbacks["bound"] += 1
-            continue
         groups = cache.groups[player]
         for lists in _walk_lists(cache, key, player):
             if math.prod(math.comb(len(c) + len(ids_) - 1, len(ids_))
                          for (ids_, _), c in zip(groups, lists)) > 5000:
                 continue
             walk = [(positions, c) for (_, positions), c in zip(groups, lists)]
-            for cand in equilibrium._grid_keys(walk, key):
+            route = machine._background(cache, key, cache.color_index[player], walk)
+            if route is None:
+                fallbacks["bound"] += 1
+                continue
+            tables, score = route
+            masks = equilibrium._multisets(zip([ps for ps, _ in walk], tables))
+            for cand, ms in zip(equilibrium._grid_keys(walk, key), masks, strict=True):
                 per = cache.zero_per.copy()
                 dp = cache.base_scaled + _dp_core(cache.rows, cand, per)[0], tuple(per)
-                got = evaluate(cand)
+                got = score(ms)
                 fallbacks["keys"] += 1
-                fallbacks["tie"] += got is None
-                assert got in (None, dp), (inst, player, cand)
+                fallbacks["tie"] += got is False
+                assert got is False or got == dp, (inst, player, cand)
 
 
 def test_background_route_matches_the_dp_on_every_walked_key():
@@ -688,6 +695,22 @@ def test_no_core_changes_its_time_scale_after_it_is_built():
                 where = "__init__" if id(node) in init else f"{path.name}:{node.lineno}"
                 writes[where] += 1
     assert writes == {"__init__": 2}
+
+
+def test_game_tables_are_published_in_one_step():
+    """`MachineCache._build_game_tables` writes no attribute after `_groups`,
+    whose write marks the tables built: a search that reaches the core
+    before that write builds the tables itself, and one after it finds every
+    table."""
+    tree = ast.parse(pathlib.Path(machine.__file__).read_text())
+    (build,) = [fn for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "MachineCache"
+                for fn in cls.body if getattr(fn, "name", None) == "_build_game_tables"]
+    writes = sorted((node.lineno, node.col_offset, node.attr) for node in ast.walk(build)
+                    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load))
+    names = [name for *_, name in writes]
+    assert names.count("_groups") == 1 and names[-1] == "_groups", writes
+    assert {"_cache", "grid_cache", "bounds", "other_pos"} <= set(names)
 
 
 def test_every_private_helper_has_a_caller():
