@@ -21,10 +21,10 @@ from . import generators
 from .equilibrium import (analyze, brd, enumerate_grid_ne, is_nash, ne_single,
                           ne_unit, tightest_bound)
 from .machine import solve_machine_bruteforce, solve_machine_dp
-from .model import (GameError, GuardError, Instance, InternalFailure,
-                    ValidationError, instance_to_document, instance_to_json,
-                    parse_instance, parse_profile, profile_to_document,
-                    rational_str, schedule_to_document, to_rational)
+from .model import (GameError, GuardError, Instance, InternalFailure, _check_int,
+                    instance_to_document, instance_to_json, parse_instance,
+                    parse_profile, profile_to_document, rational_str,
+                    schedule_to_document, to_rational)
 from .optimum import (social_optimum_bruteforce, social_optimum_enumerate,
                       social_optimum_single_knapsack)
 
@@ -208,9 +208,8 @@ def _analyze_one(task) -> dict:
 
 def cmd_analyze(args) -> int:
     if args.family:
-        for flag, value, least in (("--count", args.count, 0), ("--jobs", args.jobs, 1)):
-            if value < least:
-                raise ValidationError(f"{flag} must be at least {least}, got {value}")
+        _check_int(args.count, "--count", 0)
+        _check_int(args.jobs, "--jobs", 1)
         # Parsed here too: with --count 0 no instance checks the horizon.
         horizon = to_rational(args.horizon or "3", "horizon")
         single = args.family == "single"  # n == c: a missing one follows the other

@@ -11,13 +11,15 @@ grid, and reports say so.
 The searches run on ints on the time scale of the instance's solver core
 (`machine.MachineCache`, stored on the `Instance` object and dropped with
 it): every start is a numerator over the core's time denominator, and a memo
-key is the tuple of a profile's start times. `best_response`, `is_nash` and
-`brd` validate their profile and search on a core whose fixed scale fits it
-(`MachineCache.of`), so a nested search never rescales an outer walk's keys.
-One function makes every local grid (`_grid_points`, untagged ints);
-`build_grid` is its `Fraction` view and the only place that tags points with
-their provenance, and it raises `InternalFailure` rather than truncate a gap
-that the scale cannot halve. `_grid_ticks` makes the global grid of `brd`
+key is the tuple of a profile's start times. `best_response`, `is_nash`,
+`brd` and `build_grid` validate their input and work on a core whose fixed
+scale fits it (`MachineCache.of`: a profile off the stored core's scale
+replaces that core, as in the machine entries), so a nested search never
+rescales an outer walk's keys. One function makes every local grid
+(`_grid_points`, untagged ints); `build_grid` is its `Fraction` view on the
+core's job groups and the only place that tags points with their
+provenance, and it raises `InternalFailure` rather than truncate a gap that
+the scale cannot halve. `_grid_ticks` makes the global grid of `brd`
 and grid-NE enumeration, and each job's candidates on it, on ints over 2L,
 half of the core's smallest scale; `global_grid_points` and
 `grid_candidates` are its `Fraction` views.
@@ -28,12 +30,12 @@ current starts merged in (`_coded_grid`), by the key walker of enumeration
 (`_grid_keys`), which rewrites only the groups that moved. The record's
 `big` flag says whether a guard could fire on the merged lists, which add at
 most one start per job; `_player_stable` runs the guards (`_guards`, one
-sequence for both) only when it is set, and a search always. A best-mode
-walk goes through the same order (`_multisets`) without building keys: it
-scores each joint strategy from its groups' overlap masks by its own
-background route (`machine._background`), and builds a key only where the
-route defers to the memo and the DP, and for its result, the one key it
-stores. Searches return keys and int utilities.
+predicate, `_over_limit`, for both) only when it is set, and a search
+always. A best-mode walk goes through the same order (`_multisets`) without
+building keys: it scores each joint strategy from its groups' overlap masks
+by its own background route (`machine._background`), and builds a key only
+where the route defers to the memo and the DP, and for its result, the one
+key it stores. Searches return keys and int utilities.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -78,8 +80,8 @@ from . import machine
 from .machine import (MachineCache, _bounded_put, _job_groups, _ticks, _time_lcm,
                       machine_value_and_covered, solve_machine_dp)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
-                    UnsupportedInstanceError, ValidationError, _check_start, utilities,
-                    validate_profile)
+                    UnsupportedInstanceError, ValidationError, _check_int, _check_start,
+                    utilities, validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
 BEST_RESPONSE_MAX_GRID = 64
@@ -197,15 +199,14 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     Aligned candidates: the job's own feasibility bounds, each fixed job's
     finish, start, and start minus the moving job's length. Interior
     representatives: every aligned point shifted by half the smallest gap.
-    Computed by the searches' own grid function (`_grid_points`) on integer
-    numerators over twice the lcm of L (`machine._time_lcm`) and the fixed
-    starts' denominators, so half a gap is an integer too. Only this view
-    tags the points, each with its first source: the bounds
-    ("window-clipped" for a windowed job), then the other aligned points
-    ("endpoint-aligned"), then the interior ones ("interior-shifted"). An
-    invalid fixed start, or one of `player`'s jobs, raises `ValidationError`.
+    Computed once per job group by the searches' own grid function
+    (`_grid_points`), on the core `MachineCache.of` fits to the fixed starts
+    (an off-scale start replaces it, as in a search). Only this view tags
+    the points, each with its first source: the bounds ("window-clipped"
+    for a windowed job), then the other aligned points ("endpoint-aligned"),
+    then the interior ones ("interior-shifted"). An invalid fixed start, or
+    one of `player`'s jobs, raises `ValidationError`.
     """
-    T = instance.horizon
     own = instance.jobs_of_color(player)
     if not own:
         raise ValidationError(f"instance has no player {player}")
@@ -214,23 +215,21 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
         if k.color == player:
             raise ValidationError(f"job {k.id} is a job of player {player}, not fixed")
         _check_start(instance, k, s)
-    den = 2 * math.lcm(_time_lcm(instance), *[s.denominator for _, s in fixed])
-    fixed_n = [(k.id, _ticks(s, den), _ticks(s + k.length, den)) for k, s in fixed]
-    entries = []
-    for j in own:
-        length = _ticks(j.length, den)
-        lo, hi = _ticks(j.release, den), _ticks(j.due(T), den) - length
-        aligned, interior = _grid_points(
-            lo, hi, length, [(sk, fk) for kid, sk, fk in fixed_n if kid != j.id])
-        bound_tag = "window-clipped" if j.window is not None else "endpoint-aligned"
+    cache = MachineCache.of(instance, fixed_starts.values())
+    td = cache.td
+    fixed_n = [(_ticks(s, td), _ticks(s + k.length, td)) for k, s in fixed]
+    tagged = {}
+    for (ids_, _), (lo, hi, length) in zip(cache.groups[player], cache.bounds[player]):
+        aligned, interior = _grid_points(lo, hi, length, fixed_n)
+        bound_tag = "window-clipped" if instance.job(ids_[0]).window else "endpoint-aligned"
         tags = {lo: bound_tag, hi: bound_tag}
         for x in aligned:
             tags.setdefault(x, "endpoint-aligned")
         for x in interior:
             tags.setdefault(x, "interior-shifted")
-        entries.append((j.id, tuple((Fraction(n, den), tag)
-                                    for n, tag in sorted(tags.items()))))
-    return CandidateGrid(player, tuple(entries))
+        points = tuple((Fraction(n, td), tag) for n, tag in sorted(tags.items()))
+        tagged.update(dict.fromkeys(ids_, points))
+    return CandidateGrid(player, tuple((j.id, tagged[j.id]) for j in own))
 
 
 def _missing(coded, positions, key: tuple) -> int:
@@ -252,25 +251,29 @@ def _profile_count(sized) -> int:
     return math.prod(math.comb(n + len(ids_) - 1, len(ids_)) for ids_, n in sized)
 
 
-def _guards(player: int, sized, force: bool) -> None:
-    """The joint search's size guards over the player's groups, given as a
-    list of (ids, candidate count) pairs, in their fixed order: the player's
-    job count, each group's candidate count, then the joint strategy count.
-    Each raises `GuardError` unless `force` is set."""
-    if force:
-        return
+def _over_limit(player: int, sized) -> Optional[str]:
+    """The message of the first size guard exceeded by the player's groups,
+    given as (ids, candidate count) pairs, or None. The guards' fixed order:
+    the player's job count, each group's candidate count, the joint count."""
     count = sum(len(ids_) for ids_, _ in sized)
     if count > BEST_RESPONSE_MAX_JOBS:
-        raise GuardError(f"player {player} controls {count} jobs "
-                         f"(joint search limit {BEST_RESPONSE_MAX_JOBS})")
+        return (f"player {player} controls {count} jobs "
+                f"(joint search limit {BEST_RESPONSE_MAX_JOBS})")
     for ids_, size in sized:
         if size > BEST_RESPONSE_MAX_GRID:
-            raise GuardError(f"jobs {ids_} have {size} candidate "
-                             f"starts (limit {BEST_RESPONSE_MAX_GRID})")
+            return f"jobs {ids_} have {size} candidate starts (limit {BEST_RESPONSE_MAX_GRID})"
     size = _profile_count(sized)
     if size > BEST_RESPONSE_MAX_SEARCH:
-        raise GuardError(f"player {player}'s joint search holds {size} "
-                         f"strategies (limit {BEST_RESPONSE_MAX_SEARCH})")
+        return (f"player {player}'s joint search holds {size} "
+                f"strategies (limit {BEST_RESPONSE_MAX_SEARCH})")
+    return None
+
+
+def _guards(player: int, sized, force: bool) -> None:
+    """Raise `GuardError` with `_over_limit`'s message unless `force` is set."""
+    message = not force and _over_limit(player, sized)
+    if message:
+        raise GuardError(message)
 
 
 def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
@@ -291,10 +294,8 @@ def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
         # A group's searched list adds at most one start per job.
         sized = [(ids_, len(c) + len(ids_))
                  for (ids_, _), c in zip(cache.groups[player], coded)]
-        big = (sum(len(ids_) for ids_, _ in sized) > BEST_RESPONSE_MAX_JOBS
-               or any(n > BEST_RESPONSE_MAX_GRID for _, n in sized)
-               or _profile_count(sized) > BEST_RESPONSE_MAX_SEARCH)
-        record = _GridRecord(coded, cache.totals[cache.color_index[player]], big)
+        record = _GridRecord(coded, cache.totals[cache.color_index[player]],
+                             _over_limit(player, sized) is not None)
         _bounded_put(cache.grid_cache, others_key, record, machine.GRID_CACHE_LIMIT)
     return record
 
@@ -409,7 +410,7 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
         return True
     record = _grid_record(cache, key, player)
     groups = cache.groups[player]
-    if record.big and not force:
+    if record.big:
         _guards(player, [(ids_, len(coded) + _missing(coded, positions, key))
                          for (ids_, positions), coded in zip(groups, record.coded)],
                 force)
@@ -445,7 +446,7 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     `GuardError` before its first one is evaluated, unless `force` is set.
     """
     starts = validate_profile(instance, profile).as_dict()
-    cache = MachineCache.of(instance, starts)
+    cache = MachineCache.of(instance, starts.values())
     best, u = _player_search(instance, cache, cache.key(starts), player,
                              mode="best", force=force)
     return _strategy(cache, best, player), Fraction(u, cache.wden)
@@ -461,7 +462,7 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     restricts the scan to a subset of colors.
     """
     starts = validate_profile(instance, profile).as_dict()
-    cache = MachineCache.of(instance, starts)
+    cache = MachineCache.of(instance, starts.values())
     key = cache.key(starts)
     scan = instance.color_ids if players is None else tuple(sorted(players))
     for player in scan:
@@ -506,10 +507,7 @@ def _grid_ticks(instance: Instance, resolution: int):
     solver core's `td` is a multiple of 4L, so callers that hold one scale
     these by `td // 2L`. A resolution that is not an int (a `bool` is not)
     or is below 1 raises `ValidationError`."""
-    if isinstance(resolution, bool) or not isinstance(resolution, int):
-        raise ValidationError(f"grid resolution must be an int, got {resolution!r}")
-    if resolution < 1:
-        raise ValidationError(f"grid resolution must be at least 1, got {resolution}")
+    _check_int(resolution, "grid resolution", 1)
     den = 2 * _time_lcm(instance)
     T = _ticks(instance.horizon, den)
     pts = {0, T, *[_ticks(x, den) for j in instance.jobs for x in j.window or ()]}
@@ -761,12 +759,9 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     """
     if order not in ("round_robin", "first_improving"):
         raise ValidationError(f"unknown BRD order {order!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
-        raise ValidationError(f"max_iters must be an int, got {max_iters!r}")
-    if max_iters < 0:
-        raise ValidationError(f"max_iters must be at least 0, got {max_iters}")
+    _check_int(max_iters, "max_iters", 0)
     starts = validate_profile(instance, initial).as_dict()
-    cache = MachineCache.of(instance, starts)
+    cache = MachineCache.of(instance, starts.values())
     key = cache.key(starts)
     lists = _global_lists(cache, resolution)
     colors = instance.color_ids

@@ -25,15 +25,15 @@ L is the lcm of the denominators of the horizon, the lengths and the window
 bounds: every global-grid point lies in (1/2L)Z and every local grid built
 against such starts in (1/4L)Z, so the game searches run on ints from end to
 end, and their memo keys are the start times themselves. A core's `td` is
-fixed when it is built. A search entry (`MachineCache.of(instance, starts)`)
+fixed when it is built, by one rule (`MachineCache.of`): a `Fraction` entry
 whose profile has a start of denominator d with 2d not dividing `td` gets a
 new core on their lcm, stored on the instance in the old one's place; a walk
 that holds the old core keeps it on its own scale, so ints of two scales
-never meet in one key. The Fraction-profile entries (`solve_machine_dp`,
-`solve_machine_bruteforce`, `machine_value_and_covered`) scale each call to
-the lcm of `td` and the start denominators, run the same DP on the same
-rows, and never touch the memo. `Fraction`s are built only for returned
-values and segment endpoints.
+never meet in one key. The machine entries (`solve_machine_dp`,
+`solve_machine_bruteforce`, `machine_value_and_covered`) follow the rule as
+the search entries do, run the DP on the core's own rows, and never read or
+write the memo. `Fraction`s are built only for returned values and segment
+endpoints.
 
 Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
 the one whose last job has the smallest id, the empty configuration counting
@@ -50,7 +50,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .model import (GuardError, Instance, InternalFailure, Profile, Schedule,
                     _inexact, validate_profile)
@@ -130,13 +130,13 @@ class MachineCache:
         self._groups = None
 
     @classmethod
-    def of(cls, instance: Instance, starts: Mapping[int, Fraction] = {}) -> "MachineCache":
-        """The instance's core on a scale that fits `starts`: the stored one, or
-        a new one stored in its place, on the lcm of its `td` (first 4L) and 2d
-        for each start of denominator d. The old core is left as it was."""
+    def of(cls, instance: Instance, times: Iterable[Fraction] = ()) -> "MachineCache":
+        """The instance's core on a scale that fits the start `times`: the
+        stored one, or a new one stored in its place, on the lcm of its `td`
+        (first 4L) and 2d for each time of denominator d; the old one is kept."""
         core = getattr(instance, "_core", None)
         td = math.lcm(core.td if core else 4 * _time_lcm(instance),
-                      *[2 * x.denominator for x in starts.values()])
+                      *[2 * x.denominator for x in times])
         if core is None or td != core.td:
             core = cls(instance, td)
             object.__setattr__(instance, "_core", core)
@@ -234,12 +234,10 @@ class MachineCache:
 
 
 def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
-    """A `Fraction` profile on the core's scale, widened for this call only:
-    (core, DP rows, start numerators in instance order, td), where td is the
-    lcm of the core's `td` and the start denominators. Exact. A missing or
-    inexact start (the rule of `model._inexact`) raises `validate_profile`'s
-    `ValidationError`."""
-    st = MachineCache.of(instance)
+    """A `Fraction` profile as (core, start numerators in instance order):
+    the core is `MachineCache.of` on the instance's starts, so an extra start
+    for an unknown job is ignored. Exact. A missing or inexact start (the
+    rule of `model._inexact`) raises `validate_profile`'s `ValidationError`."""
     try:
         values = [starts[j.id] for j in instance.jobs]
         # The types are screened in C; `_inexact` runs only on an unusual one.
@@ -248,11 +246,9 @@ def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
     except (KeyError, TypeError):
         validate_profile(instance, Profile.from_dict(starts))
         raise
-    xs = [x.as_integer_ratio() for x in values]
-    td = math.lcm(st.td, *[d for _, d in xs])
-    m = td // st.td
-    rows = st.rows if m == 1 else [(p, ln * m, jid, w, c) for p, ln, jid, w, c in st.rows]
-    return st, rows, [n * (td // d) for n, d in xs], td
+    st = MachineCache.of(instance, values)
+    td = st.td
+    return st, [x.numerator * (td // x.denominator) for x in values]
 
 
 def _view(rows, times):
@@ -458,12 +454,12 @@ def _brute_core(rows, times, force: bool):
 
 
 def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
-             mask: int, view, td: int) -> Schedule:
+             mask: int, view) -> Schedule:
     """Merge the covered intervals into maximal one-color segments in one
     sweep by start, then cover every job nested inside a segment of its own
     color (free additions).
 
-    Works on the view over td; a segment's start is returned as the
+    Works on the view over `st.td`; a segment's start is returned as the
     profile's own start of its first job, its end as a new `Fraction`, and
     the value `top` (over `wden`) with the zero-length jobs added."""
     s, f, w, col, ids = view
@@ -502,7 +498,7 @@ def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
             free |= low
     colors = st.color_ids
     return Schedule(_covered_ids(st, mask | free, view),
-                    tuple((starts[jid], Fraction(b, td), colors[c])
+                    tuple((starts[jid], Fraction(b, st.td), colors[c])
                           for _, b, c, jid in segments[1:]),
                     Fraction(st.base_scaled + top, st.wden))
 
@@ -510,22 +506,22 @@ def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
 def solve_machine_dp(instance: Instance, profile: Profile) -> Schedule:
     """Optimal machine configuration via dynamic programming over finish times."""
     starts = profile.as_dict()
-    st, rows, times, td = _scaled(instance, starts)
-    return _closure(st, starts, *_dp_core(rows, times), td)
+    st, times = _scaled(instance, starts)
+    return _closure(st, starts, *_dp_core(st.rows, times))
 
 
 def solve_machine_bruteforce(instance: Instance, profile: Profile,
                              force: bool = False) -> Schedule:
     """Oracle: enumerate all cross-color-compatible job subsets (n <= 20)."""
     starts = profile.as_dict()
-    st, rows, times, td = _scaled(instance, starts)
-    return _closure(st, starts, *_brute_core(rows, times, force), td)
+    st, times = _scaled(instance, starts)
+    return _closure(st, starts, *_brute_core(st.rows, times, force))
 
 
 def machine_value_and_covered(instance: Instance,
                               starts: Mapping[int, Fraction]) -> tuple[Fraction, frozenset[int]]:
     """The machine's value and covered set for a `Fraction` profile, without
     segments; it never touches the memo."""
-    st, rows, times, _ = _scaled(instance, starts)
-    top, mask, view = _dp_core(rows, times)
+    st, times = _scaled(instance, starts)
+    top, mask, view = _dp_core(st.rows, times)
     return Fraction(st.base_scaled + top, st.wden), _covered_ids(st, mask, view)

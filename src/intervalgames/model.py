@@ -187,6 +187,14 @@ def _inexact(*xs) -> bool:
     return False
 
 
+def _check_int(value, what: str, least: int) -> None:
+    """Raise `ValidationError` unless `value` is an int, not a `bool`, >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be at least {least}, got {value}")
+
+
 def validate_instance(raw: Instance) -> Instance:
     """Check all instance invariants; re-index colors densely as 1..c.
 

@@ -66,7 +66,7 @@ def core_keys(inst, *profiles):
     """(the instance's solver core on a scale that fits every start map in
     `profiles`, then their memo keys): what a search entry searches from."""
     for starts in profiles:
-        cache = MachineCache.of(inst, starts)
+        cache = MachineCache.of(inst, starts.values())
     return (cache, *[cache.key(starts) for starts in profiles])
 
 

@@ -1598,14 +1598,15 @@ def test_no_background_route_outlives_its_search(monkeypatch):
 
 
 def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
-    """Each walk's route answers only that walk's keys. Searches run on the
-    same instance from inside a best-mode walk's route (a best response from
-    a start off the core's scale, which gets the instance a new core, each
-    player's first-improvement `is_nash`, another player's best response, a
-    `brd` walk that raises midway and a grid-NE enumeration) change neither
-    that walk's answer nor their own, and leave only DP answers in the memos.
-    Before a core's scale was fixed, the off-scale search rescaled the
-    walk's core, and the walk returned job 3 at 1/7, not 3/2."""
+    """Each walk's route answers only that walk's keys. Calls run on the
+    same instance from inside a best-mode walk's route (a machine solve off
+    the core's scale, which gets the instance a new core, a best response
+    from that profile, each player's first-improvement `is_nash`, another
+    player's best response, a `brd` walk that raises midway and a grid-NE
+    enumeration) change neither that walk's answer nor their own, and leave
+    only DP answers in the memos. Before a core's scale was fixed, the
+    off-scale search rescaled the walk's core, and the walk returned job 3
+    at 1/7, not 3/2."""
     from intervalgames import machine
     fx = from_partition_br((1, 2, 3))
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
@@ -1620,6 +1621,8 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
                 for c in i.color_ids]
 
     def nested_searches():
+        nested["solve"] = solve_machine_dp(inst, off_scale)
+        cores.append(MachineCache.of(inst))
         nested["off_scale"] = best_response(inst, off_scale, 1)
         nested["is_nash"] = first_moves(inst)
         nested["best_response"] = best_response(inst, profile, 2)
@@ -1648,16 +1651,19 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
     monkeypatch.setattr(machine, "_background", patched)
     outer = best_response(inst, profile, 1)
     monkeypatch.setattr(machine, "_background", route)
-    assert sorted(nested) == ["best_response", "enumerate", "is_nash", "off_scale"]
+    assert sorted(nested) == ["best_response", "enumerate", "is_nash", "off_scale",
+                              "solve"]
     assert not plan
     assert outer == fresh(lambda i: best_response(i, profile, 1))
+    assert nested["solve"] == fresh(lambda i: solve_machine_dp(i, off_scale))
     assert nested["off_scale"] == fresh(lambda i: best_response(i, off_scale, 1))
     assert nested["best_response"] == fresh(lambda i: best_response(i, profile, 2))
     assert nested["is_nash"] == fresh(first_moves)
     assert nested["enumerate"] == fresh(enumerate_grid_ne)
-    # The outer walk kept its core; the searches after the off-scale one ran
-    # on the new core, a brd walk among them.
-    assert cores[0].td < cores[1].td == MachineCache.of(inst).td
+    # The outer walk kept its core; the machine solve left a new core, and
+    # the searches after it ran on that core, a brd walk among them.
+    assert cores[0].td < cores[1].td
+    assert cores[1] is cores[2] is MachineCache.of(inst)
     for cache in (cores[0], MachineCache.of(inst)):
         assert all(value == cache.solve_key(key) for key, value in cache._cache.items())
 

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import copy
 import hashlib
 import itertools
 import math
@@ -501,7 +502,7 @@ def test_background_route_matches_the_dp_with_zero_lengths_and_weights(case):
         _check_background_route(inst, Profile.from_dict(starts), collections.Counter())
 
 
-def _per_color_closure(st, starts, top, mask, view, td):
+def _per_color_closure(st, starts, top, mask, view):
     """Reference for `machine._closure`: merge each color's covered
     intervals in its own table, check the sorted segments pairwise, then
     bisect each uncovered job's own-color segments."""
@@ -554,7 +555,7 @@ def _per_color_closure(st, starts, top, mask, view, td):
                               "(solver bug)")
     colors = st.color_ids
     return Schedule(_covered_ids(st, mask | free, view),
-                    tuple((starts[first[a]], F(b, td), colors[c]) for a, b, c in segments),
+                    tuple((starts[first[a]], F(b, st.td), colors[c]) for a, b, c in segments),
                     F(st.base_scaled + top, st.wden))
 
 
@@ -584,11 +585,11 @@ def test_closure_matches_the_per_color_reference():
             starts = random_profile(inst, 4 * seed + k).as_dict()
             if k == 3:  # `solve_machine_dp` does not validate: starts below 0
                 starts = {jid: x - 2 for jid, x in starts.items()}
-            st, rows, times, td = _scaled(inst, starts)
-            top, mask, view = _dp_core(rows, times)
+            st, times = _scaled(inst, starts)
+            top, mask, view = _dp_core(st.rows, times)
             masks = [mask] + [rng.getrandbits(len(view[0])) for _ in range(6)]
             for i, m in enumerate(masks):
-                args = (st, starts, top, m, view, td)
+                args = (st, starts, top, m, view)
                 got = _closure_outcome(_closure, *args)
                 assert got == _closure_outcome(_per_color_closure, *args)
                 if isinstance(got, str):
@@ -614,13 +615,13 @@ def test_closure_raises_on_an_uncounted_nested_job():
                             (0, frozenset({1, 2}))):
         inst = _inst(2, (1, 2, 1), (1, 1, weight))
         starts = {1: F(0), 2: F(0)}
-        st, rows, times, td = _scaled(inst, starts)
-        view = _view(rows, times)  # finish order: job 2, then job 1
+        st, times = _scaled(inst, starts)
+        view = _view(st.rows, times)  # finish order: job 2, then job 1
         if isinstance(outcome, str):
             with pytest.raises(InternalFailure, match=outcome):
-                _closure(st, starts, 1, 0b10, view, td)
+                _closure(st, starts, 1, 0b10, view)
         else:
-            sched = _closure(st, starts, 1, 0b10, view, td)
+            sched = _closure(st, starts, 1, 0b10, view)
             assert sched.covered == outcome and sched.segments == ((0, 2, 1),)
 
 
@@ -630,9 +631,9 @@ from intervalgames import Instance, InternalFailure, Job, validate_instance
 from intervalgames.machine import _closure, _scaled, _view
 inst = validate_instance(Instance(F(4), (Job(1, 1, F(2), F(1)), Job(2, 2, F(2), F(1)))))
 starts = {1: F(0), 2: F(1)}  # [0,2) and [1,3) overlap
-st, rows, times, td = _scaled(inst, starts)
+st, times = _scaled(inst, starts)
 try:
-    _closure(st, starts, 2, 0b11, _view(rows, times), td)
+    _closure(st, starts, 2, 0b11, _view(st.rows, times))
 except InternalFailure as exc:
     print("InternalFailure:", exc)
 # A window search that takes every earlier job as ending by s[i] double-counts
@@ -695,6 +696,70 @@ def test_no_core_changes_its_time_scale_after_it_is_built():
                 where = "__init__" if id(node) in init else f"{path.name}:{node.lineno}"
                 writes[where] += 1
     assert writes == {"__init__": 2}
+
+
+def test_an_off_scale_machine_entry_replaces_the_core_once(monkeypatch):
+    """A machine entry whose start is off the stored core's scale gets its
+    core from `MachineCache.of`, as a search entry does: the new core fits
+    the start, and a second call builds no core and runs the DP on that
+    core's own rows. A start for an unknown job does not widen the scale.
+    The machine entries used to widen a private copy of the rows per call."""
+    inst = _inst(3, (1, 1, 1), (2, 1, 1), (1, 1, 2))  # unit: the core is on quarters
+    profile = Profile.from_dict({1: F(1, 3), 2: F(1), 3: F(2)})
+    built, seen_rows = [], []
+    init, dp_core = machine.MachineCache.__init__, machine._dp_core
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def recording(rows, times, *args):
+        seen_rows.append(rows)
+        return dp_core(rows, times, *args)
+
+    monkeypatch.setattr(machine.MachineCache, "__init__", counting)
+    monkeypatch.setattr(machine, "_dp_core", recording)
+    assert machine.MachineCache.of(inst).td == 4
+    first = solve_machine_dp(inst, profile)
+    core = machine.MachineCache.of(inst)
+    assert core.td == 12 and machine.MachineCache.of(inst, [F(1, 3)]) is core
+    assert len(built) == 2 and built[-1] is core
+    extra = Profile.from_dict({**profile.as_dict(), 9: F(1, 7)})
+    for again in (profile, extra):
+        assert solve_machine_dp(inst, again) == first
+    assert len(built) == 2 and machine.MachineCache.of(inst) is core
+    assert len(seen_rows) == 3 and all(rows is core.rows for rows in seen_rows)
+    assert first == solve_machine_dp(copy.copy(inst), profile)
+
+
+def test_only_the_core_picks_a_time_scale():
+    """`MachineCache.of` is the one place that picks a scale for `Fraction`
+    input: `_time_lcm` is called only by `of`, the global grid
+    (`_grid_ticks`) and the knapsack optimum, and `math.lcm` only by
+    `_time_lcm` and the core's constructor and `of`. `_scaled` and
+    `build_grid` used to pick scales of their own."""
+    files = sorted(pathlib.Path(intervalgames.__file__).parent.glob("*.py"))
+    callers = collections.defaultdict(set)
+
+    def visit(node, where):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "_time_lcm":
+                callers["_time_lcm"].add(where)
+            if (isinstance(func, ast.Attribute) and func.attr == "lcm"
+                    and getattr(func.value, "id", None) == "math"):
+                callers["math.lcm"].add(where)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+            else:
+                visit(child, where)
+
+    for path in files:
+        visit(ast.parse(path.read_text(), str(path)), "")
+    assert callers == {
+        "_time_lcm": {"MachineCache.of", "_grid_ticks", "social_optimum_single_knapsack"},
+        "math.lcm": {"_time_lcm", "MachineCache.__init__", "MachineCache.of"}}
 
 
 def test_game_tables_are_published_in_one_step():
