@@ -42,11 +42,14 @@ players' placements (see `_player_stable`). The memo is exact: it holds only
 bounds that a search over the same grid proved, by three rules that also
 settle profiles whose starts are off the aligned lists. It is bounded: it
 lives in the core's grid cache, which is cleared past
-`machine.GRID_CACHE_LIMIT` entries. It leaves the searched grid unchanged, so
-the enumerated equilibria are those of the plain search. Utilities are
-compared as integers over the lcm of the weight denominators, and equilibria
-are sorted as (value, starts) ints. `Fraction`s are built only for what is
-returned: strategies, utilities, deviations and profiles.
+`machine.GRID_CACHE_LIMIT` entries. `_profile_stable` reads the bounds of
+existing records for each profile and calls `_player_stable` where they do
+not settle a verdict; only that builds records and writes bounds. The memo
+leaves the searched grid unchanged, so the enumerated equilibria are those
+of the plain search. Utilities are compared as integers over the lcm of the
+weight denominators, and equilibria are sorted as (value, starts) ints.
+`Fraction`s are built only for what is returned: strategies, utilities,
+deviations and profiles.
 
 Grid-NE enumeration shares one machine DP among the keys of a DP-exact type.
 The DP compares only finishes with finishes, finishes with starts (finish <=
@@ -385,11 +388,45 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     return found, best_u
 
 
+def _scan(instance: Instance, cache: MachineCache, players) -> list:
+    """(player, color index, total, one job?) for each of `players`, in
+    order: what `_profile_stable` reads of a player before its record."""
+    return [(c, cache.color_index[c], cache.totals[cache.color_index[c]],
+             len(instance.jobs_of_color(c)) == 1) for c in players]
+
+
+def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
+                    per: tuple, scan: list, force: bool, route=None) -> bool:
+    """Whether no player of `scan` (from `_scan`, in order) has an improving
+    grid move at `key`, whose per-color utilities are `per`.
+
+    A covered player is stable. An existing record that is not `big` settles
+    a verdict here when `lo` exceeds the utility, or for a one-job player
+    when `hi` does not (rules (b) and (c) of `_player_stable`); every other
+    verdict goes to `_player_stable` with the record looked up, or None."""
+    records, others_key = cache.grid_cache, cache.others_key
+    for player, pix, total, single in scan:
+        u = per[pix]
+        if u == total:
+            continue
+        record = records.get(others_key(player, key))
+        if record is not None and not record.big:
+            if record.lo > u:
+                return False
+            if single and record.hi <= u:
+                continue
+        if not _player_stable(instance, cache, key, u, player, record, force, route):
+            return False
+    return True
+
+
 def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
-                   per: tuple, player: int, force: bool, route=None) -> bool:
-    """Whether the player has no improving grid move: the verdict of a
-    first-improvement `_player_search` (given `route`), with the same guards
-    in the same order, read from the grid record's bounds when they settle it.
+                   u_cur: int, player: int, record: Optional[_GridRecord],
+                   force: bool, route=None) -> bool:
+    """Whether the player, at utility `u_cur` below its total, has no
+    improving grid move: the verdict of a first-improvement `_player_search`
+    (given `route`), with the same guards in the same order, read from the
+    grid record's bounds when they settle it.
 
     The player's searched lists are the aligned lists of the record plus
     its current starts, and a deviation's utility does not depend on the
@@ -403,21 +440,24 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     (c) `hi` no higher than the current utility proves the player stable
         when every current start is aligned, or when the player has one
         job: its one candidate off the aligned list is its current start.
-    The guards fire before any bound is read, as in the search."""
-    pix = cache.color_index[player]
-    u_cur = per[pix]
-    if u_cur == cache.totals[pix]:
-        return True
-    record = _grid_record(cache, key, player)
+    `record` is the player's record against the other placements in `key`,
+    or None where none is built. `_profile_stable` has read (b), and (c) for
+    one job, from a record that is not `big`; this builds a missing record,
+    runs a `big` one's guards before reading those bounds, as the search
+    does, and reads (c) for aligned starts. Only this builds records and
+    writes bounds."""
     groups = cache.groups[player]
+    if record is None:
+        record = _grid_record(cache, key, player)
     if record.big:
         _guards(player, [(ids_, len(coded) + _missing(coded, positions, key))
                          for (ids_, positions), coded in zip(groups, record.coded)],
                 force)
-    if record.lo > u_cur:
-        return False
-    if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1
-                               or _aligned(groups, record, key)):
+        if record.lo > u_cur:
+            return False
+        if record.hi <= u_cur and len(instance.jobs_of_color(player)) == 1:
+            return True
+    if record.hi <= u_cur and _aligned(groups, record, key):
         return True
     found = _player_search(instance, cache, key, player, mode="first", force=force,
                            route=route)
@@ -621,8 +661,8 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
 
     Every profile on the global grid is tested against all players' grid
     deviations; survivors are exact NE relative to the grid. Each player's
-    verdict comes from `_player_stable`, which memoizes it per placement of
-    the other players.
+    verdict is memoized per placement of the other players (see
+    `_player_stable`).
     """
     cache = MachineCache.of(instance)
     found = _grid_ne(instance, cache, _iter_grid_coded(instance, resolution, force, cache),
@@ -713,10 +753,11 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     `typed`, which the verdict searches get, for any key whose head
     (`_type_signer`, split off the job `_grid_keys` moves fastest) is the
     current key's: that serves the verdict searches of the player who owns
-    that job. Every other key defers to the DP."""
-    # Stability is a conjunction over players, so scan cheap searches first.
-    scan_order = sorted(instance.color_ids,
-                        key=lambda c: (len(instance.jobs_of_color(c)), c))
+    that job. Every other key defers to the DP.
+
+    Each key's verdict is `_profile_stable`'s, which reads the players' grid
+    records and leaves building them, searching and writing bounds to
+    `_player_stable`."""
     _, positions = max(group for groups in cache.groups.values() for group in groups)
     head_starts, sign = _type_signer(cache, positions[-1])
     memo, types, head = cache._cache, {}, None
@@ -729,14 +770,14 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
         starts = head_starts(key)
         return by_type(key, starts) if starts == head else None
 
+    # Stability is a conjunction over players, so scan cheap searches first.
+    scan = _scan(instance, cache, sorted(
+        instance.color_ids, key=lambda c: (len(instance.jobs_of_color(c)), c)))
     found = []
     for key in keys:
         head = head_starts(key)
         value, per = memo.get(key) or _bounded_put(memo, key, by_type(key, head))
-        for player in scan_order:
-            if not _player_stable(instance, cache, key, per, player, force, route=typed):
-                break
-        else:
+        if _profile_stable(instance, cache, key, per, scan, force, typed):
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.

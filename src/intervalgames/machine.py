@@ -53,7 +53,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .model import (GuardError, Instance, InternalFailure, Profile, Schedule,
-                    _inexact, validate_profile)
+                    _inexact, _starts_of, validate_profile)
 
 BRUTE_FORCE_MAX_JOBS = 20
 MEMO_LIMIT = 600_000  # a core's memo is cleared when it grows past this
@@ -505,7 +505,7 @@ def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
 
 def solve_machine_dp(instance: Instance, profile: Profile) -> Schedule:
     """Optimal machine configuration via dynamic programming over finish times."""
-    starts = profile.as_dict()
+    starts = _starts_of(profile)
     st, times = _scaled(instance, starts)
     return _closure(st, starts, *_dp_core(st.rows, times))
 
@@ -513,7 +513,7 @@ def solve_machine_dp(instance: Instance, profile: Profile) -> Schedule:
 def solve_machine_bruteforce(instance: Instance, profile: Profile,
                              force: bool = False) -> Schedule:
     """Oracle: enumerate all cross-color-compatible job subsets (n <= 20)."""
-    starts = profile.as_dict()
+    starts = _starts_of(profile)
     st, times = _scaled(instance, starts)
     return _closure(st, starts, *_brute_core(st.rows, times, force))
 

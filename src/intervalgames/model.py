@@ -252,9 +252,17 @@ def _check_start(instance: Instance, j: Job, s) -> None:
             raise ValidationError(f"job {j.id}: interval outside window [{r}, {d})")
 
 
+def _starts_of(profile: Profile) -> dict:
+    """The profile's starts by job id. Anything but a `Profile`, a mapping
+    of starts too, raises `ValidationError` naming its type."""
+    if not isinstance(profile, Profile):
+        raise ValidationError(f"expected a Profile, got {type(profile).__name__}")
+    return profile.as_dict()
+
+
 def validate_profile(instance: Instance, profile: Profile) -> Profile:
     """Check the profile places every job inside [0, T) and its window."""
-    starts = profile.as_dict()
+    starts = _starts_of(profile)
     for j in instance.jobs:
         if j.id not in starts:
             raise ValidationError(f"missing start for job {j.id}")

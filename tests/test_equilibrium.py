@@ -1,10 +1,12 @@
 """Grids, best responses, NE checks, dynamics, constructions, analysis."""
 
+import ast
 import collections
 import copy
 import gc
 import itertools
 import math
+import pathlib
 import pickle
 import random
 import re
@@ -29,7 +31,7 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            validate_instance, validate_profile, verify_deviation)
 from intervalgames import equilibrium
 from intervalgames.equilibrium import (_coded_grid, _global_lists, _grid_points,
-                                        _player_search, _player_stable)
+                                        _player_search, _profile_stable, _scan)
 from intervalgames.machine import (MachineCache, _job_groups, _ticks,
                                   machine_value_and_covered)
 from conftest import core_keys, guard_instances
@@ -577,7 +579,8 @@ def test_every_player_verdict_matches_a_plain_search():
                 per = cache.evaluate_key(key)[1]
                 for player in inst.color_ids:
                     plain = _player_search(inst, cache, key, player, mode="first")
-                    assert _player_stable(inst, cache, key, per, player, False) \
+                    assert _profile_stable(inst, cache, key, per,
+                                           _scan(inst, cache, [player]), False) \
                         == (plain is None)
 
 
@@ -600,11 +603,11 @@ def test_one_job_player_off_its_aligned_list_is_settled_by_its_ceiling(monkeypat
     assert off_key[0] not in record.coded[0] and off_key[0] in lists[0][1]
     calls = _counting_searches(monkeypatch)
     per = cache.evaluate_key(aligned_key)[1]
-    assert _player_stable(inst, cache, aligned_key, per, 1, False)
+    assert _profile_stable(inst, cache, aligned_key, per, _scan(inst, cache, [1]), False)
     assert calls == [aligned_key] and record.hi == 0
     per = cache.evaluate_key(off_key)[1]
     assert per[0] == 0
-    assert _player_stable(inst, cache, off_key, per, 1, False)
+    assert _profile_stable(inst, cache, off_key, per, _scan(inst, cache, [1]), False)
     assert calls == [aligned_key]  # the proved ceiling settles it
     assert _player_search(inst, cache, off_key, 1, mode="first") is None
 
@@ -621,7 +624,8 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
     assert off_key[1] not in record.coded[1]
     calls = _counting_searches(monkeypatch)
     for key in (aligned_key, off_key):
-        assert _player_stable(inst, cache, key, cache.evaluate_key(key)[1], 1, False)
+        assert _profile_stable(inst, cache, key, cache.evaluate_key(key)[1],
+                               _scan(inst, cache, [1]), False)
     assert record.hi <= cache.evaluate_key(off_key)[1][0]
     assert calls == [aligned_key, off_key]
     # Against job 3 at 1/2, job 2's start 1 is off its aligned list. A
@@ -634,10 +638,11 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
     u_cur, u = cache.evaluate_key(key)[1][0], cache.evaluate_key(moved)[1][0]
     assert u > u_cur
     monkeypatch.setattr(equilibrium, "_player_search", lambda *a, **k: (moved, u))
-    assert not _player_stable(inst, cache, key, cache.evaluate_key(key)[1], 1, False)
+    scan = _scan(inst, cache, [1])
+    assert not _profile_stable(inst, cache, key, cache.evaluate_key(key)[1], scan, False)
     assert record.lo == -1
     monkeypatch.undo()
-    assert not _player_stable(inst, cache, key, cache.evaluate_key(key)[1], 1, False)
+    assert not _profile_stable(inst, cache, key, cache.evaluate_key(key)[1], scan, False)
     found = _player_search(inst, cache, key, 1, mode="first")
     assert record.lo == found[1] > u_cur
 
@@ -659,6 +664,89 @@ def test_enumeration_builds_no_fraction_before_it_returns(monkeypatch):
     monkeypatch.undo()
     assert found == [[], [], []]
     assert made == []
+
+
+def test_enumeration_asks_player_stable_only_to_search(monkeypatch):
+    # `_profile_stable` settles a verdict from a covered player or its
+    # record's bounds itself, so `_player_stable` is asked once per search.
+    # Before, it was asked for every scanned player: 16,328 and 6,489 times.
+    from intervalgames import machine
+    cases = [(from_partition_decide((1, 3, 3, 3)).instance, 935, 2507),
+             (fixture("prop_no_ne").instance, 248, 2020)]
+    expected = [_plain_grid_ne(copy.copy(inst)) for inst, _, _ in cases]
+    searches = _counting_searches(monkeypatch)
+    stable, dp = [], []
+    player_stable, dp_core = equilibrium._player_stable, machine._dp_core
+
+    def counting_stable(*args, **kwargs):
+        stable.append(args[2])
+        return player_stable(*args, **kwargs)
+
+    def counting_dp(*args):
+        dp.append(args[1])
+        return dp_core(*args)
+
+    monkeypatch.setattr(equilibrium, "_player_stable", counting_stable)
+    monkeypatch.setattr(machine, "_dp_core", counting_dp)
+    for (inst, calls, dp_calls), plain in zip(cases, expected):
+        for log in (searches, stable, dp):
+            log.clear()
+        assert enumerate_grid_ne(copy.copy(inst)) == plain
+        assert stable == searches and len(stable) == calls
+        assert len(dp) == dp_calls
+
+
+def test_enumeration_searches_where_a_plain_scan_does(monkeypatch):
+    # Enumeration answers keys from its type memo and passes its typed route
+    # to the verdict searches; neither changes where it searches. A plain
+    # scan asks `_profile_stable` at every key, evaluating it by the DP.
+    searches = _counting_searches(monkeypatch)
+    for inst in (_two_group_instance(), fixture("prop_no_ne").instance):
+        fresh = copy.copy(inst)
+        cache = MachineCache.of(fresh)
+        keys = list(equilibrium._iter_grid_coded(fresh, 1, False, cache))
+        scan = _scan(fresh, cache, sorted(
+            fresh.color_ids, key=lambda c: (len(fresh.jobs_of_color(c)), c)))
+        for key in keys:
+            _profile_stable(fresh, cache, key, cache.evaluate_key(key)[1], scan, False)
+        plain = searches.copy()
+        searches.clear()
+        enumerate_grid_ne(copy.copy(inst))
+        assert searches == plain and plain
+        searches.clear()
+
+
+def test_enumeration_leaves_records_and_bounds_to_player_stable():
+    """`_grid_ne` and `_profile_stable`, which reads grid records for it,
+    neither build, guard nor search one, and write no bound: they call none
+    of `_grid_record`, `_guards`, `_coded_grid` or `_player_search`. Across
+    the module `lo`, `hi` and `big` are assigned only by the record's
+    constructor and by `_player_stable`."""
+    tree = ast.parse(pathlib.Path(equilibrium.__file__).read_text())
+    writers = collections.Counter()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif (isinstance(node, ast.Call) and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)
+                  and getattr(node.func, "id", None) == "setattr"):
+                name = node.args[1].value
+            else:
+                continue
+            if name in ("lo", "hi", "big"):
+                writers[fn.name] += 1
+    assert set(writers) == {"__init__", "_player_stable"}
+    readers = {fn.name: {getattr(node.func, "id", getattr(node.func, "attr", None))
+                         for node in ast.walk(fn) if isinstance(node, ast.Call)}
+               for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and fn.name in ("_grid_ne", "_profile_stable")}
+    assert "_profile_stable" in readers["_grid_ne"]
+    assert "_player_stable" in readers["_profile_stable"]
+    for called in readers.values():
+        assert not called & {"_grid_record", "_guards", "_coded_grid", "_player_search"}
 
 
 @pytest.mark.parametrize("name", sorted(guard_instances()))
@@ -1059,8 +1147,30 @@ def test_joint_search_guard_fires_before_the_first_combination(evaluated_keys):
     per = cache.evaluate_key(key)[1]
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
-        _player_stable(inst, cache, key, per, 2, False)
+        _profile_stable(inst, cache, key, per, _scan(inst, cache, [2]), False)
     assert evaluated_keys == []
+
+
+def test_a_big_records_guard_fires_before_its_bounds_are_read(monkeypatch):
+    # Player 1's aligned list against job 2 at 1/2 holds five starts, so with
+    # a grid limit of 5 its record is `big`. At job 1's aligned start 0 the
+    # search proves the ceiling 0; at start 1, off that list, the searched
+    # list holds six, and the guard fires though the ceiling would settle it.
+    monkeypatch.setattr(equilibrium, "BEST_RESPONSE_MAX_GRID", 5)
+    inst = _inst(3, (1, 1, 2), (2, 2, 3))
+    cache, aligned_key, off_key = core_keys(inst, {1: F(0), 2: F(1, 2)},
+                                            {1: F(1), 2: F(1, 2)})
+    scan = _scan(inst, cache, [1])
+    assert _profile_stable(inst, cache, aligned_key, cache.evaluate_key(aligned_key)[1],
+                           scan, False)
+    record, _ = _coded_grid(cache, off_key, 1)
+    per = cache.evaluate_key(off_key)[1]
+    assert record.big and record.hi == per[0] == 0
+    with pytest.raises(GuardError, match="have 6 candidate starts"):
+        _profile_stable(inst, cache, off_key, per, scan, False)
+    calls = _counting_searches(monkeypatch)
+    assert _profile_stable(inst, cache, off_key, per, scan, True)
+    assert calls == []  # forced past the guard, the ceiling settles it
 
 
 @pytest.mark.parametrize("max_grid, max_search", [(64, 10 ** 5), (6, 20), (4, 6)])
@@ -1489,6 +1599,23 @@ def test_inexact_numbers_are_rejected_at_the_library_boundary(value):
     ints = validate_instance(Instance(4, inst.jobs))
     assert is_nash(ints, Profile.from_dict({1: 0, 2: 0, 3: 3})) == is_nash(
         inst, Profile.from_dict({1: F(0), 2: F(0), 3: F(3)}))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda inst, starts: best_response(inst, starts, 1),
+    is_nash, brd,
+    lambda inst, starts: verify_deviation(
+        inst, starts, equilibrium.Deviation(1, ((1, F(0)),), F(0), F(1))),
+    solve_machine_dp, solve_machine_bruteforce],
+    ids=["best_response", "is_nash", "brd", "verify_deviation", "solve_machine_dp",
+         "solve_machine_bruteforce"])
+def test_a_mapping_in_place_of_a_profile_is_rejected(entry):
+    # These used to raise AttributeError: 'dict' object has no attribute
+    # 'as_dict'.
+    fx = fixture("ex1")
+    starts = fx.notable_profiles["figure_a"].as_dict()
+    with pytest.raises(ValidationError, match="expected a Profile, got dict"):
+        entry(fx.instance, starts)
 
 
 def test_brd_rejects_a_negative_iteration_cap():
