@@ -279,35 +279,34 @@ def _guards(player: int, sized, force: bool) -> None:
         raise GuardError(message)
 
 
-def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
-    """The player's grid record against the other placements in `key`.
+def _grid_record(cache: MachineCache, key: tuple, player: int,
+                 others_key: tuple) -> _GridRecord:
+    """A new grid record of the player against the other placements in
+    `key`, stored under their `others_key`, which its caller has hashed and
+    found no record under.
 
     The aligned lists depend only on the other players' placements, which
     repeat across enumeration sweeps, so they are built once per placement
     and kept in the core's grid cache. Interchangeable jobs share one group
     with the same aligned candidates, so each group's list is built once."""
-    others_key = cache.others_key(player, key)
-    record = cache.grid_cache.get(others_key)
-    if record is None:
-        fixed = [(key[p], key[p] + cache.lens[p]) for p in cache.other_pos[player]]
-        coded = []
-        for lo, hi, length in cache.bounds[player]:
-            aligned, interior = _grid_points(lo, hi, length, fixed)
-            coded.append(sorted(aligned.union(interior)))
-        # A group's searched list adds at most one start per job.
-        sized = [(ids_, len(c) + len(ids_))
-                 for (ids_, _), c in zip(cache.groups[player], coded)]
-        record = _GridRecord(coded, cache.totals[cache.color_index[player]],
-                             _over_limit(player, sized) is not None)
-        _bounded_put(cache.grid_cache, others_key, record, machine.GRID_CACHE_LIMIT)
-    return record
+    fixed = [(key[p], key[p] + cache.lens[p]) for p in cache.other_pos[player]]
+    coded = []
+    for lo, hi, length in cache.bounds[player]:
+        aligned, interior = _grid_points(lo, hi, length, fixed)
+        coded.append(sorted(aligned.union(interior)))
+    # A group's searched list adds at most one start per job.
+    sized = [(ids_, len(c) + len(ids_)) for (ids_, _), c in zip(cache.groups[player], coded)]
+    record = _GridRecord(coded, cache.totals[cache.color_index[player]],
+                         _over_limit(player, sized) is not None)
+    return _bounded_put(cache.grid_cache, others_key, record, machine.GRID_CACHE_LIMIT)
 
 
 def _coded_grid(cache: MachineCache, key: tuple, player: int):
     """The player's grid record and per-group (ids, candidate list) pairs:
     each group's aligned list with its jobs' current starts in `key` merged
     in, as the local-grid search walks it."""
-    record = _grid_record(cache, key, player)
+    others_key = cache.others_key(player, key)
+    record = cache.grid_cache.get(others_key) or _grid_record(cache, key, player, others_key)
     lists = []
     for (ids_, positions), coded in zip(cache.groups[player], record.coded):
         union = coded
@@ -404,25 +403,27 @@ def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
     a verdict here when `lo` exceeds the utility, or for a one-job player
     when `hi` does not (rules (b) and (c) of `_player_stable`); every other
     verdict goes to `_player_stable` with the record looked up, or None."""
-    records, others_key = cache.grid_cache, cache.others_key
+    records, others = cache.grid_cache, cache.others_key
     for player, pix, total, single in scan:
         u = per[pix]
         if u == total:
             continue
-        record = records.get(others_key(player, key))
+        others_key = others(player, key)
+        record = records.get(others_key)
         if record is not None and not record.big:
             if record.lo > u:
                 return False
             if single and record.hi <= u:
                 continue
-        if not _player_stable(instance, cache, key, u, player, record, force, route):
+        if not _player_stable(instance, cache, key, u, player, others_key, record, force,
+                              route):
             return False
     return True
 
 
 def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
-                   u_cur: int, player: int, record: Optional[_GridRecord],
-                   force: bool, route=None) -> bool:
+                   u_cur: int, player: int, others_key: tuple,
+                   record: Optional[_GridRecord], force: bool, route=None) -> bool:
     """Whether the player, at utility `u_cur` below its total, has no
     improving grid move: the verdict of a first-improvement `_player_search`
     (given `route`), with the same guards in the same order, read from the
@@ -441,14 +442,15 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
         when every current start is aligned, or when the player has one
         job: its one candidate off the aligned list is its current start.
     `record` is the player's record against the other placements in `key`,
-    or None where none is built. `_profile_stable` has read (b), and (c) for
-    one job, from a record that is not `big`; this builds a missing record,
+    which hash to `others_key`, or None where none is built. `_profile_stable`
+    has read (b), and (c) for one job, from a record that is not `big`; this
+    builds a missing record under `others_key` without a second probe,
     runs a `big` one's guards before reading those bounds, as the search
     does, and reads (c) for aligned starts. Only this builds records and
     writes bounds."""
     groups = cache.groups[player]
     if record is None:
-        record = _grid_record(cache, key, player)
+        record = _grid_record(cache, key, player, others_key)
     if record.big:
         _guards(player, [(ids_, len(coded) + _missing(coded, positions, key))
                          for (ids_, positions), coded in zip(groups, record.coded)],

@@ -4,8 +4,8 @@ Two independent routes compute the maximum total weight of covered jobs:
 a dynamic program over jobs sorted by finish time, and a subset-enumeration
 brute force used as an oracle in tests. Both apply the same pre-pass (jobs of
 length zero occupy an empty interval, so they are always covered) and the
-same post-pass, `_closure`: one sweep over the covered intervals sorted by
-start merges them into disjoint one-color busy segments, and any job whose
+same post-pass, `_closure`: one walk over the covered intervals in finish
+order merges them into disjoint one-color busy segments, and any job whose
 whole interval lies inside a segment of its own color is covered for free.
 
 A best-mode search moves one player's jobs, all of one color, against the
@@ -99,12 +99,13 @@ class MachineCache:
     scale `td`, and the game tables and memo the equilibrium search reads.
 
     The DP rows hold each positive-length job as (key position, length over
-    `td`, id, weight over `wden`, dense color index); `td` and the rows are
-    set here and never change. The game tables are built on the first search
-    use (`key` or `groups`), so a core that only solves machines never holds
-    them. Memo keys are tuples of start numerators over `td`, one per job in
-    instance order; memo values are (value, per-color utilities), all ints
-    over `wden`. `value`, `time` and `profile` convert back to `Fraction`s.
+    `td`, id, weight over `wden`, dense color index), from each length and
+    weight read once as an integer ratio; `td` and the rows are set here and
+    never change. The game tables are built on the first search use (`key`
+    or `groups`), so a core that only solves machines never holds them. Memo
+    keys are tuples of start numerators over `td`, one per job in instance
+    order; memo values are (value, per-color utilities), all ints over
+    `wden`. `value`, `time` and `profile` convert back to `Fraction`s.
 
     `MachineCache.of` is the only way to it. The core is stored on the
     instance and dies with it; equal but distinct instances do not share it,
@@ -118,15 +119,24 @@ class MachineCache:
     def __init__(self, instance: Instance, td: int):
         jobs = instance.jobs
         self.instance = instance
-        self.wden = math.lcm(*[j.weight.denominator for j in jobs])
+        weights = [j.weight.as_integer_ratio() for j in jobs]
+        self.wden = wden = math.lcm(*[d for _, d in weights])
         self.td = td
         self.color_ids = instance.color_ids
         cix = {c: i for i, c in enumerate(self.color_ids)}
-        self.rows = [(p, _ticks(j.length, td), j.id, self.scaled(j.weight), cix[j.color])
-                     for p, j in enumerate(jobs) if j.length > 0]
-        zero = [j for j in jobs if j.length == 0]
-        self.base_scaled = sum(self.scaled(j.weight) for j in zero)
-        self.zero_ids = frozenset(j.id for j in zero)
+        rows, base, zero = [], 0, []
+        for p, (j, (wn, wd)) in enumerate(zip(jobs, weights)):
+            ln, ld = j.length.as_integer_ratio()
+            w = wn * (wden // wd)
+            if ln > 0:
+                q, r = divmod(td, ld)
+                if r:
+                    raise InternalFailure(f"time {j.length} is off the time scale 1/{td}")
+                rows.append((p, ln * q, j.id, w, cix[j.color]))
+            elif ln == 0:
+                base += w
+                zero.append(j.id)
+        self.rows, self.base_scaled, self.zero_ids = rows, base, frozenset(zero)
         self._groups = None
 
     @classmethod
@@ -235,9 +245,9 @@ class MachineCache:
 
 def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
     """A `Fraction` profile as (core, start numerators in instance order):
-    the core is `MachineCache.of` on the instance's starts, so an extra start
-    for an unknown job is ignored. Exact. A missing or inexact start (the
-    rule of `model._inexact`) raises `validate_profile`'s `ValidationError`."""
+    the stored core if 2d divides its `td` for each start's denominator d,
+    else `MachineCache.of`'s; an unknown job's start is ignored. A missing
+    or inexact start (`model._inexact`) raises `validate_profile`'s error."""
     try:
         values = [starts[j.id] for j in instance.jobs]
         # The types are screened in C; `_inexact` runs only on an unusual one.
@@ -246,9 +256,12 @@ def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
     except (KeyError, TypeError):
         validate_profile(instance, Profile.from_dict(starts))
         raise
-    st = MachineCache.of(instance, values)
+    ratios = [x.as_integer_ratio() for x in values]
+    st = getattr(instance, "_core", None)
+    if st is None or any(st.td % (2 * d) for _, d in ratios):
+        st = MachineCache.of(instance, values)
     td = st.td
-    return st, [x.numerator * (td // x.denominator) for x in values]
+    return st, [n * (td // d) for n, d in ratios]
 
 
 def _view(rows, times):
@@ -456,50 +469,50 @@ def _brute_core(rows, times, force: bool):
 def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
              mask: int, view) -> Schedule:
     """Merge the covered intervals into maximal one-color segments in one
-    sweep by start, then cover every job nested inside a segment of its own
-    color (free additions).
+    walk in the view's finish order, then cover every job nested inside a
+    segment of its own color (free additions) in one walk against them.
 
     Works on the view over `st.td`; a segment's start is returned as the
-    profile's own start of its first job, its end as a new `Fraction`, and
-    the value `top` (over `wden`) with the zero-length jobs added."""
+    profile's own start of its first job (least start, then finish, then
+    id), its end as a new `Fraction`, and the value `top` (over `wden`) with
+    the zero-length jobs added."""
     s, f, w, col, ids = view
-    covered = []
+    covered = set(st.zero_ids)
+    # Disjoint segments (start, end, color index, first job's view index) on
+    # a stack. A job ends no earlier than every segment so far: it joins, and
+    # may bridge, the same-color ones at the top that it overlaps or touches.
+    segments = []
     m = mask
-    while m:  # the covered jobs
-        low = m & -m
-        k = low.bit_length() - 1
-        covered.append((s[k], f[k], col[k], ids[k]))
-        m ^= low
-    # Segments as [start, end, color index, first job id]; the first is an
-    # empty sentinel of no color before every start (an unvalidated profile
-    # may start a job below 0), so every bisection below finds one.
-    segments = [last := [-math.inf, -math.inf, -1, 0]]
-    for a, b, c, jid in sorted(covered):
-        if c == last[2] and a <= last[1]:  # same color, overlapping or touching
-            last[1] = max(last[1], b)
-        elif a < last[1]:
-            raise InternalFailure("covered jobs of different colors overlap")
-        else:
-            segments.append(last := [a, b, c, jid])
-    # The segments are disjoint, so a job lies in one only if it lies in the
-    # last one starting at or before it.
-    lows = [seg[0] for seg in segments]
-    free = 0
-    m = ((1 << len(s)) - 1) ^ mask
-    while m:  # the uncovered jobs
+    while m:
         low = m & -m
         m ^= low
         k = low.bit_length() - 1
-        _, b, c, _ = segments[bisect_right(lows, s[k]) - 1]
-        if c == col[k] and f[k] <= b:
-            if w[k]:
-                raise InternalFailure("closure pass found uncounted positive weight "
-                                      "(solver bug)")
-            free |= low
+        covered.add(ids[k])
+        a, c, first = s[k], col[k], k
+        while segments and segments[-1][1] >= a:
+            a0, b0, c0, k0 = segments[-1]
+            if c0 != c:
+                if b0 > a:
+                    raise InternalFailure("covered jobs of different colors overlap")
+                break
+            segments.pop()
+            if a0 <= a:
+                a, first = a0, k0
+        segments.append((a, f[k], c, first))
+    # A job lies in a segment only if it ends in it, after the ones before.
+    k, n = 0, len(s)
+    for a, b, c, _ in segments:
+        while k < n and f[k] <= b:
+            if c == col[k] and s[k] >= a and not mask >> k & 1:
+                if w[k]:
+                    raise InternalFailure("closure pass found uncounted positive weight "
+                                          "(solver bug)")
+                covered.add(ids[k])
+            k += 1
     colors = st.color_ids
-    return Schedule(_covered_ids(st, mask | free, view),
-                    tuple((starts[jid], Fraction(b, st.td), colors[c])
-                          for _, b, c, jid in segments[1:]),
+    return Schedule(frozenset(covered),
+                    tuple((starts[ids[k]], Fraction(b, st.td), colors[c])
+                          for _, b, c, k in segments),
                     Fraction(st.base_scaled + top, st.wden))
 
 

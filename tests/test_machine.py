@@ -568,14 +568,15 @@ def _closure_outcome(closure, *args):
 
 def test_closure_matches_the_per_color_reference():
     """On DP outputs and on random covered masks over random-family views
-    with weights in {0, 1, 2}, the one-sweep closure returns the reference's
-    `Schedule` or raises its `InternalFailure` message. The tally checks
-    that free additions, touching segments and both raises occur."""
+    of up to 64 jobs with weights in {0, 1, 2}, the finish-order closure
+    returns the reference's `Schedule` or raises its `InternalFailure`
+    message. The tally checks that free additions, touching segments and
+    both raises occur, and that a 64-job view is reached."""
     tally = collections.Counter()
     for seed in range(120):
         rng = random.Random(f"closure:{seed}")
         family = FAMILIES[seed % len(FAMILIES)]
-        n = 2 + seed % 9
+        n = 64 - seed % 7 if seed % 10 == 9 else 2 + seed % 9
         c = n if family == "single" else rng.randint(1, min(3, n))
         raw = random_instance(family, n, c, 2 + seed % 5, seed)
         inst = validate_instance(Instance(raw.horizon, tuple(
@@ -587,7 +588,13 @@ def test_closure_matches_the_per_color_reference():
                 starts = {jid: x - 2 for jid, x in starts.items()}
             st, times = _scaled(inst, starts)
             top, mask, view = _dp_core(st.rows, times)
-            masks = [mask] + [rng.getrandbits(len(view[0])) for _ in range(6)]
+            size = len(view[0])
+            tally["largest"] = max(tally["largest"], size)
+            # Sparse masks too: on a large view a dense one almost always
+            # overlaps two colors.
+            masks = [mask] + [rng.getrandbits(size) for _ in range(6)] + [
+                rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+                for _ in range(2)]
             for i, m in enumerate(masks):
                 args = (st, starts, top, m, view)
                 got = _closure_outcome(_closure, *args)
@@ -604,7 +611,158 @@ def test_closure_matches_the_per_color_reference():
                     m >> x & 1 and m >> y & 1 and col[x] == col[y] and f[x] == s[y]
                     for x in range(len(s)) for y in range(len(s)))
     assert tally["free"] and tally["adjacent"] and tally["merged"], tally
-    assert tally["covered"] and tally["closure"], tally
+    assert tally["covered"] and tally["closure"] and tally["largest"] == 64, tally
+
+
+def _closure_case(horizon, jobs, starts, covered):
+    """`_closure` and the per-color reference on jobs given as (color,
+    length, weight) with ids 1, 2, ..., and a mask over the jobs whose ids
+    are in `covered`: the closure's `Schedule`, or its raise's message."""
+    inst = _inst(horizon, *jobs)
+    st, times = _scaled(inst, starts)
+    view = _view(st.rows, times)
+    mask = sum(1 << k for k, jid in enumerate(view[4]) if jid in covered)
+    top = sum(view[2][k] for k in range(len(view[4])) if mask >> k & 1)
+    args = (st, starts, top, mask, view)
+    got = _closure_outcome(_closure, *args)
+    assert got == _closure_outcome(_per_color_closure, *args)
+    return got
+
+
+def test_closure_bridges_earlier_segments_of_its_color():
+    # Jobs 1 ([0, 1)) and 2 ([2, 3)) form two segments before job 3
+    # ([1/2, 4)), which ends last, joins both; job 4 ([3/2, 2)), weight 0,
+    # lies in the bridged segment only, and job 5 ends it at 5.
+    sched = _closure_case(6, [(1, 1, 1), (1, 1, 1), (1, F(7, 2), 1), (1, F(1, 2), 0),
+                              (2, 1, 1)],
+                          {1: F(0), 2: F(2), 3: F(1, 2), 4: F(3, 2), 5: F(4)}, {1, 2, 3, 5})
+    assert sched.covered == frozenset({1, 2, 3, 4, 5})
+    assert sched.segments == ((0, 4, 1), (4, 5, 2))
+
+
+def test_closure_keeps_touching_segments_of_different_colors_apart():
+    # [0, 2) and [1, 2) of color 1, [2, 3) of color 2, [3, 4) of color 1: no
+    # raise, and three segments in start order. Job 5 ([2, 3), color 1,
+    # weight 0) lies in a segment of another color, so it stays uncovered.
+    sched = _closure_case(4, [(1, 2, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1), (1, 1, 0)],
+                          {1: F(0), 2: F(1), 3: F(2), 4: F(3), 5: F(2)}, {1, 2, 3, 4})
+    assert sched.covered == frozenset({1, 2, 3, 4})
+    assert sched.segments == ((0, 2, 1), (2, 3, 2), (3, 4, 1))
+
+
+def test_closure_covers_a_zero_weight_job_across_a_junction_for_free():
+    # Jobs 1 ([0, 2)) and 2 ([1, 3)) overlap; job 3 ([3/2, 5/2), weight 0)
+    # lies in neither alone but in their merged segment, and ends between
+    # them in finish order. At weight 1 it is uncounted weight.
+    for weight in (0, 1):
+        got = _closure_case(4, [(1, 2, 1), (1, 2, 1), (1, 1, weight)],
+                            {1: F(0), 2: F(1), 3: F(3, 2)}, {1, 2})
+        if weight:
+            assert got == "closure pass found uncounted positive weight (solver bug)"
+        else:
+            assert got.covered == frozenset({1, 2, 3}) and got.segments == ((0, 3, 1),)
+
+
+def test_closure_raises_each_failure_and_overlap_first():
+    # Color 1 [0, 2) and color 2 [1, 3) overlap; job 3 ([0, 1), color 1,
+    # weight 1) is uncounted inside job 1. The overlap is reported first,
+    # and each failure alone is reported by its own message.
+    jobs = [(1, 2, 1), (2, 2, 1), (1, 1, 1)]
+    starts = {1: F(0), 2: F(1), 3: F(0)}
+    overlap = "covered jobs of different colors overlap"
+    uncounted = "closure pass found uncounted positive weight (solver bug)"
+    assert _closure_case(4, jobs, starts, {1, 2}) == overlap
+    assert _closure_case(4, jobs, starts, {1}) == uncounted
+    assert _closure_case(4, jobs, starts, {1, 2, 3}) == overlap
+
+
+def test_closure_starts_a_segment_at_its_first_job_in_start_order():
+    # A segment's start is the profile's own start of its least (start,
+    # finish, id) job, type included, whatever order the jobs finish in.
+    # Jobs 1 ([1, 3)) and 2 ([1, 2)) share a start given as an int and as a
+    # `Fraction`: job 2 finishes first. Jobs 3 and 4 ([1, 2) each) tie on
+    # finish too: job 3 has the smaller id.
+    cases = [((1, F(1)), F), ((F(1), 1), int)]
+    for (one, two), kind in cases:
+        sched = _closure_case(4, [(1, 2, 1), (1, 1, 1)], {1: one, 2: two}, {1, 2})
+        assert sched.segments == ((1, 3, 1),) and type(sched.segments[0][0]) is kind
+        sched = _closure_case(4, [(1, 2, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)],
+                              {1: F(2), 2: F(3), 3: two, 4: one}, {1, 2, 3, 4})
+        assert sched.segments == ((1, 4, 1),) and type(sched.segments[0][0]) is kind
+        # The machine entries pass the profile's own values through.
+        inst = _inst(4, (1, 2, 1), (1, 1, 1))
+        segment = solve_machine_dp(inst, Profile.from_dict({1: one, 2: two})).segments[0]
+        assert segment == (1, 3, 1) and type(segment[0]) is kind
+
+
+def _fraction_core(inst, td):
+    """(wden, rows, base_scaled, zero_ids) of a core, read in `Fraction`
+    arithmetic job by job, as `MachineCache.__init__` used to read them."""
+    wden = math.lcm(*[j.weight.denominator for j in inst.jobs])
+
+    def ticks(x):
+        q, r = divmod(td, x.denominator)
+        if r:
+            raise InternalFailure(f"time {x} is off the time scale 1/{td}")
+        return x.numerator * q
+
+    def scaled(x):
+        return x.numerator * (wden // x.denominator)
+
+    cix = {c: i for i, c in enumerate(inst.color_ids)}
+    rows = [(p, ticks(j.length), j.id, scaled(j.weight), cix[j.color])
+            for p, j in enumerate(inst.jobs) if j.length > 0]
+    zero = [j for j in inst.jobs if j.length == 0]
+    return wden, rows, sum(scaled(j.weight) for j in zero), frozenset(j.id for j in zero)
+
+
+def test_integer_core_matches_the_fraction_reading():
+    """On random-family instances with some lengths and weights set to 0
+    and some whole ones given as ints, the core built from integer ratios
+    holds the rows, `wden`, `base_scaled` and `zero_ids` of the `Fraction`
+    reading, all ints, on the first scale and on a finer one; `_scaled`
+    reads int and `Fraction` starts alike. An off-scale length raises the
+    same message."""
+    tally = collections.Counter()
+    for seed in range(60):
+        rng = random.Random(f"core:{seed}")
+        family = FAMILIES[seed % len(FAMILIES)]
+        n = 1 + seed % 12
+        raw = random_instance(family, n, n if family == "single" else min(n, 3),
+                              2 + seed % 4, seed)
+        jobs = []
+        for j in raw.jobs:
+            length = F(0) if rng.random() < 0.2 else j.length
+            weight = F(0) if rng.random() < 0.2 else j.weight
+            if rng.random() < 0.5:  # whole values as ints
+                length, weight = (int(x) if x.denominator == 1 else x
+                                  for x in (length, weight))
+            jobs.append(Job(j.id, j.color, length, weight, j.window))
+        inst = validate_instance(Instance(raw.horizon, tuple(jobs)))
+        tally["int"] += any(type(x) is int for j in inst.jobs for x in (j.length, j.weight))
+        tally["zero length"] += any(j.length == 0 for j in inst.jobs)
+        tally["zero weight"] += any(j.weight == 0 and j.length for j in inst.jobs)
+        tally["window"] += any(j.window for j in inst.jobs)
+        td = machine.MachineCache.of(inst).td
+        for scale in (td, 3 * td):
+            core = machine.MachineCache(inst, scale)
+            got = (core.wden, core.rows, core.base_scaled, core.zero_ids)
+            assert got == _fraction_core(inst, scale)
+            assert all(type(x) is int for row in core.rows for x in row)
+            assert type(core.base_scaled) is int and type(core.wden) is int
+        starts = random_profile(inst, seed).as_dict()
+        starts = {jid: int(x) if x.denominator == 1 and jid % 2 else x
+                  for jid, x in starts.items()}
+        st, times = _scaled(inst, starts)
+        assert times == [starts[j.id].numerator * (st.td // starts[j.id].denominator)
+                         for j in inst.jobs]
+    assert all(tally[k] for k in ("int", "zero length", "zero weight", "window")), tally
+    inst = _inst(3, (1, F(1, 3), 1), (2, 1, 1))
+    message = re.escape("time 1/3 is off the time scale 1/4")
+    with pytest.raises(InternalFailure, match=message):
+        machine.MachineCache(inst, 4)
+    with pytest.raises(InternalFailure, match=message):
+        _fraction_core(inst, 4)
 
 
 def test_closure_raises_on_an_uncounted_nested_job():
