@@ -27,15 +27,18 @@ half of the core's smallest scale; `global_grid_points` and
 A grid record (`_grid_record`) holds one player's aligned lists against one
 placement of the other players; a search walks those lists with the player's
 current starts merged in (`_coded_grid`), by the key walker of enumeration
-(`_grid_keys`), which rewrites only the groups that moved. The record's
-`big` flag says whether a guard could fire on the merged lists, which add at
-most one start per job; `_player_stable` runs the guards (`_guards`, one
-predicate, `_over_limit`, for both) only when it is set, and a search
-always. A best-mode walk goes through the same order (`_multisets`) without
-building keys: it scores each joint strategy from its groups' overlap masks
-by its own background route (`machine._background`), and builds a key only
-where the route defers to the memo and the DP, and for its result, the one
-key it stores. Searches return keys and int utilities.
+(`_grid_keys`), which rewrites only the groups that moved. A verdict looks
+the record up once and merges the starts into it once: `_player_stable`
+reads its guard sizes and whether every start is aligned from the merged
+lists, and hands them to the search. The record's `big` flag says whether a
+guard could fire on the merged lists, which add at most one start per job;
+`_player_stable` runs the guards (`_guards`, one predicate, `_over_limit`,
+for both) only when it is set, and a search always. A best-mode walk goes
+through the same order (`_multisets`) without building keys: it scores each
+joint strategy from its groups' overlap masks by its own background route
+(`machine._background`), and builds a key only where the route defers to
+the memo and the DP, and for its result, the one key it stores. Searches
+return keys and int utilities.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -235,18 +238,6 @@ def build_grid(instance: Instance, fixed_starts: Mapping[int, Fraction],
     return CandidateGrid(player, tuple((j.id, tagged[j.id]) for j in own))
 
 
-def _missing(coded, positions, key: tuple) -> int:
-    """Number of distinct starts of a group's jobs absent from `coded`."""
-    return len({key[p] for p in positions if key[p] not in coded})
-
-
-def _aligned(groups, record: _GridRecord, key: tuple) -> bool:
-    """Whether each of the player's starts in `key` lies on its group's
-    aligned list in `record`."""
-    return all(key[p] in coded for (_, positions), coded
-               in zip(groups, record.coded) for p in positions)
-
-
 def _profile_count(sized) -> int:
     """Joint strategies over groups given as (ids, candidate count):
     identical same-color jobs are interchangeable, so each group contributes
@@ -301,12 +292,14 @@ def _grid_record(cache: MachineCache, key: tuple, player: int,
     return _bounded_put(cache.grid_cache, others_key, record, machine.GRID_CACHE_LIMIT)
 
 
-def _coded_grid(cache: MachineCache, key: tuple, player: int):
-    """The player's grid record and per-group (ids, candidate list) pairs:
-    each group's aligned list with its jobs' current starts in `key` merged
-    in, as the local-grid search walks it."""
-    others_key = cache.others_key(player, key)
-    record = cache.grid_cache.get(others_key) or _grid_record(cache, key, player, others_key)
+def _coded_grid(cache: MachineCache, key: tuple, player: int, record=None):
+    """The player's grid record (`record`, else the one looked up or built)
+    and per-group (ids, candidate list) pairs: each group's aligned list with
+    its jobs' current starts in `key` merged in, as the local-grid search
+    walks it. A list is copied only where a start is inserted."""
+    if record is None:
+        others_key = cache.others_key(player, key)
+        record = cache.grid_cache.get(others_key) or _grid_record(cache, key, player, others_key)
     lists = []
     for (ids_, positions), coded in zip(cache.groups[player], record.coded):
         union = coded
@@ -444,29 +437,31 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     `record` is the player's record against the other placements in `key`,
     which hash to `others_key`, or None where none is built. `_profile_stable`
     has read (b), and (c) for one job, from a record that is not `big`; this
-    builds a missing record under `others_key` without a second probe,
-    runs a `big` one's guards before reading those bounds, as the search
-    does, and reads (c) for aligned starts. Only this builds records and
-    writes bounds."""
-    groups = cache.groups[player]
+    builds a missing record under `others_key` without a second probe, and
+    merges the current starts into it once (`_coded_grid`). A `big` record's
+    guards run on the merged lists before its bounds are read, as the
+    search's do; (c) for aligned starts holds when each merged list is the
+    record's own; the search walks the merged lists. Only this builds records
+    and writes bounds."""
     if record is None:
         record = _grid_record(cache, key, player, others_key)
+    _, lists = _coded_grid(cache, key, player, record)
     if record.big:
-        _guards(player, [(ids_, len(coded) + _missing(coded, positions, key))
-                         for (ids_, positions), coded in zip(groups, record.coded)],
-                force)
+        _guards(player, [(ids_, len(union)) for ids_, union in lists], force)
         if record.lo > u_cur:
             return False
         if record.hi <= u_cur and len(instance.jobs_of_color(player)) == 1:
             return True
-    if record.hi <= u_cur and _aligned(groups, record, key):
+    if record.hi <= u_cur and all(union is coded for (_, union), coded
+                                  in zip(lists, record.coded)):
         return True
     found = _player_search(instance, cache, key, player, mode="first", force=force,
-                           route=route)
+                           lists=[union for _, union in lists], route=route)
     if found is None:
         record.hi = min(record.hi, u_cur)
         return True
-    if _aligned(groups, record, found[0]):
+    if all(found[0][p] in coded for (_, positions), coded
+           in zip(cache.groups[player], record.coded) for p in positions):
         record.lo = found[1]
     return False
 

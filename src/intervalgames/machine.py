@@ -31,9 +31,10 @@ new core on their lcm, stored on the instance in the old one's place; a walk
 that holds the old core keeps it on its own scale, so ints of two scales
 never meet in one key. The machine entries (`solve_machine_dp`,
 `solve_machine_bruteforce`, `machine_value_and_covered`) follow the rule as
-the search entries do, run the DP on the core's own rows, and never read or
-write the memo. `Fraction`s are built only for returned values and segment
-endpoints.
+the search entries do, reject a known job's start outside its range by
+comparing ints with the core's ranges (`_checked`), run the DP on the core's
+own rows, and never read or write the memo. `Fraction`s are built only for
+returned values, segment endpoints and error messages.
 
 Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
 the one whose last job has the smallest id, the empty configuration counting
@@ -49,11 +50,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Iterable, Mapping
 
 from .model import (GuardError, Instance, InternalFailure, Profile, Schedule,
-                    _inexact, _starts_of, validate_profile)
+                    _check_start, _inexact, _starts_of, validate_profile)
 
 BRUTE_FORCE_MAX_JOBS = 20
 MEMO_LIMIT = 600_000  # a core's memo is cleared when it grows past this
@@ -100,21 +101,23 @@ class MachineCache:
 
     The DP rows hold each positive-length job as (key position, length over
     `td`, id, weight over `wden`, dense color index), from each length and
-    weight read once as an integer ratio; `td` and the rows are set here and
-    never change. The game tables are built on the first search use (`key`
-    or `groups`), so a core that only solves machines never holds them. Memo
-    keys are tuples of start numerators over `td`, one per job in instance
-    order; memo values are (value, per-color utilities), all ints over
-    `wden`. `value`, `time` and `profile` convert back to `Fraction`s.
+    weight read once as an integer ratio; `start_lo` and `start_hi` hold
+    each job's lowest and highest start over `td`, in instance order. `td`,
+    the rows and the ranges are set here and never change. The game tables
+    are built on the first search use (`key` or `groups`), so a core that
+    only solves machines never holds them. Memo keys are tuples of start
+    numerators over `td`, one per job in instance order; memo values are
+    (value, per-color utilities), all ints over `wden`. `value`, `time` and
+    `profile` convert back to `Fraction`s.
 
     `MachineCache.of` is the only way to it. The core is stored on the
     instance and dies with it; equal but distinct instances do not share it,
     and `Instance` leaves it out of its pickled and copied state."""
 
-    __slots__ = ("instance", "wden", "td", "rows", "base_scaled", "zero_ids",
-                 "color_ids", "ids", "pos", "color_index", "totals", "zero_per",
-                 "lens", "bounds", "other_pos", "_groups", "_others", "_cache",
-                 "grid_cache")
+    __slots__ = ("instance", "wden", "td", "rows", "start_lo", "start_hi", "base_scaled",
+                 "zero_ids", "color_ids", "ids", "pos", "color_index", "totals",
+                 "zero_per", "lens", "bounds", "other_pos", "_groups", "_others",
+                 "_cache", "grid_cache")
 
     def __init__(self, instance: Instance, td: int):
         jobs = instance.jobs
@@ -124,19 +127,29 @@ class MachineCache:
         self.td = td
         self.color_ids = instance.color_ids
         cix = {c: i for i, c in enumerate(self.color_ids)}
-        rows, base, zero = [], 0, []
+        horizon = _ticks(instance.horizon, td)
+        rows, base, zero, lows, highs = [], 0, [], [], []
         for p, (j, (wn, wd)) in enumerate(zip(jobs, weights)):
             ln, ld = j.length.as_integer_ratio()
-            w = wn * (wden // wd)
+            q, r = divmod(td, ld)
+            if r:
+                raise InternalFailure(f"time {j.length} is off the time scale 1/{td}")
+            length, w = ln * q, wn * (wden // wd)
+            if j.window:
+                rn, rd = j.window[0].as_integer_ratio()
+                dn, dd = j.window[1].as_integer_ratio()
+                lows.append(rn * (td // rd))
+                highs.append(dn * (td // dd) - length)
+            else:
+                lows.append(0)
+                highs.append(horizon - length)
             if ln > 0:
-                q, r = divmod(td, ld)
-                if r:
-                    raise InternalFailure(f"time {j.length} is off the time scale 1/{td}")
-                rows.append((p, ln * q, j.id, w, cix[j.color]))
+                rows.append((p, length, j.id, w, cix[j.color]))
             elif ln == 0:
                 base += w
                 zero.append(j.id)
         self.rows, self.base_scaled, self.zero_ids = rows, base, frozenset(zero)
+        self.start_lo, self.start_hi = lows, highs
         self._groups = None
 
     @classmethod
@@ -262,6 +275,17 @@ def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
         st = MachineCache.of(instance, values)
     td = st.td
     return st, [n * (td // d) for n, d in ratios]
+
+
+def _checked(instance: Instance, starts: Mapping[int, Fraction]):
+    """`_scaled`'s (core, start numerators), after comparing each numerator
+    with its job's range of starts on the core; the first job out of range
+    raises `model._check_start`'s error, whose message is built only then."""
+    st, times = _scaled(instance, starts)
+    if not (all(map(le, st.start_lo, times)) and all(map(le, times, st.start_hi))):
+        for j in instance.jobs:
+            _check_start(instance, j, starts[j.id])
+    return st, times
 
 
 def _view(rows, times):
@@ -519,7 +543,7 @@ def _closure(st: MachineCache, starts: Mapping[int, Fraction], top: int,
 def solve_machine_dp(instance: Instance, profile: Profile) -> Schedule:
     """Optimal machine configuration via dynamic programming over finish times."""
     starts = _starts_of(profile)
-    st, times = _scaled(instance, starts)
+    st, times = _checked(instance, starts)
     return _closure(st, starts, *_dp_core(st.rows, times))
 
 
@@ -527,7 +551,7 @@ def solve_machine_bruteforce(instance: Instance, profile: Profile,
                              force: bool = False) -> Schedule:
     """Oracle: enumerate all cross-color-compatible job subsets (n <= 20)."""
     starts = _starts_of(profile)
-    st, times = _scaled(instance, starts)
+    st, times = _checked(instance, starts)
     return _closure(st, starts, *_brute_core(st.rows, times, force))
 
 
@@ -535,6 +559,6 @@ def machine_value_and_covered(instance: Instance,
                               starts: Mapping[int, Fraction]) -> tuple[Fraction, frozenset[int]]:
     """The machine's value and covered set for a `Fraction` profile, without
     segments; it never touches the memo."""
-    st, times = _scaled(instance, starts)
+    st, times = _checked(instance, starts)
     top, mask, view = _dp_core(st.rows, times)
     return Fraction(st.base_scaled + top, st.wden), _covered_ids(st, mask, view)

@@ -749,6 +749,41 @@ def test_enumeration_leaves_records_and_bounds_to_player_stable():
         assert not called & {"_grid_record", "_guards", "_coded_grid", "_player_search"}
 
 
+def test_a_verdict_search_walks_the_lists_player_stable_merged(monkeypatch):
+    """`_player_stable` merges the player's starts into the record it holds
+    and hands the lists to the search, so no verdict search of grid-NE
+    enumeration hashes `others_key` to find that record again; each of the
+    935 and 248 searches used to. A best response and a first-improvement
+    `is_nash`, which hold no record, look theirs up once per search."""
+    hashed, searches = [], []
+    others_key, search = MachineCache.others_key, equilibrium._player_search
+
+    def counting_key(self, *args):
+        hashed.append(args)
+        return others_key(self, *args)
+
+    def counting_search(*args, **kwargs):
+        before = len(hashed)
+        found = search(*args, **kwargs)
+        searches.append(len(hashed) - before)
+        return found
+
+    monkeypatch.setattr(MachineCache, "others_key", counting_key)
+    monkeypatch.setattr(equilibrium, "_player_search", counting_search)
+    for inst, calls in ((from_partition_decide((1, 3, 3, 3)).instance, 935),
+                        (fixture("prop_no_ne").instance, 248)):
+        searches.clear()
+        assert enumerate_grid_ne(copy.copy(inst)) == []
+        assert searches == [0] * calls
+    fx = fixture("prop_no_ne")  # "overlap": player 2 covers nothing
+    for ask in (lambda inst, profile: best_response(inst, profile, 2),
+                lambda inst, profile: is_nash(inst, profile, first_improvement=True,
+                                              players=(2,))):
+        searches.clear()
+        ask(copy.copy(fx.instance), fx.notable_profiles["overlap"])
+        assert searches == [1]
+
+
 @pytest.mark.parametrize("name", sorted(guard_instances()))
 def test_enumerate_guards_raise(name):
     inst, message = guard_instances()[name]
@@ -957,7 +992,7 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys, walked_
 
 # --- best responses against the continuum ------------------------------------------
 
-def _lattice_best_utility(inst, starts, player):
+def _lattice_best_utility(inst, starts, player, solve=solve_machine_bruteforce):
     """The player's best utility over all of its continuous placements.
 
     The machine compares only endpoints, so fixing the other players, every
@@ -968,8 +1003,8 @@ def _lattice_best_utility(inst, starts, player):
     1/((k+1)L): shortest-path potentials with each strict edge tightened by
     1/(k+1) work, since a simple cycle has at most k+1 edges. So the
     lattice of that step, clipped to each job's feasible starts, meets every
-    cell. Each point is evaluated by the brute-force machine, and
-    interchangeable jobs are placed as multisets."""
+    cell. Each point is evaluated by the machine `solve`, the brute force
+    unless given, and interchangeable jobs are placed as multisets."""
     k = len(inst.jobs_of_color(player))
     L = math.lcm(inst.horizon.denominator,
                  *[x.denominator for j in inst.jobs for x in (j.length, *(j.window or ()))],
@@ -988,7 +1023,7 @@ def _lattice_best_utility(inst, starts, player):
             for ids_, points in groups)):
         for (ids_, _), tup in zip(groups, combo):
             work.update(zip(ids_, tup))
-        covered = solve_machine_bruteforce(inst, Profile.from_dict(work)).covered
+        covered = solve(inst, Profile.from_dict(work)).covered
         u = sum((inst.job(i).weight for i in covered if inst.job(i).color == player), F(0))
         if best is None or u > best:
             best = u
@@ -1028,6 +1063,70 @@ def test_best_response_matches_the_continuum(game):
     inst, starts = game
     _, u = best_response(inst, Profile.from_dict(starts), 1)
     assert u == _lattice_best_utility(inst, starts, 1)
+
+
+@st.composite
+def tie_games(draw, horizons=(2, 3, 4)):
+    """T in `horizons`, player 1 with 1-2 jobs against 1-3 jobs of players
+    2-3, lengths and starts on halves, and each weight 1, 2 or the job's
+    length, so covered sets often tie in value. The machine breaks those
+    ties; the DP, the lattice machine of the tests below, breaks them by the
+    finish order, as the searches do."""
+    horizon = draw(st.sampled_from(horizons))
+    own = draw(st.integers(min_value=1, max_value=2))
+    total = own + draw(st.integers(min_value=1, max_value=3))
+    jobs, starts = [], {}
+    for i in range(total):
+        color = 1 if i < own else 2 if i == own else draw(st.sampled_from((2, 3)))
+        length = draw(st.integers(min_value=1, max_value=2 * horizon))
+        weight = draw(st.sampled_from((F(1), F(2), F(length, 2))))
+        jobs.append(Job(i + 1, color, F(length, 2), weight))
+        starts[i + 1] = F(draw(st.integers(min_value=0, max_value=2 * horizon - length)), 2)
+    return validate_instance(Instance(F(horizon), tuple(jobs))), starts
+
+
+@given(tie_games())
+@settings(max_examples=300, deadline=None)
+def test_best_response_matches_the_continuum_under_ties(game):
+    """The local grid holds no point where only the finish order changes
+    (a fixed finish minus the length), yet under ties, which the DP breaks
+    by that order, it still reaches the best utility over the continuum."""
+    inst, starts = game
+    _, u = best_response(inst, Profile.from_dict(starts), 1)
+    assert u == _lattice_best_utility(inst, starts, 1, solve_machine_dp)
+
+
+@given(tie_games(horizons=(2, 3)))
+@settings(max_examples=100, deadline=None)
+def test_is_nash_matches_the_continuum_under_ties(game):
+    """Per player with at most two jobs, `is_nash` finds a deviation, in
+    either mode, exactly when some continuous placement improves on the
+    player's utility under the DP's tie-break."""
+    inst, starts = game
+    profile = Profile.from_dict(starts)
+    per = dict(utilities(inst, profile, solve_machine_dp(inst, profile)).entries)
+    for player in inst.color_ids:
+        if len(inst.jobs_of_color(player)) > 2:
+            continue
+        stable = _lattice_best_utility(inst, starts, player, solve_machine_dp) == per[player]
+        for first in (False, True):
+            dev = is_nash(inst, profile, first_improvement=first, players=(player,))
+            assert (dev is None) == stable, (player, first, dev)
+
+
+@given(tie_games(horizons=(2, 3)))
+@settings(max_examples=40, deadline=None)
+def test_grid_equilibria_have_no_continuum_deviation_under_ties(game):
+    """No player with at most two jobs can improve on the worst or the best
+    grid equilibrium by any continuous placement, under the DP's tie-break."""
+    inst, _ = game
+    found = enumerate_grid_ne(inst)
+    for profile, _ in found[:1] + found[1:][-1:]:
+        per = dict(utilities(inst, profile, solve_machine_dp(inst, profile)).entries)
+        for player in inst.color_ids:
+            if len(inst.jobs_of_color(player)) <= 2:
+                assert _lattice_best_utility(inst, profile.as_dict(), player,
+                                             solve_machine_dp) == per[player], player
 
 
 def test_best_response_matches_the_continuum_on_partition_games():

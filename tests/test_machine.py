@@ -23,7 +23,7 @@ import intervalgames
 from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            ValidationError, fixture, random_instance, random_profile,
                            solve_machine_bruteforce, solve_machine_dp,
-                           validate_instance)
+                           validate_instance, validate_profile)
 from intervalgames import equilibrium, machine
 from intervalgames.generators import FAMILIES
 from intervalgames.machine import _closure, _covered_ids, _dp_core, _scaled, _view
@@ -139,14 +139,43 @@ def test_dp_example_profiles():
     ({1: F(0), 2: F(0), 3: True}, "job 3: start True must be an int or a Fraction"),
 ])
 def test_machine_solvers_reject_a_profile_they_cannot_read(solve, starts, message):
-    """The machine solvers do not validate a profile they can read, but a
-    missing job or a start that is not an exact number raises
-    `validate_profile`'s `ValidationError`. A missing job or a non-number
-    used to escape as `KeyError` or `AttributeError`; a float start of 1.1
-    widened the time scale to 2^51 and came back as a segment start, and a
-    start of True ran as 1."""
+    """A missing job or a start that is not an exact number makes the
+    machine solvers raise `validate_profile`'s `ValidationError`. A missing
+    job or a non-number used to escape as `KeyError` or `AttributeError`; a
+    float start of 1.1 widened the time scale to 2^51 and came back as a
+    segment start, and a start of True ran as 1."""
     with pytest.raises(ValidationError, match=re.escape(message)):
         solve(fixture("ex1").instance, Profile.from_dict(starts))
+
+
+def test_machine_solvers_reject_a_start_outside_its_range():
+    """Each machine entry raises `validate_profile`'s message, naming the
+    first such job in instance order, for a known job's start outside
+    [0, T) or outside its window, off the stored core's scale too, and
+    accepts every job at either end of its range with one answer. They
+    compare ints on the core; they used to return a segment at (-1, 0),
+    (9, 10) or (7/2, 9/2) on `ex1`, valued 7, 7 and 5."""
+    entries = (solve_machine_dp, solve_machine_bruteforce,
+               lambda inst, profile: machine.machine_value_and_covered(inst, profile.as_dict()))
+    ex1 = fixture("ex1").instance  # T = 4; jobs 1, 2 and 3 of lengths 4, 1 and 1
+    windowed = validate_instance(Instance(F(4), (
+        Job(1, 1, F(1), F(1), (F(1), F(3))), Job(2, 2, F(2), F(1)), Job(3, 2, F(0), F(2)))))
+    rejected = [(ex1, {1: F(0), 2: F(0), 3: x}) for x in (F(-1), F(9), F(7, 2), F(-1, 3))]
+    rejected += [(ex1, {1: F(1, 2), 2: F(0), 3: F(9)})]
+    rejected += [(windowed, {1: x, 2: F(0), 3: F(0)}) for x in (F(1, 2), F(5, 2), F(4))]
+    rejected += [(windowed, {1: F(1), 2: F(0), 3: F(9, 2)})]
+    for inst, starts in rejected:
+        profile = Profile.from_dict(starts)
+        with pytest.raises(ValidationError) as expected:
+            validate_profile(inst, profile)
+        for solve in entries:
+            with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
+                solve(inst, profile)
+    for starts in ({1: F(1), 2: F(0), 3: F(4)}, {1: F(2), 2: F(2), 3: F(0)}):
+        profile = validate_profile(windowed, Profile.from_dict(starts))
+        answers = [solve(windowed, profile) for solve in entries]
+        assert answers[0] == answers[1]
+        assert (answers[0].value, answers[0].covered) == answers[2]
 
 
 def test_dp_single_job():
@@ -584,7 +613,7 @@ def test_closure_matches_the_per_color_reference():
             for j in raw.jobs)))
         for k in range(4):
             starts = random_profile(inst, 4 * seed + k).as_dict()
-            if k == 3:  # `solve_machine_dp` does not validate: starts below 0
+            if k == 3:  # `_scaled` does not range-check: starts below 0
                 starts = {jid: x - 2 for jid, x in starts.items()}
             st, times = _scaled(inst, starts)
             top, mask, view = _dp_core(st.rows, times)
