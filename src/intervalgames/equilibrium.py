@@ -435,25 +435,22 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
         when every current start is aligned, or when the player has one
         job: its one candidate off the aligned list is its current start.
     `record` is the player's record against the other placements in `key`,
-    which hash to `others_key`, or None where none is built. `_profile_stable`
-    has read (b), and (c) for one job, from a record that is not `big`; this
-    builds a missing record under `others_key` without a second probe, and
-    merges the current starts into it once (`_coded_grid`). A `big` record's
-    guards run on the merged lists before its bounds are read, as the
-    search's do; (c) for aligned starts holds when each merged list is the
-    record's own; the search walks the merged lists. Only this builds records
-    and writes bounds."""
+    which hash to `others_key`, or None where none is built. This builds a
+    missing record under `others_key` without a second probe, and merges the
+    current starts into it once (`_coded_grid`). A `big` record's guards run
+    first, on the merged lists, as the search's do; then every verdict reads
+    (b) and (c) once, each start counting as aligned when each merged list
+    is the record's own. The search walks the merged lists. Only this builds
+    records and writes bounds."""
     if record is None:
         record = _grid_record(cache, key, player, others_key)
     _, lists = _coded_grid(cache, key, player, record)
     if record.big:
         _guards(player, [(ids_, len(union)) for ids_, union in lists], force)
-        if record.lo > u_cur:
-            return False
-        if record.hi <= u_cur and len(instance.jobs_of_color(player)) == 1:
-            return True
-    if record.hi <= u_cur and all(union is coded for (_, union), coded
-                                  in zip(lists, record.coded)):
+    if record.lo > u_cur:
+        return False
+    if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1 or all(
+            union is coded for (_, union), coded in zip(lists, record.coded))):
         return True
     found = _player_search(instance, cache, key, player, mode="first", force=force,
                            lists=[union for _, union in lists], route=route)

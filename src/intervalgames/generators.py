@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .model import (ONE, ZERO, Instance, InternalFailure, Job, Profile,
-                    ValidationError, to_rational, validate_instance)
+                    ValidationError, _check_int, to_rational, validate_instance)
 
 F = Fraction
 
@@ -106,7 +106,7 @@ def _fixture_poa_tight(n: int, epsilon=F(1, 10)) -> Fixture:
     of weight 2+epsilon and n-1 unit jobs; stacking everything at 0 is an NE
     of value 2+epsilon while the optimum covers the n-1 unit jobs.
     """
-    n = int(n)
+    _check_int(n, "n")
     if n < 2:
         raise ValidationError("n must be at least 2")
     epsilon = to_rational(epsilon, "epsilon")
@@ -178,7 +178,7 @@ def _fixture_pos_c(c: int, epsilon_prime=F(1, 4)) -> Fixture:
     drops the long job and one stacked unit, so it is worth at most
     2 + (c+2)/(c+3)*epsilon < 2+epsilon, and the machine never switches.
     The value_dominates fact pins that exact inequality."""
-    c = int(c)
+    _check_int(c, "c")
     if c <= 2:
         raise ValidationError("c must exceed 2")
     epsilon_prime = to_rational(epsilon_prime, "epsilon_prime")
@@ -216,7 +216,7 @@ def _fixture_unit_tight(c: int) -> Fixture:
     Stability of the shipped profile leans on the machine's deterministic
     tie-breaking toward smaller job ids, which player 1's jobs hold.
     """
-    c = int(c)
+    _check_int(c, "c")
     if c < 2 or c % 2:
         raise ValidationError("c must be an even integer >= 2")
     k = c
@@ -274,7 +274,7 @@ def fixture(name: str, **params) -> Fixture:
     (poa_tight: n, epsilon; pos_two: epsilon; pos_c: c, epsilon_prime;
     prop_no_ne: epsilon; unit_tight: c). A missing or unexpected parameter
     raises `ValidationError`, naming the fixture's parameters."""
-    builder = _FIXTURES.get(name)
+    builder = _FIXTURES.get(name) if isinstance(name, str) else None
     if builder is None:
         raise ValidationError(f"unknown fixture {name!r}; "
                               f"known: {', '.join(fixture_names())}")
@@ -312,6 +312,8 @@ def random_instance(family: str, n: int, c: int, horizon, seed: int) -> Instance
     horizon = to_rational(horizon, "horizon")
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
+    _check_int(n, "n")
+    _check_int(c, "c")
     if c < 1 or n < c:
         raise ValidationError("need n >= c >= 1 so every color owns a job")
     if family == "single" and n != c:
@@ -359,10 +361,13 @@ def from_knapsack(items: Sequence[tuple], capacity) -> Instance:
     """One-job-per-color game whose social optimum equals the knapsack
     optimum: horizon = capacity, job i has length size_i and weight value_i."""
     capacity = to_rational(capacity, "capacity")
-    if not items:
-        raise ValidationError("no items")
+    if not items or not isinstance(items, (list, tuple)):
+        raise ValidationError(f"no items: expected a list of (size, value) pairs, got {items!r}")
     jobs = []
-    for i, (size, value) in enumerate(items):
+    for i, item in enumerate(items):
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ValidationError(f"item {i + 1} must be a (size, value) pair, got {item!r}")
+        size, value = item
         size = to_rational(size, f"item {i + 1} size")
         value = to_rational(value, f"item {i + 1} value")
         if size > capacity:
@@ -385,10 +390,12 @@ def _partition_sides(values: Sequence[int]) -> Optional[tuple[int, ...]]:
 
 
 def _check_partition_input(values: Sequence[int], minimum: int) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"values must be a list of integers, got {values!r}")
     vals = list(values)
     if len(vals) < minimum:
         raise ValidationError(f"need at least {minimum} integers")
-    if any((not isinstance(v, int)) or v < 1 for v in vals):
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in vals):
         raise ValidationError("values must be positive integers")
     if sum(vals) % 2:
         raise ValidationError("sum must be even")

@@ -100,12 +100,14 @@ class MachineCache:
     scale `td`, and the game tables and memo the equilibrium search reads.
 
     The DP rows hold each positive-length job as (key position, length over
-    `td`, id, weight over `wden`, dense color index), from each length and
-    weight read once as an integer ratio; `start_lo` and `start_hi` hold
-    each job's lowest and highest start over `td`, in instance order. `td`,
-    the rows and the ranges are set here and never change. The game tables
-    are built on the first search use (`key` or `groups`), so a core that
-    only solves machines never holds them. Memo keys are tuples of start
+    `td`, id, weight over `wden`, dense color index from `color_index`);
+    `zero_per` holds each color's zero-length weight (their sum is
+    `base_scaled`), and `start_lo` and `start_hi` each job's lowest and
+    highest start over `td`, in instance order. These are the only reading
+    of a job's length, weight and window, each as an integer ratio; they are
+    set here and never change. The game tables are built from the rows and
+    ranges on the first search use (`key` or `groups`), so a core that only
+    solves machines never holds them. Memo keys are tuples of start
     numerators over `td`, one per job in instance order; memo values are
     (value, per-color utilities), all ints over `wden`. `value`, `time` and
     `profile` convert back to `Fraction`s.
@@ -126,29 +128,25 @@ class MachineCache:
         self.wden = wden = math.lcm(*[d for _, d in weights])
         self.td = td
         self.color_ids = instance.color_ids
-        cix = {c: i for i, c in enumerate(self.color_ids)}
-        horizon = _ticks(instance.horizon, td)
-        rows, base, zero, lows, highs = [], 0, [], [], []
+        self.color_index = cix = {c: i for i, c in enumerate(self.color_ids)}
+        free = ((0, 1), (_ticks(instance.horizon, td), td))  # [0, T] as integer ratios
+        rows, zero, lows, highs, zero_per = [], [], [], [], [0] * len(cix)
         for p, (j, (wn, wd)) in enumerate(zip(jobs, weights)):
             ln, ld = j.length.as_integer_ratio()
             q, r = divmod(td, ld)
             if r:
                 raise InternalFailure(f"time {j.length} is off the time scale 1/{td}")
             length, w = ln * q, wn * (wden // wd)
-            if j.window:
-                rn, rd = j.window[0].as_integer_ratio()
-                dn, dd = j.window[1].as_integer_ratio()
-                lows.append(rn * (td // rd))
-                highs.append(dn * (td // dd) - length)
-            else:
-                lows.append(0)
-                highs.append(horizon - length)
+            (rn, rd), (dn, dd) = [x.as_integer_ratio() for x in j.window] if j.window else free
+            lows.append(rn * (td // rd))
+            highs.append(dn * (td // dd) - length)
             if ln > 0:
                 rows.append((p, length, j.id, w, cix[j.color]))
             elif ln == 0:
-                base += w
+                zero_per[cix[j.color]] += w
                 zero.append(j.id)
-        self.rows, self.base_scaled, self.zero_ids = rows, base, frozenset(zero)
+        self.rows, self.zero_per, self.zero_ids = rows, zero_per, frozenset(zero)
+        self.base_scaled = sum(zero_per)
         self.start_lo, self.start_hi = lows, highs
         self._groups = None
 
@@ -179,37 +177,30 @@ class MachineCache:
         # `__dict__`, and it measurably slowed grid-NE enumeration.) Built in
         # locals and published with `_groups` last, so a search that reaches
         # the core mid-build builds them itself.
-        instance, td, colors = self.instance, self.td, self.color_ids
+        instance, colors = self.instance, self.color_ids
         jobs = instance.jobs
         ids = tuple(j.id for j in jobs)
         pos = {jid: p for p, jid in enumerate(ids)}
-        color_index = {c: i for i, c in enumerate(colors)}
-        totals, zero_per = [0] * len(colors), [0] * len(colors)
-        for j in jobs:
-            cix, w = color_index[j.color], self.scaled(j.weight)
+        totals, lens = self.zero_per.copy(), [0] * len(jobs)
+        for p, ln, _, w, cix in self.rows:
             totals[cix] += w
-            if j.length == 0:
-                zero_per[cix] += w
-        lens = [_ticks(j.length, td) for j in jobs]
+            lens[p] = ln
         # Per player and group: (lowest start, highest start, length), the
         # inputs of the local grid (`_grid_points`).
         groups, bounds = {c: [] for c in colors}, {c: [] for c in colors}
         for ids_ in _job_groups(instance):
-            j = instance.job(ids_[0])
-            groups[j.color].append((ids_, [pos[i] for i in ids_]))
-            length = lens[pos[j.id]]
-            bounds[j.color].append(
-                (_ticks(j.release, td), _ticks(j.due(instance.horizon), td) - length,
-                 length))
+            p = pos[ids_[0]]
+            c = jobs[p].color
+            groups[c].append((ids_, [pos[i] for i in ids_]))
+            bounds[c].append((self.start_lo[p], self.start_hi[p], lens[p]))
         # Per player: the other players' key positions, and their getter.
         other_pos, others = {}, {}
         for c in colors:
             other = other_pos[c] = [p for p, j in enumerate(jobs) if j.color != c]
             others[c] = itemgetter(*other) if other else (lambda key: ())
-        (self.ids, self.pos, self.color_index, self.totals, self.zero_per, self.lens,
-         self.bounds, self.other_pos, self._others, self._cache, self.grid_cache) = (
-            ids, pos, color_index, tuple(totals), zero_per, lens, bounds, other_pos,
-            others, {}, {})
+        (self.ids, self.pos, self.totals, self.lens, self.bounds, self.other_pos,
+         self._others, self._cache, self.grid_cache) = (
+            ids, pos, tuple(totals), lens, bounds, other_pos, others, {}, {})
         self._groups = groups
 
     def scaled(self, x: Fraction) -> int:
@@ -300,7 +291,8 @@ def _view(rows, times):
 def _dp_core(rows, times, per=None):
     """Return (value, covered mask over the view's finish order, view) for
     the optimal configuration; the value counts positive-length jobs only,
-    over `wden`. The credit walk adds covered weights to `per` by color index."""
+    over `wden`. One credit walk over the covered mask checks the value and,
+    when `per` is given, adds each covered weight to it by color index."""
     view = _view(rows, times)
     s, f, w, col, ids = view
     n = len(s)
@@ -381,16 +373,12 @@ def _dp_core(rows, times, per=None):
         covered_mask |= nested[cell - 1]
         cell = back[cell]
     credit, m = 0, covered_mask
-    if per is None:
-        while m:
-            low = m & -m
-            credit += w[low.bit_length() - 1]
-            m ^= low
-    while m:  # when `per` is given: the same walk, also filling it
+    while m:
         low = m & -m
         k = low.bit_length() - 1
         credit += w[k]
-        per[col[k]] += w[k]
+        if per is not None:
+            per[col[k]] += w[k]
         m ^= low
     if credit != top_v:
         raise InternalFailure("dp credit mismatch: recurrence double-counted a job")

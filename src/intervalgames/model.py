@@ -187,11 +187,11 @@ def _inexact(*xs) -> bool:
     return False
 
 
-def _check_int(value, what: str, least: int) -> None:
-    """Raise `ValidationError` unless `value` is an int, not a `bool`, >= `least`."""
+def _check_int(value, what: str, least: Optional[int] = None) -> None:
+    """Raise `ValidationError` unless `value` is an int, not a `bool`, >= any `least`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an int, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValidationError(f"{what} must be at least {least}, got {value}")
 
 

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from intervalgames import (InternalFailure, fixture, fixture_names, instance_to_json,
-                           profile_to_json, random_profile)
+import intervalgames as ig
+from intervalgames import (GameError, InternalFailure, Profile, fixture, fixture_names,
+                           instance_to_json, profile_to_json, random_profile, to_rational)
 from intervalgames import cli
 from intervalgames.cli import main
 from conftest import BAD_ID_JOBS, guard_instances
@@ -450,10 +451,11 @@ _BASE_INSTANCES = (
                               {"id": 3, "color": 3, "length": "1", "weight": "1"}]},
 )
 _BASE_PROFILE = {"starts": {"1": "0", "2": "1", "3": "1/2"}}
-_ODD_VALUES = st.sampled_from([
+_ODD = [
     0, 1, -1, 2, 7, 10 ** 30, 0.5, 1e300, float("nan"), float("inf"), True, False, None,
     "", "x", "0", "1", "-1", "1/3", "1/0", "0.5", "2", "1e3", [], {}, ["0", "3"],
-    ["3", "0"], ["0"], {"id": 1}])
+    ["3", "0"], ["0"], {"id": 1}]
+_ODD_VALUES = st.sampled_from(_ODD)
 _COMMANDS = (("solve", "{i}", "{p}"), ("solve", "{i}", "{p}", "--oracle"), ("opt", "{i}"),
              ("opt", "{i}", "--method", "brute"), ("opt", "{i}", "--method", "knapsack"),
              ("ne", "{i}", "--verify", "{p}"), ("ne", "{i}", "--enumerate"),
@@ -523,6 +525,88 @@ def test_mutated_documents_never_escape_main(capsys, tmp_path, data):
                                   else _BASE_PROFILE))
     command = data.draw(st.sampled_from(_COMMANDS))
     _check_main(capsys, [a.format(i=instance, p=profile) for a in command])
+
+
+# Library parameters: the odd values with no int above 2, since a larger
+# size or resolution is a legal request whose cost grows with it.
+_ODD_PARAMS = st.sampled_from([v for v in _ODD if not (type(v) is int and v > 2)])
+
+
+def _profile_of(doc):
+    """A mutated profile document as a `Profile` holding its starts as they
+    parse: each int-like key as a job id, each rational as a `Fraction`, any
+    other value as it is. A document of another shape stays as it is."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("starts"), dict)):
+        return doc
+    starts = {}
+    for k, v in doc["starts"].items():
+        with contextlib.suppress(GameError):
+            v = to_rational(v)
+        if k.lstrip("-").isdigit():
+            starts[int(k)] = v
+    return Profile.from_dict(starts)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_inputs_never_escape_the_library(data):
+    """The library twin of `test_mutated_documents_never_escape_main`: every
+    exported function, fed a mutated instance, profile, player or generator
+    parameter, returns or raises a `GameError`. An instance document that
+    does not parse is replaced by its base, so the other inputs still run."""
+    base = data.draw(st.sampled_from(_BASE_INSTANCES))
+    doc = data.draw(st.one_of(st.just(base), _mutated(base)))
+    pdoc = data.draw(st.one_of(st.just(_BASE_PROFILE), _mutated(_BASE_PROFILE)))
+    profile = _profile_of(pdoc)
+    player = data.draw(st.integers(-1, 4))
+    p = [data.draw(_ODD_PARAMS) for _ in range(4)]
+    res = data.draw(st.one_of(st.just(1), _ODD_PARAMS))
+    try:
+        inst = ig.instance_from_document(doc)
+    except GameError:
+        inst = ig.instance_from_document(base)
+    own = {j.id for j in inst.jobs_of_color(player)}
+    starts = profile.as_dict() if isinstance(profile, Profile) else {}
+    strategy = tuple(sorted((k, v) for k, v in starts.items() if k in own))
+    params = dict(zip(data.draw(st.lists(st.sampled_from(
+        ("n", "c", "epsilon", "epsilon_prime")), unique=True, max_size=3)), p))
+    calls = [
+        lambda: ig.parse_instance(json.dumps(doc)),
+        lambda: ig.parse_profile(json.dumps(pdoc), inst),
+        lambda: ig.validate_profile(inst, profile),
+        lambda: ig.utilities(inst, profile, ig.solve_machine_dp(inst, profile)),
+        lambda: ig.solve_machine_bruteforce(inst, profile),
+        lambda: ig.social_optimum_enumerate(inst),
+        lambda: ig.social_optimum_bruteforce(inst),
+        lambda: ig.social_optimum_single_knapsack(inst),
+        lambda: ig.best_response(inst, profile, player),
+        lambda: ig.is_nash(inst, profile, first_improvement=data.draw(st.booleans())),
+        lambda: ig.verify_deviation(inst, profile,
+                                    ig.Deviation(player, strategy, F(0), F(1))),
+        lambda: ig.build_grid(inst, {k: v for k, v in starts.items() if k not in own},
+                              player),
+        lambda: ig.brd(inst, profile, data.draw(st.sampled_from(
+            ("round_robin", "first_improving", p[0]))), p[1], resolution=res),
+        lambda: ig.enumerate_grid_ne(inst, res),
+        lambda: list(ig.grid_profiles(inst, res)),
+        lambda: ig.grid_candidates(inst, res),
+        lambda: ig.joint_grid_size(inst, res),
+        lambda: ig.analyze(inst, res),
+        lambda: ig.tightest_bound(inst),
+        lambda: ig.ne_single(inst),
+        lambda: ig.ne_unit(inst),
+        lambda: ig.random_profile(inst, p[0], res),
+        lambda: ig.fixture(data.draw(st.sampled_from((*fixture_names(), p[0]))), **params),
+        lambda: ig.random_instance(data.draw(st.sampled_from((*ig.FAMILIES, p[0]))),
+                                   p[1], p[2], p[3], p[0]),
+        lambda: ig.from_knapsack(data.draw(_mutated([["2", "3"], [1, 1]])), p[0]),
+        lambda: ig.from_partition_decide(data.draw(_mutated([1, 1, 2]))),
+        lambda: ig.from_partition_br(data.draw(_mutated([1, 1]))),
+        lambda: ig.from_partition_nonsymm(data.draw(_mutated([1, 1]))),
+    ]
+    for call in calls:
+        with contextlib.suppress(GameError):
+            call()
 
 
 @given(name=st.sampled_from(fixture_names()), command=st.sampled_from(_FIXTURE_COMMANDS),

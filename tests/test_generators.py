@@ -143,6 +143,34 @@ def test_from_knapsack_rejects():
         from_knapsack([(5, 1)], 4)
 
 
+# The non-ints of test_integer_parameters_must_be_ints, and two that int()
+# used to truncate or could not read.
+_NOT_INTS = ("2", 1.5, True, False, F(1), None, 4.9, "x")
+
+
+@pytest.mark.parametrize("call, message", [
+    *[(lambda v=v: fixture("poa_tight", n=v), "n must be an int") for v in _NOT_INTS],
+    *[(lambda v=v: fixture("pos_c", c=v), "c must be an int") for v in _NOT_INTS],
+    *[(lambda v=v: fixture("unit_tight", c=v), "c must be an int") for v in (2.5, *_NOT_INTS)],
+    *[(lambda v=v: random_instance("general", v, 2, 3, 0), "n must be an int")
+      for v in (3.5, "3", *_NOT_INTS)],
+    *[(lambda v=v: random_instance("general", 3, v, 3, 0), "c must be an int")
+      for v in _NOT_INTS],
+    (lambda: from_knapsack([(1,)], 3), r"item 1 must be a \(size, value\) pair"),
+    (lambda: from_knapsack(7, 3), "no items: expected a list"),
+    (lambda: fixture(["ex1"]), "unknown fixture"),
+    *[(lambda b=b, v=v: b(v), "values must be") for v in ([True, 1, 2], [2, 2.0], None, 4)
+      for b in (from_partition_decide, from_partition_br, from_partition_nonsymm)],
+])
+def test_generator_parameters_must_have_their_types(call, message):
+    """Integer parameters are ints (a `bool` is not), checked before their
+    ranges: `int()` used to run n = 4.9 as 4 and c = 2.5 as 2, and a str,
+    None, a malformed item or a non-list raised `ValueError` or `TypeError`
+    where each of these now raises `ValidationError`."""
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_partition_decide_yes_case():
     fx = from_partition_decide([1, 1, 2])
     assert any(f.kind == "has_ne" for f in fx.facts)

@@ -749,9 +749,12 @@ def test_integer_core_matches_the_fraction_reading():
     """On random-family instances with some lengths and weights set to 0
     and some whole ones given as ints, the core built from integer ratios
     holds the rows, `wden`, `base_scaled` and `zero_ids` of the `Fraction`
-    reading, all ints, on the first scale and on a finer one; `_scaled`
-    reads int and `Fraction` starts alike. An off-scale length raises the
-    same message."""
+    reading, all ints, on the first scale and on a finer one, and so do the
+    tables derived from them: `color_index`, `zero_per`, and the game
+    tables `totals`, `lens` and `bounds`, which `_build_game_tables` builds
+    from the rows and ranges without reading a job's length, weight or
+    window again (no `_ticks` or `scaled` call). `_scaled` reads int and
+    `Fraction` starts alike. An off-scale length raises the same message."""
     tally = collections.Counter()
     for seed in range(60):
         rng = random.Random(f"core:{seed}")
@@ -779,6 +782,23 @@ def test_integer_core_matches_the_fraction_reading():
             assert got == _fraction_core(inst, scale)
             assert all(type(x) is int for row in core.rows for x in row)
             assert type(core.base_scaled) is int and type(core.wden) is int
+            cix = {c: i for i, c in enumerate(inst.color_ids)}
+            zero_per, totals = [0] * len(cix), [0] * len(cix)
+            for j in inst.jobs:
+                totals[cix[j.color]] += j.weight * core.wden
+                zero_per[cix[j.color]] += j.weight * core.wden if j.length == 0 else 0
+            bounds = {c: [] for c in cix}
+            for ids_ in machine._job_groups(inst):
+                j = inst.job(ids_[0])
+                bounds[j.color].append((j.release * scale,
+                                        (j.due(inst.horizon) - j.length) * scale,
+                                        j.length * scale))
+            core.groups  # builds the game tables
+            assert core.color_index == cix and core.zero_per == zero_per
+            assert core.totals == tuple(totals) and core.bounds == bounds
+            assert core.lens == [j.length * scale for j in inst.jobs]
+            assert all(type(x) is int for x in itertools.chain(
+                core.zero_per, core.totals, core.lens, *sum(core.bounds.values(), [])))
         starts = random_profile(inst, seed).as_dict()
         starts = {jid: int(x) if x.denominator == 1 and jid % 2 else x
                   for jid, x in starts.items()}
@@ -786,6 +806,14 @@ def test_integer_core_matches_the_fraction_reading():
         assert times == [starts[j.id].numerator * (st.td // starts[j.id].denominator)
                          for j in inst.jobs]
     assert all(tally[k] for k in ("int", "zero length", "zero weight", "window")), tally
+    tree = ast.parse(pathlib.Path(machine.__file__).read_text())
+    (build,) = [fn for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "MachineCache"
+                for fn in cls.body if getattr(fn, "name", None) == "_build_game_tables"]
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(build)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert named.isdisjoint({"_ticks", "scaled", "length", "weight", "window", "release",
+                             "due"}), named
     inst = _inst(3, (1, F(1, 3), 1), (2, 1, 1))
     message = re.escape("time 1/3 is off the time scale 1/4")
     with pytest.raises(InternalFailure, match=message):
