@@ -66,9 +66,11 @@ head pattern. `_grid_ne` answers a memo miss whose head is the current key's
 from a type memo that lives for the call only, and the DP runs on a type
 miss. That serves the enumeration's own keys and, by the typed route it
 passes down to its verdict searches, those of the moving job's owner that
-move that job alone; other keys defer to the DP. The head's endpoints are
-ranked again only when they move. Best-response keys seldom repeat a type,
-so the memo is not kept on the core.
+move that job alone; other keys defer to the DP. The enumeration stores
+none of its own keys in the core's memo, so that memo holds search answers
+only. The head's endpoints are ranked again only when they move.
+Best-response keys seldom repeat a type, so the type memo is not kept on the
+core.
 """
 
 from __future__ import annotations
@@ -535,19 +537,24 @@ def _grid_ticks(instance: Instance, resolution: int):
     2L, where L is the lcm of the denominators of the horizon, the lengths
     and the window bounds (`machine._time_lcm`). The grid is the alignment
     closure of {0, T} and the window bounds under adding and subtracting job
-    lengths, `resolution` rounds deep, which lies in (1/L)Z, and its shift
-    by half the minimum gap, which lies in (1/2L)Z. A job's candidates are
-    the grid points in its range of starts plus both ends of that range. A
-    solver core's `td` is a multiple of 4L, so callers that hold one scale
-    these by `td // 2L`. A resolution that is not an int (a `bool` is not)
-    or is below 1 raises `ValidationError`."""
+    lengths, `resolution` rounds deep or up to the first round that adds no
+    point, which lies in (1/L)Z, and its shift by half the minimum gap,
+    which lies in (1/2L)Z. A job's candidates are the grid points in its
+    range of starts plus both ends of that range. A solver core's `td` is a
+    multiple of 4L, so callers that hold one scale these by `td // 2L`. A
+    resolution that is not an int (a `bool` is not) or is below 1 raises
+    `ValidationError`."""
     _check_int(resolution, "grid resolution", 1)
     den = 2 * _time_lcm(instance)
     T = _ticks(instance.horizon, den)
     pts = {0, T, *[_ticks(x, den) for j in instance.jobs for x in j.window or ()]}
     lengths = {_ticks(j.length, den) for j in instance.jobs} - {0}
-    for _ in range(resolution):
-        pts |= {y for x in pts for p in lengths for y in (x + p, x - p) if 0 <= y <= T}
+    new = pts
+    for _ in range(resolution):  # each round shifts only the last round's points
+        new = {y for x in new for p in lengths for y in (x + p, x - p) if 0 <= y <= T} - pts
+        if not new:
+            break
+        pts |= new
     points = sorted(pts.union(_interior(sorted(pts), T)))
     out = {}
     for j in instance.jobs:
@@ -747,7 +754,10 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     `typed`, which the verdict searches get, for any key whose head
     (`_type_signer`, split off the job `_grid_keys` moves fastest) is the
     current key's: that serves the verdict searches of the player who owns
-    that job. Every other key defers to the DP.
+    that job. Every other key defers to the DP. The enumeration reads the
+    core's memo but stores none of its own keys there, so the memo holds
+    search answers only; a search that reaches an enumerated key stores it
+    through `evaluate_key`.
 
     Each key's verdict is `_profile_stable`'s, which reads the players' grid
     records and leaves building them, searching and writing bounds to
@@ -770,7 +780,7 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     found = []
     for key in keys:
         head = head_starts(key)
-        value, per = memo.get(key) or _bounded_put(memo, key, by_type(key, head))
+        value, per = memo.get(key) or by_type(key, head)
         if _profile_stable(instance, cache, key, per, scan, force, typed):
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the

@@ -10,6 +10,7 @@ import pathlib
 import pickle
 import random
 import re
+import time
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
@@ -237,6 +238,23 @@ def test_integer_global_grid_matches_the_fraction_reference():
             rng = random.Random(f"igl-profile:{resolution}")
             assert random_profile(inst, resolution, resolution) == Profile.from_dict(
                 {jid: rng.choice(c) for jid, c in reference.items()})
+
+
+def test_grid_closure_stops_at_the_first_round_that_adds_nothing():
+    # ex1's closure is whole after two rounds. A million rounds took 3.4 s
+    # when every round ran, and 10**30 never returned, so the timed call
+    # comes first: code that runs every round fails it instead of hanging.
+    inst = fixture("ex1").instance
+    start = time.perf_counter()
+    assert joint_grid_size(inst, 10 ** 6) == joint_grid_size(inst, 2) == 49
+    assert time.perf_counter() - start < 0.5
+    for inst in _grid_pin_instances():
+        r = 1
+        while equilibrium.global_grid_points(inst, r) != \
+                equilibrium.global_grid_points(inst, r + 1):
+            r += 1
+        for view in (joint_grid_size, equilibrium.global_grid_points, grid_candidates):
+            assert view(inst, 10 ** 30) == view(inst, r)
 
 
 def test_resolution_below_one_is_rejected():
@@ -670,9 +688,12 @@ def test_enumeration_asks_player_stable_only_to_search(monkeypatch):
     # `_profile_stable` settles a verdict from a covered player or its
     # record's bounds itself, so `_player_stable` is asked once per search.
     # Before, it was asked for every scanned player: 16,328 and 6,489 times.
+    # The enumeration keeps its own keys out of the core's memo, so a search
+    # that lands on an earlier key runs its DP again: 2,507 and 2,020 calls
+    # when the enumeration stored them.
     from intervalgames import machine
-    cases = [(from_partition_decide((1, 3, 3, 3)).instance, 935, 2507),
-             (fixture("prop_no_ne").instance, 248, 2020)]
+    cases = [(from_partition_decide((1, 3, 3, 3)).instance, 935, 2511),
+             (fixture("prop_no_ne").instance, 248, 2184)]
     expected = [_plain_grid_ne(copy.copy(inst)) for inst, _, _ in cases]
     searches = _counting_searches(monkeypatch)
     stable, dp = [], []
@@ -1427,8 +1448,8 @@ def test_enumeration_runs_one_dp_per_order_type(monkeypatch, evaluated_keys):
     assert types == 4510 and found == exact_found == []
     # The exact signer gives every key its own DP call: these are the
     # counts without DP-exact types.
-    assert (typed["enum_dp"], typed["search_dp"]) == (1826, 681)
-    assert (exact["enum_dp"], exact["search_dp"]) == (10838, 2884)
+    assert (typed["enum_dp"], typed["search_dp"]) == (1826, 685)
+    assert (exact["enum_dp"], exact["search_dp"]) == (10838, 2888)
     for count in ("search_lookups", "search_hits"):
         assert typed[count] == exact[count] > 0
 
@@ -1442,10 +1463,25 @@ def test_type_memo_moves_one_job_of_a_multi_job_group(monkeypatch, evaluated_key
     (found, typed, _), (exact_found, exact, _) = _typed_and_exact_runs(
         monkeypatch, evaluated_keys, inst)
     assert found == exact_found == []
-    assert (typed["enum_dp"], typed["search_dp"]) == (1635, 385)
-    assert (exact["enum_dp"], exact["search_dp"]) == (3376, 389)
+    assert (typed["enum_dp"], typed["search_dp"]) == (1635, 549)
+    assert (exact["enum_dp"], exact["search_dp"]) == (3376, 553)
     for count in ("search_lookups", "search_hits"):
         assert typed[count] == exact[count] > 0
+
+
+def test_enumeration_leaves_only_search_answers_in_the_memo(evaluated_keys):
+    # The enumeration answers its own keys from its type memo and stores
+    # none of them: the core's memo holds the keys its searches asked for.
+    # When it stored them, the memo held 13,818 and 3,765 entries against
+    # grids of 12,012 and 3,465 profiles.
+    for inst in (from_partition_decide((1, 3, 3, 3)).instance,
+                 fixture("prop_no_ne").instance):
+        inst = copy.copy(inst)
+        evaluated_keys.clear()
+        assert enumerate_grid_ne(inst) == []
+        memo = MachineCache.of(inst)._cache
+        assert memo and set(memo) <= set(evaluated_keys)
+        assert len(memo) < joint_grid_size(inst)
 
 
 def test_bounded_tables_clear_without_changing_results(monkeypatch):
@@ -1790,7 +1826,9 @@ def test_background_route_changes_no_result(monkeypatch):
 def test_no_background_route_outlives_its_search(monkeypatch):
     """A best-mode walk whose route raises midway, or an enumeration whose
     verdict search raises, leaves the core answering as a fresh copy does,
-    with only DP answers in its memo."""
+    with only DP answers in its memo. The enumeration stores none of its
+    own keys, so the guarded one, stopped before its first search ends,
+    leaves the memo empty."""
     from intervalgames import machine
     fx = from_partition_br((1, 2, 3))
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
@@ -1818,9 +1856,10 @@ def test_no_background_route_outlives_its_search(monkeypatch):
     guarded = copy.copy(guarded)
     with pytest.raises(GuardError, match=message):
         enumerate_grid_ne(guarded)
-    for core in (MachineCache.of(inst), MachineCache.of(guarded)):
-        assert core._cache and all(
-            value == core.solve_key(key) for key, value in core._cache.items())
+    core = MachineCache.of(inst)
+    assert core._cache and all(
+        value == core.solve_key(key) for key, value in core._cache.items())
+    assert MachineCache.of(guarded)._cache == {}
 
 
 def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
