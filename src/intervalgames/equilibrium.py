@@ -45,9 +45,11 @@ players' placements (see `_player_stable`). The memo is exact: it holds only
 bounds that a search over the same grid proved, by three rules that also
 settle profiles whose starts are off the aligned lists. It is bounded: it
 lives in the core's grid cache, which is cleared past
-`machine.GRID_CACHE_LIMIT` entries. `_profile_stable` reads the bounds of
-existing records for each profile and calls `_player_stable` where they do
-not settle a verdict; only that builds records and writes bounds. The memo
+`machine.GRID_CACHE_LIMIT` entries, and enumeration drops a record of the
+one-job owner of the job it moves fastest once its run of keys ends
+(`_grid_ne`). `_profile_stable` reads the bounds of existing records for
+each profile and calls `_player_stable` where they do not settle a verdict;
+only that builds records and writes bounds. The memo
 leaves the searched grid unchanged, so the enumerated equilibria are those
 of the plain search. Utilities are compared as integers over the lcm of the
 weight denominators, and equilibria are sorted as (value, starts) ints.
@@ -68,9 +70,9 @@ miss. That serves the enumeration's own keys and, by the typed route it
 passes down to its verdict searches, those of the moving job's owner that
 move that job alone; other keys defer to the DP. The enumeration stores
 none of its own keys in the core's memo, so that memo holds search answers
-only. The head's endpoints are ranked again only when they move.
-Best-response keys seldom repeat a type, so the type memo is not kept on the
-core.
+only, and equal answers share one tuple. The head's endpoints are ranked
+again only when they move. Best-response keys seldom repeat a type, so the
+type memo is not kept on the core.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def _strategy(cache: MachineCache, key, player: int) -> dict[int, Fraction]:
 
 def _player_search(instance: Instance, cache: MachineCache, key: tuple,
                    player: int, *, mode: str, force: bool = False,
-                   lists=None, prefer_value: bool = False, route=None):
+                   lists=None, prefer_value: bool = False, route=None, u_cur=None):
     """Search the player's joint strategy grid from the profile `key`.
 
     mode="best": return the best (key, utility), the utility an int over
@@ -336,12 +338,15 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     mode="first": return the first strictly improving (key, utility), or
     None; its memo misses go to `route` first (see `evaluate_key`).
     `lists`, one candidate list per group of the player on the core's scale
-    (see `_global_lists`), replaces the local grid.
+    (see `_global_lists`), replaces the local grid. `u_cur`, the player's
+    utility at `key` when its caller holds it, spares the search evaluating
+    (and storing) its own key.
     """
     if not instance.jobs_of_color(player):
         raise ValidationError(f"instance has no player {player}")
     pix = cache.color_index[player]
-    u_cur = cache.evaluate_key(key, route)[1][pix]
+    if u_cur is None:
+        u_cur = cache.evaluate_key(key, route)[1][pix]
     if u_cur == cache.totals[pix]:  # fully covered players cannot improve
         return (key, u_cur) if mode == "best" else None
 
@@ -455,7 +460,7 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
             union is coded for (_, union), coded in zip(lists, record.coded))):
         return True
     found = _player_search(instance, cache, key, player, mode="first", force=force,
-                           lists=[union for _, union in lists], route=route)
+                           lists=[union for _, union in lists], route=route, u_cur=u_cur)
     if found is None:
         record.hi = min(record.hi, u_cur)
         return True
@@ -750,25 +755,40 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
 
     A key missing from the core's memo is answered from a DP-exact type memo
     that lives for this call only, and `_dp_core` runs only when that memo
-    misses too. The enumeration asks it for its own keys, and the route
-    `typed`, which the verdict searches get, for any key whose head
-    (`_type_signer`, split off the job `_grid_keys` moves fastest) is the
-    current key's: that serves the verdict searches of the player who owns
-    that job. Every other key defers to the DP. The enumeration reads the
-    core's memo but stores none of its own keys there, so the memo holds
-    search answers only; a search that reaches an enumerated key stores it
-    through `evaluate_key`.
+    misses too. A type miss stores the DP's answer through a table of the
+    call's distinct answers, bounded at `machine.MEMO_LIMIT` entries like the
+    type memo, so keys with equal (value, per-color utilities) share one
+    tuple, here and in the core's memo. The enumeration asks the type memo
+    for its own keys, and the route `typed`, which the verdict searches get,
+    for any key whose head (`_type_signer`, split off the job `_grid_keys`
+    moves fastest) is the current key's: that serves the verdict searches of
+    the player who owns that job. Every other key defers to the DP. The
+    enumeration reads the core's memo but stores none of its own keys there,
+    and a verdict search is handed the current key's utility, so the memo
+    holds the keys the searches walk; a search that reaches an enumerated key
+    stores it through `evaluate_key`.
 
     Each key's verdict is `_profile_stable`'s, which reads the players' grid
     records and leaves building them, searching and writing bounds to
-    `_player_stable`."""
-    _, positions = max(group for groups in cache.groups.values() for group in groups)
+    `_player_stable`. When the moving job's owner has no other job, its
+    records are keyed by every other job's start, which stay fixed over one
+    run of keys and never recur: when the head, a part of those starts,
+    changes, the run's record leaves the grid cache. A record holds only
+    proven bounds, so no verdict, search or DP count changes. (A zero-length
+    job that moves alone changes no head, so its run's record stays.)"""
+    (_, positions), owner = max((group, player) for player, groups in cache.groups.items()
+                                for group in groups)
     head_starts, sign = _type_signer(cache, positions[-1])
-    memo, types, head = cache._cache, {}, None
+    memo, types, answers, head, block = cache._cache, {}, {}, None, None
+    owner = owner if len(instance.jobs_of_color(owner)) == 1 else None
 
     def by_type(key: tuple, starts: tuple):
         sig = sign(key, starts)
-        return types.get(sig) or _bounded_put(types, sig, cache.solve_key(key))
+        hit = types.get(sig)
+        if hit is None:  # one tuple per distinct answer, shared by its types
+            hit = cache.solve_key(key)
+            hit = _bounded_put(types, sig, answers.get(hit) or _bounded_put(answers, hit, hit))
+        return hit
 
     def typed(key: tuple):
         starts = head_starts(key)
@@ -779,7 +799,12 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
         instance.color_ids, key=lambda c: (len(instance.jobs_of_color(c)), c)))
     found = []
     for key in keys:
-        head = head_starts(key)
+        starts = head_starts(key)
+        if starts != head:
+            head = starts
+            if owner is not None:  # every head change ends the owner's run
+                cache.grid_cache.pop(block, None)
+                block = cache.others_key(owner, key)
         value, per = memo.get(key) or by_type(key, head)
         if _profile_stable(instance, cache, key, per, scan, force, typed):
             found.append((value, key))

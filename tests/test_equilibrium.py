@@ -1484,10 +1484,27 @@ def test_enumeration_leaves_only_search_answers_in_the_memo(evaluated_keys):
         assert len(memo) < joint_grid_size(inst)
 
 
+def test_enumeration_frees_finished_records_and_shares_equal_answers():
+    # Player 2 owns one job, the one `_grid_keys` moves fastest, so each of
+    # its records serves one run of keys and is dropped when the run ends;
+    # equal DP answers share one tuple. Before either, the enumeration left
+    # 924 records of player 2, and the memo's 4,475 entries held 1,275
+    # distinct tuples.
+    inst = copy.copy(from_partition_decide((1, 3, 3, 3)).instance)
+    assert enumerate_grid_ne(inst) == []
+    cache = MachineCache.of(inst)
+    _, owner = max((group, player) for player, groups in cache.groups.items()
+                   for group in groups)
+    assert owner == 2 and len(inst.jobs_of_color(2)) == 1
+    assert sum(player == 2 for player, _ in cache.grid_cache) <= 1
+    memo = cache._cache
+    assert memo and len({id(answer) for answer in memo.values()}) < len(memo) / 10
+
+
 def test_bounded_tables_clear_without_changing_results(monkeypatch):
     # With both limits at 1, the core's memo, the grid cache, the DP-exact
-    # type memo and the signer's per-pattern class tables are cleared at
-    # every other write during one enumeration.
+    # type memo, its table of distinct answers and the signer's per-pattern
+    # class tables are cleared at every other write during one enumeration.
     from intervalgames import machine
     instances = [fixture(name, **params).instance for name, params in (
         ("ex1", {}), ("prop_no_ne", {}), ("pos_two", {}), ("poa_tight", {"n": 3}),
@@ -1501,8 +1518,9 @@ def test_bounded_tables_clear_without_changing_results(monkeypatch):
 
     def recording(table, key, value, limit=None):
         if len(table) > (machine.MEMO_LIMIT if limit is None else limit):
-            # The grid cache and the class tables take the grid limit.
-            cleared["types" if limit is None else
+            # The grid cache and the class tables take the grid limit; the
+            # answer table maps each answer to itself.
+            cleared[("answers" if key is value else "types") if limit is None else
                     "grid" if table is cores[-1].grid_cache else "classes"] += 1
         return put(table, key, value, limit)
 
@@ -1520,7 +1538,7 @@ def test_bounded_tables_clear_without_changing_results(monkeypatch):
     # Each table is cleared midway through some enumeration; the type memo
     # in every one.
     assert all(d["types"] for d in deltas), deltas
-    assert all(any(d[t] for d in deltas) for t in ("grid", "classes")), deltas
+    assert all(any(d[t] for d in deltas) for t in ("grid", "classes", "answers")), deltas
 
 
 # --- analysis ---------------------------------------------------------------------
