@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +31,15 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """`concurrent.futures.ProcessPoolExecutor`, imported on first use: only
+    `analyze --family --jobs N` with N > 1 starts a pool, and a top-level
+    import would load `multiprocessing` and its dependencies into every
+    `igl` process."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _emit(payload) -> None:

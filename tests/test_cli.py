@@ -324,6 +324,38 @@ def test_analyze_family_bounds_jobs_by_cpu_count(capsys, monkeypatch):
     assert started == [2, 3]
 
 
+def _fresh_python(code: str, *argv):
+    """Run `code`, with `argv`, in a fresh interpreter on this checkout's
+    source."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_cli_import_loads_no_process_pool():
+    """Importing the CLI leaves the process-pool machinery unloaded: only
+    `analyze --family --jobs N` with N > 1 imports it."""
+    run = _fresh_python("import sys, intervalgames.cli; print(sorted(m for m in "
+                        "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == b"[]\n"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="--jobs 2 needs at least 2 CPUs without --force")
+def test_analyze_family_jobs_2_matches_jobs_1_through_a_real_pool():
+    """`--jobs 2` starts two worker processes through the real pool and prints
+    the bytes, with the exit code, of the in-process `--jobs 1` run."""
+    family = ("analyze", "--family", "single", "--count", "2", "--seed", "11",
+              "--n", "2", "--c", "2")
+    code = "import sys; from intervalgames.cli import main; sys.exit(main(sys.argv[1:]))"
+    one, two = (_fresh_python(code, *family, "--jobs", jobs) for jobs in ("1", "2"))
+    assert one.returncode == 0, one.stderr
+    assert (two.returncode, two.stdout) == (one.returncode, one.stdout)
+    assert json.loads(one.stdout)["count"] == 2
+
+
 def test_missing_file_exit_code(capsys):
     code, _ = _run(capsys, "opt", "/nonexistent/instance.json")
     assert code == 2
