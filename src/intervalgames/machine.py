@@ -33,8 +33,12 @@ never meet in one key. The machine entries (`solve_machine_dp`,
 `solve_machine_bruteforce`, `machine_value_and_covered`) follow the rule as
 the search entries do, reject a known job's start outside its range by
 comparing ints with the core's ranges (`_checked`), run the DP on the core's
-own rows, and never read or write the memo. `Fraction`s are built only for
-returned values, segment endpoints and error messages.
+own rows, and never read or write the memo. The two that take a `Profile`
+reject one that places a job twice (`model._starts_of`);
+`machine_value_and_covered` is the DP schedule's value and covered set for a
+mapping of starts, so a job is covered by one definition, `_closure`'s.
+`Fraction`s are built only for returned values, segment endpoints and error
+messages.
 
 Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
 the one whose last job has the smallest id, the empty configuration counting
@@ -202,10 +206,6 @@ class MachineCache:
          self._others, self._cache, self.grid_cache) = (
             ids, pos, tuple(totals), lens, bounds, other_pos, others, {}, {})
         self._groups = groups
-
-    def scaled(self, x: Fraction) -> int:
-        """A weight as a numerator over `wden`."""
-        return x.numerator * (self.wden // x.denominator)
 
     def key(self, starts: Mapping[int, Fraction]) -> tuple:
         """A profile on the core's scale (see `of`) as a memo key; the game
@@ -428,18 +428,6 @@ def _background(st: MachineCache, key: tuple, pix: int, walk):
     return tables, score
 
 
-def _covered_ids(st: MachineCache, mask: int, view) -> frozenset[int]:
-    ids = view[4]
-    covered = set(st.zero_ids)
-    while mask:
-        low = mask & -mask
-        covered.add(ids[low.bit_length() - 1])
-        mask ^= low
-    # Copied from a set, the frozenset's table is sized for its final count;
-    # one grown item by item can be twice as large.
-    return frozenset(covered)
-
-
 def _brute_core(rows, times, force: bool):
     view = _view(rows, times)
     s, f, w, col, ids = view
@@ -545,8 +533,8 @@ def solve_machine_bruteforce(instance: Instance, profile: Profile,
 
 def machine_value_and_covered(instance: Instance,
                               starts: Mapping[int, Fraction]) -> tuple[Fraction, frozenset[int]]:
-    """The machine's value and covered set for a `Fraction` profile, without
-    segments; it never touches the memo."""
+    """The DP schedule's value and covered set for a mapping of starts by
+    job id: `solve_machine_dp`'s, closure included; it never touches the memo."""
     st, times = _checked(instance, starts)
-    top, mask, view = _dp_core(st.rows, times)
-    return Fraction(st.base_scaled + top, st.wden), _covered_ids(st, mask, view)
+    schedule = _closure(st, starts, *_dp_core(st.rows, times))
+    return schedule.value, schedule.covered

@@ -254,14 +254,20 @@ def _check_start(instance: Instance, j: Job, s) -> None:
 
 def _starts_of(profile: Profile) -> dict:
     """The profile's starts by job id. Anything but a `Profile`, a mapping
-    of starts too, raises `ValidationError` naming its type."""
+    of starts too, raises `ValidationError` naming its type, and a profile
+    that places a job twice raises it naming the first such job."""
     if not isinstance(profile, Profile):
         raise ValidationError(f"expected a Profile, got {type(profile).__name__}")
-    return profile.as_dict()
+    starts = profile.as_dict()
+    if len(starts) < len(profile.placements):
+        ids = [jid for jid, _ in profile.placements]
+        twice = next(jid for n, jid in enumerate(ids) if jid in ids[:n])
+        raise ValidationError(f"job {twice}: placed twice")
+    return starts
 
 
 def validate_profile(instance: Instance, profile: Profile) -> Profile:
-    """Check the profile places every job inside [0, T) and its window."""
+    """Check the profile places each job once, inside [0, T) and its window."""
     starts = _starts_of(profile)
     for j in instance.jobs:
         if j.id not in starts:
@@ -269,7 +275,11 @@ def validate_profile(instance: Instance, profile: Profile) -> Profile:
         _check_start(instance, j, starts[j.id])
     extra = set(starts) - {j.id for j in instance.jobs}
     if extra:
-        raise ValidationError(f"start given for unknown job {min(extra)}")
+        try:
+            first = min(extra)
+        except TypeError:  # ids that cannot be compared: the first placed
+            first = next(jid for jid in starts if jid in extra)
+        raise ValidationError(f"start given for unknown job {first}")
     return profile
 
 

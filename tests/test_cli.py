@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -639,6 +640,25 @@ def test_mutated_inputs_never_escape_the_library(data):
     for call in calls:
         with contextlib.suppress(GameError):
             call()
+
+
+def test_every_tracer_seam_resolves_against_the_package(monkeypatch):
+    """Each seam of the benchmark's tracer (`perfbench/tracing.py`) names a
+    callable the package still has. The tracer skips a seam that does not
+    resolve and leaves its metrics out of the report, so a refactor that
+    drops one, such as the `machine.entry` seam's
+    `equilibrium.machine_value_and_covered`, would otherwise show only as
+    names missing from a traced benchmark result."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    loaded = [name for name in ("tracing", "calibration") if name not in sys.modules]
+    try:
+        tracing = importlib.import_module("tracing")
+        unresolved = [seam for seam, module, path in tracing.SEAMS
+                      if tracing._resolve(module, path) is None]
+    finally:
+        for name in loaded:  # keep the benchmark's modules out of later tests
+            sys.modules.pop(name, None)
+    assert tracing.SEAMS and not unresolved, unresolved
 
 
 @given(name=st.sampled_from(fixture_names()), command=st.sampled_from(_FIXTURE_COMMANDS),

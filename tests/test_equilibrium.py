@@ -1688,21 +1688,27 @@ def test_solver_core_is_not_part_of_the_value(jobs):
     ({1: F(0), 2: F(0), 3: F(7)}, "job 3: interval [7, 8) outside [0, 4)"),
     ({1: F(0), 2: F(0), 3: F(-1)}, "job 3: interval [-1, 0) outside [0, 4)"),
     ({1: F(0), 2: F(0), 3: F(0), 9: F(0)}, "start given for unknown job 9"),
+    # Placements that no mapping holds: a job placed twice, and unknown ids
+    # that cannot be compared (they used to pass, and to raise `TypeError`).
+    (((1, F(0)), (2, F(0)), (3, F(1)), (3, F(0))), "job 3: placed twice"),
+    (((1, F(0)), (2, F(0)), (3, F(0)), ("a", F(0)), (7, F(0))),
+     "start given for unknown job a"),
 ])
 def test_search_entries_validate_their_profile(starts, message):
     """`best_response` and `is_nash` reject a profile that `brd` rejects,
     instead of searching from starts the game does not allow."""
     fx = fixture("ex1")
     inst, valid = fx.instance, fx.notable_profiles["figure_a"]
-    profile = Profile.from_dict(starts)
+    placed = isinstance(starts, tuple)
+    profile = Profile(starts) if placed else Profile.from_dict(starts)
     dev = equilibrium.Deviation(2, ((3, F(2)),), F(0), F(1))
     searches = [lambda: best_response(inst, profile, 2),
                 lambda: is_nash(inst, profile),
                 lambda: is_nash(inst, profile, first_improvement=True),
                 lambda: brd(inst, profile),
                 lambda: verify_deviation(inst, profile, dev)]
-    # The starts past job 2, given as a move from a valid profile.
-    moved = tuple((j, s) for j, s in starts.items() if j > 2)
+    # The starts past job 2 of a mapping, given as a move from a valid profile.
+    moved = not placed and tuple((j, s) for j, s in starts.items() if j > 2)
     if moved:
         move = equilibrium.Deviation(2, moved, F(0), F(1))
         searches.append(lambda: verify_deviation(inst, valid, move))

@@ -26,7 +26,7 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            validate_instance, validate_profile)
 from intervalgames import equilibrium, machine
 from intervalgames.generators import FAMILIES
-from intervalgames.machine import _closure, _covered_ids, _dp_core, _scaled, _view
+from intervalgames.machine import _closure, _dp_core, _scaled, _view
 from intervalgames.model import Schedule
 from conftest import check_schedule_invariants, core_keys
 
@@ -445,8 +445,9 @@ def test_evaluate_key_utilities_match_the_covered_mask(case, limit):
         ids = view[4]
         covered = {ids[k] for k in range(len(ids)) if mask >> k & 1}
         covered |= {j.id for j in inst.jobs if j.length == 0}
-        per = tuple(sum(cache.scaled(j.weight) for j in inst.jobs
-                        if j.id in covered and j.color == c) for c in inst.color_ids)
+        per = tuple(sum(j.weight.numerator * (cache.wden // j.weight.denominator)
+                        for j in inst.jobs if j.id in covered and j.color == c)
+                    for c in inst.color_ids)
         return cache.base_scaled + top, per
 
     with pytest.MonkeyPatch.context() as mp:
@@ -583,7 +584,8 @@ def _per_color_closure(st, starts, top, mask, view):
         raise InternalFailure("closure pass found uncounted positive weight "
                               "(solver bug)")
     colors = st.color_ids
-    return Schedule(_covered_ids(st, mask | free, view),
+    covered = st.zero_ids | {ids[k] for k in range(len(ids)) if (mask | free) >> k & 1}
+    return Schedule(frozenset(covered),
                     tuple((starts[first[a]], F(b, st.td), colors[c]) for a, b, c in segments),
                     F(st.base_scaled + top, st.wden))
 
@@ -632,7 +634,7 @@ def test_closure_matches_the_per_color_reference():
                     assert i > 0, got  # the DP's own mask always closes
                     tally[got.split()[0]] += 1
                     continue
-                tally["free"] += len(got.covered) > len(_covered_ids(st, m, view))
+                tally["free"] += len(got.covered) > len(st.zero_ids) + bin(m).count("1")
                 tally["adjacent"] += any(b == a for (_, b, _), (a, _, _)
                                          in zip(got.segments, got.segments[1:]))
                 s, f, col = view[0], view[1], view[3]
@@ -690,6 +692,27 @@ def test_closure_covers_a_zero_weight_job_across_a_junction_for_free():
             assert got == "closure pass found uncounted positive weight (solver bug)"
         else:
             assert got.covered == frozenset({1, 2, 3}) and got.segments == ((0, 3, 1),)
+
+
+def test_machine_value_and_covered_reads_the_closed_dp_schedule():
+    """`machine_value_and_covered` returns `solve_machine_dp`'s value and
+    covered set. On T = 4, job 3 ([3/2, 5/2), weight 0) lies in neither
+    color-1 job ([0, 2) and [2, 4)) alone but in their merged segment: the
+    closure covers it, and the function used to leave it out of its own
+    covered set, read from the DP mask alone."""
+    inst = _inst(4, (1, 2, 1), (1, 2, 1), (1, 1, 0))
+    profile = Profile.from_dict({1: F(0), 2: F(2), 3: F(3, 2)})
+    sched = solve_machine_dp(inst, profile)
+    assert sched.covered == frozenset({1, 2, 3})
+    assert machine.machine_value_and_covered(inst, profile.as_dict()) == (
+        sched.value, sched.covered)
+    for seed in range(40):
+        family, n = FAMILIES[seed % len(FAMILIES)], 2 + seed % 7
+        inst = random_instance(family, n, n if family == "single" else 2, 3, seed)
+        profile = random_profile(inst, seed)
+        sched = solve_machine_dp(inst, profile)
+        assert machine.machine_value_and_covered(inst, profile.as_dict()) == (
+            sched.value, sched.covered)
 
 
 def test_closure_raises_each_failure_and_overlap_first():

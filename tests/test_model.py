@@ -1,6 +1,7 @@
 """Domain types, parsing, validation, and document round-trips."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from intervalgames import (FormatError, Instance, Job, Profile, ValidationError,
                            fixture, instance_to_json, parse_instance,
-                           parse_profile, profile_to_json, solve_machine_dp,
-                           to_rational, utilities, validate_instance,
+                           parse_profile, profile_to_json, solve_machine_bruteforce,
+                           solve_machine_dp, to_rational, utilities, validate_instance,
                            validate_profile)
 from conftest import BAD_ID_JOBS
 
@@ -117,6 +118,29 @@ def test_profile_validation_window():
         validate_profile(inst, Profile.from_dict({1: F(0)}))
     with pytest.raises(ValidationError, match="missing start"):
         validate_profile(inst, Profile.from_dict({}))
+
+
+def test_a_profile_placing_a_job_twice_is_rejected():
+    """`validate_profile` and the machine solvers that take a `Profile`
+    reject one that places job 3 twice, naming the job. `validate_profile`
+    used to accept it, and `solve_machine_dp` silently used the last start
+    and returned 4."""
+    inst = fixture("ex1").instance
+    twice = Profile(((1, F(0)), (2, F(0)), (3, F(1)), (3, F(0))))
+    for check in (validate_profile, solve_machine_dp, solve_machine_bruteforce):
+        with pytest.raises(ValidationError, match=re.escape("job 3: placed twice")):
+            check(inst, twice)
+
+
+@pytest.mark.parametrize("unknown, named", [((9, 8), 8), ((7, "a"), 7)])
+def test_validate_profile_names_an_unknown_job(unknown, named):
+    """Among unknown jobs, `validate_profile` names the least id, or the
+    first placed when the ids cannot be compared; ids such as 7 and "a"
+    used to escape as a bare `TypeError` from `min`."""
+    inst = fixture("ex1").instance
+    profile = Profile(((1, F(0)), (2, F(0)), (3, F(0)), *((i, F(0)) for i in unknown)))
+    with pytest.raises(ValidationError, match=re.escape(f"start given for unknown job {named}")):
+        validate_profile(inst, profile)
 
 
 def test_utilities_example_profiles():
