@@ -46,7 +46,7 @@ bounds that a search over the same grid proved, by three rules that also
 settle profiles whose starts are off the aligned lists. It is bounded: it
 lives in the core's grid cache, which is cleared past
 `machine.GRID_CACHE_LIMIT` entries, and enumeration drops a record of the
-one-job owner of the job it moves fastest once its run of keys ends
+one-job owner of the job it moves fastest once its block of keys ends
 (`_grid_ne`). `_profile_stable` reads the bounds of existing records for
 each profile and calls `_player_stable` where they do not settle a verdict;
 only that builds records and writes bounds. The memo
@@ -60,19 +60,17 @@ Grid-NE enumeration shares one machine DP among the keys of a DP-exact type.
 The DP compares only finishes with finishes, finishes with starts (finish <=
 start) and starts with starts of one color, and breaks ties by job id, so
 keys whose positive-length endpoints agree on those comparisons get the same
-(value, per-color utilities). `_type_signer` splits off the job that
-`_grid_keys` moves fastest, the last of the fastest group: the other jobs,
-the head, keep their full order pattern, and the moving job's start and
+(value, per-color utilities). `_type_signer` splits off one job: the other
+jobs, the head, keep their full order pattern, and the job's start and
 finish are coded by their classes against the head, read from two tables per
-head pattern. `_grid_ne` answers a memo miss whose head is the current key's
-from a type memo that lives for the call only, and the DP runs on a type
-miss. That serves the enumeration's own keys and, by the typed route it
-passes down to its verdict searches, those of the moving job's owner that
-move that job alone; other keys defer to the DP. The enumeration stores
-none of its own keys in the core's memo, so that memo holds search answers
-only, and equal answers share one tuple. The head's endpoints are ranked
-again only when they move. Best-response keys seldom repeat a type, so the
-type memo is not kept on the core.
+head pattern. `_grid_ne` answers its memo misses from a type memo that lives
+for the call only, signed on the job `_grid_keys` moves fastest (the last of
+the fastest group), whose blocks of keys share one head; the DP runs on a
+type miss. A player with one job of positive length searches by a typed walk
+(`_typed_walk`) over the same type memo, which moves that job against a head
+read once; multi-job players search through the core's memo, which holds
+their keys only. Equal DP answers share one tuple. Best-response keys seldom
+repeat a type, so the type memo is not kept on the core.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ from .machine import (MachineCache, _bounded_put, _job_groups, _ticks, _time_lcm
                       machine_value_and_covered, solve_machine_dp)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
                     UnsupportedInstanceError, ValidationError, _check_int, _check_start,
-                    utilities, validate_profile)
+                    _starts_of, utilities, validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
 BEST_RESPONSE_MAX_GRID = 64
@@ -325,7 +323,7 @@ def _strategy(cache: MachineCache, key, player: int) -> dict[int, Fraction]:
 
 def _player_search(instance: Instance, cache: MachineCache, key: tuple,
                    player: int, *, mode: str, force: bool = False,
-                   lists=None, prefer_value: bool = False, route=None, u_cur=None):
+                   lists=None, prefer_value: bool = False, u_cur=None):
     """Search the player's joint strategy grid from the profile `key`.
 
     mode="best": return the best (key, utility), the utility an int over
@@ -336,7 +334,7 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     the top of that ranking. The walk is scored by `machine._background`,
     and stores only the keys that route defers and the one it returns.
     mode="first": return the first strictly improving (key, utility), or
-    None; its memo misses go to `route` first (see `evaluate_key`).
+    None.
     `lists`, one candidate list per group of the player on the core's scale
     (see `_global_lists`), replaces the local grid. `u_cur`, the player's
     utility at `key` when its caller holds it, spares the search evaluating
@@ -346,7 +344,7 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
         raise ValidationError(f"instance has no player {player}")
     pix = cache.color_index[player]
     if u_cur is None:
-        u_cur = cache.evaluate_key(key, route)[1][pix]
+        u_cur = cache.evaluate_key(key)[1][pix]
     if u_cur == cache.totals[pix]:  # fully covered players cannot improve
         return (key, u_cur) if mode == "best" else None
 
@@ -359,7 +357,7 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     walk = [(ps, coded) for (_, ps), coded in zip(groups, lists)]
     if mode == "first":
         for cand in _grid_keys(walk, key):
-            u = cache.evaluate_key(cand, route)[1][pix]
+            u = cache.evaluate_key(cand)[1][pix]
             if u > u_cur:
                 return cand, u
         return None
@@ -387,15 +385,18 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     return found, best_u
 
 
-def _scan(instance: Instance, cache: MachineCache, players) -> list:
-    """(player, color index, total, one job?) for each of `players`, in
-    order: what `_profile_stable` reads of a player before its record."""
+def _scan(instance: Instance, cache: MachineCache, players, walks=None) -> list:
+    """(player, color index, total, one job?, walk) for each of `players`,
+    in order: what `_profile_stable` reads of a player before its record.
+    `walk` is the player's typed walk in `walks` (see `_typed_walk`), or
+    None."""
+    walks = walks or {}
     return [(c, cache.color_index[c], cache.totals[cache.color_index[c]],
-             len(instance.jobs_of_color(c)) == 1) for c in players]
+             len(instance.jobs_of_color(c)) == 1, walks.get(c)) for c in players]
 
 
 def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
-                    per: tuple, scan: list, force: bool, route=None) -> bool:
+                    per: tuple, scan: list, force: bool) -> bool:
     """Whether no player of `scan` (from `_scan`, in order) has an improving
     grid move at `key`, whose per-color utilities are `per`.
 
@@ -404,7 +405,7 @@ def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
     when `hi` does not (rules (b) and (c) of `_player_stable`); every other
     verdict goes to `_player_stable` with the record looked up, or None."""
     records, others = cache.grid_cache, cache.others_key
-    for player, pix, total, single in scan:
+    for player, pix, total, single, walk in scan:
         u = per[pix]
         if u == total:
             continue
@@ -416,18 +417,18 @@ def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
             if single and record.hi <= u:
                 continue
         if not _player_stable(instance, cache, key, u, player, others_key, record, force,
-                              route):
+                              walk):
             return False
     return True
 
 
 def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
                    u_cur: int, player: int, others_key: tuple,
-                   record: Optional[_GridRecord], force: bool, route=None) -> bool:
+                   record: Optional[_GridRecord], force: bool, walk=None) -> bool:
     """Whether the player, at utility `u_cur` below its total, has no
-    improving grid move: the verdict of a first-improvement `_player_search`
-    (given `route`), with the same guards in the same order, read from the
-    grid record's bounds when they settle it.
+    improving grid move: the verdict of a first-improvement `_player_search`,
+    with the same guards in the same order, read from the grid record's
+    bounds when they settle it.
 
     The player's searched lists are the aligned lists of the record plus
     its current starts, and a deviation's utility does not depend on the
@@ -447,8 +448,11 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     current starts into it once (`_coded_grid`). A `big` record's guards run
     first, on the merged lists, as the search's do; then every verdict reads
     (b) and (c) once, each start counting as aligned when each merged list
-    is the record's own. The search walks the merged lists. Only this builds
-    records and writes bounds."""
+    is the record's own. The search walks the merged lists: the player's
+    typed walk `walk` (`_typed_walk`), given for a one-job player in grid-NE
+    enumeration, walks its one list in place of `_player_search`; it runs
+    no guard, since a `big` record's guards ran here and a record that is
+    not `big` cannot trip one. Only this builds records and writes bounds."""
     if record is None:
         record = _grid_record(cache, key, player, others_key)
     _, lists = _coded_grid(cache, key, player, record)
@@ -459,8 +463,9 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1 or all(
             union is coded for (_, union), coded in zip(lists, record.coded))):
         return True
-    found = _player_search(instance, cache, key, player, mode="first", force=force,
-                           lists=[union for _, union in lists], route=route, u_cur=u_cur)
+    merged = [union for _, union in lists]
+    found = (walk(key, merged[0], u_cur) if walk else _player_search(
+        instance, cache, key, player, mode="first", force=force, lists=merged, u_cur=u_cur))
     if found is None:
         record.hi = min(record.hi, u_cur)
         return True
@@ -519,12 +524,13 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
 
 def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bool:
     """Re-check a deviation from scratch with the machine DP (no memo): exact
-    strict improvement. An invalid profile or move raises `ValidationError`."""
+    strict improvement. An invalid profile or move, one that places a job
+    twice included, raises `ValidationError`."""
     validate_profile(instance, profile)
     if not instance.jobs_of_color(dev.player):
         raise ValidationError(f"instance has no player {dev.player}")
     moved = validate_profile(instance, Profile.from_dict(
-        {**profile.as_dict(), **dict(dev.new_strategy)}))
+        {**profile.as_dict(), **_starts_of(Profile(dev.new_strategy))}))
     for jid, _ in dev.new_strategy:
         if instance.job(jid).color != dev.player:
             raise ValidationError(f"job {jid} is not a job of player {dev.player}")
@@ -676,10 +682,10 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     return [(cache.profile(key), Fraction(value, cache.wden)) for value, key in found]
 
 
-def _type_signer(cache: MachineCache, moving: int):
+def _type_signer(cache: MachineCache, moving: int, pids):
     """(head starts, sign) for the key position `moving`, one job; the head
-    is every other positive-length job. `sign(key, head_starts(key))` is a
-    signature of the key's DP-exact type: keys with equal signatures get
+    is every other positive-length job. `sign(key[moving], head_starts(key))`
+    is a signature of the key's DP-exact type: keys with equal signatures get
     equal (value, per-color utilities) from `_dp_core`.
 
     The DP compares three kinds of endpoint pairs: finish with finish, finish
@@ -692,7 +698,9 @@ def _type_signer(cache: MachineCache, moving: int):
     if x is in L. The head's sorted distinct endpoints `F` and their pattern
     are rebuilt only when the head's starts change; the moving endpoints'
     classes are read by their codes in `F` from two class tables, built once
-    per pattern and kept in a bounded table."""
+    per pattern and kept in a bounded table. Each pattern draws its `pid`
+    from the counter `pids`, so signers that share one counter never give
+    two types one signature."""
     lens = cache.lens
     n = lens[moving]
     color = {p: c for p, _, _, _, c in cache.rows}
@@ -702,7 +710,6 @@ def _type_signer(cache: MachineCache, moving: int):
     head_starts = (itemgetter(*head) if len(head) > 1
                    else lambda key: tuple([key[p] for p in head]))
     patterns: dict = {}  # pattern -> (pid, start classes, finish classes)
-    pids = itertools.count()
 
     def tables(pattern: tuple):
         # Code 2i lies below F's point i and 2i + 1 on it. Along the codes a
@@ -726,21 +733,20 @@ def _type_signer(cache: MachineCache, moving: int):
     # (head starts, F, F's ranks, the pattern's entry), replaced as one value.
     state = (None, [], {}, None)
 
-    def sign(key: tuple, starts) -> tuple:
+    def sign(x: int, starts) -> tuple:
         nonlocal state
         last, F, rank, entry = state
         if starts != last:
-            ends = [x + h for x, h in zip(starts, head_lens)]
+            ends = [s + h for s, h in zip(starts, head_lens)]
             F = sorted(set(starts).union(ends))
-            rank = {x: i for i, x in enumerate(F)}
-            pattern = tuple([rank[x] for x in starts] + [rank[x] for x in ends])
+            rank = {s: i for i, s in enumerate(F)}
+            pattern = tuple([rank[s] for s in starts] + [rank[s] for s in ends])
             entry = patterns.get(pattern) or _bounded_put(
                 patterns, pattern, tables(pattern), machine.GRID_CACHE_LIMIT)
             state = starts, F, rank, entry
         pid, sc, fc = entry
         if not n:
             return pid,
-        x = key[moving]
         y = x + n
         i = bisect_left(F, x)
         return pid, sc[2 * i + (x in rank)], fc[2 * bisect_left(F, y, i) + (y in rank)]
@@ -748,65 +754,99 @@ def _type_signer(cache: MachineCache, moving: int):
     return head_starts, sign
 
 
+def _typed_walk(position: int, pix: int, signer, types: dict, solve):
+    """A one-job player's verdict search in grid-NE enumeration:
+    `walk(key, starts, u_cur)` moves the job at key position `position`
+    through the ascending ints `starts` and returns the first (key, utility
+    at color index `pix`) above `u_cur`, or None, as a first-improvement
+    `_player_search` of that list does. It reads the job's head once
+    (`signer`, the job's `_type_signer`), signs each start against it and
+    reads the type memo `types`, storing `solve`'s answer on a miss. It
+    builds a key only for `solve` and for its result, and writes nothing to
+    the core's memo."""
+    head_starts, sign = signer
+
+    def walk(key: tuple, starts: list, u_cur: int):
+        head = head_starts(key)
+        for x in starts:
+            sig = sign(x, head)
+            hit = types.get(sig)
+            if hit is None:
+                hit = _bounded_put(types, sig, solve(key[:position] + (x,) + key[position + 1:]))
+            u = hit[1][pix]
+            if u > u_cur:
+                return key[:position] + (x,) + key[position + 1:], u
+        return None
+
+    return walk
+
+
 def _grid_ne(instance: Instance, cache: MachineCache, keys,
              force: bool) -> list[tuple[int, tuple]]:
-    """The grid equilibria among the keys `keys` as (value over `wden`,
-    key) pairs, sorted as `enumerate_grid_ne` returns them.
+    """The grid equilibria among `keys`, given in `_grid_keys` order, as
+    (value over `wden`, key) pairs, sorted as `enumerate_grid_ne` returns
+    them.
 
     A key missing from the core's memo is answered from a DP-exact type memo
-    that lives for this call only, and `_dp_core` runs only when that memo
-    misses too. A type miss stores the DP's answer through a table of the
-    call's distinct answers, bounded at `machine.MEMO_LIMIT` entries like the
-    type memo, so keys with equal (value, per-color utilities) share one
-    tuple, here and in the core's memo. The enumeration asks the type memo
-    for its own keys, and the route `typed`, which the verdict searches get,
-    for any key whose head (`_type_signer`, split off the job `_grid_keys`
-    moves fastest) is the current key's: that serves the verdict searches of
-    the player who owns that job. Every other key defers to the DP. The
-    enumeration reads the core's memo but stores none of its own keys there,
-    and a verdict search is handed the current key's utility, so the memo
-    holds the keys the searches walk; a search that reaches an enumerated key
-    stores it through `evaluate_key`.
+    that lives for this call only, and `_dp_core` runs on a type miss; a
+    table of the call's distinct answers, bounded at `machine.MEMO_LIMIT`
+    entries like the type memo, gives equal answers one tuple. The keys are
+    signed on the job `_grid_keys` moves fastest (`_type_signer`). A player
+    whose only job has positive length searches by a typed walk
+    (`_typed_walk`) on that job's signer, the moving job's owner on the
+    enumeration's; every signer draws its pattern ids from one counter, so
+    all share the type memo. Multi-job players search by `_player_search`.
+    Nothing here stores a key in the core's memo.
 
-    Each key's verdict is `_profile_stable`'s, which reads the players' grid
+    The keys come in blocks that move only that job, whose start rises
+    through a block, so the head is read only where it does not rise. Each
+    key's verdict is `_profile_stable`'s, which reads the players' grid
     records and leaves building them, searching and writing bounds to
     `_player_stable`. When the moving job's owner has no other job, its
-    records are keyed by every other job's start, which stay fixed over one
-    run of keys and never recur: when the head, a part of those starts,
-    changes, the run's record leaves the grid cache. A record holds only
-    proven bounds, so no verdict, search or DP count changes. (A zero-length
-    job that moves alone changes no head, so its run's record stays.)"""
+    records are keyed by every other start, fixed over one block and never
+    recurring, so each leaves the grid cache when its block ends; a record
+    holds only proven bounds, so no verdict, search or DP count changes."""
     (_, positions), owner = max((group, player) for player, groups in cache.groups.items()
                                 for group in groups)
-    head_starts, sign = _type_signer(cache, positions[-1])
-    memo, types, answers, head, block = cache._cache, {}, {}, None, None
-    owner = owner if len(instance.jobs_of_color(owner)) == 1 else None
+    moving, pids = positions[-1], itertools.count()
+    signer = _type_signer(cache, moving, pids)
+    head_starts, sign = signer
+    memo, types, answers = cache._cache, {}, {}
 
-    def by_type(key: tuple, starts: tuple):
-        sig = sign(key, starts)
-        hit = types.get(sig)
-        if hit is None:  # one tuple per distinct answer, shared by its types
-            hit = cache.solve_key(key)
-            hit = _bounded_put(types, sig, answers.get(hit) or _bounded_put(answers, hit, hit))
-        return hit
+    def solve(key: tuple):  # one tuple per distinct answer, shared by its types
+        hit = cache.solve_key(key)
+        return answers.get(hit) or _bounded_put(answers, hit, hit)
 
-    def typed(key: tuple):
-        starts = head_starts(key)
-        return by_type(key, starts) if starts == head else None
+    def lookup(key: tuple):  # a walk's type miss
+        return memo.get(key) or solve(key)
 
+    walks = {}
+    for player in instance.color_ids:
+        own = instance.jobs_of_color(player)
+        p = cache.pos[own[0].id]
+        if len(own) == 1 and cache.lens[p]:
+            walks[player] = _typed_walk(
+                p, cache.color_index[player],
+                signer if p == moving else _type_signer(cache, p, pids), types, lookup)
     # Stability is a conjunction over players, so scan cheap searches first.
     scan = _scan(instance, cache, sorted(
-        instance.color_ids, key=lambda c: (len(instance.jobs_of_color(c)), c)))
-    found = []
+        instance.color_ids, key=lambda c: (len(instance.jobs_of_color(c)), c)), walks)
+    owner = owner if len(instance.jobs_of_color(owner)) == 1 else None
+    found, block, last = [], None, math.inf
     for key in keys:
-        starts = head_starts(key)
-        if starts != head:
-            head = starts
-            if owner is not None:  # every head change ends the owner's run
+        x = key[moving]
+        if x <= last:  # a new block
+            head = head_starts(key)
+            if owner is not None:  # the owner's record of the last block is done
                 cache.grid_cache.pop(block, None)
                 block = cache.others_key(owner, key)
-        value, per = memo.get(key) or by_type(key, head)
-        if _profile_stable(instance, cache, key, per, scan, force, typed):
+        last = x
+        hit = memo.get(key)
+        if hit is None:
+            sig = sign(x, head)
+            hit = types.get(sig) or _bounded_put(types, sig, solve(key))
+        value, per = hit
+        if _profile_stable(instance, cache, key, per, scan, force):
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.

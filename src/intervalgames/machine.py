@@ -218,15 +218,12 @@ class MachineCache:
         """The player and the other players' starts in a key."""
         return (player, self._others[player](key))
 
-    def evaluate_key(self, key: tuple, route=None):
+    def evaluate_key(self, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over
-        `wden`. A miss asks `route`, if given, then `solve_key`."""
+        `wden`; a miss stores `solve_key`'s answer."""
         hit = self._cache.get(key)
         if hit is None:
-            hit = route and route(key)
-            if hit is None:
-                hit = self.solve_key(key)
-            _bounded_put(self._cache, key, hit)
+            hit = _bounded_put(self._cache, key, self.solve_key(key))
         return hit
 
     def solve_key(self, key: tuple):
@@ -258,7 +255,8 @@ def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
         if not {int, Fraction}.issuperset(map(type, values)) and _inexact(*values):
             raise TypeError("inexact start")
     except (KeyError, TypeError):
-        validate_profile(instance, Profile.from_dict(starts))
+        # Unsorted: the ids may not compare, and the check names a missing job first.
+        validate_profile(instance, Profile(tuple(starts.items())))
         raise
     ratios = [x.as_integer_ratio() for x in values]
     st = getattr(instance, "_core", None)

@@ -254,11 +254,22 @@ def _check_start(instance: Instance, j: Job, s) -> None:
 
 def _starts_of(profile: Profile) -> dict:
     """The profile's starts by job id. Anything but a `Profile`, a mapping
-    of starts too, raises `ValidationError` naming its type, and a profile
-    that places a job twice raises it naming the first such job."""
+    of starts too, raises `ValidationError` naming its type, a placement
+    that is not a (hashable job id, start) pair raises it naming the first
+    such placement, and a profile that places a job twice raises it naming
+    the first such job."""
     if not isinstance(profile, Profile):
         raise ValidationError(f"expected a Profile, got {type(profile).__name__}")
-    starts = profile.as_dict()
+    try:
+        starts = profile.as_dict()
+    except (TypeError, ValueError):
+        for placement in profile.placements:
+            try:
+                dict((placement,))
+            except (TypeError, ValueError):
+                raise ValidationError(f"placement {placement!r} is not a "
+                                      f"(job id, start) pair") from None
+        raise
     if len(starts) < len(profile.placements):
         ids = [jid for jid, _ in profile.placements]
         twice = next(jid for n, jid in enumerate(ids) if jid in ids[:n])

@@ -26,10 +26,10 @@ def evaluated_keys(monkeypatch):
     log = KeyLog()
     evaluate_key = MachineCache.evaluate_key
 
-    def recording(self, key, route=None):
+    def recording(self, key):
         log.append(key)
         log.hits += key in self._cache
-        return evaluate_key(self, key, route)
+        return evaluate_key(self, key)
 
     monkeypatch.setattr(MachineCache, "evaluate_key", recording)
     return log

@@ -568,8 +568,45 @@ def test_grid_keys_match_a_plain_product(monkeypatch):
     assert sizes == [(1, 1), (1, 3), (2, 3)]
 
 
+def test_a_block_of_enumerated_keys_moves_only_the_moving_job():
+    """`_grid_ne` reads the head, and drops the owner's record, only where a
+    block of keys starts: where the start of the job `_grid_keys` moves
+    fastest does not rise. Inside a block, consecutive keys differ only at
+    that job's position; a key that starts a block differs from the one
+    before it elsewhere too."""
+    instances = [fx.instance for fx in _enumerable_fixtures()]
+    instances += [from_partition_decide(v).instance for v in ((1, 2, 3), (2, 2, 2), (1, 3, 3, 3))]
+    instances += _differential_instances() + [_two_group_instance()]
+    inside = starts = 0
+    for inst in instances:
+        cache = MachineCache.of(copy.copy(inst))
+        (_, positions), _ = max((group, player) for player, groups in cache.groups.items()
+                                for group in groups)
+        moving = positions[-1]
+        keys = list(equilibrium._iter_grid_coded(cache.instance, 1, False, cache))
+        for a, b in zip(keys, keys[1:]):
+            moved = [p for p, (x, y) in enumerate(zip(a, b)) if x != y and p != moving]
+            if b[moving] > a[moving]:
+                assert not moved, (a, b)
+                inside += 1
+            else:
+                assert moved, (a, b)
+                starts += 1
+    assert inside > 10000 and starts > 1000
+
+
+def _wrapping_walks(monkeypatch, wrap):
+    """Make every typed walk that `_grid_ne` builds (`_typed_walk`) the
+    function `wrap(walk, args)` returns, `args` being `_typed_walk`'s."""
+    typed_walk = equilibrium._typed_walk
+    monkeypatch.setattr(equilibrium, "_typed_walk",
+                        lambda *args: wrap(typed_walk(*args), args))
+
+
 def _counting_searches(monkeypatch) -> list:
-    """Record the key of every `_player_search` call made through the module."""
+    """Record the key of every search made through the module: each
+    `_player_search` call, and each call of a typed walk, which grid-NE
+    enumeration runs in place of a one-job player's search."""
     calls = []
     search = equilibrium._player_search
 
@@ -577,7 +614,14 @@ def _counting_searches(monkeypatch) -> list:
         calls.append(args[2])
         return search(*args, **kwargs)
 
+    def counting_walk(walk, _):
+        def counted(key, starts, u_cur):
+            calls.append(key)
+            return walk(key, starts, u_cur)
+        return counted
+
     monkeypatch.setattr(equilibrium, "_player_search", counting)
+    _wrapping_walks(monkeypatch, counting_walk)
     return calls
 
 
@@ -688,12 +732,15 @@ def test_enumeration_asks_player_stable_only_to_search(monkeypatch):
     # `_profile_stable` settles a verdict from a covered player or its
     # record's bounds itself, so `_player_stable` is asked once per search.
     # Before, it was asked for every scanned player: 16,328 and 6,489 times.
-    # The enumeration keeps its own keys out of the core's memo, so a search
-    # that lands on an earlier key runs its DP again: 2,507 and 2,020 calls
-    # when the enumeration stored them.
+    # A typed walk, which a one-job player runs in place of a search, counts
+    # as one. The enumeration keeps its own keys out of the core's memo, so
+    # a search that lands on an earlier key runs its DP again: 2,507 and
+    # 2,020 calls when the enumeration stored them. Since multi-job searches
+    # take no typed route, prop_no_ne's owner of the moving job, who has four
+    # jobs, runs 2,266 DP calls, not 2,184; the walks' 2,512, not 2,511.
     from intervalgames import machine
-    cases = [(from_partition_decide((1, 3, 3, 3)).instance, 935, 2511),
-             (fixture("prop_no_ne").instance, 248, 2184)]
+    cases = [(from_partition_decide((1, 3, 3, 3)).instance, 935, 2512),
+             (fixture("prop_no_ne").instance, 248, 2266)]
     expected = [_plain_grid_ne(copy.copy(inst)) for inst, _, _ in cases]
     searches = _counting_searches(monkeypatch)
     stable, dp = [], []
@@ -773,9 +820,10 @@ def test_enumeration_leaves_records_and_bounds_to_player_stable():
 def test_a_verdict_search_walks_the_lists_player_stable_merged(monkeypatch):
     """`_player_stable` merges the player's starts into the record it holds
     and hands the lists to the search, so no verdict search of grid-NE
-    enumeration hashes `others_key` to find that record again; each of the
-    935 and 248 searches used to. A best response and a first-improvement
-    `is_nash`, which hold no record, look theirs up once per search."""
+    enumeration, a typed walk included, hashes `others_key` to find that
+    record again; each of the 935 and 248 searches used to. A best response
+    and a first-improvement `is_nash`, which hold no record, look theirs up
+    once per search."""
     hashed, searches = [], []
     others_key, search = MachineCache.others_key, equilibrium._player_search
 
@@ -783,14 +831,17 @@ def test_a_verdict_search_walks_the_lists_player_stable_merged(monkeypatch):
         hashed.append(args)
         return others_key(self, *args)
 
-    def counting_search(*args, **kwargs):
-        before = len(hashed)
-        found = search(*args, **kwargs)
-        searches.append(len(hashed) - before)
-        return found
+    def counting(run):
+        def counted(*args, **kwargs):
+            before = len(hashed)
+            found = run(*args, **kwargs)
+            searches.append(len(hashed) - before)
+            return found
+        return counted
 
     monkeypatch.setattr(MachineCache, "others_key", counting_key)
-    monkeypatch.setattr(equilibrium, "_player_search", counting_search)
+    monkeypatch.setattr(equilibrium, "_player_search", counting(search))
+    _wrapping_walks(monkeypatch, lambda walk, _: counting(walk))
     for inst, calls in ((from_partition_decide((1, 3, 3, 3)).instance, 935),
                         (fixture("prop_no_ne").instance, 248)):
         searches.clear()
@@ -1381,8 +1432,9 @@ def test_type_signatures_are_the_order_types(drawn, rng):
     keys = [tuple(rng.choice(pool) for pool in pools) for _ in range(40)]
     # One moving job, drawn from any group: zero-length jobs make groups too.
     _, positions = rng.choice(sorted(g for gs in cache.groups.values() for g in gs))
-    head_starts, sign = equilibrium._type_signer(cache, rng.choice(positions))
-    sigs = [sign(key, head_starts(key)) for key in keys]
+    moving = rng.choice(positions)
+    head_starts, sign = equilibrium._type_signer(cache, moving, itertools.count())
+    sigs = [sign(key[moving], head_starts(key)) for key in keys]
     for (k1, s1), (k2, s2) in itertools.combinations(zip(keys, sigs), 2):
         if _order_type(cache, k1) == _order_type(cache, k2):
             assert s1 == s2
@@ -1395,10 +1447,11 @@ def test_type_signatures_are_the_order_types(drawn, rng):
 
 def _typed_and_exact_runs(monkeypatch, evaluated_keys, inst):
     """Enumerate the grid equilibria of `inst` once with the type memo and
-    once with a signer that keys it on the exact key (one DP per key). Per
+    once with signers that key it on the exact key (one DP per key). Per
     run: the equilibria, the DP calls of the enumeration and of its searches
-    and the searches' memo lookups and hits, and the number of order types
-    among the grid keys."""
+    (typed walks count as searches), the searches' memo lookups and hits,
+    the starts the walks sign, and the number of order types among the grid
+    keys."""
     from intervalgames import machine
     counts = {}
     depth = [0]
@@ -1408,30 +1461,45 @@ def _typed_and_exact_runs(monkeypatch, evaluated_keys, inst):
         counts["search_dp" if depth[0] else "enum_dp"] += 1
         return dp_core(rows, key, per)
 
-    def counting_search(*args, **kwargs):
-        # Searches do not nest here, so the lookups between entry and exit
-        # are the search's own.
-        lookups, hits = len(evaluated_keys), evaluated_keys.hits
-        depth[0] += 1
-        try:
-            return search(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-            counts["search_lookups"] += len(evaluated_keys) - lookups
-            counts["search_hits"] += evaluated_keys.hits - hits
+    def searching(run):
+        def counted(*args, **kwargs):
+            # Searches do not nest here, so the lookups between entry and
+            # exit are the search's own.
+            lookups, hits = len(evaluated_keys), evaluated_keys.hits
+            depth[0] += 1
+            try:
+                return run(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                counts["search_lookups"] += len(evaluated_keys) - lookups
+                counts["search_hits"] += evaluated_keys.hits - hits
+        return counted
 
-    def exact_signer(cache, moving):
-        head_starts, _ = signer(cache, moving)
-        return head_starts, lambda key, starts: key
+    def counting_signs(make):
+        def counted_signer(cache, moving, pids):
+            head_starts, sign = make(cache, moving, pids)
+
+            def counted(x, starts):
+                counts["walk_signs"] += depth[0]
+                return sign(x, starts)
+            return head_starts, counted
+        return counted_signer
+
+    def exact_signer(cache, moving, pids):
+        # The moving job and every positive-length start: the key, as the
+        # DP reads it.
+        head_starts, _ = signer(cache, moving, pids)
+        return head_starts, lambda x, starts: (moving, x, starts)
 
     monkeypatch.setattr(machine, "_dp_core", counting_dp)
-    monkeypatch.setattr(equilibrium, "_player_search", counting_search)
+    monkeypatch.setattr(equilibrium, "_player_search", searching(search))
+    _wrapping_walks(monkeypatch, lambda walk, _: searching(walk))
     signer = equilibrium._type_signer
     runs = {}
     for name, make in (("typed", signer), ("exact", exact_signer)):
-        monkeypatch.setattr(equilibrium, "_type_signer", make)
+        monkeypatch.setattr(equilibrium, "_type_signer", counting_signs(make))
         counts.update(dict.fromkeys(("enum_dp", "search_dp", "search_lookups",
-                                     "search_hits"), 0))
+                                     "search_hits", "walk_signs"), 0))
         fresh = copy.copy(inst)
         cache = MachineCache.of(fresh)
         keys = list(equilibrium._iter_grid_coded(fresh, 1, False, cache))
@@ -1442,31 +1510,41 @@ def _typed_and_exact_runs(monkeypatch, evaluated_keys, inst):
 
 def test_enumeration_runs_one_dp_per_order_type(monkeypatch, evaluated_keys):
     # from_partition_decide((1, 3, 3, 3)): 12,012 grid profiles of 4,510
-    # order types, and fewer DP-exact types.
+    # order types, and fewer DP-exact types. Player 2 owns one job, the one
+    # enumeration moves, and runs typed walks on the enumeration's signer;
+    # player 1, with five jobs, searches through the memo.
     (found, typed, types), (exact_found, exact, _) = _typed_and_exact_runs(
         monkeypatch, evaluated_keys, from_partition_decide((1, 3, 3, 3)).instance)
     assert types == 4510 and found == exact_found == []
     # The exact signer gives every key its own DP call: these are the
-    # counts without DP-exact types.
-    assert (typed["enum_dp"], typed["search_dp"]) == (1826, 685)
-    assert (exact["enum_dp"], exact["search_dp"]) == (10838, 2888)
-    for count in ("search_lookups", "search_hits"):
-        assert typed[count] == exact[count] > 0
+    # counts without DP-exact types. With the typed route, which the walks
+    # replaced, they were (1826, 685) and (10838, 2888).
+    assert (typed["enum_dp"], typed["search_dp"]) == (1821, 691)
+    assert (exact["enum_dp"], exact["search_dp"]) == (10838, 2895)
+    # The walks sign the same starts, and the searches look up the same
+    # keys, whichever signer the type memo is keyed on.
+    for count in ("search_lookups", "search_hits", "walk_signs"):
+        assert typed[count] == exact[count]
+    assert typed["walk_signs"] > typed["search_lookups"] > 0
 
 
 def test_type_memo_moves_one_job_of_a_multi_job_group(monkeypatch, evaluated_keys):
     # prop_no_ne's fastest group holds four jobs; the type memo signs only
-    # the last, so the searches that move the others defer to the DP.
+    # the last. Its owner has four jobs, so it searches through the memo,
+    # and every search's memo miss goes to the DP: no player runs a walk.
     inst = fixture("prop_no_ne").instance
     assert max(len(ids_) for gs in MachineCache.of(inst).groups.values()
                for ids_, _ in gs) == 4
     (found, typed, _), (exact_found, exact, _) = _typed_and_exact_runs(
         monkeypatch, evaluated_keys, inst)
     assert found == exact_found == []
-    assert (typed["enum_dp"], typed["search_dp"]) == (1635, 549)
-    assert (exact["enum_dp"], exact["search_dp"]) == (3376, 553)
+    # With the typed route, which the owner's searches took, these were
+    # (1635, 549) and (3376, 553).
+    assert (typed["enum_dp"], typed["search_dp"]) == (1637, 629)
+    assert (exact["enum_dp"], exact["search_dp"]) == (3376, 629)
     for count in ("search_lookups", "search_hits"):
         assert typed[count] == exact[count] > 0
+    assert typed["walk_signs"] == exact["walk_signs"] == 0
 
 
 def test_enumeration_leaves_only_search_answers_in_the_memo(evaluated_keys):
@@ -1484,12 +1562,16 @@ def test_enumeration_leaves_only_search_answers_in_the_memo(evaluated_keys):
         assert len(memo) < joint_grid_size(inst)
 
 
-def test_enumeration_frees_finished_records_and_shares_equal_answers():
+def test_enumeration_frees_finished_records_and_shares_equal_answers(monkeypatch):
     # Player 2 owns one job, the one `_grid_keys` moves fastest, so each of
-    # its records serves one run of keys and is dropped when the run ends;
-    # equal DP answers share one tuple. Before either, the enumeration left
-    # 924 records of player 2, and the memo's 4,475 entries held 1,275
-    # distinct tuples.
+    # its records serves one block of keys and is dropped when the block
+    # ends; equal DP answers share one tuple. Before either, the enumeration
+    # left 924 records of player 2, and the memo's 4,475 entries held 1,275
+    # distinct tuples. Player 2's searches are typed walks now, which store
+    # their answers in the type memo, not in the core's memo: its entries
+    # share the tuples.
+    memos = []
+    _wrapping_walks(monkeypatch, lambda walk, args: memos.append(args[3]) or walk)
     inst = copy.copy(from_partition_decide((1, 3, 3, 3)).instance)
     assert enumerate_grid_ne(inst) == []
     cache = MachineCache.of(inst)
@@ -1497,14 +1579,15 @@ def test_enumeration_frees_finished_records_and_shares_equal_answers():
                    for group in groups)
     assert owner == 2 and len(inst.jobs_of_color(2)) == 1
     assert sum(player == 2 for player, _ in cache.grid_cache) <= 1
-    memo = cache._cache
-    assert memo and len({id(answer) for answer in memo.values()}) < len(memo) / 10
+    [types] = memos
+    assert len(types) == 2459 and len({id(answer) for answer in types.values()}) == 12
 
 
 def test_bounded_tables_clear_without_changing_results(monkeypatch):
     # With both limits at 1, the core's memo, the grid cache, the DP-exact
-    # type memo, its table of distinct answers and the signer's per-pattern
-    # class tables are cleared at every other write during one enumeration.
+    # type memo that the enumeration and its typed walks share, its table of
+    # distinct answers and every signer's per-pattern class tables are
+    # cleared at every other write during one enumeration.
     from intervalgames import machine
     instances = [fixture(name, **params).instance for name, params in (
         ("ex1", {}), ("prop_no_ne", {}), ("pos_two", {}), ("poa_tight", {"n": 3}),
@@ -1514,31 +1597,48 @@ def test_bounded_tables_clear_without_changing_results(monkeypatch):
                 for inst in instances]
     monkeypatch.setattr(machine, "MEMO_LIMIT", 1)
     monkeypatch.setattr(machine, "GRID_CACHE_LIMIT", 1)
-    put, cleared, cores, deltas = equilibrium._bounded_put, collections.Counter(), [], []
+    put, signer = equilibrium._bounded_put, equilibrium._type_signer
+    run = {}  # this enumeration's cleared tables by kind, signers and walk memos
 
     def recording(table, key, value, limit=None):
         if len(table) > (machine.MEMO_LIMIT if limit is None else limit):
             # The grid cache and the class tables take the grid limit; the
             # answer table maps each answer to itself.
-            cleared[("answers" if key is value else "types") if limit is None else
-                    "grid" if table is cores[-1].grid_cache else "classes"] += 1
+            kind = (("answers" if key is value else "types") if limit is None else
+                    "grid" if table is run["core"].grid_cache else "classes")
+            run[kind].append(table)
         return put(table, key, value, limit)
 
+    def counting_signers(*args):
+        run["signers"] += 1
+        return signer(*args)
+
     monkeypatch.setattr(equilibrium, "_bounded_put", recording)
+    monkeypatch.setattr(equilibrium, "_type_signer", counting_signers)
+    _wrapping_walks(monkeypatch, lambda walk, args: run["walk_memos"].append(args[3]) or walk)
+    runs = []
     for inst, (found, report) in zip(instances, expected):
-        fresh = copy.copy(inst)
-        cores.append(MachineCache.of(fresh))
-        before = cleared.copy()
-        assert enumerate_grid_ne(fresh) == found
-        deltas.append(cleared - before)
-        assert len(cores[-1]._cache) <= 2 and len(cores[-1].grid_cache) <= 2
-        fresh = copy.copy(inst)
-        cores.append(MachineCache.of(fresh))
-        assert analyze(fresh) == report
-    # Each table is cleared midway through some enumeration; the type memo
-    # in every one.
-    assert all(d["types"] for d in deltas), deltas
-    assert all(any(d[t] for d in deltas) for t in ("grid", "classes", "answers")), deltas
+        for ask, answer in ((enumerate_grid_ne, found), (analyze, report)):
+            fresh = copy.copy(inst)
+            run = {"core": MachineCache.of(fresh), "signers": 0, "walk_memos": [],
+                   "types": [], "answers": [], "grid": [], "classes": []}
+            assert ask(fresh) == answer
+            assert len(run["core"]._cache) <= 2 and len(run["core"].grid_cache) <= 2
+            runs.append(run)
+    for run in runs:
+        # One type memo per enumeration, shared by every walk and cleared.
+        types = {id(table) for table in run["types"]}
+        assert len(types) == 1 and {id(table) for table in run["walk_memos"]} <= types
+    # Per fixture, as (signers, walks, signers whose class tables were
+    # cleared): one signer per one-job player's walk, the moving job's owner
+    # sharing the enumeration's, whose class tables clear with the others'
+    # wherever the signer meets three head patterns. prop_no_ne's players
+    # own several jobs each, so none walks.
+    tables = [(run["signers"], len(run["walk_memos"]), len({id(t) for t in run["classes"]}))
+              for run in runs]
+    assert tables[::2] == tables[1::2] == [
+        (1, 1, 1), (1, 0, 1), (1, 1, 1), (3, 3, 2), (5, 5, 5), (2, 2, 0)]
+    assert all(any(run[kind] for run in runs) for kind in ("grid", "answers"))
 
 
 # --- analysis ---------------------------------------------------------------------
@@ -1693,6 +1793,11 @@ def test_solver_core_is_not_part_of_the_value(jobs):
     (((1, F(0)), (2, F(0)), (3, F(1)), (3, F(0))), "job 3: placed twice"),
     (((1, F(0)), (2, F(0)), (3, F(0)), ("a", F(0)), (7, F(0))),
      "start given for unknown job a"),
+    # Placements that are not (hashable id, start) pairs (they used to raise
+    # `TypeError` and `ValueError`).
+    (((1, F(0)), (2, F(0)), (3, F(0)), ([4], F(0))),
+     "placement ([4], Fraction(0, 1)) is not a (job id, start) pair"),
+    (((1, F(0)), (2, F(0)), (3,)), "placement (3,) is not a (job id, start) pair"),
 ])
 def test_search_entries_validate_their_profile(starts, message):
     """`best_response` and `is_nash` reject a profile that `brd` rejects,
@@ -1792,6 +1897,19 @@ def test_verify_deviation_rejects_a_misstated_utility():
                           (dev.utility_before, dev.utility_after + 1)):
         forged = equilibrium.Deviation(dev.player, dev.new_strategy, before, after)
         assert not verify_deviation(fx.instance, profile, forged)
+
+
+def test_verify_deviation_rejects_a_move_placing_a_job_twice():
+    # The move used to be read through a dict, so its last placement of
+    # job 1 won and the deviation verified.
+    fx = fixture("ex1")
+    profile = fx.notable_profiles["figure_a"]
+    dev = is_nash(fx.instance, profile)
+    assert dev.player == 1 and dict(dev.new_strategy)[1] == 0
+    twice = equilibrium.Deviation(dev.player, ((1, F(99)), *dev.new_strategy),
+                                  dev.utility_before, dev.utility_after)
+    with pytest.raises(ValidationError, match=re.escape("job 1: placed twice")):
+        verify_deviation(fx.instance, profile, twice)
 
 
 @pytest.mark.parametrize("bad", ["2", 1.5, True, False, F(1), None])
@@ -2017,44 +2135,50 @@ def test_a_search_that_reaches_the_core_mid_build_matches_a_fresh_copy(monkeypat
     assert nested == [fresh] and outer == fresh
 
 
-def test_typed_route_matches_the_dp_and_defers_off_its_head(monkeypatch):
-    """During grid-NE enumeration the route that `_grid_ne` hands to each
-    verdict search, which passes it to `evaluate_key`, answers every key the
-    search evaluates with `_dp_core`'s (value, per-color utilities) when the
-    key's head (every positive-length job but the fastest group's last) is
-    the enumerated key's, and
-    defers on any other head."""
+def test_typed_walks_match_the_dp_on_every_start_they_sign(monkeypatch):
+    """During grid-NE enumeration every start that a one-job player's typed
+    walk signs gets `_dp_core`'s (value, per-color utilities) for the key
+    with the job moved there from the type memo, and the walk returns what a
+    first-improvement search of the same list returns: the first start in
+    the list whose utility beats the current one, or None."""
     from intervalgames import machine
     instances = [fx.instance for fx in _enumerable_fixtures()]
     instances += [from_partition_decide(v).instance for v in ((1, 2, 3), (2, 2, 2), (1, 1, 2, 2))]
-    checked, current = collections.Counter(), []
-    search, evaluate_key = equilibrium._player_search, MachineCache.evaluate_key
+    checked, cores = collections.Counter(), []
+    typed_walk = equilibrium._typed_walk
 
-    def recording(instance, cache, key, *args, route=None, **kwargs):
-        current.append((key, route))
-        try:
-            return search(instance, cache, key, *args, route=route, **kwargs)
-        finally:
-            current.pop()
+    def dp(key):
+        cache = cores[-1]
+        per = cache.zero_per.copy()
+        return cache.base_scaled + machine._dp_core(cache.rows, key, per)[0], tuple(per)
 
-    def checking(self, key, route=None):
-        if current:
-            start, typed = current[-1]
-            assert typed is not None and route is typed
-            per = self.zero_per.copy()
-            dp = self.base_scaled + machine._dp_core(self.rows, key, per)[0], tuple(per)
-            _, positions = max(g for gs in self.groups.values() for g in gs)
-            head = [p for p, n in enumerate(self.lens) if n and p != positions[-1]]
-            if all(key[p] == start[p] for p in head):
-                assert typed(key) == dp, key
-                checked["typed"] += 1
-            else:
-                assert typed(key) is None, key
-                checked["deferred"] += 1
-        return evaluate_key(self, key, route)
+    def building(position, pix, signer, types, solve):
+        head_starts, sign = signer
+        signed = []
 
-    monkeypatch.setattr(equilibrium, "_player_search", recording)
-    monkeypatch.setattr(MachineCache, "evaluate_key", checking)
+        def recording(x, head):
+            signed.append((x, sign(x, head)))
+            return signed[-1][1]
+
+        walk = typed_walk(position, pix, (head_starts, recording), types, solve)
+
+        def checking(key, starts, u_cur):
+            signed.clear()
+            found = walk(key, starts, u_cur)
+            moved = {x: key[:position] + (x,) + key[position + 1:] for x in starts}
+            assert [x for x, _ in signed] == starts[:len(signed)]
+            for x, sig in signed:
+                assert types[sig] == dp(moved[x]), moved[x]
+                checked["signed"] += 1
+            assert found == next(((moved[x], dp(moved[x])[1][pix]) for x in starts
+                                  if dp(moved[x])[1][pix] > u_cur), None)
+            checked["refuted" if found else "stable"] += 1
+            return found
+        return checking
+
+    monkeypatch.setattr(equilibrium, "_typed_walk", building)
     for inst in instances:
-        enumerate_grid_ne(copy.copy(inst))
-    assert checked["typed"] > 1000 and checked["deferred"] > 1000, checked
+        fresh = copy.copy(inst)
+        cores.append(MachineCache.of(fresh))
+        enumerate_grid_ne(fresh)
+    assert checked["signed"] > 1000 and checked["refuted"] and checked["stable"], checked

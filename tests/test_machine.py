@@ -148,6 +148,15 @@ def test_machine_solvers_reject_a_profile_they_cannot_read(solve, starts, messag
         solve(fixture("ex1").instance, Profile.from_dict(starts))
 
 
+def test_a_mapping_lacking_a_job_is_named_among_ids_that_do_not_compare():
+    """`machine_value_and_covered` names the missing job 3 of a mapping that
+    also holds unknown ids "a" and 7. It used to escape as a bare
+    `TypeError` from sorting those ids on its error path."""
+    with pytest.raises(ValidationError, match=re.escape("missing start for job 3")):
+        machine.machine_value_and_covered(fixture("ex1").instance,
+                                          {1: 0, 2: 0, "a": 0, 7: 0})
+
+
 def test_machine_solvers_reject_a_start_outside_its_range():
     """Each machine entry raises `validate_profile`'s message, naming the
     first such job in instance order, for a known job's start outside
