@@ -20,8 +20,8 @@ from . import generators
 from .equilibrium import (analyze, brd, enumerate_grid_ne, is_nash, ne_single,
                           ne_unit, tightest_bound)
 from .machine import solve_machine_bruteforce, solve_machine_dp
-from .model import (GameError, GuardError, Instance, InternalFailure, _check_int,
-                    instance_to_document, instance_to_json, parse_instance,
+from .model import (FormatError, GameError, GuardError, Instance, InternalFailure,
+                    _check_int, instance_to_document, instance_to_json, parse_instance,
                     parse_profile, profile_to_document, rational_str,
                     schedule_to_document, to_rational)
 from .optimum import (social_optimum_bruteforce, social_optimum_enumerate,
@@ -54,7 +54,10 @@ def _note(message: str) -> None:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _load_instance(args) -> tuple[Instance, Optional[generators.Fixture]]:

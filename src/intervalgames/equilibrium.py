@@ -27,18 +27,18 @@ half of the core's smallest scale; `global_grid_points` and
 A grid record (`_grid_record`) holds one player's aligned lists against one
 placement of the other players; a search walks those lists with the player's
 current starts merged in (`_coded_grid`), by the key walker of enumeration
-(`_grid_keys`), which rewrites only the groups that moved. A verdict looks
-the record up once and merges the starts into it once: `_player_stable`
-reads its guard sizes and whether every start is aligned from the merged
-lists, and hands them to the search. The record's `big` flag says whether a
-guard could fire on the merged lists, which add at most one start per job;
-`_player_stable` runs the guards (`_guards`, one predicate, `_over_limit`,
-for both) only when it is set, and a search always. A best-mode walk goes
-through the same order (`_multisets`) without building keys: it scores each
-joint strategy from its groups' overlap masks by its own background route
-(`machine._background`), and builds a key only where the route defers to
-the memo and the DP, and for its result, the one key it stores. Searches
-return keys and int utilities.
+(`_grid_keys`), which rewrites only the groups that moved and steps the
+fastest group in an inner loop. A verdict looks the record up once and
+merges the starts into it once: `_player_stable` reads its guard sizes and
+whether every start is aligned from the merged lists, and hands them to the
+search. The record's `big` flag says whether a guard could fire on the
+merged lists, which add at most one start per job; `_player_stable` runs the
+guards (`_guards`, one predicate, `_over_limit`, for both) only when it is
+set, and a search always. A best-mode walk goes through the same order
+(`_multisets`) without building keys: it scores each joint strategy from its
+groups' overlap masks by its own background route (`machine._background`),
+and builds a key only where the route defers to the memo and the DP, and for
+its result, the one key it stores. Searches return keys and int utilities.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
@@ -386,30 +386,36 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
 
 
 def _scan(instance: Instance, cache: MachineCache, players, walks=None) -> list:
-    """(player, color index, total, one job?, walk) for each of `players`,
-    in order: what `_profile_stable` reads of a player before its record.
-    `walk` is the player's typed walk in `walks` (see `_typed_walk`), or
-    None."""
+    """(player, color index, total, one job?, walk, others) for each of
+    `players`, in order: what `_profile_stable` reads of a player before its
+    record. `walk` is the player's typed walk in `walks` (see `_typed_walk`),
+    or None; `others` reads the other players' starts from a key, as
+    `MachineCache.others_key` does."""
     walks = walks or {}
     return [(c, cache.color_index[c], cache.totals[cache.color_index[c]],
-             len(instance.jobs_of_color(c)) == 1, walks.get(c)) for c in players]
+             len(instance.jobs_of_color(c)) == 1, walks.get(c), cache._others[c])
+            for c in players]
 
 
 def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
-                    per: tuple, scan: list, force: bool) -> bool:
+                    per: tuple, scan: list, force: bool, block=None) -> bool:
     """Whether no player of `scan` (from `_scan`, in order) has an improving
     grid move at `key`, whose per-color utilities are `per`.
 
     A covered player is stable. An existing record that is not `big` settles
     a verdict here when `lo` exceeds the utility, or for a one-job player
     when `hi` does not (rules (b) and (c) of `_player_stable`); every other
-    verdict goes to `_player_stable` with the record looked up, or None."""
-    records, others = cache.grid_cache, cache.others_key
-    for player, pix, total, single, walk in scan:
+    verdict goes to `_player_stable` with the record looked up, or None.
+    A record is keyed by (player, `others(key)`), the player's
+    `MachineCache.others_key`; `block`, where given, is that key for its own
+    player, which the caller holds already."""
+    records = cache.grid_cache
+    for player, pix, total, single, walk, others in scan:
         u = per[pix]
         if u == total:
             continue
-        others_key = others(player, key)
+        others_key = (block if block is not None and block[0] == player
+                      else (player, others(key)))
         record = records.get(others_key)
         if record is not None and not record.big:
             if record.lo > u:
@@ -525,12 +531,13 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
 def verify_deviation(instance: Instance, profile: Profile, dev: Deviation) -> bool:
     """Re-check a deviation from scratch with the machine DP (no memo): exact
     strict improvement. An invalid profile or move, one that places a job
-    twice included, raises `ValidationError`."""
+    twice or an unknown job included, raises `ValidationError`."""
     validate_profile(instance, profile)
     if not instance.jobs_of_color(dev.player):
         raise ValidationError(f"instance has no player {dev.player}")
-    moved = validate_profile(instance, Profile.from_dict(
-        {**profile.as_dict(), **_starts_of(Profile(dev.new_strategy))}))
+    # Unsorted: an unknown id may not compare with the known ones.
+    moved = validate_profile(instance, Profile(tuple(
+        {**profile.as_dict(), **_starts_of(Profile(dev.new_strategy))}.items())))
     for jid, _ in dev.new_strategy:
         if instance.job(jid).color != dev.player:
             raise ValidationError(f"job {jid} is not a job of player {dev.player}")
@@ -645,18 +652,35 @@ def _put(key: tuple, positions, starts) -> tuple:
 
 def _grid_keys(groups, base):
     """Yield one key per combination of the groups' multisets, given as (key
-    positions, candidate times): the key `base` with each group's positions
-    rewritten. First-mode searches and enumeration walk their grids here."""
+    positions, candidate times), in `_multisets` order: the key `base` with
+    each group's positions rewritten; no groups yield `base` once. The
+    product of all groups but the last rewrites only the groups that moved,
+    and the last steps through its multisets in an inner loop (a one-position
+    group through its candidates). First-mode searches and enumeration walk
+    their grids here."""
     key = list(base)
-    positions = [ps for ps, _ in groups]
-    last = [None] * len(groups)
-    for combo in _multisets(groups):  # rewrites only the groups that moved
+    # No groups walk as one empty group, whose one multiset () yields `base`.
+    *outer, (inner, values) = groups or [((), ())]
+    positions = [ps for ps, _ in outer]
+    last = [None] * len(outer)
+    tups = (None if len(inner) == 1
+            else list(itertools.combinations_with_replacement(values, len(inner))))
+    for combo in _multisets(outer):
         for g, tup in enumerate(combo):
             if tup is not last[g]:
                 last[g] = tup
                 for p, x in zip(positions[g], tup):
                     key[p] = x
-        yield tuple(key)
+        if tups is None:
+            p, = inner
+            for x in values:
+                key[p] = x
+                yield tuple(key)
+            continue
+        for tup in tups:
+            for p, x in zip(inner, tup):
+                key[p] = x
+            yield tuple(key)
 
 
 def grid_profiles(instance: Instance, resolution: int = 1, *,
@@ -736,7 +760,7 @@ def _type_signer(cache: MachineCache, moving: int, pids):
     def sign(x: int, starts) -> tuple:
         nonlocal state
         last, F, rank, entry = state
-        if starts != last:
+        if starts is not last and starts != last:
             ends = [s + h for s, h in zip(starts, head_lens)]
             F = sorted(set(starts).union(ends))
             rank = {s: i for i, s in enumerate(F)}
@@ -799,7 +823,8 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     Nothing here stores a key in the core's memo.
 
     The keys come in blocks that move only that job, whose start rises
-    through a block, so the head is read only where it does not rise. Each
+    through a block, so the head, and the one-job owner's others key that
+    `_profile_stable` reuses, are read only where it does not rise. Each
     key's verdict is `_profile_stable`'s, which reads the players' grid
     records and leaves building them, searching and writing bounds to
     `_player_stable`. When the moving job's owner has no other job, its
@@ -846,7 +871,7 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
             sig = sign(x, head)
             hit = types.get(sig) or _bounded_put(types, sig, solve(key))
         value, per = hit
-        if _profile_stable(instance, cache, key, per, scan, force):
+        if _profile_stable(instance, cache, key, per, scan, force, block):
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.

@@ -359,13 +359,31 @@ def instance_from_document(doc) -> Instance:
     return validate_instance(Instance(horizon, tuple(jobs)))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key given twice raises `FormatError`
+    naming the first such key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        twice = next(k for n, k in enumerate(keys) if k in keys[:n])
+        raise FormatError(f"key {twice!r} given twice in one object")
+    return doc
+
+
 def _loads(text: str):
+    """A JSON document, with `FormatError` for every way its text can fail:
+    a syntax error, a repeated key, nesting too deep for the parser, or an
+    int literal longer than the interpreter converts."""
     try:
         # parse_float receives the raw literal, so "0.5" becomes exactly 1/2
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=Fraction, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"syntax error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("document nested too deeply to parse") from exc
+    except ValueError as exc:  # the interpreter's limit on int digits
+        raise FormatError(f"number literal too long: {exc}") from exc
 
 
 def parse_instance(text: str) -> Instance:

@@ -282,6 +282,36 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+_ONE_JOB = '"jobs": [{"id": 1, "color": 1, "length": "1", "weight": "1"}]'
+# Bytes that no document reader accepts, and the cause each message names.
+# Before one reader mapped them, the first three escaped `main` as
+# UnicodeDecodeError, RecursionError and the interpreter's digit-limit
+# ValueError, and the last was read with its last "horizon" winning.
+UNREADABLE = {
+    "not_utf8": (b'{"horizon": "4\xff", ' + _ONE_JOB.encode() + b"}", "not UTF-8 text"),
+    "deep": (b"[" * 1000 + b"]" * 1000, "nested too deeply"),
+    "long_int": (b'{"horizon": ' + b"7" * 5000 + b", " + _ONE_JOB.encode() + b"}",
+                 "number literal too long"),
+    "repeated_key": (b'{"horizon": "4", "horizon": "5", ' + _ONE_JOB.encode() + b"}",
+                     "key 'horizon' given twice in one object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_documents_exit_2_with_one_line(capsys, tmp_path, name):
+    data, cause = UNREADABLE[name]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code = main(["opt", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert cause in captured.err and "Traceback" not in captured.err
+    if name != "not_utf8":  # the library reads text, so only decoding is the CLI's
+        with pytest.raises(ig.FormatError, match=re.escape(cause)):
+            ig.parse_instance(data.decode())
+
+
 @pytest.mark.parametrize("shape", sorted(BAD_ID_JOBS))
 def test_non_integer_id_or_color_exits_2(capsys, tmp_path, shape):
     bad = tmp_path / "bad.json"

@@ -533,9 +533,10 @@ def test_enumerate_matches_plain_search():
             route(pos_c)
 
 
-def _plain_grid_keys(groups, size):
-    """Reference for `_grid_keys`: every combination writes every group."""
-    key = [0] * size
+def _plain_grid_keys(groups, base):
+    """Reference for `_grid_keys`: every combination of `_multisets` order
+    writes every group into `base`."""
+    key = list(base)
     for combo in itertools.product(*(
             itertools.combinations_with_replacement(times, len(positions))
             for positions, times in groups)):
@@ -562,10 +563,35 @@ def test_grid_keys_match_a_plain_product(monkeypatch):
     for inst in instances:
         keys = list(equilibrium._iter_grid_coded(inst, 1, False, MachineCache.of(inst)))
         groups, size = seen.pop()
-        assert keys == list(_plain_grid_keys(groups, size))
+        assert keys == list(_plain_grid_keys(groups, [0] * size))
         assert len(keys) == joint_grid_size(inst)
     sizes = sorted((len(positions), len(times)) for positions, times in groups)
     assert sizes == [(1, 1), (1, 3), (2, 3)]
+
+
+def test_grid_keys_match_a_plain_product_on_random_groups():
+    """`_grid_keys` steps its last group in an inner loop; over random group
+    lists (1-4 groups of 1-3 key positions, 0-5 candidates each) it yields
+    the reference's keys in its order, and no groups yield the base once."""
+    rng = random.Random(2024)
+    shapes = set()
+    for _ in range(150):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        size = sum(sizes) + rng.randint(0, 2)
+        slots = rng.sample(range(size), sum(sizes))
+        groups = []
+        for n in sizes:
+            groups.append((slots[:n], sorted(rng.sample(range(10), rng.randint(0, 5)))))
+            del slots[:n]
+        base = [-1 - p for p in range(size)]
+        assert list(equilibrium._grid_keys(groups, base)) == list(
+            _plain_grid_keys(groups, base)), groups
+        shapes |= {(len(ps), len(values), g == len(groups) - 1)
+                   for g, (ps, values) in enumerate(groups)}
+    # Every shape came up, in the last group and before it.
+    assert shapes == set(itertools.product((1, 2, 3), range(6), (False, True)))
+    for base in ([], [3, 1]):
+        assert list(equilibrium._grid_keys([], base)) == [tuple(base)]
 
 
 def test_a_block_of_enumerated_keys_moves_only_the_moving_job():
@@ -593,6 +619,35 @@ def test_a_block_of_enumerated_keys_moves_only_the_moving_job():
                 assert moved, (a, b)
                 starts += 1
     assert inside > 10000 and starts > 1000
+
+
+def test_enumeration_draws_each_profile_through_iter_grid_coded(monkeypatch):
+    """The `ne_refute` benchmark times each profile by wrapping
+    `equilibrium._iter_grid_coded`; without that name it falls back to
+    per-game means. `enumerate_grid_ne` and `analyze` draw every profile of
+    the joint grid through it, once each."""
+    iter_grid_coded, drawn = equilibrium._iter_grid_coded, []
+
+    def counting(*args, **kwargs):
+        drawn.append(0)
+        for key in iter_grid_coded(*args, **kwargs):
+            drawn[-1] += 1
+            yield key
+
+    monkeypatch.setattr(equilibrium, "_iter_grid_coded", counting)
+    instances = [fx.instance for fx in _enumerable_fixtures()]
+    instances.append(from_partition_decide((1, 3, 3, 3)).instance)
+    runs = 0
+    for inst in instances:
+        calls = [enumerate_grid_ne]
+        if not any(j.window for j in inst.jobs):  # the optimum rejects windows
+            calls.append(analyze)
+        for call in calls:
+            drawn.clear()
+            call(copy.copy(inst))
+            assert drawn == [joint_grid_size(inst)]
+            runs += 1
+    assert runs == 2 * len(instances) - 1
 
 
 def _wrapping_walks(monkeypatch, wrap):
@@ -1910,6 +1965,18 @@ def test_verify_deviation_rejects_a_move_placing_a_job_twice():
                                   dev.utility_before, dev.utility_after)
     with pytest.raises(ValidationError, match=re.escape("job 1: placed twice")):
         verify_deviation(fx.instance, profile, twice)
+
+
+def test_verify_deviation_names_an_unknown_job_that_does_not_compare():
+    # The moved profile used to be sorted by job id, so "a" escaped as a
+    # bare TypeError before the check could name it.
+    fx = fixture("ex1")
+    profile = fx.notable_profiles["figure_a"]
+    dev = is_nash(fx.instance, profile)
+    unknown = equilibrium.Deviation(1, ((1, F(0)), ("a", F(0)), (2, F(1, 2))),
+                                    dev.utility_before, dev.utility_after)
+    with pytest.raises(ValidationError, match=re.escape("start given for unknown job a")):
+        verify_deviation(fx.instance, profile, unknown)
 
 
 @pytest.mark.parametrize("bad", ["2", 1.5, True, False, F(1), None])
