@@ -386,36 +386,32 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
 
 
 def _scan(instance: Instance, cache: MachineCache, players, walks=None) -> list:
-    """(player, color index, total, one job?, walk, others) for each of
+    """(player, color index, total, one job?, walk, record_key) for each of
     `players`, in order: what `_profile_stable` reads of a player before its
     record. `walk` is the player's typed walk in `walks` (see `_typed_walk`),
-    or None; `others` reads the other players' starts from a key, as
-    `MachineCache.others_key` does."""
+    or None; `record_key` reads the key of the player's grid record from a
+    key, as `MachineCache.others_key` does, without the method call."""
     walks = walks or {}
     return [(c, cache.color_index[c], cache.totals[cache.color_index[c]],
-             len(instance.jobs_of_color(c)) == 1, walks.get(c), cache._others[c])
+             len(instance.jobs_of_color(c)) == 1, walks.get(c), cache._record_key[c])
             for c in players]
 
 
 def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
-                    per: tuple, scan: list, force: bool, block=None) -> bool:
+                    per: tuple, scan: list, force: bool) -> bool:
     """Whether no player of `scan` (from `_scan`, in order) has an improving
     grid move at `key`, whose per-color utilities are `per`.
 
     A covered player is stable. An existing record that is not `big` settles
     a verdict here when `lo` exceeds the utility, or for a one-job player
     when `hi` does not (rules (b) and (c) of `_player_stable`); every other
-    verdict goes to `_player_stable` with the record looked up, or None.
-    A record is keyed by (player, `others(key)`), the player's
-    `MachineCache.others_key`; `block`, where given, is that key for its own
-    player, which the caller holds already."""
+    verdict goes to `_player_stable` with the record looked up, or None."""
     records = cache.grid_cache
-    for player, pix, total, single, walk, others in scan:
+    for player, pix, total, single, walk, record_key in scan:
         u = per[pix]
         if u == total:
             continue
-        others_key = (block if block is not None and block[0] == player
-                      else (player, others(key)))
+        others_key = record_key(key)
         record = records.get(others_key)
         if record is not None and not record.big:
             if record.lo > u:
@@ -823,8 +819,7 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     Nothing here stores a key in the core's memo.
 
     The keys come in blocks that move only that job, whose start rises
-    through a block, so the head, and the one-job owner's others key that
-    `_profile_stable` reuses, are read only where it does not rise. Each
+    through a block, so the head is read only where it does not rise. Each
     key's verdict is `_profile_stable`'s, which reads the players' grid
     records and leaves building them, searching and writing bounds to
     `_player_stable`. When the moving job's owner has no other job, its
@@ -871,7 +866,7 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
             sig = sign(x, head)
             hit = types.get(sig) or _bounded_put(types, sig, solve(key))
         value, per = hit
-        if _profile_stable(instance, cache, key, per, scan, force, block):
+        if _profile_stable(instance, cache, key, per, scan, force):
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.

@@ -122,7 +122,7 @@ class MachineCache:
 
     __slots__ = ("instance", "wden", "td", "rows", "start_lo", "start_hi", "base_scaled",
                  "zero_ids", "color_ids", "ids", "pos", "color_index", "totals",
-                 "zero_per", "lens", "bounds", "other_pos", "_groups", "_others",
+                 "zero_per", "lens", "bounds", "other_pos", "_groups", "_record_key",
                  "_cache", "grid_cache")
 
     def __init__(self, instance: Instance, td: int):
@@ -197,14 +197,16 @@ class MachineCache:
             c = jobs[p].color
             groups[c].append((ids_, [pos[i] for i in ids_]))
             bounds[c].append((self.start_lo[p], self.start_hi[p], lens[p]))
-        # Per player: the other players' key positions, and their getter.
-        other_pos, others = {}, {}
+        # Per player: the other players' key positions, and the key of its
+        # grid records, (player, the other players' starts), read from a key.
+        other_pos, record_key = {}, {}
         for c in colors:
             other = other_pos[c] = [p for p, j in enumerate(jobs) if j.color != c]
-            others[c] = itemgetter(*other) if other else (lambda key: ())
+            get = itemgetter(*other) if other else (lambda key: ())
+            record_key[c] = lambda key, c=c, get=get: (c, get(key))
         (self.ids, self.pos, self.totals, self.lens, self.bounds, self.other_pos,
-         self._others, self._cache, self.grid_cache) = (
-            ids, pos, tuple(totals), lens, bounds, other_pos, others, {}, {})
+         self._record_key, self._cache, self.grid_cache) = (
+            ids, pos, tuple(totals), lens, bounds, other_pos, record_key, {}, {})
         self._groups = groups
 
     def key(self, starts: Mapping[int, Fraction]) -> tuple:
@@ -216,7 +218,7 @@ class MachineCache:
 
     def others_key(self, player: int, key: tuple) -> tuple:
         """The player and the other players' starts in a key."""
-        return (player, self._others[player](key))
+        return self._record_key[player](key)
 
     def evaluate_key(self, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over
