@@ -11,6 +11,8 @@ intersection has positive length, so touching endpoints do not conflict.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -46,6 +48,67 @@ class InternalFailure(Exception):
     `python -O`; the CLI maps it to exit code 3."""
 
 
+# Decimal text and ints convert a run of fewer than 640 digits at a time:
+# 640 is the lowest limit on int-string conversion that an interpreter may run
+# under (`PYTHONINTMAXSTRDIGITS`), so no answer depends on that limit. A run of
+# digits that a document may hold is bounded by the interpreter's default
+# limit instead, whatever limit this process runs under.
+_SHORT = getattr(sys.int_info, "str_digits_check_threshold", 640)
+_CHUNK = 10 ** (_SHORT - 1)
+_MAX_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+_DIGITS = r"\d+(?:_\d+)*"
+# What `Fraction` reads from a string: a sign, then an integer and a
+# denominator, or an integer part, decimals and an exponent.
+_NUMBER = re.compile(rf"([-+]?)(?=\d|\.\d)({_DIGITS})?"
+                     rf"(?:/({_DIGITS})|(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)")
+
+
+def _int(text: str) -> int:
+    """The int a run of decimal digits spells (a sign and underscores
+    allowed), read in chunks of fewer than 640 digits; a run of more than
+    the interpreter's default limit raises `ValueError`."""
+    if len(text) < _SHORT:
+        return int(text)
+    digits = text.lstrip("+-").replace("_", "")
+    if len(digits) > _MAX_DIGITS:
+        raise ValueError(f"{len(digits)} digits, more than {_MAX_DIGITS}")
+    n = 0
+    for i in range(0, len(digits), _SHORT - 1):
+        chunk = digits[i:i + _SHORT - 1]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if text[0] == "-" else n
+
+
+def _fraction(text: str) -> Fraction:
+    """`Fraction(text)`, with each run of digits read by `_int`."""
+    if len(text) < _SHORT:
+        return Fraction(text)
+    m = _NUMBER.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"invalid literal for Fraction: {text!r}")
+    sign, whole, den, dec, exp = m.groups()
+    if den:
+        value = Fraction(_int(whole), _int(den))
+    else:
+        dec = (dec or "").replace("_", "")
+        n = _int(whole or "0") * 10 ** len(dec) + _int(dec or "0")
+        shift = _int(exp or "0") - len(dec)
+        value = Fraction(n * 10 ** shift) if shift >= 0 else Fraction(n, 10 ** -shift)
+    return -value if sign == "-" else value
+
+
+def _decimal(n: int) -> str:
+    """`str(n)`, converted fewer than 640 digits at a time."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(str(r).zfill(_SHORT - 1))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def to_rational(value, what: str = "value") -> Fraction:
     """Convert an int, Fraction, or numeric string ("4", "0.5", "1/3") exactly."""
     if isinstance(value, Fraction):
@@ -59,7 +122,7 @@ def to_rational(value, what: str = "value") -> Fraction:
             f"{what}: floats are not exact; pass a string such as '0.5' or '1/3'")
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return _fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"{what}: cannot parse {value!r} as a rational") from exc
     raise FormatError(f"{what}: unsupported numeric type {type(value).__name__}")
@@ -67,7 +130,10 @@ def to_rational(value, what: str = "value") -> Fraction:
 
 def rational_str(x: Fraction) -> str:
     """Canonical text form ("5", "21/10") used in all documents."""
-    return str(x)
+    n, d = x.numerator, x.denominator
+    if -_CHUNK < n < _CHUNK and d < _CHUNK:
+        return str(x)
+    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 @dataclass(frozen=True)
@@ -372,17 +438,19 @@ def _unique_keys(pairs: list) -> dict:
 
 def _loads(text: str):
     """A JSON document, with `FormatError` for every way its text can fail:
-    a syntax error, a repeated key, nesting too deep for the parser, or an
-    int literal longer than the interpreter converts."""
+    a syntax error, a repeated key, nesting too deep for the parser, or a
+    number literal with a run of more digits than the interpreter's default
+    limit (`_int`). Number literals are read as `to_rational` reads text."""
     try:
         # parse_float receives the raw literal, so "0.5" becomes exactly 1/2
-        return json.loads(text, parse_float=Fraction, object_pairs_hook=_unique_keys)
+        return json.loads(text, parse_float=_fraction, parse_int=_int,
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"syntax error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
     except RecursionError as exc:
         raise FormatError("document nested too deeply to parse") from exc
-    except ValueError as exc:  # the interpreter's limit on int digits
+    except ValueError as exc:  # `_int`'s bound on a run of digits
         raise FormatError(f"number literal too long: {exc}") from exc
 
 
@@ -408,6 +476,8 @@ def profile_from_document(doc, instance: Instance) -> Profile:
             jid = int(key)
         except ValueError:
             raise FormatError(f"job id key {key!r} is not an integer") from None
+        if jid in starts:  # "2", "02" and " 2" name one job
+            raise FormatError(f"job {jid} given twice in 'starts' (key {key!r})")
         starts[jid] = to_rational(value, f"start of job {key}")
     return validate_profile(instance, Profile.from_dict(starts))
 

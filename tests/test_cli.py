@@ -5,11 +5,11 @@ import contextlib
 import copy
 import hashlib
 import importlib
-import io
 import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -23,7 +23,10 @@ from intervalgames import (GameError, InternalFailure, Profile, fixture, fixture
                            instance_to_json, profile_to_json, random_profile, to_rational)
 from intervalgames import cli
 from intervalgames.cli import main
+from intervalgames.model import rational_str
 from conftest import BAD_ID_JOBS, guard_instances
+import golden
+from golden import GOLDEN_SHA256, golden_stream
 
 
 @pytest.fixture()
@@ -402,51 +405,8 @@ def test_solve_with_fixture_flag(capsys, tmp_path):
     assert code == 0 and payload["value"] == "4"
 
 
-# The seven named fixtures: builder parameters and the same as `igl` flags.
-GOLDEN_FIXTURES = (
-    ("ex1", {}, ()),
-    ("nonsymm_no_ne", {}, ()),
-    ("poa_tight", {"n": 5, "epsilon": F(1, 10)}, ("--n", "5", "--epsilon", "1/10")),
-    ("pos_c", {"c": 4}, ("--c", "4")),
-    ("pos_two", {}, ()),
-    ("prop_no_ne", {}, ()),
-    ("unit_tight", {"c": 4}, ("--c", "4")),
-)
-# One best response of pos_c's six-job player runs for seconds on the global
-# grid, so its dynamics are pinned at zero iterations.
-GOLDEN_BRD_FLAGS = {"pos_c": ("--max-iters", "0")}
-GOLDEN_SHA256 = "bc5d648940d0f1a2bc04742d3b6e34359b312aead1a5c42b93aa26a5e185ee71"
-
-
-def _golden_stream(directory) -> bytes:
-    """The exit codes and stdout bytes of `ne`, `analyze` (window-free
-    instances only: `analyze` rejects windows), `brd` from a seeded grid
-    profile and `ne --construct` (single and unit classes) on every fixture,
-    each after its command line. `pos_c` exceeds the enumeration guard, so
-    its `ne` and `analyze` give exit 2 and empty stdout. Start profiles are
-    written to `directory`."""
-    stream = []
-    for name, kwargs, flags in GOLDEN_FIXTURES:
-        instance = fixture(name, **kwargs).instance
-        start = pathlib.Path(directory) / f"{name}.start.json"
-        start.write_text(profile_to_json(random_profile(instance, 0)))
-        brd_flags = GOLDEN_BRD_FLAGS.get(name, ())
-        runs = [(("ne",), ()), (("brd", *brd_flags), (str(start),))]
-        if not instance.has_windows:
-            runs.append((("analyze",), ()))
-        for cls in ("single", "unit"):
-            if getattr(instance, f"is_{cls}"):
-                runs.append((("ne", "--construct", cls), ()))
-        for command, paths in runs:
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                code = main([*command, "--fixture", name, *flags, *paths])
-            stream.append(" ".join([*command, name, *flags]))
-            stream.append(f"\n{code}\n{out.getvalue()}\n")
-    return "".join(stream).encode()
-
-
 def test_golden_bytes_on_fixtures(tmp_path):
-    assert hashlib.sha256(_golden_stream(tmp_path)).hexdigest() == GOLDEN_SHA256
+    assert hashlib.sha256(golden_stream(tmp_path)).hexdigest() == GOLDEN_SHA256
 
 
 def test_golden_bytes_under_two_hash_seeds(tmp_path):
@@ -454,13 +414,59 @@ def test_golden_bytes_under_two_hash_seeds(tmp_path):
     and so the iteration order of str-keyed sets, differ."""
     tests = pathlib.Path(__file__).parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    script = ("import sys; from test_cli import _golden_stream; "
-              "sys.stdout.buffer.write(_golden_stream(sys.argv[1]))")
+    script = ("import sys; from golden import golden_stream; "
+              "sys.stdout.buffer.write(golden_stream(sys.argv[1]))")
     for seed in ("0", "12345"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
         run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                              capture_output=True, check=True)
         assert hashlib.sha256(run.stdout).hexdigest() == GOLDEN_SHA256, seed
+
+
+def _other_interpreters() -> dict:
+    """Each of `python3.10` to `python3.13` on PATH that starts, by minor
+    version, leaving out this interpreter's version."""
+    found = {}
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        run = subprocess.run([exe, "-c", "import sys; print(sys.version_info[1])"],
+                             capture_output=True, text=True)
+        if run.returncode == 0 and run.stdout.strip() == str(minor):
+            found[minor] = exe
+    return found
+
+
+def test_golden_bytes_across_interpreters_and_digit_limits(tmp_path):
+    """The large-number instance prints the same bytes, each command exiting
+    0, under `PYTHONINTMAXSTRDIGITS` at 640, unset and 0, on this
+    interpreter and every other one found; each other one also prints the
+    golden stream. Where none starts (a pyenv shim refuses to start without
+    `PYENV_VERSION`), that part skips."""
+    tests = pathlib.Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    others = _other_interpreters()
+    expected = golden.large_stream(tmp_path)
+    # Both commands exit 0, and the optimum is the two weights' sum.
+    lines = expected.decode().splitlines()
+    weights = [to_rational(j["weight"]) for j in json.loads(golden.LARGE_INSTANCE)["jobs"]]
+    assert lines[0::2] == ["0", "0"]
+    assert json.loads(lines[1])["value"] == rational_str(sum(weights))
+    for exe in [sys.executable, *others.values()]:
+        for limit in ("640", None, "0"):
+            run = subprocess.run([exe, "-m", "golden", str(tmp_path), "large"],
+                                 env=env if limit is None else {**env, "PYTHONINTMAXSTRDIGITS": limit},
+                                 capture_output=True)
+            assert (run.returncode, run.stderr, run.stdout) == (0, b"", expected), (exe, limit)
+    for minor, exe in others.items():
+        run = subprocess.run([exe, "-m", "golden", str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == GOLDEN_SHA256, minor
+    if not others:
+        pytest.skip("no other python3.10 to python3.13 on PATH starts, so the golden "
+                    "stream and the large instance ran under this interpreter only")
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
@@ -866,3 +872,12 @@ def test_analyze_family_jobs_below_one_exits_2(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"--jobs must be at least 1, got {jobs}" in captured.err
+
+
+def test_a_profile_naming_a_job_twice_exits_2_with_one_line(capsys, ex1_files):
+    instance, profile = ex1_files
+    pathlib.Path(profile).write_text('{"starts": {"1": "0", "2": "0", "02": "1/2", "3": "0"}}')
+    code = main(["brd", str(instance), str(profile)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: job 2 given twice in 'starts' (key '02')\n"

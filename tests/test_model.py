@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalgames import (FormatError, Instance, Job, Profile, ValidationError,
-                           fixture, instance_to_json, parse_instance,
+                           fixture, instance_to_json, model, parse_instance,
                            parse_profile, profile_to_json, solve_machine_bruteforce,
                            solve_machine_dp, to_rational, utilities, validate_instance,
                            validate_profile)
+from intervalgames.model import rational_str
 from conftest import BAD_ID_JOBS
 
 EX1_DOC = """
@@ -242,3 +244,58 @@ def test_schedule_round_trip():
     sched = solve_machine_dp(fx.instance, fx.notable_profiles["figure_a"])
     again = parse_schedule(schedule_to_json(sched))
     assert again == sched
+
+
+def test_a_job_named_by_two_start_keys_is_rejected():
+    """Keys that differ as text but name one job ("2", "02", " 2") were
+    read as one placement, the last winning."""
+    inst = fixture("ex1").instance
+    for twin in ("02", " 2", "+2"):
+        doc = json.dumps({"starts": {"1": "0", "2": "0", twin: "1/2", "3": "0"}})
+        with pytest.raises(FormatError, match=re.escape(f"job 2 given twice in 'starts' "
+                                                        f"(key {twin!r})")):
+            parse_profile(doc, inst)
+
+
+@pytest.fixture()
+def digit_limit():
+    """Set the interpreter's limit on int-string conversion for one test."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+# Number texts around the chunk size, written as `Fraction` reads them
+# (underscores between digits from Python 3.11).
+_NUMBER_TEXTS = [
+    "7" * 639, "7" * 640, "-" + "9" * 1300, "+" + "1" * 700, " 12" + "0" * 700 + " ",
+    "3" * 700 + "/" + "4" * 650, "5" * 700 + "/" + "7" * 3, "0." + "3" * 700,
+    "." + "5" * 700, "6" * 700 + ".", "2" * 650 + "e-700", "1" * 650 + "E+3",
+    "-" + "8" * 300 + "." + "1" * 400 + "e2", "0" * 700,
+] + (["1_2" * 300] if sys.version_info >= (3, 11) else [])
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_decimal_text_converts_alike_under_every_digit_limit(digit_limit, limit):
+    """`to_rational`, the document reader and `rational_str` convert every run
+    of digits in chunks, so their answers do not depend on the interpreter's
+    limit on int-string conversion, and a run of fewer than 640 digits keeps
+    `Fraction`'s own reading. A document's run of digits is bounded by the
+    interpreter's default limit (4,300 digits) under every limit."""
+    digit_limit(0)
+    expected = [F(text) for text in _NUMBER_TEXTS]
+    values = [F(int("7" * k), int("3" * (k // 2) + "1")) for k in (1, 600, 639, 640, 2500)]
+    values += [-v for v in values] + [F(-int("9" * 5000))]
+    texts = [str(v) for v in values]
+    literals = ["7" * 700, "-" + "3" * 650 + ".25e-2", "4" * 4300]
+    parsed = [int(literals[0]), F(literals[1]), int(literals[2])]
+    digit_limit(limit)
+    assert [to_rational(text) for text in _NUMBER_TEXTS] == expected
+    assert model._loads(f"[{', '.join(literals)}]") == parsed
+    assert [rational_str(v) for v in values] == texts
+    assert [to_rational(text) for text in texts[:-1]] == values[:-1]
+    for bad in ("1" * 700 + "/0", "1" * 700 + "x", "1" * 700 + "__2", "4" * 4301):
+        with pytest.raises(FormatError, match="cannot parse"):
+            to_rational(bad)
+    with pytest.raises(FormatError, match="number literal too long: 4301 digits"):
+        model._loads("4" * 4301)
