@@ -10,12 +10,12 @@ grid, and reports say so.
 
 The searches run on ints on the time scale of the instance's solver core
 (`machine.MachineCache`, stored on the `Instance` object and dropped with
-it): every start is a numerator over the core's time denominator, and a memo
-key is the tuple of a profile's start times. `best_response`, `is_nash`,
-`brd` and `build_grid` validate their input and work on a core whose fixed
-scale fits it (`MachineCache.of`: a profile off the stored core's scale
-replaces that core, as in the machine entries), so a nested search never
-rescales an outer walk's keys. One function makes every local grid
+it): every start is a numerator over the core's time denominator, and a key
+is the tuple of a profile's start times. Each search entry checks its input
+on ints (`_entry`; `build_grid` its fixed starts) on a core whose fixed
+scale fits it (`MachineCache.of`), so a nested search never rescales an
+outer walk's keys, and keeps its answers in a memo of its own: grid records
+are the only state that searches share. One function makes every local grid
 (`_grid_points`, untagged ints); `build_grid` is its `Fraction` view on the
 core's job groups and the only place that tags points with their
 provenance, and it raises `InternalFailure` rather than truncate a gap that
@@ -68,9 +68,8 @@ for the call only, signed on the job `_grid_keys` moves fastest (the last of
 the fastest group), whose blocks of keys share one head; the DP runs on a
 type miss. A player with one job of positive length searches by a typed walk
 (`_typed_walk`) over the same type memo, which moves that job against a head
-read once; multi-job players search through the core's memo, which holds
-their keys only. Equal DP answers share one tuple. Best-response keys seldom
-repeat a type, so the type memo is not kept on the core.
+read once. Equal DP answers share one tuple. Best-response keys seldom repeat
+a type, so only enumeration keeps a type memo.
 """
 
 from __future__ import annotations
@@ -321,10 +320,11 @@ def _strategy(cache: MachineCache, key, player: int) -> dict[int, Fraction]:
             for j in cache.instance.jobs_of_color(player)}
 
 
-def _player_search(instance: Instance, cache: MachineCache, key: tuple,
+def _player_search(instance: Instance, cache: MachineCache, memo: dict, key: tuple,
                    player: int, *, mode: str, force: bool = False,
                    lists=None, prefer_value: bool = False, u_cur=None):
-    """Search the player's joint strategy grid from the profile `key`.
+    """Search the player's joint strategy grid from the profile `key`, on
+    the search call's memo `memo`.
 
     mode="best": return the best (key, utility), the utility an int over
     `wden`, preferring the current strategy when it attains the maximum.
@@ -342,13 +342,12 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     """
     if not instance.jobs_of_color(player):
         raise ValidationError(f"instance has no player {player}")
-    pix = cache.color_index[player]
+    groups, pix = cache.groups[player], cache.color_index[player]  # builds `totals`
     if u_cur is None:
-        u_cur = cache.evaluate_key(key)[1][pix]
+        u_cur = cache.evaluate_key(memo, key)[1][pix]
     if u_cur == cache.totals[pix]:  # fully covered players cannot improve
         return (key, u_cur) if mode == "best" else None
 
-    groups = cache.groups[player]
     if lists is None:
         lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
     _guards(player, [(ids_, len(coded)) for (ids_, _), coded in zip(groups, lists)],
@@ -357,7 +356,7 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     walk = [(ps, coded) for (_, ps), coded in zip(groups, lists)]
     if mode == "first":
         for cand in _grid_keys(walk, key):
-            u = cache.evaluate_key(cand)[1][pix]
+            u = cache.evaluate_key(memo, cand)[1][pix]
             if u > u_cur:
                 return cand, u
         return None
@@ -369,7 +368,7 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     positions = [ps for ps, _ in walk]
     best_u, best, full = u_cur, None, cache.totals
     for starts, ms in zip(_multisets(walk), _multisets(zip(positions, tables))):
-        value, per = score(ms) or cache.evaluate_key(_put(key, positions, starts))
+        value, per = score(ms) or cache.evaluate_key(memo, _put(key, positions, starts))
         u = per[pix]
         if u > best_u or (prefer_value and best and u == best_u and value > best[1]):
             best_u, best = u, (starts, value, per)
@@ -381,19 +380,17 @@ def _player_search(instance: Instance, cache: MachineCache, key: tuple,
     if best is None:
         return key, best_u
     found = _put(key, positions, best[0])
-    _bounded_put(cache._cache, found, best[1:])
+    _bounded_put(memo, found, best[1:])
     return found, best_u
 
 
-def _scan(instance: Instance, cache: MachineCache, players, walks=None) -> list:
+def _scan(instance: Instance, cache: MachineCache, players, walks: dict) -> list:
     """(player, color index, total, one job?, walk, record_key) for each of
     `players`, in order: what `_profile_stable` reads of a player before its
-    record. `walk` is the player's typed walk in `walks` (see `_typed_walk`),
-    or None; `record_key` reads the key of the player's grid record from a
-    key, as `MachineCache.others_key` does, without the method call."""
-    walks = walks or {}
+    record. `walk` is its search in `walks` (see `_player_stable`); `record_key`
+    reads its grid record's key from a key, as `MachineCache.others_key` does."""
     return [(c, cache.color_index[c], cache.totals[cache.color_index[c]],
-             len(instance.jobs_of_color(c)) == 1, walks.get(c), cache._record_key[c])
+             len(instance.jobs_of_color(c)) == 1, walks[c], cache._record_key[c])
             for c in players]
 
 
@@ -426,7 +423,7 @@ def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
 
 def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
                    u_cur: int, player: int, others_key: tuple,
-                   record: Optional[_GridRecord], force: bool, walk=None) -> bool:
+                   record: Optional[_GridRecord], force: bool, walk) -> bool:
     """Whether the player, at utility `u_cur` below its total, has no
     improving grid move: the verdict of a first-improvement `_player_search`,
     with the same guards in the same order, read from the grid record's
@@ -450,11 +447,10 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     current starts into it once (`_coded_grid`). A `big` record's guards run
     first, on the merged lists, as the search's do; then every verdict reads
     (b) and (c) once, each start counting as aligned when each merged list
-    is the record's own. The search walks the merged lists: the player's
-    typed walk `walk` (`_typed_walk`), given for a one-job player in grid-NE
-    enumeration, walks its one list in place of `_player_search`; it runs
-    no guard, since a `big` record's guards ran here and a record that is
-    not `big` cannot trip one. Only this builds records and writes bounds."""
+    is the record's own. The search `walk(key, merged lists, u_cur)` is a
+    typed walk (`_typed_walk`) for a one-job player, which runs no guard,
+    since a `big` record's guards ran here and one that is not `big` cannot
+    trip one, else `_first_search`'s. Only this builds records and bounds."""
     if record is None:
         record = _grid_record(cache, key, player, others_key)
     _, lists = _coded_grid(cache, key, player, record)
@@ -465,9 +461,7 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1 or all(
             union is coded for (_, union), coded in zip(lists, record.coded))):
         return True
-    merged = [union for _, union in lists]
-    found = (walk(key, merged[0], u_cur) if walk else _player_search(
-        instance, cache, key, player, mode="first", force=force, lists=merged, u_cur=u_cur))
+    found = walk(key, [union for _, union in lists], u_cur)
     if found is None:
         record.hi = min(record.hi, u_cur)
         return True
@@ -475,6 +469,17 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
            in zip(cache.groups[player], record.coded) for p in positions):
         record.lo = found[1]
     return False
+
+
+def _entry(instance: Instance, profile: Profile) -> tuple[MachineCache, tuple]:
+    """The core and key a search entry searches `profile` from, by one range
+    check on ints (`machine._checked`); where the job counts differ the check
+    is `validate_profile`'s, so every message and its order are its own."""
+    starts = _starts_of(profile)
+    if len(starts) != len(instance.jobs):
+        validate_profile(instance, profile)
+    cache, times = machine._checked(instance, starts)
+    return cache, tuple(times)
 
 
 def best_response(instance: Instance, profile: Profile, player: int, *,
@@ -493,10 +498,8 @@ def best_response(instance: Instance, profile: Profile, player: int, *,
     A joint search of more than `BEST_RESPONSE_MAX_SEARCH` strategies raises
     `GuardError` before its first one is evaluated, unless `force` is set.
     """
-    starts = validate_profile(instance, profile).as_dict()
-    cache = MachineCache.of(instance, starts.values())
-    best, u = _player_search(instance, cache, cache.key(starts), player,
-                             mode="best", force=force)
+    cache, key = _entry(instance, profile)
+    best, u = _player_search(instance, cache, {}, key, player, mode="best", force=force)
     return _strategy(cache, best, player), Fraction(u, cache.wden)
 
 
@@ -509,14 +512,12 @@ def is_nash(instance: Instance, profile: Profile, *, first_improvement: bool = F
     improving move (same stable/unstable verdict, cheaper witness). `players`
     restricts the scan to a subset of colors.
     """
-    starts = validate_profile(instance, profile).as_dict()
-    cache = MachineCache.of(instance, starts.values())
-    key = cache.key(starts)
+    (cache, key), memo = _entry(instance, profile), {}
     scan = instance.color_ids if players is None else tuple(sorted(players))
     for player in scan:
-        found = _player_search(instance, cache, key, player, force=force,
+        found = _player_search(instance, cache, memo, key, player, force=force,
                                mode="first" if first_improvement else "best")
-        u_cur = cache.evaluate_key(key)[1][cache.color_index[player]]
+        u_cur = cache.evaluate_key(memo, key)[1][cache.color_index[player]]
         if found is not None and found[1] > u_cur:
             moved, u = found
             return Deviation(player, tuple(_strategy(cache, moved, player).items()),
@@ -776,17 +777,17 @@ def _type_signer(cache: MachineCache, moving: int, pids):
 
 def _typed_walk(position: int, pix: int, signer, types: dict, solve):
     """A one-job player's verdict search in grid-NE enumeration:
-    `walk(key, starts, u_cur)` moves the job at key position `position`
+    `walk(key, [starts], u_cur)` moves the job at key position `position`
     through the ascending ints `starts` and returns the first (key, utility
     at color index `pix`) above `u_cur`, or None, as a first-improvement
     `_player_search` of that list does. It reads the job's head once
     (`signer`, the job's `_type_signer`), signs each start against it and
     reads the type memo `types`, storing `solve`'s answer on a miss. It
-    builds a key only for `solve` and for its result, and writes nothing to
-    the core's memo."""
+    builds a key only for `solve` and for its result."""
     head_starts, sign = signer
 
-    def walk(key: tuple, starts: list, u_cur: int):
+    def walk(key: tuple, lists: list, u_cur: int):
+        (starts,) = lists
         head = head_starts(key)
         for x in starts:
             sig = sign(x, head)
@@ -801,22 +802,29 @@ def _typed_walk(position: int, pix: int, signer, types: dict, solve):
     return walk
 
 
+def _first_search(instance: Instance, cache: MachineCache, memo: dict, player: int, force):
+    """A multi-job player's search for `_player_stable` in grid-NE
+    enumeration: a first-mode `_player_search` on the call's memo `memo`."""
+    return lambda key, lists, u_cur: _player_search(
+        instance, cache, memo, key, player, mode="first", force=force, lists=lists, u_cur=u_cur)
+
+
 def _grid_ne(instance: Instance, cache: MachineCache, keys,
              force: bool) -> list[tuple[int, tuple]]:
     """The grid equilibria among `keys`, given in `_grid_keys` order, as
     (value over `wden`, key) pairs, sorted as `enumerate_grid_ne` returns
     them.
 
-    A key missing from the core's memo is answered from a DP-exact type memo
-    that lives for this call only, and `_dp_core` runs on a type miss; a
-    table of the call's distinct answers, bounded at `machine.MEMO_LIMIT`
-    entries like the type memo, gives equal answers one tuple. The keys are
+    Every memo lives for this call. A key missing from its key memo is
+    answered from a DP-exact type memo, and `_dp_core` runs on a type miss;
+    a table of the call's distinct answers, bounded at `machine.MEMO_LIMIT`
+    entries like the memos, gives equal answers one tuple. The keys are
     signed on the job `_grid_keys` moves fastest (`_type_signer`). A player
     whose only job has positive length searches by a typed walk
     (`_typed_walk`) on that job's signer, the moving job's owner on the
     enumeration's; every signer draws its pattern ids from one counter, so
-    all share the type memo. Multi-job players search by `_player_search`.
-    Nothing here stores a key in the core's memo.
+    all share the type memo. Any other player searches on the key memo
+    (`_first_search`).
 
     The keys come in blocks that move only that job, whose start rises
     through a block, so the head is read only where it does not rise. Each
@@ -831,7 +839,7 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     moving, pids = positions[-1], itertools.count()
     signer = _type_signer(cache, moving, pids)
     head_starts, sign = signer
-    memo, types, answers = cache._cache, {}, {}
+    memo, types, answers = {}, {}, {}
 
     def solve(key: tuple):  # one tuple per distinct answer, shared by its types
         hit = cache.solve_key(key)
@@ -848,6 +856,8 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
             walks[player] = _typed_walk(
                 p, cache.color_index[player],
                 signer if p == moving else _type_signer(cache, p, pids), types, lookup)
+        else:
+            walks[player] = _first_search(instance, cache, memo, player, force)
     # Stability is a conjunction over players, so scan cheap searches first.
     scan = _scan(instance, cache, sorted(
         instance.color_ids, key=lambda c: (len(instance.jobs_of_color(c)), c)), walks)
@@ -890,9 +900,7 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
     if order not in ("round_robin", "first_improving"):
         raise ValidationError(f"unknown BRD order {order!r}")
     _check_int(max_iters, "max_iters", 0)
-    starts = validate_profile(instance, initial).as_dict()
-    cache = MachineCache.of(instance, starts.values())
-    key = cache.key(starts)
+    (cache, key), memo = _entry(instance, initial), {}
     lists = _global_lists(cache, resolution)
     colors = instance.color_ids
     seen = {key: 0}  # the visited keys, in visiting order
@@ -912,14 +920,15 @@ def brd(instance: Instance, initial: Profile, order: str = "round_robin",
             pointer += 1
         else:
             player = colors[quiet]
-        best, u = _player_search(instance, cache, key, player, mode="best", force=force,
-                                 lists=lists[player], prefer_value=True)
-        u_cur = cache.evaluate_key(key)[1][cache.color_index[player]]
+        best, u = _player_search(instance, cache, memo, key, player, mode="best",
+                                 force=force, lists=lists[player], prefer_value=True)
+        u_cur = cache.evaluate_key(memo, key)[1][cache.color_index[player]]
         if u > u_cur:
             key = best
             iterations += 1
             quiet = 0
-            trace.append((player, Fraction(u - u_cur, cache.wden), cache.value(key)))
+            trace.append((player, Fraction(u - u_cur, cache.wden),
+                          Fraction(cache.evaluate_key(memo, key)[0], cache.wden)))
             if key in seen:
                 cycle = tuple(map(cache.profile, list(seen)[seen[key]:]))
                 return BrdOutcome("cycle_detected", None, cycle,

@@ -12,9 +12,9 @@ A best-mode search moves one player's jobs, all of one color, against the
 others' fixed ones, and scores each joint strategy by its route,
 `_background`: the best, over the fixed jobs' cross-color-compatible subsets
 K, of w(K) plus the moving weight that overlaps no job of K, read from each
-moving job's overlap mask. It defers to the DP (`evaluate_key`, and the
-memo) when the subsets outnumber its rows and on ties in per-color
-utilities; it serves that walk alone and stores nothing in the memo.
+moving job's overlap mask. It defers to the DP (`evaluate_key`, on the
+search call's memo) when the subsets outnumber its rows and on ties in
+per-color utilities; it serves that walk alone and stores nothing.
 
 Everything computes in integers on one time scale per instance. The
 instance's solver core (`MachineCache`, stored on the `Instance` object and
@@ -24,7 +24,7 @@ denominators, so every comparison and sum is exact. `td` starts at 4L, where
 L is the lcm of the denominators of the horizon, the lengths and the window
 bounds: every global-grid point lies in (1/2L)Z and every local grid built
 against such starts in (1/4L)Z, so the game searches run on ints from end to
-end, and their memo keys are the start times themselves. A core's `td` is
+end, and their keys are the start times themselves. A core's `td` is
 fixed when it is built, by one rule (`MachineCache.of`): a `Fraction` entry
 whose profile has a start of denominator d with 2d not dividing `td` gets a
 new core on their lcm, stored on the instance in the old one's place; a walk
@@ -33,7 +33,7 @@ never meet in one key. The machine entries (`solve_machine_dp`,
 `solve_machine_bruteforce`, `machine_value_and_covered`) follow the rule as
 the search entries do, reject a known job's start outside its range by
 comparing ints with the core's ranges (`_checked`), run the DP on the core's
-own rows, and never read or write the memo. The two that take a `Profile`
+own rows, and store no answer. The two that take a `Profile`
 reject one that places a job twice (`model._starts_of`);
 `machine_value_and_covered` is the DP schedule's value and covered set for a
 mapping of starts, so a job is covered by one definition, `_closure`'s.
@@ -46,7 +46,7 @@ as id 0, both when it picks a job's predecessor and when it picks the final
 configuration (see `_dp_core`). The brute force keeps the lexicographically
 smallest sorted tuple of covered ids. Solver invariants raise
 `InternalFailure`, so they also hold under `python -O`. The DP's credit
-check walks the covered mask once and yields a memo miss's utilities.
+check walks the covered mask once and yields a key's utilities.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from .model import (GuardError, Instance, InternalFailure, Profile, Schedule,
                     _check_start, _inexact, _starts_of, validate_profile)
 
 BRUTE_FORCE_MAX_JOBS = 20
-MEMO_LIMIT = 600_000  # a core's memo is cleared when it grows past this
-GRID_CACHE_LIMIT = 100_000  # and its grid cache past this
+MEMO_LIMIT = 600_000  # a search call's memo is cleared when it grows past this
+GRID_CACHE_LIMIT = 100_000  # and a core's grid cache past this
 
 
 def _bounded_put(table: dict, key, value, limit=None):
@@ -101,7 +101,7 @@ def _job_groups(instance: Instance) -> list[list[int]]:
 
 class MachineCache:
     """The solver core of one instance: its integer DP rows on the time
-    scale `td`, and the game tables and memo the equilibrium search reads.
+    scale `td`, and the game tables and grid records searches read.
 
     The DP rows hold each positive-length job as (key position, length over
     `td`, id, weight over `wden`, dense color index from `color_index`);
@@ -110,11 +110,11 @@ class MachineCache:
     highest start over `td`, in instance order. These are the only reading
     of a job's length, weight and window, each as an integer ratio; they are
     set here and never change. The game tables are built from the rows and
-    ranges on the first search use (`key` or `groups`), so a core that only
-    solves machines never holds them. Memo keys are tuples of start
-    numerators over `td`, one per job in instance order; memo values are
-    (value, per-color utilities), all ints over `wden`. `value`, `time` and
-    `profile` convert back to `Fraction`s.
+    ranges on the first search use (`groups`), so a core that only solves
+    machines never holds them. A key is a tuple of start numerators over
+    `td`, one per job in instance order; its answer, (value, per-color
+    utilities) in ints over `wden`, lives in a search call's own memo.
+    `time` and `profile` convert back to `Fraction`s.
 
     `MachineCache.of` is the only way to it. The core is stored on the
     instance and dies with it; equal but distinct instances do not share it,
@@ -123,7 +123,7 @@ class MachineCache:
     __slots__ = ("instance", "wden", "td", "rows", "start_lo", "start_hi", "base_scaled",
                  "zero_ids", "color_ids", "ids", "pos", "color_index", "totals",
                  "zero_per", "lens", "bounds", "other_pos", "_groups", "_record_key",
-                 "_cache", "grid_cache")
+                 "grid_cache")
 
     def __init__(self, instance: Instance, td: int):
         jobs = instance.jobs
@@ -205,31 +205,24 @@ class MachineCache:
             get = itemgetter(*other) if other else (lambda key: ())
             record_key[c] = lambda key, c=c, get=get: (c, get(key))
         (self.ids, self.pos, self.totals, self.lens, self.bounds, self.other_pos,
-         self._record_key, self._cache, self.grid_cache) = (
-            ids, pos, tuple(totals), lens, bounds, other_pos, record_key, {}, {})
+         self._record_key, self.grid_cache) = (
+            ids, pos, tuple(totals), lens, bounds, other_pos, record_key, {})
         self._groups = groups
-
-    def key(self, starts: Mapping[int, Fraction]) -> tuple:
-        """A profile on the core's scale (see `of`) as a memo key; the game
-        tables are built on first use."""
-        if self._groups is None:
-            self._build_game_tables()
-        return tuple([_ticks(starts[j.id], self.td) for j in self.instance.jobs])
 
     def others_key(self, player: int, key: tuple) -> tuple:
         """The player and the other players' starts in a key."""
         return self._record_key[player](key)
 
-    def evaluate_key(self, key: tuple):
+    def evaluate_key(self, memo: dict, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over
-        `wden`; a miss stores `solve_key`'s answer."""
-        hit = self._cache.get(key)
+        `wden`, from a search call's `memo`, where a miss stores `solve_key`'s."""
+        hit = memo.get(key)
         if hit is None:
-            hit = _bounded_put(self._cache, key, self.solve_key(key))
+            hit = _bounded_put(memo, key, self.solve_key(key))
         return hit
 
     def solve_key(self, key: tuple):
-        """`evaluate_key`'s answer from `_dp_core`, without the memo: the
+        """`evaluate_key`'s answer from `_dp_core`, without a memo: the
         DP's credit walk over the covered mask adds each covered weight to
         the utilities."""
         per = self.zero_per.copy()
@@ -241,9 +234,6 @@ class MachineCache:
     def profile(self, key: tuple) -> Profile:
         """The profile a key stands for."""
         return Profile.from_dict({i: Fraction(n, self.td) for i, n in zip(self.ids, key)})
-
-    def value(self, key: tuple) -> Fraction:
-        return Fraction(self.evaluate_key(key)[0], self.wden)
 
 
 def _scaled(instance: Instance, starts: Mapping[int, Fraction]):
@@ -534,7 +524,7 @@ def solve_machine_bruteforce(instance: Instance, profile: Profile,
 def machine_value_and_covered(instance: Instance,
                               starts: Mapping[int, Fraction]) -> tuple[Fraction, frozenset[int]]:
     """The DP schedule's value and covered set for a mapping of starts by
-    job id: `solve_machine_dp`'s, closure included; it never touches the memo."""
+    job id: `solve_machine_dp`'s, closure included."""
     st, times = _checked(instance, starts)
     schedule = _closure(st, starts, *_dp_core(st.rows, times))
     return schedule.value, schedule.covered

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from intervalgames import (Fixture, Instance, Job, best_response,
+from intervalgames import (Fixture, Instance, Job, Profile, best_response,
                            enumerate_grid_ne, fixture, is_nash,
                            social_optimum_enumerate, solve_machine_dp, utilities,
                            validate_instance)
@@ -14,7 +14,7 @@ from intervalgames.machine import MachineCache
 
 class KeyLog(list):
     """The keys `MachineCache.evaluate_key` was asked for, in call order;
-    `hits` counts those the core's memo already held."""
+    `hits` counts those the search call's memo already held."""
 
     hits = 0
 
@@ -26,10 +26,10 @@ def evaluated_keys(monkeypatch):
     log = KeyLog()
     evaluate_key = MachineCache.evaluate_key
 
-    def recording(self, key):
+    def recording(self, memo, key):
         log.append(key)
-        log.hits += key in self._cache
-        return evaluate_key(self, key)
+        log.hits += key in memo
+        return evaluate_key(self, memo, key)
 
     monkeypatch.setattr(MachineCache, "evaluate_key", recording)
     return log
@@ -64,10 +64,21 @@ def walked_keys(monkeypatch):
 
 def core_keys(inst, *profiles):
     """(the instance's solver core on a scale that fits every start map in
-    `profiles`, then their memo keys): what a search entry searches from."""
+    `profiles`, with its game tables built, then their keys): what a search
+    entry searches from."""
     for starts in profiles:
         cache = MachineCache.of(inst, starts.values())
-    return (cache, *[cache.key(starts) for starts in profiles])
+    entries = [equilibrium._entry(inst, Profile.from_dict(starts)) for starts in profiles]
+    assert all(core is cache for core, _ in entries) and cache.groups
+    return (cache, *[key for _, key in entries])
+
+
+def plain_scan(inst, cache, memo, players):
+    """`_scan`'s rows for `players`, each searching by a first-mode
+    `_player_search` on the call memo `memo`, as grid-NE enumeration
+    searches for a player with several jobs."""
+    return equilibrium._scan(inst, cache, players, {
+        c: equilibrium._first_search(inst, cache, memo, c, False) for c in players})
 
 
 def guard_instances():

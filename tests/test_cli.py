@@ -456,9 +456,9 @@ def test_golden_bytes_across_interpreters_and_digit_limits(tmp_path):
     assert json.loads(lines[1])["value"] == rational_str(sum(weights))
     for exe in [sys.executable, *others.values()]:
         for limit in ("640", None, "0"):
+            limited = env if limit is None else {**env, "PYTHONINTMAXSTRDIGITS": limit}
             run = subprocess.run([exe, "-m", "golden", str(tmp_path), "large"],
-                                 env=env if limit is None else {**env, "PYTHONINTMAXSTRDIGITS": limit},
-                                 capture_output=True)
+                                 env=limited, capture_output=True)
             assert (run.returncode, run.stderr, run.stdout) == (0, b"", expected), (exe, limit)
     for minor, exe in others.items():
         run = subprocess.run([exe, "-m", "golden", str(tmp_path)], env=env,

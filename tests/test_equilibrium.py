@@ -32,10 +32,10 @@ from intervalgames import (GuardError, Instance, InternalFailure, Job, Profile,
                            validate_instance, validate_profile, verify_deviation)
 from intervalgames import equilibrium
 from intervalgames.equilibrium import (_coded_grid, _global_lists, _grid_points,
-                                        _player_search, _profile_stable, _scan)
+                                        _player_search, _profile_stable)
 from intervalgames.machine import (MachineCache, _job_groups, _ticks,
                                   machine_value_and_covered)
-from conftest import core_keys, guard_instances
+from conftest import core_keys, guard_instances, plain_scan
 
 
 def _inst(horizon, *jobs):
@@ -666,13 +666,13 @@ def _counting_searches(monkeypatch) -> list:
     search = equilibrium._player_search
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[3])
         return search(*args, **kwargs)
 
     def counting_walk(walk, _):
-        def counted(key, starts, u_cur):
+        def counted(key, lists, u_cur):
             calls.append(key)
-            return walk(key, starts, u_cur)
+            return walk(key, lists, u_cur)
         return counted
 
     monkeypatch.setattr(equilibrium, "_player_search", counting)
@@ -691,13 +691,13 @@ def test_every_player_verdict_matches_a_plain_search():
     for inst in instances:
         for order in (list, reversed):
             inst = copy.copy(inst)  # a fresh solver core, so fresh records
-            cache = MachineCache.of(inst)
+            cache, memo = MachineCache.of(inst), {}
             for key in order(list(equilibrium._iter_grid_coded(inst, 1, False, cache))):
-                per = cache.evaluate_key(key)[1]
+                per = cache.evaluate_key(memo, key)[1]
                 for player in inst.color_ids:
-                    plain = _player_search(inst, cache, key, player, mode="first")
+                    plain = _player_search(inst, cache, memo, key, player, mode="first")
                     assert _profile_stable(inst, cache, key, per,
-                                           _scan(inst, cache, [player]), False) \
+                                           plain_scan(inst, cache, memo, [player]), False) \
                         == (plain is None)
 
 
@@ -718,15 +718,16 @@ def test_one_job_player_off_its_aligned_list_is_settled_by_its_ceiling(monkeypat
                                             {1: F(1), 2: F(1, 2)})
     record, lists = _coded_grid(cache, off_key, 1)
     assert off_key[0] not in record.coded[0] and off_key[0] in lists[0][1]
-    calls = _counting_searches(monkeypatch)
-    per = cache.evaluate_key(aligned_key)[1]
-    assert _profile_stable(inst, cache, aligned_key, per, _scan(inst, cache, [1]), False)
+    calls, memo = _counting_searches(monkeypatch), {}
+    scan = plain_scan(inst, cache, memo, [1])
+    per = cache.evaluate_key(memo, aligned_key)[1]
+    assert _profile_stable(inst, cache, aligned_key, per, scan, False)
     assert calls == [aligned_key] and record.hi == 0
-    per = cache.evaluate_key(off_key)[1]
+    per = cache.evaluate_key(memo, off_key)[1]
     assert per[0] == 0
-    assert _profile_stable(inst, cache, off_key, per, _scan(inst, cache, [1]), False)
+    assert _profile_stable(inst, cache, off_key, per, scan, False)
     assert calls == [aligned_key]  # the proved ceiling settles it
-    assert _player_search(inst, cache, off_key, 1, mode="first") is None
+    assert _player_search(inst, cache, memo, off_key, 1, mode="first") is None
 
 
 def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
@@ -739,28 +740,29 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
                                             {1: F(0), 2: F(1, 2), 3: F(3, 2)})
     record, _ = _coded_grid(cache, off_key, 1)
     assert off_key[1] not in record.coded[1]
-    calls = _counting_searches(monkeypatch)
+    calls, memo = _counting_searches(monkeypatch), {}
     for key in (aligned_key, off_key):
-        assert _profile_stable(inst, cache, key, cache.evaluate_key(key)[1],
-                               _scan(inst, cache, [1]), False)
-    assert record.hi <= cache.evaluate_key(off_key)[1][0]
+        assert _profile_stable(inst, cache, key, cache.evaluate_key(memo, key)[1],
+                               plain_scan(inst, cache, memo, [1]), False)
+    assert record.hi <= cache.evaluate_key(memo, off_key)[1][0]
     assert calls == [aligned_key, off_key]
     # Against job 3 at 1/2, job 2's start 1 is off its aligned list. A
     # deviation that keeps it there is worth 1 > 0, but it proves nothing
     # about the aligned grid, so it leaves `lo` alone; an aligned one sets it.
     cache, key, moved = core_keys(inst, {1: F(0), 2: F(1), 3: F(1, 2)},
                                   {1: F(3, 2), 2: F(1), 3: F(1, 2)})
+    memo = {}
     record, _ = _coded_grid(cache, key, 1)
     assert key[1] == moved[1] and moved[1] not in record.coded[1]
-    u_cur, u = cache.evaluate_key(key)[1][0], cache.evaluate_key(moved)[1][0]
+    u_cur, u = cache.evaluate_key(memo, key)[1][0], cache.evaluate_key(memo, moved)[1][0]
     assert u > u_cur
     monkeypatch.setattr(equilibrium, "_player_search", lambda *a, **k: (moved, u))
-    scan = _scan(inst, cache, [1])
-    assert not _profile_stable(inst, cache, key, cache.evaluate_key(key)[1], scan, False)
+    scan = plain_scan(inst, cache, memo, [1])
+    assert not _profile_stable(inst, cache, key, cache.evaluate_key(memo, key)[1], scan, False)
     assert record.lo == -1
     monkeypatch.undo()
-    assert not _profile_stable(inst, cache, key, cache.evaluate_key(key)[1], scan, False)
-    found = _player_search(inst, cache, key, 1, mode="first")
+    assert not _profile_stable(inst, cache, key, cache.evaluate_key(memo, key)[1], scan, False)
+    found = _player_search(inst, cache, memo, key, 1, mode="first")
     assert record.lo == found[1] > u_cur
 
 
@@ -826,12 +828,12 @@ def test_enumeration_searches_where_a_plain_scan_does(monkeypatch):
     searches = _counting_searches(monkeypatch)
     for inst in (_two_group_instance(), fixture("prop_no_ne").instance):
         fresh = copy.copy(inst)
-        cache = MachineCache.of(fresh)
+        cache, memo = MachineCache.of(fresh), {}
         keys = list(equilibrium._iter_grid_coded(fresh, 1, False, cache))
-        scan = _scan(fresh, cache, sorted(
+        scan = plain_scan(fresh, cache, memo, sorted(
             fresh.color_ids, key=lambda c: (len(fresh.jobs_of_color(c)), c)))
         for key in keys:
-            _profile_stable(fresh, cache, key, cache.evaluate_key(key)[1], scan, False)
+            _profile_stable(fresh, cache, key, cache.evaluate_key(memo, key)[1], scan, False)
         plain = searches.copy()
         searches.clear()
         enumerate_grid_ne(copy.copy(inst))
@@ -970,7 +972,7 @@ def _reference_best(inst, starts, player, resolution=None, prefer_value=False):
 def _search_best(inst, starts, player, resolution=None, prefer_value=False):
     cache, key = core_keys(inst, starts)
     lists = None if resolution is None else _global_lists(cache, resolution)[player]
-    best, u = _player_search(inst, cache, key, player, mode="best",
+    best, u = _player_search(inst, cache, {}, key, player, mode="best",
                              lists=lists, prefer_value=prefer_value)
     return equilibrium._strategy(cache, best, player), F(u, cache.wden)
 
@@ -1052,9 +1054,9 @@ def _plain_walk(cache, key, player, mode, lists, prefer_value):
     which writes every group at every combination, with the same tie rules
     and stops. Returns the keys it evaluates, in order, and the key it
     returns or stops at (None when no key beats the current one)."""
-    pix, full = cache.color_index[player], cache.totals
+    pix, full, memo = cache.color_index[player], cache.totals, {}
     visited = [key]
-    best_u, best_value, best = cache.evaluate_key(key)[1][pix], None, None
+    best_u, best_value, best = cache.evaluate_key(memo, key)[1][pix], None, None
     if best_u == full[pix]:
         return visited, None
     base = list(key)
@@ -1066,7 +1068,7 @@ def _plain_walk(cache, key, player, mode, lists, prefer_value):
             for p, x in zip(ps, tup):
                 base[p] = x
         visited.append(tuple(base))
-        value, per = cache.evaluate_key(tuple(base))
+        value, per = cache.evaluate_key(memo, tuple(base))
         if per[pix] > best_u or (prefer_value and best is not None
                                  and per[pix] == best_u and value > best_value):
             best_u, best_value, best = per[pix], value, tuple(base)
@@ -1084,7 +1086,6 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys, walked_
               for k, inst in enumerate(_differential_instances()[::3])]
     seen = {"first": 0, "best": 0, "found": 0, "stopped": 0}
     for inst, profile, resolution in cases:
-        inst = copy.copy(inst)  # a fresh core: the search fills its memo
         cache, key = core_keys(inst, profile.as_dict())
         for player in inst.color_ids:
             override = (None if resolution is None
@@ -1098,7 +1099,7 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys, walked_
                 expected, stop = _plain_walk(cache, key, player, mode, lists, prefer_value)
                 evaluated_keys.clear()
                 walked_keys.clear()
-                got = _player_search(inst, cache, key, player, mode=mode,
+                got = _player_search(inst, cache, {}, key, player, mode=mode,
                                      lists=override, prefer_value=prefer_value)
                 # A first-mode search looks up each key; a best-mode walk
                 # reads the current key, then scores each combination and
@@ -1271,8 +1272,8 @@ def test_best_response_matches_the_continuum_on_partition_games():
 
 def test_widening_the_time_scale_keeps_every_answer():
     """A profile off the core's scale gets a new core on a wider scale, with
-    an empty memo, and leaves the old core as it was; neither that nor going
-    back to grid profiles may change an answer."""
+    no grid record, and leaves the old core as it was; neither that nor
+    going back to grid profiles may change an answer."""
     inst = fixture("ex1").instance  # L = 1: the core starts on quarters
     grid = inst.__class__(inst.horizon, inst.jobs)
     quarters = Profile.from_dict({1: F(0), 2: F(1, 4), 3: F(5, 4)})
@@ -1291,8 +1292,8 @@ def test_widening_the_time_scale_keeps_every_answer():
     assert MachineCache.of(inst).td == 4
     for k, call in enumerate(calls):
         held, fresh = MachineCache.of(inst), copy.copy(inst)
-        if k == 2:  # the core on quarters, with its memo and grid records
-            kept = held.td, held.rows.copy(), held._cache.copy(), held.grid_cache.copy()
+        if k == 2:  # the core on quarters, with its grid records
+            kept = held.td, held.rows.copy(), held.grid_cache.copy()
         assert call(inst) == call(fresh), k
         # Starts of denominator 4 need eighths: the local grids halve gaps
         # between them (1/8, 3/8 and 11/8 are candidates).
@@ -1300,12 +1301,10 @@ def test_widening_the_time_scale_keeps_every_answer():
         assert cache.td == (4 if k < 2 else 8)
         assert (cache is held) is (k != 2)
         if k == 2:
-            # The old core keeps its scale, rows, memo and grid records; the
-            # new one holds no entry keyed on quarters.
-            assert (held.td, held.rows, held._cache, held.grid_cache) == kept
-            assert kept[2] and kept[3]
+            # The old core keeps its scale, rows and grid records; the new
+            # one holds no record keyed on quarters.
+            assert (held.td, held.rows, held.grid_cache) == kept and kept[2]
             core = MachineCache.of(fresh)
-            assert cache._cache == core._cache and cache._cache
             assert cache.grid_cache.keys() == core.grid_cache.keys()
     grid8 = build_grid(inst, {3: F(5, 4)}, player=1)
     assert {F(1, 8), F(3, 8), F(11, 8)} <= set(grid8.starts(2))
@@ -1365,15 +1364,16 @@ def test_joint_search_guard_fires_before_the_first_combination(evaluated_keys):
     cache, key = core_keys(inst, profile.as_dict())
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 11486475"):
-        _player_search(inst, cache, key, 2, mode="best",
+        _player_search(inst, cache, {}, key, 2, mode="best",
                        lists=_global_lists(cache, 1)[2], prefer_value=True)
     assert len(evaluated_keys) == 1
     # Grid-NE enumeration checks the same guard at the same point, before
     # the grid record's bounds or a search can settle the verdict.
-    per = cache.evaluate_key(key)[1]
+    memo = {}
+    per = cache.evaluate_key(memo, key)[1]
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
-        _profile_stable(inst, cache, key, per, _scan(inst, cache, [2]), False)
+        _profile_stable(inst, cache, key, per, plain_scan(inst, cache, memo, [2]), False)
     assert evaluated_keys == []
 
 
@@ -1386,11 +1386,12 @@ def test_a_big_records_guard_fires_before_its_bounds_are_read(monkeypatch):
     inst = _inst(3, (1, 1, 2), (2, 2, 3))
     cache, aligned_key, off_key = core_keys(inst, {1: F(0), 2: F(1, 2)},
                                             {1: F(1), 2: F(1, 2)})
-    scan = _scan(inst, cache, [1])
-    assert _profile_stable(inst, cache, aligned_key, cache.evaluate_key(aligned_key)[1],
+    memo = {}
+    scan = plain_scan(inst, cache, memo, [1])
+    assert _profile_stable(inst, cache, aligned_key, cache.evaluate_key(memo, aligned_key)[1],
                            scan, False)
     record, _ = _coded_grid(cache, off_key, 1)
-    per = cache.evaluate_key(off_key)[1]
+    per = cache.evaluate_key(memo, off_key)[1]
     assert record.big and record.hi == per[0] == 0
     with pytest.raises(GuardError, match="have 6 candidate starts"):
         _profile_stable(inst, cache, off_key, per, scan, False)
@@ -1497,7 +1498,7 @@ def test_type_signatures_are_the_order_types(drawn, rng):
             assert _dp_relations(cache, k1) == _dp_relations(cache, k2)
     by_sig = {}
     for key, sig in zip(keys, sigs):
-        assert by_sig.setdefault(sig, cache.evaluate_key(key)) == cache.evaluate_key(key)
+        assert by_sig.setdefault(sig, cache.solve_key(key)) == cache.solve_key(key)
 
 
 def _typed_and_exact_runs(monkeypatch, evaluated_keys, inst):
@@ -1602,19 +1603,61 @@ def test_type_memo_moves_one_job_of_a_multi_job_group(monkeypatch, evaluated_key
     assert typed["walk_signs"] == exact["walk_signs"] == 0
 
 
-def test_enumeration_leaves_only_search_answers_in_the_memo(evaluated_keys):
+def _recording_key_memos(monkeypatch) -> list:
+    """Record the key memo of every multi-job player's verdict search that
+    grid-NE enumeration builds (`_first_search`)."""
+    memos, first_search = [], equilibrium._first_search
+
+    def recording(*args):
+        memos.append(args[2])
+        return first_search(*args)
+
+    monkeypatch.setattr(equilibrium, "_first_search", recording)
+    return memos
+
+
+def test_enumeration_leaves_only_search_answers_in_the_memo(monkeypatch, evaluated_keys):
     # The enumeration answers its own keys from its type memo and stores
-    # none of them: the core's memo holds the keys its searches asked for.
-    # When it stored them, the memo held 13,818 and 3,765 entries against
-    # grids of 12,012 and 3,465 profiles.
-    for inst in (from_partition_decide((1, 3, 3, 3)).instance,
-                 fixture("prop_no_ne").instance):
-        inst = copy.copy(inst)
+    # none of them: the call's key memo holds the keys its searches asked
+    # for. When it stored them, the memo held 13,818 and 3,765 entries
+    # against grids of 12,012 and 3,465 profiles. Player 1 of the first game
+    # and both players of the second search by `_player_search`.
+    memos = _recording_key_memos(monkeypatch)
+    for inst, players, entries in ((from_partition_decide((1, 3, 3, 3)).instance, 1, 62),
+                                   (fixture("prop_no_ne").instance, 2, 629)):
+        memos.clear()
         evaluated_keys.clear()
-        assert enumerate_grid_ne(inst) == []
-        memo = MachineCache.of(inst)._cache
-        assert memo and set(memo) <= set(evaluated_keys)
-        assert len(memo) < joint_grid_size(inst)
+        assert enumerate_grid_ne(copy.copy(inst)) == []
+        memo = memos[0]
+        assert len(memos) == players and all(m is memo for m in memos)
+        assert set(memo) <= set(evaluated_keys) and len(memo) == entries
+
+
+def test_no_answer_outlives_a_search_call():
+    """Each search call keeps its answers in its own memo: after best
+    responses, `is_nash` in both modes, `brd` and grid-NE enumeration on one
+    instance, its core holds its fixed tables, equal to a fresh core's, and
+    grid records, and no answer; a second `is_nash` answers as the first."""
+    fx = fixture("prop_no_ne")
+    inst, profile = copy.copy(fx.instance), fx.notable_profiles["overlap"]
+    first = is_nash(inst, profile)
+    assert first is not None
+    for player in inst.color_ids:
+        best_response(inst, profile, player)
+    assert is_nash(inst, profile, first_improvement=True) is not None
+    brd(inst, profile)
+    assert enumerate_grid_ne(inst) == []
+    core, fresh = MachineCache.of(inst), MachineCache.of(copy.copy(inst))
+    assert core.td == fresh.td and fresh.groups
+    tables = set(MachineCache.__slots__) - {"instance", "_record_key", "grid_cache"}
+    assert tables == {"wden", "td", "rows", "start_lo", "start_hi", "base_scaled", "zero_ids",
+                      "color_ids", "ids", "pos", "color_index", "totals", "zero_per", "lens",
+                      "bounds", "other_pos", "_groups"}
+    assert all(getattr(core, name) == getattr(fresh, name) for name in tables)
+    assert core._record_key.keys() == fresh._record_key.keys()
+    assert core.grid_cache and all(type(record) is equilibrium._GridRecord
+                                   for record in core.grid_cache.values())
+    assert is_nash(inst, profile) == first
 
 
 def test_enumeration_frees_finished_records_and_shares_equal_answers(monkeypatch):
@@ -1623,8 +1666,8 @@ def test_enumeration_frees_finished_records_and_shares_equal_answers(monkeypatch
     # ends; equal DP answers share one tuple. Before either, the enumeration
     # left 924 records of player 2, and the memo's 4,475 entries held 1,275
     # distinct tuples. Player 2's searches are typed walks now, which store
-    # their answers in the type memo, not in the core's memo: its entries
-    # share the tuples.
+    # their answers in the type memo, not in the call's key memo: its
+    # entries share the tuples.
     memos = []
     _wrapping_walks(monkeypatch, lambda walk, args: memos.append(args[3]) or walk)
     inst = copy.copy(from_partition_decide((1, 3, 3, 3)).instance)
@@ -1639,10 +1682,10 @@ def test_enumeration_frees_finished_records_and_shares_equal_answers(monkeypatch
 
 
 def test_bounded_tables_clear_without_changing_results(monkeypatch):
-    # With both limits at 1, the core's memo, the grid cache, the DP-exact
-    # type memo that the enumeration and its typed walks share, its table of
-    # distinct answers and every signer's per-pattern class tables are
-    # cleared at every other write during one enumeration.
+    # With both limits at 1, the call's key memo, the grid cache, the
+    # DP-exact type memo that the enumeration and its typed walks share, its
+    # table of distinct answers and every signer's per-pattern class tables
+    # are cleared at every other write during one enumeration.
     from intervalgames import machine
     instances = [fixture(name, **params).instance for name, params in (
         ("ex1", {}), ("prop_no_ne", {}), ("pos_two", {}), ("poa_tight", {"n": 3}),
@@ -1671,14 +1714,17 @@ def test_bounded_tables_clear_without_changing_results(monkeypatch):
     monkeypatch.setattr(equilibrium, "_bounded_put", recording)
     monkeypatch.setattr(equilibrium, "_type_signer", counting_signers)
     _wrapping_walks(monkeypatch, lambda walk, args: run["walk_memos"].append(args[3]) or walk)
+    key_memos = _recording_key_memos(monkeypatch)
     runs = []
     for inst, (found, report) in zip(instances, expected):
         for ask, answer in ((enumerate_grid_ne, found), (analyze, report)):
             fresh = copy.copy(inst)
             run = {"core": MachineCache.of(fresh), "signers": 0, "walk_memos": [],
                    "types": [], "answers": [], "grid": [], "classes": []}
+            key_memos.clear()
             assert ask(fresh) == answer
-            assert len(run["core"]._cache) <= 2 and len(run["core"].grid_cache) <= 2
+            assert all(len(memo) <= 2 for memo in key_memos)
+            assert len(run["core"].grid_cache) <= 2
             runs.append(run)
     for run in runs:
         # One type memo per enumeration, shared by every walk and cleared.
@@ -2032,16 +2078,30 @@ def test_background_route_changes_no_result(monkeypatch):
     assert min(served[k] for k in ("built", "bound", "key", "tie")) > 0, served
 
 
+def _recording_memos(monkeypatch) -> dict:
+    """Record every memo that `MachineCache.evaluate_key` reads, by id, with
+    the core that read it."""
+    memos, evaluate_key = {}, MachineCache.evaluate_key
+
+    def recording(self, memo, key):
+        memos[id(memo)] = self, memo
+        return evaluate_key(self, memo, key)
+
+    monkeypatch.setattr(MachineCache, "evaluate_key", recording)
+    return memos
+
+
 def test_no_background_route_outlives_its_search(monkeypatch):
     """A best-mode walk whose route raises midway, or an enumeration whose
     verdict search raises, leaves the core answering as a fresh copy does,
-    with only DP answers in its memo. The enumeration stores none of its
-    own keys, so the guarded one, stopped before its first search ends,
-    leaves the memo empty."""
+    and every call's memo holds only DP answers. The enumeration stores none
+    of its own keys, so the guarded one, stopped before its first search
+    ends, leaves its memo empty."""
     from intervalgames import machine
     fx = from_partition_br((1, 2, 3))
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
     route = machine._background
+    memos, key_memos = _recording_memos(monkeypatch), _recording_key_memos(monkeypatch)
 
     def failing(st, key, pix, walk):
         (tables, score), calls = route(st, key, pix, walk), []
@@ -2061,14 +2121,13 @@ def test_no_background_route_outlives_its_search(monkeypatch):
                    lambda i: brd(i, profile), lambda i: best_response(i, profile, 2),
                    enumerate_grid_ne):
         assert search(inst) == search(copy.copy(fx.instance))
+    assert memos and all(value == core.solve_key(key) for core, memo in memos.values()
+                         for key, value in memo.items())
     guarded, message = guard_instances()["player_jobs"]
-    guarded = copy.copy(guarded)
+    key_memos.clear()
     with pytest.raises(GuardError, match=message):
-        enumerate_grid_ne(guarded)
-    core = MachineCache.of(inst)
-    assert core._cache and all(
-        value == core.solve_key(key) for key, value in core._cache.items())
-    assert MachineCache.of(guarded)._cache == {}
+        enumerate_grid_ne(copy.copy(guarded))
+    assert key_memos == [{}]
 
 
 def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
@@ -2078,7 +2137,7 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
     from that profile, each player's first-improvement `is_nash`, another
     player's best response, a `brd` walk that raises midway and a grid-NE
     enumeration) change neither that walk's answer nor their own, and leave
-    only DP answers in the memos. Before a core's scale was fixed, the
+    only DP answers in their memos. Before a core's scale was fixed, the
     off-scale search rescaled the walk's core, and the walk returned job 3
     at 1/7, not 3/2."""
     from intervalgames import machine
@@ -2086,6 +2145,7 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["initial"]
     off_scale = Profile.from_dict({**profile.as_dict(), 1: F(1, 7)})
     route, plan, nested, cores = machine._background, ["nest"], {}, []
+    memos = _recording_memos(monkeypatch)
 
     def fresh(search):
         return search(copy.copy(fx.instance))
@@ -2138,12 +2198,12 @@ def test_searches_nested_in_a_walk_on_one_core_match_fresh_copies(monkeypatch):
     # the searches after it ran on that core, a brd walk among them.
     assert cores[0].td < cores[1].td
     assert cores[1] is cores[2] is MachineCache.of(inst)
-    for cache in (cores[0], MachineCache.of(inst)):
-        assert all(value == cache.solve_key(key) for key, value in cache._cache.items())
+    assert all(value == cache.solve_key(key) for cache, memo in memos.values()
+               for key, value in memo.items())
 
 
 def test_best_mode_walks_store_only_their_deferred_and_returned_keys(monkeypatch):
-    """After best responses and `brd` runs, the core's memo holds only the
+    """After best responses and `brd` runs, their memos hold only the
     searches' current keys, the keys their routes deferred to the DP and the
     keys they returned, and every value is `solve_key`'s. A walk used to
     store every key its route valued."""
@@ -2152,10 +2212,12 @@ def test_best_mode_walks_store_only_their_deferred_and_returned_keys(monkeypatch
               for k, inst in enumerate(_differential_instances())]
     search, solve_key = equilibrium._player_search, MachineCache.solve_key
     kept, solved = set(), set()  # current and returned keys; the DP's keys
+    memos = {}
 
-    def recording(instance, cache, key, *args, **kwargs):
-        found = search(instance, cache, key, *args, **kwargs)
+    def recording(instance, cache, memo, key, *args, **kwargs):
+        found = search(instance, cache, memo, key, *args, **kwargs)
         kept.update([key, found[0]] if found else [key])
+        memos[id(memo)] = memo
         return found
 
     def solving(self, key):
@@ -2167,12 +2229,13 @@ def test_best_mode_walks_store_only_their_deferred_and_returned_keys(monkeypatch
     deferred = moved = 0
     for inst, profile in cases:
         inst = copy.copy(inst)
-        kept.clear()
-        solved.clear()
+        for log in (kept, solved, memos):
+            log.clear()
         _search_results(inst, profile)
         core = MachineCache.of(inst)
-        assert kept <= set(core._cache) <= kept | solved, inst
-        assert all(value == solve_key(core, key) for key, value in core._cache.items())
+        stored = {key: value for memo in memos.values() for key, value in memo.items()}
+        assert kept <= set(stored) <= kept | solved, inst
+        assert all(value == solve_key(core, key) for key, value in stored.items())
         deferred += len(solved - kept)
         moved += len(kept) > len(inst.color_ids)
     assert deferred and moved
@@ -2229,9 +2292,10 @@ def test_typed_walks_match_the_dp_on_every_start_they_sign(monkeypatch):
 
         walk = typed_walk(position, pix, (head_starts, recording), types, solve)
 
-        def checking(key, starts, u_cur):
+        def checking(key, lists, u_cur):
+            (starts,) = lists
             signed.clear()
-            found = walk(key, starts, u_cur)
+            found = walk(key, lists, u_cur)
             moved = {x: key[:position] + (x,) + key[position + 1:] for x in starts}
             assert [x for x, _ in signed] == starts[:len(signed)]
             for x, sig in signed:

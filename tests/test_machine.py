@@ -459,13 +459,14 @@ def test_evaluate_key_utilities_match_the_covered_mask(case, limit):
                     for c in inst.color_ids)
         return cache.base_scaled + top, per
 
+    memo = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(machine, "MEMO_LIMIT", limit)  # cleared past `limit` entries
         for key in keys + keys[::-1]:
-            assert cache.evaluate_key(key) == independent(key)
-            assert len(cache._cache) <= limit + 1
-        assert cache.value(keys[0]) == solve_machine_dp(inst, Profile.from_dict(
-            profiles[0])).value
+            assert cache.evaluate_key(memo, key) == independent(key)
+            assert len(memo) <= limit + 1
+        assert F(cache.evaluate_key(memo, keys[0])[0], cache.wden) == solve_machine_dp(
+            inst, Profile.from_dict(profiles[0])).value
 
 
 # --- the background route of best-mode walks -----------------------------------
@@ -874,7 +875,8 @@ def test_closure_raises_on_an_uncounted_nested_job():
 
 _INCONSISTENT_CLOSURE = """
 from fractions import Fraction as F
-from intervalgames import Instance, InternalFailure, Job, validate_instance
+from intervalgames import Instance, InternalFailure, Job, Profile, validate_instance
+from intervalgames.equilibrium import _entry
 from intervalgames.machine import _closure, _scaled, _view
 inst = validate_instance(Instance(F(4), (Job(1, 1, F(2), F(1)), Job(2, 2, F(2), F(1)))))
 starts = {1: F(0), 2: F(1)}  # [0,2) and [1,3) overlap
@@ -889,9 +891,9 @@ from intervalgames import machine
 machine.bisect_right = lambda f, x, lo, hi: hi
 inst = validate_instance(Instance(F(4), (Job(1, 1, F(2), F(1)), Job(2, 1, F(1), F(1)),
                                          Job(3, 1, F(2), F(1)))))
-cache = machine.MachineCache.of(inst)
+cache, key = _entry(inst, Profile.from_dict({1: F(0), 2: F(1), 3: F(1)}))
 try:
-    cache.evaluate_key(cache.key({1: F(0), 2: F(1), 3: F(1)}))
+    cache.evaluate_key({}, key)
 except InternalFailure as exc:
     print("InternalFailure:", exc)
 """
@@ -1022,7 +1024,7 @@ def test_game_tables_are_published_in_one_step():
                     if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load))
     names = [name for *_, name in writes]
     assert names.count("_groups") == 1 and names[-1] == "_groups", writes
-    assert {"_cache", "grid_cache", "bounds", "other_pos"} <= set(names)
+    assert {"grid_cache", "bounds", "other_pos"} <= set(names)
 
 
 def test_every_private_helper_has_a_caller():
