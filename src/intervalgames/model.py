@@ -131,8 +131,6 @@ def to_rational(value, what: str = "value") -> Fraction:
 def rational_str(x: Fraction) -> str:
     """Canonical text form ("5", "21/10") used in all documents."""
     n, d = x.numerator, x.denominator
-    if -_CHUNK < n < _CHUNK and d < _CHUNK:
-        return str(x)
     return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
