@@ -57,8 +57,10 @@ _SHORT = getattr(sys.int_info, "str_digits_check_threshold", 640)
 _CHUNK = 10 ** (_SHORT - 1)
 _MAX_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 _DIGITS = r"\d+(?:_\d+)*"
-# What `Fraction` reads from a string: a sign, then an integer and a
-# denominator, or an integer part, decimals and an exponent.
+# The one grammar of numeric text, whatever the interpreter's `Fraction`
+# reads: a sign, then an integer and a denominator, or an integer part,
+# decimals and an exponent; underscores only between digits, no space
+# inside.
 _NUMBER = re.compile(rf"([-+]?)(?=\d|\.\d)({_DIGITS})?"
                      rf"(?:/({_DIGITS})|(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)")
 
@@ -67,8 +69,6 @@ def _int(text: str) -> int:
     """The int a run of decimal digits spells (a sign and underscores
     allowed), read in chunks of fewer than 640 digits; a run of more than
     the interpreter's default limit raises `ValueError`."""
-    if len(text) < _SHORT:
-        return int(text)
     digits = text.lstrip("+-").replace("_", "")
     if len(digits) > _MAX_DIGITS:
         raise ValueError(f"{len(digits)} digits, more than {_MAX_DIGITS}")
@@ -80,10 +80,9 @@ def _int(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    """`Fraction(text)`, with each run of digits read by `_int`."""
-    if len(text) < _SHORT:
-        return Fraction(text)
-    m = _NUMBER.fullmatch(text.strip())
+    """The `Fraction` that `text` spells in `_NUMBER`'s grammar, each run of
+    digits read by `_int`."""
+    m = _NUMBER.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid literal for Fraction: {text!r}")
     sign, whole, den, dec, exp = m.groups()
@@ -99,8 +98,6 @@ def _fraction(text: str) -> Fraction:
 
 def _decimal(n: int) -> str:
     """`str(n)`, converted fewer than 640 digits at a time."""
-    if -_CHUNK < n < _CHUNK:
-        return str(n)
     sign, n = ("-", -n) if n < 0 else ("", n)
     chunks = []
     while n >= _CHUNK:
@@ -110,7 +107,10 @@ def _decimal(n: int) -> str:
 
 
 def to_rational(value, what: str = "value") -> Fraction:
-    """Convert an int, Fraction, or numeric string ("4", "0.5", "1/3") exactly."""
+    """Convert an int, Fraction, or numeric string ("4", "0.5", "1/3") exactly.
+
+    A string is read in one grammar on every interpreter (`_NUMBER`):
+    underscores between digits are allowed, spaces around "/" are not."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -438,35 +438,53 @@ def _other_interpreters() -> dict:
     return found
 
 
-def test_golden_bytes_across_interpreters_and_digit_limits(tmp_path):
-    """The large-number instance prints the same bytes, each command exiting
-    0, under `PYTHONINTMAXSTRDIGITS` at 640, unset and 0, on this
-    interpreter and every other one found; each other one also prints the
-    golden stream. Where none starts (a pyenv shim refuses to start without
-    `PYENV_VERSION`), that part skips."""
+def _golden_env() -> dict:
+    """This environment with `src` and `tests` on `PYTHONPATH` and no
+    `PYTHONINTMAXSTRDIGITS`."""
     tests = pathlib.Path(__file__).parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
     env.pop("PYTHONINTMAXSTRDIGITS", None)
-    others = _other_interpreters()
+    return env
+
+
+def _large_streams_alike(exe, directory, expected) -> None:
+    """`exe` prints `expected` for the large-number instance, each command
+    exiting 0, under `PYTHONINTMAXSTRDIGITS` at 640, unset and 0."""
+    env = _golden_env()
+    for limit in ("640", None, "0"):
+        limited = env if limit is None else {**env, "PYTHONINTMAXSTRDIGITS": limit}
+        run = subprocess.run([exe, "-m", "golden", str(directory), "large"],
+                             env=limited, capture_output=True)
+        assert (run.returncode, run.stderr, run.stdout) == (0, b"", expected), (exe, limit)
+
+
+def test_large_numbers_print_alike_under_every_digit_limit(tmp_path):
+    """The large-number instance prints the same bytes, each command exiting
+    0, under `PYTHONINTMAXSTRDIGITS` at 640, unset and 0, and the optimum
+    it prints is the two weights' sum."""
     expected = golden.large_stream(tmp_path)
-    # Both commands exit 0, and the optimum is the two weights' sum.
     lines = expected.decode().splitlines()
     weights = [to_rational(j["weight"]) for j in json.loads(golden.LARGE_INSTANCE)["jobs"]]
     assert lines[0::2] == ["0", "0"]
     assert json.loads(lines[1])["value"] == rational_str(sum(weights))
-    for exe in [sys.executable, *others.values()]:
-        for limit in ("640", None, "0"):
-            limited = env if limit is None else {**env, "PYTHONINTMAXSTRDIGITS": limit}
-            run = subprocess.run([exe, "-m", "golden", str(tmp_path), "large"],
-                                 env=limited, capture_output=True)
-            assert (run.returncode, run.stderr, run.stdout) == (0, b"", expected), (exe, limit)
-    for minor, exe in others.items():
-        run = subprocess.run([exe, "-m", "golden", str(tmp_path)], env=env,
-                             capture_output=True, text=True, check=True)
-        assert run.stdout.strip() == GOLDEN_SHA256, minor
+    _large_streams_alike(sys.executable, tmp_path, expected)
+
+
+def test_golden_bytes_across_interpreters(tmp_path):
+    """Every other interpreter found prints the golden stream, and prints
+    the large-number instance as this one does under every digit limit.
+    Where none starts (a pyenv shim refuses to start without
+    `PYENV_VERSION`), the test skips."""
+    others = _other_interpreters()
     if not others:
         pytest.skip("no other python3.10 to python3.13 on PATH starts, so the golden "
                     "stream and the large instance ran under this interpreter only")
+    expected = golden.large_stream(tmp_path)
+    for minor, exe in others.items():
+        _large_streams_alike(exe, tmp_path, expected)
+        run = subprocess.run([exe, "-m", "golden", str(tmp_path)], env=_golden_env(),
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == GOLDEN_SHA256, minor
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):

@@ -265,25 +265,31 @@ def digit_limit():
     sys.set_int_max_str_digits(before)
 
 
-# Number texts around the chunk size, written as `Fraction` reads them
-# (underscores between digits from Python 3.11).
+# Number texts around the chunk size. Each reads as `Fraction` reads it with
+# its underscores taken out, at every length and on every interpreter
+# (Python 3.10's `Fraction` rejects underscores).
 _NUMBER_TEXTS = [
     "7" * 639, "7" * 640, "-" + "9" * 1300, "+" + "1" * 700, " 12" + "0" * 700 + " ",
     "3" * 700 + "/" + "4" * 650, "5" * 700 + "/" + "7" * 3, "0." + "3" * 700,
     "." + "5" * 700, "6" * 700 + ".", "2" * 650 + "e-700", "1" * 650 + "E+3",
-    "-" + "8" * 300 + "." + "1" * 400 + "e2", "0" * 700,
-] + (["1_2" * 300] if sys.version_info >= (3, 11) else [])
+    "-" + "8" * 300 + "." + "1" * 400 + "e2", "0" * 700, "1_2" * 300,
+    "1_2", "1_2/3_0", "1.2_5e1_0", "1" * 700 + "_2/3_0", "1" * 700 + ".2_5e1_0",
+]
+# Texts that no length makes readable: spaces around "/" (which Python
+# 3.12's `Fraction` reads) and underscores not between digits.
+_BAD_TEXTS = [head + tail for head in ("1", "1" * 700) for tail in (
+    " / 3", "/ 3", " /3", "_", "__2", "/", "e", ".2.5", " 2", "x", "/0")] + ["_1", "4" * 4301]
 
 
 @pytest.mark.parametrize("limit", [0, 640, 4300])
 def test_decimal_text_converts_alike_under_every_digit_limit(digit_limit, limit):
     """`to_rational`, the document reader and `rational_str` convert every run
     of digits in chunks, so their answers do not depend on the interpreter's
-    limit on int-string conversion, and a run of fewer than 640 digits keeps
-    `Fraction`'s own reading. A document's run of digits is bounded by the
+    limit on int-string conversion, and text has one grammar on either side
+    of 640 characters. A document's run of digits is bounded by the
     interpreter's default limit (4,300 digits) under every limit."""
     digit_limit(0)
-    expected = [F(text) for text in _NUMBER_TEXTS]
+    expected = [F(text.replace("_", "")) for text in _NUMBER_TEXTS]
     values = [F(int("7" * k), int("3" * (k // 2) + "1")) for k in (1, 600, 639, 640, 2500)]
     values += [-v for v in values] + [F(-int("9" * 5000))]
     texts = [str(v) for v in values]
@@ -294,7 +300,7 @@ def test_decimal_text_converts_alike_under_every_digit_limit(digit_limit, limit)
     assert model._loads(f"[{', '.join(literals)}]") == parsed
     assert [rational_str(v) for v in values] == texts
     assert [to_rational(text) for text in texts[:-1]] == values[:-1]
-    for bad in ("1" * 700 + "/0", "1" * 700 + "x", "1" * 700 + "__2", "4" * 4301):
+    for bad in _BAD_TEXTS:
         with pytest.raises(FormatError, match="cannot parse"):
             to_rational(bad)
     with pytest.raises(FormatError, match="number literal too long: 4301 digits"):
