@@ -94,7 +94,8 @@ def cmd_solve(args) -> int:
         if reference.value != schedule.value:
             _emit(payload)
             raise InternalFailure(
-                f"oracle mismatch: dp={schedule.value} brute={reference.value}")
+                f"oracle mismatch: dp={rational_str(schedule.value)} "
+                f"brute={rational_str(reference.value)}")
         _note("oracle agreement: " + rational_str(schedule.value))
     _emit(payload)
     return EXIT_OK
@@ -112,8 +113,8 @@ def cmd_opt(args) -> int:
         witness, value = social_optimum_enumerate(instance, force=args.force)
     certified = solve_machine_dp(instance, witness).value
     if certified != value:
-        raise InternalFailure(f"witness certification failed: "
-                              f"claimed {value}, machine got {certified}")
+        raise InternalFailure(f"witness certification failed: claimed "
+                              f"{rational_str(value)}, machine got {rational_str(certified)}")
     _emit({"value": rational_str(value), "method": args.method,
            "witness": profile_to_document(witness)})
     return EXIT_OK
@@ -128,8 +129,8 @@ def cmd_ne(args) -> int:
         if deviation is not None:
             raise InternalFailure(
                 f"constructed profile failed certification: player "
-                f"{deviation.player} improves {deviation.utility_before} -> "
-                f"{deviation.utility_after}")
+                f"{deviation.player} improves {rational_str(deviation.utility_before)} "
+                f"-> {rational_str(deviation.utility_after)}")
         _emit({"profile": profile_to_document(profile), "value": rational_str(value),
                "certified": True})
         return EXIT_OK
@@ -182,8 +183,8 @@ def cmd_brd(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iteration,player,delta,value\n")
-            for i, (player, delta, value) in enumerate(outcome.trace, start=1):
-                fh.write(f"{i},{player},{delta},{value}\n")
+            for i, row in enumerate(outcome.trace, start=1):
+                fh.write(",".join(map(rational_str, (i, *row))) + "\n")
     _emit(payload)
     return EXIT_OK
 

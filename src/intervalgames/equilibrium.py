@@ -14,47 +14,48 @@ it): every start is a numerator over the core's time denominator, and a key
 is the tuple of a profile's start times. Each search entry checks its input
 on ints (`_entry`; `build_grid` its fixed starts) on a core whose fixed
 scale fits it (`MachineCache.of`), so a nested search never rescales an
-outer walk's keys, and keeps its answers in a memo of its own: grid records
-are the only state that searches share. One function makes every local grid
-(`_grid_points`, untagged ints); `build_grid` is its `Fraction` view on the
-core's job groups and the only place that tags points with their
-provenance, and it raises `InternalFailure` rather than truncate a gap that
-the scale cannot halve. `_grid_ticks` makes the global grid of `brd`
-and grid-NE enumeration, and each job's candidates on it, on ints over 2L,
-half of the core's smallest scale; `global_grid_points` and
+outer walk's keys, and keeps its answers and grid records to itself: a core
+holds only fixed tables, so no search state outlives its call. One function
+makes every local grid (`_grid_points`, untagged ints); `build_grid` is its
+`Fraction` view on the core's job groups and the only place that tags points
+with their provenance, and it raises `InternalFailure` rather than truncate
+a gap that the scale cannot halve. `_grid_ticks` makes the global grid of
+`brd` and grid-NE enumeration, and each job's candidates on it, on ints over
+2L, half of the core's smallest scale; `global_grid_points` and
 `grid_candidates` are its `Fraction` views.
 
 A grid record (`_grid_record`) holds one player's aligned lists against one
 placement of the other players; a search walks those lists with the player's
 current starts merged in (`_coded_grid`), by the key walker of enumeration
 (`_grid_keys`), which rewrites only the groups that moved and steps the
-fastest group in an inner loop. A verdict looks the record up once and
-merges the starts into it once: `_player_stable` reads its guard sizes and
-whether every start is aligned from the merged lists, and hands them to the
-search. The record's `big` flag says whether a guard could fire on the
-merged lists, which add at most one start per job; `_player_stable` runs the
-guards (`_guards`, one predicate, `_over_limit`, for both) only when it is
-set, and a search always. A best-mode walk goes through the same order
-(`_multisets`) without building keys: it scores each joint strategy from its
-groups' overlap masks by its own background route (`machine._background`),
-and builds a key only where the route defers to the memo and the DP, and for
-its result, the one key it stores. Searches return keys and int utilities.
+fastest group in an inner loop. A best response or `is_nash` search builds
+the one record it walks and drops it. An enumeration verdict looks the
+record up once, building a missing one, and merges the starts into it once:
+`_player_stable` reads its guard sizes and whether every start is aligned
+from the merged lists, and hands them to the search. The record's `big` flag
+says whether a guard could fire on the merged lists, which add at most one
+start per job; `_player_stable` runs the guards (`_guards`, one predicate,
+`_over_limit`, for both) only when it is set, and a search always. A
+best-mode walk goes through the same order (`_multisets`) without building
+keys: it scores each joint strategy from its groups' overlap masks by its
+own background route (`machine._background`), and builds a key only where
+the route defers to the memo and the DP, and for its result, the one key it
+stores. Searches return keys and int utilities.
 
 Grid-NE enumeration memoizes each player's verdict, keyed on the other
 players' placements (see `_player_stable`). The memo is exact: it holds only
 bounds that a search over the same grid proved, by three rules that also
-settle profiles whose starts are off the aligned lists. It is bounded: it
-lives in the core's grid cache, which is cleared past
+settle profiles whose starts are off the aligned lists. It lives for the
+enumeration call and is bounded: its records are cleared past
 `machine.GRID_CACHE_LIMIT` entries, and enumeration drops a record of the
 one-job owner of the job it moves fastest once its block of keys ends
-(`_grid_ne`). `_profile_stable` reads the bounds of existing records for
-each profile and calls `_player_stable` where they do not settle a verdict;
-only that builds records and writes bounds. The memo
-leaves the searched grid unchanged, so the enumerated equilibria are those
-of the plain search. Utilities are compared as integers over the lcm of the
-weight denominators, and equilibria are sorted as (value, starts) ints.
-`Fraction`s are built only for what is returned: strategies, utilities,
-deviations and profiles.
+(`_grid_ne`). `_profile_stable` reads the bounds of each profile's records,
+building a missing one, and calls `_player_stable` where they do not settle
+a verdict; only that writes bounds. The memo leaves the searched grid
+unchanged, so the enumerated equilibria are those of the plain search.
+Utilities are compared as integers over the lcm of the weight denominators,
+and equilibria are sorted as (value, starts) ints. `Fraction`s are built
+only for what is returned: strategies, utilities, deviations and profiles.
 
 Grid-NE enumeration shares one machine DP among the keys of a DP-exact type.
 The DP compares only finishes with finishes, finishes with starts (finish <=
@@ -88,7 +89,7 @@ from .machine import (MachineCache, _bounded_put, _job_groups, _ticks, _time_lcm
                       machine_value_and_covered, solve_machine_dp)
 from .model import (ZERO, GuardError, Instance, InternalFailure, Profile,
                     UnsupportedInstanceError, ValidationError, _check_int, _check_start,
-                    _starts_of, utilities, validate_profile)
+                    _decimal, _starts_of, utilities, validate_profile)
 
 BEST_RESPONSE_MAX_JOBS = 8
 BEST_RESPONSE_MAX_GRID = 64
@@ -271,16 +272,10 @@ def _guards(player: int, sized, force: bool) -> None:
         raise GuardError(message)
 
 
-def _grid_record(cache: MachineCache, key: tuple, player: int,
-                 others_key: tuple) -> _GridRecord:
+def _grid_record(cache: MachineCache, key: tuple, player: int) -> _GridRecord:
     """A new grid record of the player against the other placements in
-    `key`, stored under their `others_key`, which its caller has hashed and
-    found no record under.
-
-    The aligned lists depend only on the other players' placements, which
-    repeat across enumeration sweeps, so they are built once per placement
-    and kept in the core's grid cache. Interchangeable jobs share one group
-    with the same aligned candidates, so each group's list is built once."""
+    `key`. Interchangeable jobs share one group with the same aligned
+    candidates, so each group's list is built once."""
     fixed = [(key[p], key[p] + cache.lens[p]) for p in cache.other_pos[player]]
     coded = []
     for lo, hi, length in cache.bounds[player]:
@@ -288,21 +283,17 @@ def _grid_record(cache: MachineCache, key: tuple, player: int,
         coded.append(sorted(aligned.union(interior)))
     # A group's searched list adds at most one start per job.
     sized = [(ids_, len(c) + len(ids_)) for (ids_, _), c in zip(cache.groups[player], coded)]
-    record = _GridRecord(coded, cache.totals[cache.color_index[player]],
-                         _over_limit(player, sized) is not None)
-    return _bounded_put(cache.grid_cache, others_key, record, machine.GRID_CACHE_LIMIT)
+    return _GridRecord(coded, cache.totals[cache.color_index[player]],
+                       _over_limit(player, sized) is not None)
 
 
-def _coded_grid(cache: MachineCache, key: tuple, player: int, record=None):
-    """The player's grid record (`record`, else the one looked up or built)
-    and per-group (ids, candidate list) pairs: each group's aligned list with
-    its jobs' current starts in `key` merged in, as the local-grid search
-    walks it. A list is copied only where a start is inserted."""
-    if record is None:
-        others_key = cache.others_key(player, key)
-        record = cache.grid_cache.get(others_key) or _grid_record(cache, key, player, others_key)
+def _coded_grid(cache: MachineCache, key: tuple, player: int, record: _GridRecord) -> list:
+    """One candidate list per group of the player, as the local-grid search
+    walks it: the group's aligned list in `record` with its jobs' current
+    starts in `key` merged in. A list is copied only where a start is
+    inserted."""
     lists = []
-    for (ids_, positions), coded in zip(cache.groups[player], record.coded):
+    for (_, positions), coded in zip(cache.groups[player], record.coded):
         union = coded
         for p in positions:
             x = key[p]
@@ -310,8 +301,8 @@ def _coded_grid(cache: MachineCache, key: tuple, player: int, record=None):
                 if union is coded:
                     union = list(coded)
                 insort(union, x)
-        lists.append((ids_, union))
-    return record, lists
+        lists.append(union)
+    return lists
 
 
 def _strategy(cache: MachineCache, key, player: int) -> dict[int, Fraction]:
@@ -348,8 +339,8 @@ def _player_search(instance: Instance, cache: MachineCache, memo: dict, key: tup
     if u_cur == cache.totals[pix]:  # fully covered players cannot improve
         return (key, u_cur) if mode == "best" else None
 
-    if lists is None:
-        lists = [coded for _, coded in _coded_grid(cache, key, player)[1]]
+    if lists is None:  # the one record this search walks, dropped with it
+        lists = _coded_grid(cache, key, player, _grid_record(cache, key, player))
     _guards(player, [(ids_, len(coded)) for (ids_, _), coded in zip(groups, lists)],
             force)
 
@@ -388,42 +379,46 @@ def _scan(instance: Instance, cache: MachineCache, players, walks: dict) -> list
     """(player, color index, total, one job?, walk, record_key) for each of
     `players`, in order: what `_profile_stable` reads of a player before its
     record. `walk` is its search in `walks` (see `_player_stable`); `record_key`
-    reads its grid record's key from a key, as `MachineCache.others_key` does."""
+    reads the key of its grid records, (player, the other players' starts),
+    from a key."""
     return [(c, cache.color_index[c], cache.totals[cache.color_index[c]],
              len(instance.jobs_of_color(c)) == 1, walks[c], cache._record_key[c])
             for c in players]
 
 
-def _profile_stable(instance: Instance, cache: MachineCache, key: tuple,
+def _profile_stable(instance: Instance, cache: MachineCache, records: dict, key: tuple,
                     per: tuple, scan: list, force: bool) -> bool:
     """Whether no player of `scan` (from `_scan`, in order) has an improving
-    grid move at `key`, whose per-color utilities are `per`.
+    grid move at `key`, whose per-color utilities are `per`, with the grid
+    records of the search call's `records`.
 
     A covered player is stable. An existing record that is not `big` settles
     a verdict here when `lo` exceeds the utility, or for a one-job player
-    when `hi` does not (rules (b) and (c) of `_player_stable`); every other
-    verdict goes to `_player_stable` with the record looked up, or None."""
-    records = cache.grid_cache
+    when `hi` does not (rules (b) and (c) of `_player_stable`). A missing
+    record is built (`_grid_record`) and stored under the key just probed,
+    bounded at `machine.GRID_CACHE_LIMIT` records; every verdict left goes to
+    `_player_stable` with its record."""
     for player, pix, total, single, walk, record_key in scan:
         u = per[pix]
         if u == total:
             continue
         others_key = record_key(key)
         record = records.get(others_key)
-        if record is not None and not record.big:
+        if record is None:
+            record = _bounded_put(records, others_key, _grid_record(cache, key, player),
+                                  machine.GRID_CACHE_LIMIT)
+        elif not record.big:
             if record.lo > u:
                 return False
             if single and record.hi <= u:
                 continue
-        if not _player_stable(instance, cache, key, u, player, others_key, record, force,
-                              walk):
+        if not _player_stable(instance, cache, key, u, player, record, force, walk):
             return False
     return True
 
 
 def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
-                   u_cur: int, player: int, others_key: tuple,
-                   record: Optional[_GridRecord], force: bool, walk) -> bool:
+                   u_cur: int, player: int, record: _GridRecord, force: bool, walk) -> bool:
     """Whether the player, at utility `u_cur` below its total, has no
     improving grid move: the verdict of a first-improvement `_player_search`,
     with the same guards in the same order, read from the grid record's
@@ -441,27 +436,25 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     (c) `hi` no higher than the current utility proves the player stable
         when every current start is aligned, or when the player has one
         job: its one candidate off the aligned list is its current start.
-    `record` is the player's record against the other placements in `key`,
-    which hash to `others_key`, or None where none is built. This builds a
-    missing record under `others_key` without a second probe, and merges the
-    current starts into it once (`_coded_grid`). A `big` record's guards run
-    first, on the merged lists, as the search's do; then every verdict reads
-    (b) and (c) once, each start counting as aligned when each merged list
-    is the record's own. The search `walk(key, merged lists, u_cur)` is a
-    typed walk (`_typed_walk`) for a one-job player, which runs no guard,
-    since a `big` record's guards ran here and one that is not `big` cannot
-    trip one, else `_first_search`'s. Only this builds records and bounds."""
-    if record is None:
-        record = _grid_record(cache, key, player, others_key)
-    _, lists = _coded_grid(cache, key, player, record)
+    `record` is the player's record against the other placements in `key`.
+    This merges the current starts into it once (`_coded_grid`). A `big`
+    record's guards run first, on the merged lists, as the search's do; then
+    every verdict reads (b) and (c) once, each start counting as aligned
+    when each merged list is the record's own. The search `walk(key, merged
+    lists, u_cur)` is a typed walk (`_typed_walk`) for a one-job player,
+    which runs no guard, since a `big` record's guards ran here and one that
+    is not `big` cannot trip one, else `_first_search`'s. Only this writes
+    bounds."""
+    lists = _coded_grid(cache, key, player, record)
     if record.big:
-        _guards(player, [(ids_, len(union)) for ids_, union in lists], force)
+        _guards(player, [(ids_, len(union)) for (ids_, _), union
+                         in zip(cache.groups[player], lists)], force)
     if record.lo > u_cur:
         return False
     if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1 or all(
-            union is coded for (_, union), coded in zip(lists, record.coded))):
+            union is coded for union, coded in zip(lists, record.coded))):
         return True
-    found = walk(key, [union for _, union in lists], u_cur)
+    found = walk(key, lists, u_cur)
     if found is None:
         record.hi = min(record.hi, u_cur)
         return True
@@ -622,7 +615,7 @@ def _iter_grid_coded(instance: Instance, resolution: int, force: bool,
                     for (ids_, positions), cands in zip(own, lists[player]))
     size = _profile_count((ids_, len(cands)) for ids_, _, cands in groups)
     if size > GRID_ENUM_MAX_PROFILES and not force:
-        raise GuardError(f"joint grid holds {size} profiles "
+        raise GuardError(f"joint grid holds {_decimal(size)} profiles "
                          f"(limit {GRID_ENUM_MAX_PROFILES})")
     return _grid_keys([(positions, cands) for _, positions, cands in groups],
                       [0] * len(cache.ids))
@@ -828,18 +821,18 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
 
     The keys come in blocks that move only that job, whose start rises
     through a block, so the head is read only where it does not rise. Each
-    key's verdict is `_profile_stable`'s, which reads the players' grid
-    records and leaves building them, searching and writing bounds to
+    key's verdict is `_profile_stable`'s, on the call's grid records, which
+    it reads and builds, leaving searching and writing bounds to
     `_player_stable`. When the moving job's owner has no other job, its
     records are keyed by every other start, fixed over one block and never
-    recurring, so each leaves the grid cache when its block ends; a record
-    holds only proven bounds, so no verdict, search or DP count changes."""
+    recurring, so each is dropped when its block ends; a record holds only
+    proven bounds, so no verdict, search or DP count changes."""
     (_, positions), owner = max((group, player) for player, groups in cache.groups.items()
                                 for group in groups)
     moving, pids = positions[-1], itertools.count()
     signer = _type_signer(cache, moving, pids)
     head_starts, sign = signer
-    memo, types, answers = {}, {}, {}
+    memo, types, answers, records = {}, {}, {}, {}
 
     def solve(key: tuple):  # one tuple per distinct answer, shared by its types
         hit = cache.solve_key(key)
@@ -868,15 +861,15 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
         if x <= last:  # a new block
             head = head_starts(key)
             if owner is not None:  # the owner's record of the last block is done
-                cache.grid_cache.pop(block, None)
-                block = cache.others_key(owner, key)
+                records.pop(block, None)
+                block = cache._record_key[owner](key)
         last = x
         hit = memo.get(key)
         if hit is None:
             sig = sign(x, head)
             hit = types.get(sig) or _bounded_put(types, sig, solve(key))
         value, per = hit
-        if _profile_stable(instance, cache, key, per, scan, force):
+        if _profile_stable(instance, cache, records, key, per, scan, force):
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .model import (ONE, ZERO, Instance, InternalFailure, Job, Profile,
-                    ValidationError, _check_int, to_rational, validate_instance)
+                    ValidationError, _check_int, rational_str, to_rational,
+                    validate_instance)
 
 F = Fraction
 
@@ -184,7 +185,7 @@ def _fixture_pos_c(c: int, epsilon_prime=F(1, 4)) -> Fixture:
     epsilon_prime = to_rational(epsilon_prime, "epsilon_prime")
     ceiling = F(c, 2) - F(c + 1, c + 3)
     if not 0 < epsilon_prime < ceiling:
-        raise ValidationError(f"epsilon_prime must lie in (0, {ceiling})")
+        raise ValidationError(f"epsilon_prime must lie in (0, {rational_str(ceiling)})")
     epsilon = 2 * epsilon_prime / (ceiling - epsilon_prime)
     T = F(2 * c + 1)
     light = F(epsilon, c + 3)

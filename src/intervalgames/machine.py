@@ -20,25 +20,26 @@ Everything computes in integers on one time scale per instance. The
 instance's solver core (`MachineCache`, stored on the `Instance` object and
 dying with it) writes every time as a numerator over its time denominator
 `td` and every weight as a numerator over `wden`, the lcm of the weight
-denominators, so every comparison and sum is exact. `td` starts at 4L, where
-L is the lcm of the denominators of the horizon, the lengths and the window
-bounds: every global-grid point lies in (1/2L)Z and every local grid built
-against such starts in (1/4L)Z, so the game searches run on ints from end to
-end, and their keys are the start times themselves. A core's `td` is
-fixed when it is built, by one rule (`MachineCache.of`): a `Fraction` entry
-whose profile has a start of denominator d with 2d not dividing `td` gets a
-new core on their lcm, stored on the instance in the old one's place; a walk
-that holds the old core keeps it on its own scale, so ints of two scales
-never meet in one key. The machine entries (`solve_machine_dp`,
-`solve_machine_bruteforce`, `machine_value_and_covered`) follow the rule as
-the search entries do, reject a known job's start outside its range by
-comparing ints with the core's ranges (`_checked`), run the DP on the core's
-own rows, and store no answer. The two that take a `Profile`
-reject one that places a job twice (`model._starts_of`);
-`machine_value_and_covered` is the DP schedule's value and covered set for a
-mapping of starts, so a job is covered by one definition, `_closure`'s.
-`Fraction`s are built only for returned values, segment endpoints and error
-messages.
+denominators, so every comparison and sum is exact. The core holds only
+tables that it builds once; every search keeps its answers and grid records
+to itself. `td` starts at 4L, where L is the lcm of the denominators of the
+horizon, the lengths and the window bounds: every global-grid point lies in
+(1/2L)Z and every local grid built against such starts in (1/4L)Z, so the
+game searches run on ints from end to end, and their keys are the start
+times themselves. A core's `td` is fixed when it is built, by one rule
+(`MachineCache.of`): a `Fraction` entry whose profile has a start of
+denominator d with 2d not dividing `td` gets a new core on their lcm, stored
+on the instance in the old one's place; a walk that holds the old core keeps
+it on its own scale, so ints of two scales never meet in one key. The
+machine entries (`solve_machine_dp`, `solve_machine_bruteforce`,
+`machine_value_and_covered`) follow the rule as the search entries do,
+reject a known job's start outside its range by comparing ints with the
+core's ranges (`_checked`), run the DP on the core's own rows, and store no
+answer. The two that take a `Profile` reject one that places a job twice
+(`model._starts_of`); `machine_value_and_covered` is the DP schedule's value
+and covered set for a mapping of starts, so a job is covered by one
+definition, `_closure`'s. `Fraction`s are built only for returned values,
+segment endpoints and error messages.
 
 Ties are broken by fixed rules. Among equal-valued candidates the DP keeps
 the one whose last job has the smallest id, the empty configuration counting
@@ -62,7 +63,7 @@ from .model import (GuardError, Instance, InternalFailure, Profile, Schedule,
 
 BRUTE_FORCE_MAX_JOBS = 20
 MEMO_LIMIT = 600_000  # a search call's memo is cleared when it grows past this
-GRID_CACHE_LIMIT = 100_000  # and a core's grid cache past this
+GRID_CACHE_LIMIT = 100_000  # and an enumeration's grid records past this
 
 
 def _bounded_put(table: dict, key, value, limit=None):
@@ -101,7 +102,8 @@ def _job_groups(instance: Instance) -> list[list[int]]:
 
 class MachineCache:
     """The solver core of one instance: its integer DP rows on the time
-    scale `td`, and the game tables and grid records searches read.
+    scale `td`, and the game tables searches read. It holds only these fixed
+    tables: every search keeps its answers and grid records to itself.
 
     The DP rows hold each positive-length job as (key position, length over
     `td`, id, weight over `wden`, dense color index from `color_index`);
@@ -122,8 +124,7 @@ class MachineCache:
 
     __slots__ = ("instance", "wden", "td", "rows", "start_lo", "start_hi", "base_scaled",
                  "zero_ids", "color_ids", "ids", "pos", "color_index", "totals",
-                 "zero_per", "lens", "bounds", "other_pos", "_groups", "_record_key",
-                 "grid_cache")
+                 "zero_per", "lens", "bounds", "other_pos", "_groups", "_record_key")
 
     def __init__(self, instance: Instance, td: int):
         jobs = instance.jobs
@@ -205,13 +206,8 @@ class MachineCache:
             get = itemgetter(*other) if other else (lambda key: ())
             record_key[c] = lambda key, c=c, get=get: (c, get(key))
         (self.ids, self.pos, self.totals, self.lens, self.bounds, self.other_pos,
-         self._record_key, self.grid_cache) = (
-            ids, pos, tuple(totals), lens, bounds, other_pos, record_key, {})
+         self._record_key) = ids, pos, tuple(totals), lens, bounds, other_pos, record_key
         self._groups = groups
-
-    def others_key(self, player: int, key: tuple) -> tuple:
-        """The player and the other players' starts in a key."""
-        return self._record_key[player](key)
 
     def evaluate_key(self, memo: dict, key: tuple):
         """(value, per-color utilities) of the profile `key`, ints over

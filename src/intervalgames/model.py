@@ -256,7 +256,7 @@ def _check_int(value, what: str, least: Optional[int] = None) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an int, got {value!r}")
     if least is not None and value < least:
-        raise ValidationError(f"{what} must be at least {least}, got {value}")
+        raise ValidationError(f"{what} must be at least {least}, got {_decimal(value)}")
 
 
 def validate_instance(raw: Instance) -> Instance:
@@ -270,7 +270,7 @@ def validate_instance(raw: Instance) -> Instance:
     if _inexact(T):
         raise ValidationError(f"horizon {T!r} must be an int or a Fraction")
     if T <= 0:
-        raise ValidationError(f"horizon must be positive, got {T}")
+        raise ValidationError(f"horizon must be positive, got {rational_str(T)}")
     seen_ids: set[int] = set()
     for j in raw.jobs:
         if isinstance(j.id, bool) or not isinstance(j.id, int) or j.id < 1:
@@ -308,12 +308,14 @@ def _check_start(instance: Instance, j: Job, s) -> None:
     if _inexact(s):
         raise ValidationError(f"job {j.id}: start {s!r} must be an int or a Fraction")
     if s < 0 or s + j.length > instance.horizon:
-        raise ValidationError(f"job {j.id}: interval [{s}, {s + j.length}) "
-                              f"outside [0, {instance.horizon})")
+        raise ValidationError(f"job {j.id}: interval [{rational_str(s)}, "
+                              f"{rational_str(s + j.length)}) outside "
+                              f"[0, {rational_str(instance.horizon)})")
     if j.window is not None:
         r, d = j.window
         if s < r or s + j.length > d:
-            raise ValidationError(f"job {j.id}: interval outside window [{r}, {d})")
+            raise ValidationError(f"job {j.id}: interval outside window "
+                                  f"[{rational_str(r)}, {rational_str(d)})")
 
 
 def _starts_of(profile: Profile) -> dict:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .machine import BRUTE_FORCE_MAX_JOBS, _ticks, _time_lcm
 from .model import (ZERO, GuardError, Instance, InternalFailure, Job, Profile,
-                    UnsupportedInstanceError)
+                    UnsupportedInstanceError, _decimal, rational_str)
 
 ENUMERATION_MAX_TUPLES = 10 ** 7
 KNAPSACK_MAX_CAPACITY = 10 ** 6
@@ -72,7 +72,7 @@ def social_optimum_enumerate(instance: Instance,
         per_color.append((color, lengths, weights))
         size *= len(lengths)
     if size > ENUMERATION_MAX_TUPLES and not force:
-        raise GuardError(f"enumeration would visit {size} tuples "
+        raise GuardError(f"enumeration would visit {_decimal(size)} tuples "
                          f"(limit {ENUMERATION_MAX_TUPLES})")
 
     T = instance.horizon
@@ -111,7 +111,7 @@ def social_optimum_single_knapsack(instance: Instance,
     denom = _time_lcm(instance)  # windows are rejected: the lcm of T and the lengths
     cap = _ticks(instance.horizon, denom)
     if cap > KNAPSACK_MAX_CAPACITY and not force:
-        raise GuardError(f"scaled capacity {cap} exceeds {KNAPSACK_MAX_CAPACITY}")
+        raise GuardError(f"scaled capacity {_decimal(cap)} exceeds {KNAPSACK_MAX_CAPACITY}")
 
     sizes = [_ticks(j.length, denom) for j in jobs]
     n = len(jobs)
@@ -136,8 +136,8 @@ def social_optimum_single_knapsack(instance: Instance,
             c -= sizes[i]
     value = sum((j.weight for j in packed), ZERO)
     if value != best[0][cap]:
-        raise InternalFailure(f"knapsack backtrack packed {value}, "
-                              f"table holds {best[0][cap]}")
+        raise InternalFailure(f"knapsack backtrack packed {rational_str(value)}, "
+                              f"table holds {rational_str(best[0][cap])}")
 
     starts: dict[int, Fraction] = {}
     offset = ZERO

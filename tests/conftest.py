@@ -73,6 +73,27 @@ def core_keys(inst, *profiles):
     return (cache, *[key for _, key in entries])
 
 
+def merged_lists(cache, key, player):
+    """(a new grid record of the player against the other placements in
+    `key`, its candidate lists with the player's starts in `key` merged in):
+    the lists a best response or `is_nash` search walks."""
+    record = equilibrium._grid_record(cache, key, player)
+    return record, equilibrium._coded_grid(cache, key, player, record)
+
+
+def assert_fresh_core(core, fresh):
+    """Every slot of the solver core `core` equals that of `fresh`, a core
+    of an equal instance: a core holds only the tables it builds once. The
+    record-key functions are compared by what they read from one key."""
+    assert core is not fresh and core.groups and fresh.groups
+    for name in MachineCache.__slots__:
+        mine, theirs = getattr(core, name), getattr(fresh, name)
+        if name == "_record_key":
+            key = tuple(range(len(core.ids)))
+            mine, theirs = ({c: f(key) for c, f in t.items()} for t in (mine, theirs))
+        assert mine == theirs, name
+
+
 def plain_scan(inst, cache, memo, players):
     """`_scan`'s rows for `players`, each searching by a first-mode
     `_player_search` on the call memo `memo`, as grid-NE enumeration

@@ -140,6 +140,9 @@ def test_brd_cycle_and_trace(capsys, ex1_files, tmp_path):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "iteration,player,delta,value"
     assert len(lines) == payload["iterations"] + 1
+    # The bytes the trace was written with as f-strings of the Fractions.
+    assert lines[1:] == [f"{i},{player},{F(delta)},{F(value)}"
+                         for i, (player, delta, value) in enumerate(payload["trace"], start=1)]
 
 
 def test_brd_zero_iters(capsys, ex1_files):
@@ -315,6 +318,64 @@ def test_unreadable_documents_exit_2_with_one_line(capsys, tmp_path, name):
     if name != "not_utf8":  # the library reads text, so only decoding is the CLI's
         with pytest.raises(ig.FormatError, match=re.escape(cause)):
             ig.parse_instance(data.decode())
+
+
+def _write_instance(path, horizon, *jobs):
+    """An instance document of one job per (color, length, weight) in
+    `jobs`, numbered from 1, its numbers written as text."""
+    path.write_text(json.dumps({"horizon": horizon, "jobs": [
+        {"id": k, "color": color, "length": length, "weight": weight}
+        for k, (color, length, weight) in enumerate(jobs, start=1)]}))
+    return str(path)
+
+
+def test_brd_trace_writes_long_numbers(capsys, tmp_path):
+    # Two unit jobs with weights of 2,500-digit numerators over coprime
+    # 2,500-digit denominators: the move that covers both is worth a value
+    # whose denominator has about 5,000 digits. The CSV trace wrote it as
+    # an f-string, so the run stopped at its header with the interpreter's
+    # digit-limit ValueError while stdout got nothing.
+    big = 10 ** 2499
+    weights = [rational_str(F(big + 1, big + 3)), rational_str(F(big + 9, big + 7))]
+    instance = _write_instance(tmp_path / "inst.json", "2",
+                               *[(k, "1", w) for k, w in enumerate(weights, start=1)])
+    initial = tmp_path / "init.json"
+    initial.write_text(json.dumps({"starts": {"1": "0", "2": "0"}}))
+    code, payload = _run(capsys, "brd", instance, str(initial))
+    assert code == 0 and payload["trace"]
+    assert max(len(value) for _, _, value in payload["trace"]) > 9000
+    trace = tmp_path / "trace.csv"
+    assert _run(capsys, "brd", instance, str(initial), "--trace", str(trace)) == (0, payload)
+    assert trace.read_text().splitlines() == ["iteration,player,delta,value"] + [
+        f"{i},{player},{delta},{value}"
+        for i, (player, delta, value) in enumerate(payload["trace"], start=1)]
+
+
+def _long_number_inputs(tmp_path) -> dict:
+    """Small inputs whose error messages format a long number, by command,
+    with the start of each message: a start above T = 1 whose interval end
+    has about 6,000 digits, and a knapsack capacity of about 5,000 digits,
+    scaled from a horizon of 4,000 nines by a length of 1 over 1,000
+    sevens. Both used to escape `main` with the interpreter's digit-limit
+    ValueError."""
+    d1, d2 = 10 ** 2999 + 1, 10 ** 2999 + 3
+    solve = _write_instance(tmp_path / "solve.json", "1", (1, rational_str(F(1, d1)), "1"))
+    profile = tmp_path / "start.json"
+    profile.write_text(json.dumps({"starts": {"1": rational_str(F(2 * 10 ** 3000 + 1, d2))}}))
+    knapsack = _write_instance(tmp_path / "knapsack.json", "9" * 4000,
+                               (1, "1/" + "7" * 1000, "1"))
+    return {"solve": (["solve", solve, str(profile)], "job 1: interval ["),
+            "knapsack": (["opt", knapsack, "--method", "knapsack"], "scaled capacity ")}
+
+
+@pytest.mark.parametrize("command", ["solve", "knapsack"])
+def test_messages_with_long_numbers_exit_2_with_one_line(capsys, tmp_path, command):
+    argv, message = _long_number_inputs(tmp_path)[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+    assert len(captured.err) > 4300 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("shape", sorted(BAD_ID_JOBS))

@@ -10,8 +10,10 @@ import pathlib
 import pickle
 import random
 import re
+import sys
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -35,7 +37,7 @@ from intervalgames.equilibrium import (_coded_grid, _global_lists, _grid_points,
                                         _player_search, _profile_stable)
 from intervalgames.machine import (MachineCache, _job_groups, _ticks,
                                   machine_value_and_covered)
-from conftest import core_keys, guard_instances, plain_scan
+from conftest import assert_fresh_core, core_keys, guard_instances, merged_lists, plain_scan
 
 
 def _inst(horizon, *jobs):
@@ -682,23 +684,24 @@ def _counting_searches(monkeypatch) -> list:
 
 def test_every_player_verdict_matches_a_plain_search():
     # Stronger than comparing the survivors: every player is asked at every
-    # grid profile, in enumeration order and in reverse, so the bounds that
-    # earlier profiles left in the grid records settle many verdicts,
-    # including those of profiles whose starts are off the aligned lists.
+    # grid profile, in enumeration order and in reverse, with one dict of
+    # grid records through each loop, so the bounds that earlier profiles
+    # left in the records settle many verdicts, including those of profiles
+    # whose starts are off the aligned lists.
     instances = [fx.instance for fx in _enumerable_fixtures()]
     instances += [from_partition_decide((1, 2, 3)).instance, _two_group_instance()]
     instances += _differential_instances()
     for inst in instances:
         for order in (list, reversed):
-            inst = copy.copy(inst)  # a fresh solver core, so fresh records
-            cache, memo = MachineCache.of(inst), {}
+            cache, memo, records = MachineCache.of(inst), {}, {}
             for key in order(list(equilibrium._iter_grid_coded(inst, 1, False, cache))):
                 per = cache.evaluate_key(memo, key)[1]
                 for player in inst.color_ids:
                     plain = _player_search(inst, cache, memo, key, player, mode="first")
-                    assert _profile_stable(inst, cache, key, per,
+                    assert _profile_stable(inst, cache, records, key, per,
                                            plain_scan(inst, cache, memo, [player]), False) \
                         == (plain is None)
+            assert records
 
 
 def test_verdict_bounds_settle_profiles_off_the_aligned_lists(monkeypatch):
@@ -716,16 +719,17 @@ def test_one_job_player_off_its_aligned_list_is_settled_by_its_ceiling(monkeypat
     inst = _inst(3, (1, 1, 2), (2, 2, 3))
     cache, aligned_key, off_key = core_keys(inst, {1: F(0), 2: F(1, 2)},
                                             {1: F(1), 2: F(1, 2)})
-    record, lists = _coded_grid(cache, off_key, 1)
-    assert off_key[0] not in record.coded[0] and off_key[0] in lists[0][1]
-    calls, memo = _counting_searches(monkeypatch), {}
+    calls, memo, records = _counting_searches(monkeypatch), {}, {}
     scan = plain_scan(inst, cache, memo, [1])
     per = cache.evaluate_key(memo, aligned_key)[1]
-    assert _profile_stable(inst, cache, aligned_key, per, scan, False)
+    assert _profile_stable(inst, cache, records, aligned_key, per, scan, False)
+    [record] = records.values()
     assert calls == [aligned_key] and record.hi == 0
+    lists = _coded_grid(cache, off_key, 1, record)
+    assert off_key[0] not in record.coded[0] and off_key[0] in lists[0]
     per = cache.evaluate_key(memo, off_key)[1]
     assert per[0] == 0
-    assert _profile_stable(inst, cache, off_key, per, scan, False)
+    assert _profile_stable(inst, cache, records, off_key, per, scan, False)
     assert calls == [aligned_key]  # the proved ceiling settles it
     assert _player_search(inst, cache, memo, off_key, 1, mode="first") is None
 
@@ -738,12 +742,12 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
     inst = _two_group_instance()
     cache, aligned_key, off_key = core_keys(inst, {1: F(0), 2: F(0), 3: F(3, 2)},
                                             {1: F(0), 2: F(1, 2), 3: F(3, 2)})
-    record, _ = _coded_grid(cache, off_key, 1)
-    assert off_key[1] not in record.coded[1]
-    calls, memo = _counting_searches(monkeypatch), {}
+    calls, memo, records = _counting_searches(monkeypatch), {}, {}
     for key in (aligned_key, off_key):
-        assert _profile_stable(inst, cache, key, cache.evaluate_key(memo, key)[1],
+        assert _profile_stable(inst, cache, records, key, cache.evaluate_key(memo, key)[1],
                                plain_scan(inst, cache, memo, [1]), False)
+    [record] = records.values()
+    assert off_key[1] not in record.coded[1]
     assert record.hi <= cache.evaluate_key(memo, off_key)[1][0]
     assert calls == [aligned_key, off_key]
     # Against job 3 at 1/2, job 2's start 1 is off its aligned list. A
@@ -751,17 +755,19 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
     # about the aligned grid, so it leaves `lo` alone; an aligned one sets it.
     cache, key, moved = core_keys(inst, {1: F(0), 2: F(1), 3: F(1, 2)},
                                   {1: F(3, 2), 2: F(1), 3: F(1, 2)})
-    memo = {}
-    record, _ = _coded_grid(cache, key, 1)
-    assert key[1] == moved[1] and moved[1] not in record.coded[1]
+    memo, records = {}, {}
     u_cur, u = cache.evaluate_key(memo, key)[1][0], cache.evaluate_key(memo, moved)[1][0]
     assert u > u_cur
     monkeypatch.setattr(equilibrium, "_player_search", lambda *a, **k: (moved, u))
     scan = plain_scan(inst, cache, memo, [1])
-    assert not _profile_stable(inst, cache, key, cache.evaluate_key(memo, key)[1], scan, False)
+    assert not _profile_stable(inst, cache, records, key, cache.evaluate_key(memo, key)[1],
+                               scan, False)
+    [record] = records.values()
+    assert key[1] == moved[1] and moved[1] not in record.coded[1]
     assert record.lo == -1
     monkeypatch.undo()
-    assert not _profile_stable(inst, cache, key, cache.evaluate_key(memo, key)[1], scan, False)
+    assert not _profile_stable(inst, cache, records, key, cache.evaluate_key(memo, key)[1],
+                               scan, False)
     found = _player_search(inst, cache, memo, key, 1, mode="first")
     assert record.lo == found[1] > u_cur
 
@@ -828,12 +834,13 @@ def test_enumeration_searches_where_a_plain_scan_does(monkeypatch):
     searches = _counting_searches(monkeypatch)
     for inst in (_two_group_instance(), fixture("prop_no_ne").instance):
         fresh = copy.copy(inst)
-        cache, memo = MachineCache.of(fresh), {}
+        cache, memo, records = MachineCache.of(fresh), {}, {}
         keys = list(equilibrium._iter_grid_coded(fresh, 1, False, cache))
         scan = plain_scan(fresh, cache, memo, sorted(
             fresh.color_ids, key=lambda c: (len(fresh.jobs_of_color(c)), c)))
         for key in keys:
-            _profile_stable(fresh, cache, key, cache.evaluate_key(memo, key)[1], scan, False)
+            _profile_stable(fresh, cache, records, key, cache.evaluate_key(memo, key)[1],
+                            scan, False)
         plain = searches.copy()
         searches.clear()
         enumerate_grid_ne(copy.copy(inst))
@@ -841,12 +848,15 @@ def test_enumeration_searches_where_a_plain_scan_does(monkeypatch):
         searches.clear()
 
 
-def test_enumeration_leaves_records_and_bounds_to_player_stable():
-    """`_grid_ne` and `_profile_stable`, which reads grid records for it,
-    neither build, guard nor search one, and write no bound: they call none
-    of `_grid_record`, `_guards`, `_coded_grid` or `_player_search`. Across
-    the module `lo`, `hi` and `big` are assigned only by the record's
-    constructor and by `_player_stable`."""
+def test_enumeration_leaves_searches_and_bounds_to_player_stable():
+    """`_grid_ne` and `_profile_stable`, which reads and builds grid records
+    for it, neither merge, guard nor search one, and write no bound: a
+    verdict that a record's bounds settle calls none of `_coded_grid`,
+    `_guards` or `_player_search`. Across the module `lo`, `hi` and `big` are
+    assigned only by the record's constructor and by `_player_stable`, and
+    records are built only where a search call keeps them: in
+    `_profile_stable`, on enumeration's records, and in `_player_search`,
+    for the one record it walks."""
     tree = ast.parse(pathlib.Path(equilibrium.__file__).read_text())
     writers = collections.Counter()
     for fn in ast.walk(tree):
@@ -864,53 +874,60 @@ def test_enumeration_leaves_records_and_bounds_to_player_stable():
             if name in ("lo", "hi", "big"):
                 writers[fn.name] += 1
     assert set(writers) == {"__init__", "_player_stable"}
-    readers = {fn.name: {getattr(node.func, "id", getattr(node.func, "attr", None))
-                         for node in ast.walk(fn) if isinstance(node, ast.Call)}
-               for fn in tree.body if isinstance(fn, ast.FunctionDef)
-               and fn.name in ("_grid_ne", "_profile_stable")}
-    assert "_profile_stable" in readers["_grid_ne"]
-    assert "_player_stable" in readers["_profile_stable"]
-    for called in readers.values():
-        assert not called & {"_grid_record", "_guards", "_coded_grid", "_player_search"}
+    calls = {fn.name: {getattr(node.func, "id", getattr(node.func, "attr", None))
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert "_profile_stable" in calls["_grid_ne"]
+    assert "_player_stable" in calls["_profile_stable"]
+    for name in ("_grid_ne", "_profile_stable"):
+        assert not calls[name] & {"_guards", "_coded_grid", "_player_search"}
+    assert {name for name, called in calls.items() if "_grid_record" in called} == {
+        "_profile_stable", "_player_search"}
 
 
 def test_a_verdict_search_walks_the_lists_player_stable_merged(monkeypatch):
     """`_player_stable` merges the player's starts into the record it holds
     and hands the lists to the search, so no verdict search of grid-NE
-    enumeration, a typed walk included, hashes `others_key` to find that
-    record again; each of the 935 and 248 searches used to. A best response
-    and a first-improvement `is_nash`, which hold no record, look theirs up
-    once per search."""
-    hashed, searches = [], []
-    others_key, search = MachineCache.others_key, equilibrium._player_search
+    enumeration, a typed walk included, builds or merges a record; each of
+    the 935 and 248 searches used to look its record up again. A best
+    response and a first-improvement `is_nash`, which hold no record, build
+    theirs once per search and merge the starts into it once."""
+    built, searches = [], []
+    grid_record, coded_grid = equilibrium._grid_record, equilibrium._coded_grid
+    search = equilibrium._player_search
 
-    def counting_key(self, *args):
-        hashed.append(args)
-        return others_key(self, *args)
+    def counting_record(*args):
+        built.append("record")
+        return grid_record(*args)
+
+    def counting_merge(*args):
+        built.append("merge")
+        return coded_grid(*args)
 
     def counting(run):
         def counted(*args, **kwargs):
-            before = len(hashed)
+            before = len(built)
             found = run(*args, **kwargs)
-            searches.append(len(hashed) - before)
+            searches.append(built[before:])
             return found
         return counted
 
-    monkeypatch.setattr(MachineCache, "others_key", counting_key)
+    monkeypatch.setattr(equilibrium, "_grid_record", counting_record)
+    monkeypatch.setattr(equilibrium, "_coded_grid", counting_merge)
     monkeypatch.setattr(equilibrium, "_player_search", counting(search))
     _wrapping_walks(monkeypatch, lambda walk, _: counting(walk))
     for inst, calls in ((from_partition_decide((1, 3, 3, 3)).instance, 935),
                         (fixture("prop_no_ne").instance, 248)):
         searches.clear()
         assert enumerate_grid_ne(copy.copy(inst)) == []
-        assert searches == [0] * calls
+        assert searches == [[]] * calls
     fx = fixture("prop_no_ne")  # "overlap": player 2 covers nothing
     for ask in (lambda inst, profile: best_response(inst, profile, 2),
                 lambda inst, profile: is_nash(inst, profile, first_improvement=True,
                                               players=(2,))):
         searches.clear()
         ask(copy.copy(fx.instance), fx.notable_profiles["overlap"])
-        assert searches == [1]
+        assert searches == [["record", "merge"]]
 
 
 @pytest.mark.parametrize("name", sorted(guard_instances()))
@@ -932,12 +949,10 @@ def _search_lists(inst, starts, player, resolution):
     """The per-group (ids, candidate list) pairs the search walks, as
     Fractions: the local grid, or with a resolution the global grid."""
     cache, key = core_keys(inst, starts)
-    if resolution is None:
-        lists = _coded_grid(cache, key, player)[1]
-    else:
-        lists = zip([ids_ for ids_, _ in cache.groups[player]],
-                    _global_lists(cache, resolution)[player])
-    return [(ids_, [cache.time(x) for x in coded]) for ids_, coded in lists]
+    lists = (merged_lists(cache, key, player)[1] if resolution is None
+             else _global_lists(cache, resolution)[player])
+    return [(ids_, [cache.time(x) for x in coded])
+            for (ids_, _), coded in zip(cache.groups[player], lists)]
 
 
 def _reference_best(inst, starts, player, resolution=None, prefer_value=False):
@@ -1090,7 +1105,7 @@ def test_player_search_walks_the_keys_of_a_plain_product(evaluated_keys, walked_
         for player in inst.color_ids:
             override = (None if resolution is None
                         else _global_lists(cache, resolution)[player])
-            lists = override or [coded for _, coded in _coded_grid(cache, key, player)[1]]
+            lists = override or merged_lists(cache, key, player)[1]
             size = math.prod(math.comb(len(coded) + len(ps) - 1, len(ps))
                              for (_, ps), coded in zip(cache.groups[player], lists))
             if size > 5000:
@@ -1271,16 +1286,17 @@ def test_best_response_matches_the_continuum_on_partition_games():
 # --- the time scale ---------------------------------------------------------------
 
 def test_widening_the_time_scale_keeps_every_answer():
-    """A profile off the core's scale gets a new core on a wider scale, with
-    no grid record, and leaves the old core as it was; neither that nor
-    going back to grid profiles may change an answer."""
+    """A profile off the core's scale gets a new core on a wider scale, and
+    leaves the old core as it was; neither that nor going back to grid
+    profiles may change an answer, and after each call the core equals a
+    fresh one."""
     inst = fixture("ex1").instance  # L = 1: the core starts on quarters
     grid = inst.__class__(inst.horizon, inst.jobs)
     quarters = Profile.from_dict({1: F(0), 2: F(1, 4), 3: F(5, 4)})
     profile = next(p for p in grid_profiles(grid) if is_nash(grid, p) is not None)
 
     calls = [lambda i: best_response(i, profile, 1),
-             lambda i: is_nash(i, profile),  # grid records on quarters
+             lambda i: is_nash(i, profile),  # searches on quarters
              lambda i: is_nash(i, quarters),
              lambda i: best_response(i, quarters, 1),
              lambda i: best_response(i, quarters, 2),
@@ -1292,20 +1308,17 @@ def test_widening_the_time_scale_keeps_every_answer():
     assert MachineCache.of(inst).td == 4
     for k, call in enumerate(calls):
         held, fresh = MachineCache.of(inst), copy.copy(inst)
-        if k == 2:  # the core on quarters, with its grid records
-            kept = held.td, held.rows.copy(), held.grid_cache.copy()
+        if k == 2:  # the core on quarters
+            kept = held.td, held.rows.copy(), held.bounds.copy()
         assert call(inst) == call(fresh), k
         # Starts of denominator 4 need eighths: the local grids halve gaps
         # between them (1/8, 3/8 and 11/8 are candidates).
         cache = MachineCache.of(inst)
         assert cache.td == (4 if k < 2 else 8)
         assert (cache is held) is (k != 2)
-        if k == 2:
-            # The old core keeps its scale, rows and grid records; the new
-            # one holds no record keyed on quarters.
-            assert (held.td, held.rows, held.grid_cache) == kept and kept[2]
-            core = MachineCache.of(fresh)
-            assert cache.grid_cache.keys() == core.grid_cache.keys()
+        if k == 2:  # the old core keeps its scale, rows and game tables
+            assert (held.td, held.rows, held.bounds) == kept and kept[2]
+        assert_fresh_core(cache, MachineCache(copy.copy(inst), cache.td))
     grid8 = build_grid(inst, {3: F(5, 4)}, player=1)
     assert {F(1, 8), F(3, 8), F(11, 8)} <= set(grid8.starts(2))
 
@@ -1373,7 +1386,7 @@ def test_joint_search_guard_fires_before_the_first_combination(evaluated_keys):
     per = cache.evaluate_key(memo, key)[1]
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
-        _profile_stable(inst, cache, key, per, plain_scan(inst, cache, memo, [2]), False)
+        _profile_stable(inst, cache, {}, key, per, plain_scan(inst, cache, memo, [2]), False)
     assert evaluated_keys == []
 
 
@@ -1386,17 +1399,17 @@ def test_a_big_records_guard_fires_before_its_bounds_are_read(monkeypatch):
     inst = _inst(3, (1, 1, 2), (2, 2, 3))
     cache, aligned_key, off_key = core_keys(inst, {1: F(0), 2: F(1, 2)},
                                             {1: F(1), 2: F(1, 2)})
-    memo = {}
+    memo, records = {}, {}
     scan = plain_scan(inst, cache, memo, [1])
-    assert _profile_stable(inst, cache, aligned_key, cache.evaluate_key(memo, aligned_key)[1],
-                           scan, False)
-    record, _ = _coded_grid(cache, off_key, 1)
+    assert _profile_stable(inst, cache, records, aligned_key,
+                           cache.evaluate_key(memo, aligned_key)[1], scan, False)
+    [record] = records.values()
     per = cache.evaluate_key(memo, off_key)[1]
     assert record.big and record.hi == per[0] == 0
     with pytest.raises(GuardError, match="have 6 candidate starts"):
-        _profile_stable(inst, cache, off_key, per, scan, False)
+        _profile_stable(inst, cache, records, off_key, per, scan, False)
     calls = _counting_searches(monkeypatch)
-    assert _profile_stable(inst, cache, off_key, per, scan, True)
+    assert _profile_stable(inst, cache, records, off_key, per, scan, True)
     assert calls == []  # forced past the guard, the ceiling settles it
 
 
@@ -1409,18 +1422,18 @@ def test_records_that_are_not_big_keep_merged_lists_within_the_limits(
     instances += [_two_group_instance()] + _differential_instances()
     checked = big = 0
     for inst in instances:
-        inst = copy.copy(inst)  # a fresh solver core, so records see the limits
         cache = MachineCache.of(inst)
         for key in equilibrium._iter_grid_coded(inst, 1, False, cache):
             for player in inst.color_ids:
-                record, lists = _coded_grid(cache, key, player)
+                record, lists = merged_lists(cache, key, player)
                 if record.big:
                     big += 1
                     continue
                 checked += 1
-                assert all(len(coded) <= max_grid for _, coded in lists)
+                assert all(len(coded) <= max_grid for coded in lists)
                 assert equilibrium._profile_count(
-                    [(ids_, len(coded)) for ids_, coded in lists]) <= max_search
+                    [(ids_, len(coded)) for (ids_, _), coded
+                     in zip(cache.groups[player], lists)]) <= max_search
     assert checked > 0
     assert (big > 0) is (max_grid < 64)
 
@@ -1634,30 +1647,56 @@ def test_enumeration_leaves_only_search_answers_in_the_memo(monkeypatch, evaluat
 
 
 def test_no_answer_outlives_a_search_call():
-    """Each search call keeps its answers in its own memo: after best
-    responses, `is_nash` in both modes, `brd` and grid-NE enumeration on one
-    instance, its core holds its fixed tables, equal to a fresh core's, and
-    grid records, and no answer; a second `is_nash` answers as the first."""
+    """Each search call keeps its answers and grid records to itself: after
+    every search entry on one instance (best responses, `is_nash` in both
+    modes, `brd` and grid-NE enumeration), each slot of its core equals a
+    fresh core's, and a second `is_nash` answers as the first."""
     fx = fixture("prop_no_ne")
     inst, profile = copy.copy(fx.instance), fx.notable_profiles["overlap"]
     first = is_nash(inst, profile)
     assert first is not None
-    for player in inst.color_ids:
-        best_response(inst, profile, player)
-    assert is_nash(inst, profile, first_improvement=True) is not None
-    brd(inst, profile)
-    assert enumerate_grid_ne(inst) == []
-    core, fresh = MachineCache.of(inst), MachineCache.of(copy.copy(inst))
-    assert core.td == fresh.td and fresh.groups
-    tables = set(MachineCache.__slots__) - {"instance", "_record_key", "grid_cache"}
-    assert tables == {"wden", "td", "rows", "start_lo", "start_hi", "base_scaled", "zero_ids",
-                      "color_ids", "ids", "pos", "color_index", "totals", "zero_per", "lens",
-                      "bounds", "other_pos", "_groups"}
-    assert all(getattr(core, name) == getattr(fresh, name) for name in tables)
-    assert core._record_key.keys() == fresh._record_key.keys()
-    assert core.grid_cache and all(type(record) is equilibrium._GridRecord
-                                   for record in core.grid_cache.values())
+    # Each call returns a true value when it answers as expected.
+    calls = [lambda c=c: best_response(inst, profile, c) for c in inst.color_ids]
+    calls += [lambda: is_nash(inst, profile, first_improvement=True) is not None,
+              lambda: brd(inst, profile), lambda: enumerate_grid_ne(inst) == []]
+    assert set(MachineCache.__slots__) == {
+        "instance", "wden", "td", "rows", "start_lo", "start_hi", "base_scaled", "zero_ids",
+        "color_ids", "ids", "pos", "color_index", "totals", "zero_per", "lens", "bounds",
+        "other_pos", "_groups", "_record_key"}
+    for call in calls:
+        assert call()
+        core = MachineCache.of(inst)
+        assert_fresh_core(core, MachineCache(copy.copy(inst), core.td))
     assert is_nash(inst, profile) == first
+
+
+def test_searches_on_one_shared_instance_answer_as_lone_calls():
+    """Every search entry run from four threads on one shared instance
+    returns what a lone call returns on a fresh copy. The threads switch
+    every microsecond, and each trial starts from a fresh core, so they race
+    to build its game tables; an off-scale profile needs a core on a finer
+    scale, which replaces the stored one while the others may still search
+    it. The searches share only the core's fixed tables and that
+    replacement."""
+    fx = fixture("prop_no_ne")
+    profile = fx.notable_profiles["overlap"]
+    # Job 2 at 23/16 is off the core's scale of 1/40, so it needs a new core.
+    off_scale = Profile.from_dict({**profile.as_dict(), 2: F(23, 16)})
+    asks = [enumerate_grid_ne, lambda i: is_nash(i, profile),
+            lambda i: is_nash(i, profile, first_improvement=True),
+            lambda i: is_nash(i, off_scale), lambda i: brd(i, profile)]
+    asks += [lambda i, c=c: best_response(i, profile, c) for c in fx.instance.color_ids]
+    expected = [ask(copy.copy(fx.instance)) for ask in asks]
+    rng, interval = random.Random(11), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            shared, order = copy.copy(fx.instance), rng.sample(range(len(asks)), len(asks))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda k: asks[k](shared), order, timeout=120))
+            assert got == [expected[k] for k in order]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_enumeration_frees_finished_records_and_shares_equal_answers(monkeypatch):
@@ -1667,22 +1706,30 @@ def test_enumeration_frees_finished_records_and_shares_equal_answers(monkeypatch
     # left 924 records of player 2, and the memo's 4,475 entries held 1,275
     # distinct tuples. Player 2's searches are typed walks now, which store
     # their answers in the type memo, not in the call's key memo: its
-    # entries share the tuples.
-    memos = []
+    # entries share the tuples. The records are read at every profile, in
+    # the call: they hold at most the current block's record of player 2.
+    memos, owned = [], []
     _wrapping_walks(monkeypatch, lambda walk, args: memos.append(args[3]) or walk)
+    profile_stable = equilibrium._profile_stable
+
+    def reading(instance, cache, records, *args):
+        owned.append(sum(player == 2 for player, _ in records))
+        return profile_stable(instance, cache, records, *args)
+
+    monkeypatch.setattr(equilibrium, "_profile_stable", reading)
     inst = copy.copy(from_partition_decide((1, 3, 3, 3)).instance)
     assert enumerate_grid_ne(inst) == []
     cache = MachineCache.of(inst)
     _, owner = max((group, player) for player, groups in cache.groups.items()
                    for group in groups)
     assert owner == 2 and len(inst.jobs_of_color(2)) == 1
-    assert sum(player == 2 for player, _ in cache.grid_cache) <= 1
+    assert len(owned) == equilibrium.joint_grid_size(inst) and max(owned) == 1
     [types] = memos
     assert len(types) == 2459 and len({id(answer) for answer in types.values()}) == 12
 
 
 def test_bounded_tables_clear_without_changing_results(monkeypatch):
-    # With both limits at 1, the call's key memo, the grid cache, the
+    # With both limits at 1, the call's key memo, its grid records, the
     # DP-exact type memo that the enumeration and its typed walks share, its
     # table of distinct answers and every signer's per-pattern class tables
     # are cleared at every other write during one enumeration.
@@ -1699,11 +1746,13 @@ def test_bounded_tables_clear_without_changing_results(monkeypatch):
     run = {}  # this enumeration's cleared tables by kind, signers and walk memos
 
     def recording(table, key, value, limit=None):
+        if type(value) is equilibrium._GridRecord:
+            run["records"][id(table)] = table
         if len(table) > (machine.MEMO_LIMIT if limit is None else limit):
-            # The grid cache and the class tables take the grid limit; the
+            # The grid records and the class tables take the grid limit; the
             # answer table maps each answer to itself.
             kind = (("answers" if key is value else "types") if limit is None else
-                    "grid" if table is run["core"].grid_cache else "classes")
+                    "grid" if id(table) in run["records"] else "classes")
             run[kind].append(table)
         return put(table, key, value, limit)
 
@@ -1719,12 +1768,14 @@ def test_bounded_tables_clear_without_changing_results(monkeypatch):
     for inst, (found, report) in zip(instances, expected):
         for ask, answer in ((enumerate_grid_ne, found), (analyze, report)):
             fresh = copy.copy(inst)
-            run = {"core": MachineCache.of(fresh), "signers": 0, "walk_memos": [],
-                   "types": [], "answers": [], "grid": [], "classes": []}
+            run = {"signers": 0, "walk_memos": [], "types": [], "answers": [],
+                   "grid": [], "classes": [], "records": {}}
             key_memos.clear()
             assert ask(fresh) == answer
             assert all(len(memo) <= 2 for memo in key_memos)
-            assert len(run["core"].grid_cache) <= 2
+            # One dict of grid records per enumeration, cleared like the rest.
+            [records] = run["records"].values()
+            assert len(records) <= 2
             runs.append(run)
     for run in runs:
         # One type memo per enumeration, shared by every walk and cleared.

@@ -28,7 +28,7 @@ from intervalgames import equilibrium, machine
 from intervalgames.generators import FAMILIES
 from intervalgames.machine import _closure, _dp_core, _scaled, _view
 from intervalgames.model import Schedule
-from conftest import check_schedule_invariants, core_keys
+from conftest import check_schedule_invariants, core_keys, merged_lists
 
 
 def _inst(horizon, *jobs):
@@ -475,7 +475,7 @@ def _walk_lists(cache, key, player):
     """The candidate lists of the player's best-mode walks from `key`: its
     local grid, as `best_response` and `is_nash` walk it, and the global
     grid, as `brd` walks it."""
-    yield [coded for _, coded in equilibrium._coded_grid(cache, key, player)[1]]
+    yield merged_lists(cache, key, player)[1]
     yield equilibrium._global_lists(cache, 1)[player]
 
 
@@ -1024,7 +1024,7 @@ def test_game_tables_are_published_in_one_step():
                     if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load))
     names = [name for *_, name in writes]
     assert names.count("_groups") == 1 and names[-1] == "_groups", writes
-    assert {"grid_cache", "bounds", "other_pos"} <= set(names)
+    assert {"_record_key", "bounds", "other_pos"} <= set(names)
 
 
 def test_every_private_helper_has_a_caller():
