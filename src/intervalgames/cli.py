@@ -134,7 +134,7 @@ def cmd_ne(args) -> int:
         _emit({"profile": profile_to_document(profile), "value": rational_str(value),
                "certified": True})
         return EXIT_OK
-    if args.verify:
+    if args.verify is not None:  # an empty path is the verify mode too
         profile = parse_profile(_read(args.verify), instance)
         deviation = is_nash(instance, profile, force=args.force)
         value = solve_machine_dp(instance, profile).value
@@ -343,11 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ne", parents=shared,
                        help="construct, verify, or enumerate equilibria")
-    p.add_argument("--construct", choices=("single", "unit"))
-    p.add_argument("--verify", metavar="PROFILE",
-                   help="profile document to certify")
-    p.add_argument("--enumerate", action="store_true",
-                   help="enumerate grid equilibria (default action)")
+    mode = p.add_mutually_exclusive_group()  # one mode per run
+    mode.add_argument("--construct", choices=("single", "unit"))
+    mode.add_argument("--verify", metavar="PROFILE",
+                      help="profile document to certify")
+    mode.add_argument("--enumerate", action="store_true",
+                      help="enumerate grid equilibria (default action)")
     p.add_argument("--resolution", type=int, default=1)
     p.set_defaults(func=cmd_ne)
 

@@ -29,30 +29,26 @@ placement of the other players; a search walks those lists with the player's
 current starts merged in (`_coded_grid`), by the key walker of enumeration
 (`_grid_keys`), which rewrites only the groups that moved and steps the
 fastest group in an inner loop. A best response or `is_nash` search builds
-the one record it walks and drops it. An enumeration verdict looks the
-record up once, building a missing one, and merges the starts into it once:
-`_player_stable` reads its guard sizes and whether every start is aligned
-from the merged lists, and hands them to the search. The record's `big` flag
-says whether a guard could fire on the merged lists, which add at most one
-start per job; `_player_stable` runs the guards (`_guards`, one predicate,
-`_over_limit`, for both) only when it is set, and a search always. A
-best-mode walk goes through the same order (`_multisets`) without building
-keys: it scores each joint strategy from its groups' overlap masks by its
-own background route (`machine._background`), and builds a key only where
-the route defers to the memo and the DP, and for its result, the one key it
-stores. Searches return keys and int utilities.
+the one record it walks and drops it. The record's `big` flag says whether a
+guard could fire on the merged lists, which add at most one start per job; an
+enumeration verdict runs the guards (`_guards`, one predicate, `_over_limit`,
+for both) only when it is set, and a search always. A best-mode walk goes
+through the same order (`_multisets`) without building keys: it scores each
+joint strategy from its groups' overlap masks by its own background route
+(`machine._background`), and builds a key only where the route defers to the
+memo and the DP, and for its result, the one key it stores. Searches return
+keys and int utilities.
 
-Grid-NE enumeration memoizes each player's verdict, keyed on the other
-players' placements (see `_player_stable`). The memo is exact: it holds only
-bounds that a search over the same grid proved, by three rules that also
-settle profiles whose starts are off the aligned lists. It lives for the
-enumeration call and is bounded: its records are cleared past
-`machine.GRID_CACHE_LIMIT` entries, and enumeration drops a record of the
-one-job owner of the job it moves fastest once its block of keys ends
-(`_grid_ne`). `_profile_stable` reads the bounds of each profile's records,
-building a missing one, and calls `_player_stable` where they do not settle
-a verdict; only that writes bounds. The memo leaves the searched grid
-unchanged, so the enumerated equilibria are those of the plain search.
+Grid-NE enumeration memoizes each player's verdict in its grid record,
+keyed on the other players' placements. The memo is exact: it holds only
+bounds that a search over the same grid proved, which `_profile_stable`,
+their only reader and writer, applies by the three rules its docstring
+states; they also settle profiles whose starts are off the aligned lists.
+It lives for the enumeration call and is bounded: its records are cleared
+past `machine.GRID_CACHE_LIMIT` entries, and enumeration drops a record of
+the one-job owner of the job it moves fastest once its block of keys ends
+(`_grid_ne`). The memo leaves the searched grid unchanged, so the
+enumerated equilibria are those of the plain search.
 Utilities are compared as integers over the lcm of the weight denominators,
 and equilibria are sorted as (value, starts) ints. `Fraction`s are built
 only for what is returned: strategies, utilities, deviations and profiles.
@@ -265,9 +261,11 @@ def _over_limit(player: int, sized) -> Optional[str]:
     return None
 
 
-def _guards(player: int, sized, force: bool) -> None:
-    """Raise `GuardError` with `_over_limit`'s message unless `force` is set."""
-    message = not force and _over_limit(player, sized)
+def _guards(cache: MachineCache, player: int, lists: list, force: bool) -> None:
+    """Raise `GuardError` with `_over_limit`'s message for the player's
+    candidate lists, one per group, unless `force` is set."""
+    message = not force and _over_limit(
+        player, [(ids_, len(c)) for (ids_, _), c in zip(cache.groups[player], lists)])
     if message:
         raise GuardError(message)
 
@@ -341,8 +339,7 @@ def _player_search(instance: Instance, cache: MachineCache, memo: dict, key: tup
 
     if lists is None:  # the one record this search walks, dropped with it
         lists = _coded_grid(cache, key, player, _grid_record(cache, key, player))
-    _guards(player, [(ids_, len(coded)) for (ids_, _), coded in zip(groups, lists)],
-            force)
+    _guards(cache, player, lists, force)
 
     walk = [(ps, coded) for (_, ps), coded in zip(groups, lists)]
     if mode == "first":
@@ -378,56 +375,26 @@ def _player_search(instance: Instance, cache: MachineCache, memo: dict, key: tup
 def _scan(instance: Instance, cache: MachineCache, players, walks: dict) -> list:
     """(player, color index, total, one job?, walk, record_key) for each of
     `players`, in order: what `_profile_stable` reads of a player before its
-    record. `walk` is its search in `walks` (see `_player_stable`); `record_key`
-    reads the key of its grid records, (player, the other players' starts),
-    from a key."""
+    record. `walk` is its search in `walks` (see `_profile_stable`);
+    `record_key` reads the key of its grid records, (player, the other
+    players' starts), from a key."""
     return [(c, cache.color_index[c], cache.totals[cache.color_index[c]],
              len(instance.jobs_of_color(c)) == 1, walks[c], cache._record_key[c])
             for c in players]
 
 
-def _profile_stable(instance: Instance, cache: MachineCache, records: dict, key: tuple,
-                    per: tuple, scan: list, force: bool) -> bool:
+def _profile_stable(cache: MachineCache, records: dict, key: tuple, per: tuple,
+                    scan: list, force: bool) -> bool:
     """Whether no player of `scan` (from `_scan`, in order) has an improving
-    grid move at `key`, whose per-color utilities are `per`, with the grid
-    records of the search call's `records`.
+    grid move at `key`, whose per-color utilities are `per`: each verdict is
+    that of a first-improvement `_player_search`, with the same guards in
+    the same order, read from the player's grid record in the search call's
+    `records` where its bounds settle it.
 
-    A covered player is stable. An existing record that is not `big` settles
-    a verdict here when `lo` exceeds the utility, or for a one-job player
-    when `hi` does not (rules (b) and (c) of `_player_stable`). A missing
-    record is built (`_grid_record`) and stored under the key just probed,
-    bounded at `machine.GRID_CACHE_LIMIT` records; every verdict left goes to
-    `_player_stable` with its record."""
-    for player, pix, total, single, walk, record_key in scan:
-        u = per[pix]
-        if u == total:
-            continue
-        others_key = record_key(key)
-        record = records.get(others_key)
-        if record is None:
-            record = _bounded_put(records, others_key, _grid_record(cache, key, player),
-                                  machine.GRID_CACHE_LIMIT)
-        elif not record.big:
-            if record.lo > u:
-                return False
-            if single and record.hi <= u:
-                continue
-        if not _player_stable(instance, cache, key, u, player, record, force, walk):
-            return False
-    return True
-
-
-def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
-                   u_cur: int, player: int, record: _GridRecord, force: bool, walk) -> bool:
-    """Whether the player, at utility `u_cur` below its total, has no
-    improving grid move: the verdict of a first-improvement `_player_search`,
-    with the same guards in the same order, read from the grid record's
-    bounds when they settle it.
-
-    The player's searched lists are the aligned lists of the record plus
-    its current starts, and a deviation's utility does not depend on the
-    player's current starts. So the bounds hold for every profile with
-    these other placements:
+    The searched lists are the record's aligned lists plus the player's
+    current starts, and a deviation's utility does not depend on those
+    starts. So the bounds hold for every profile with the record's other
+    placements:
     (a) a search that finds no improvement proves every aligned strategy
         worth at most the current utility, so `hi` drops to it;
     (b) a found deviation whose starts all lie on their groups' aligned
@@ -436,32 +403,46 @@ def _player_stable(instance: Instance, cache: MachineCache, key: tuple,
     (c) `hi` no higher than the current utility proves the player stable
         when every current start is aligned, or when the player has one
         job: its one candidate off the aligned list is its current start.
-    `record` is the player's record against the other placements in `key`.
-    This merges the current starts into it once (`_coded_grid`). A `big`
-    record's guards run first, on the merged lists, as the search's do; then
-    every verdict reads (b) and (c) once, each start counting as aligned
-    when each merged list is the record's own. The search `walk(key, merged
-    lists, u_cur)` is a typed walk (`_typed_walk`) for a one-job player,
+
+    Per player, in order: a covered player is stable; a missing record is
+    built (`_grid_record`) and stored under the key just probed, bounded at
+    `machine.GRID_CACHE_LIMIT` records, and its bounds (`lo` -1, `hi` the
+    total) settle nothing; a `big` record's guards run on the merged lists
+    (`_coded_grid`, at most once per verdict), as the search's do; then (b);
+    then (c), at once for a one-job player, else on the merged lists,
+    merging first where the guards did not; then the search `walk(key,
+    merged lists, u)`, a typed walk (`_typed_walk`) for a one-job player,
     which runs no guard, since a `big` record's guards ran here and one that
     is not `big` cannot trip one, else `_first_search`'s. Only this writes
     bounds."""
-    lists = _coded_grid(cache, key, player, record)
-    if record.big:
-        _guards(player, [(ids_, len(union)) for (ids_, _), union
-                         in zip(cache.groups[player], lists)], force)
-    if record.lo > u_cur:
+    for player, pix, total, single, walk, record_key in scan:
+        u = per[pix]
+        if u == total:
+            continue
+        others_key = record_key(key)
+        record = records.get(others_key) or _bounded_put(
+            records, others_key, _grid_record(cache, key, player), machine.GRID_CACHE_LIMIT)
+        lists = None
+        if record.big:
+            lists = _coded_grid(cache, key, player, record)
+            _guards(cache, player, lists, force)
+        if record.lo > u:
+            return False
+        if record.hi <= u and single:
+            continue
+        if lists is None:
+            lists = _coded_grid(cache, key, player, record)
+        if record.hi <= u and all(union is coded for union, coded in zip(lists, record.coded)):
+            continue
+        found = walk(key, lists, u)
+        if found is None:
+            record.hi = min(record.hi, u)
+            continue
+        if all(found[0][p] in coded for (_, positions), coded
+               in zip(cache.groups[player], record.coded) for p in positions):
+            record.lo = found[1]
         return False
-    if record.hi <= u_cur and (len(instance.jobs_of_color(player)) == 1 or all(
-            union is coded for union, coded in zip(lists, record.coded))):
-        return True
-    found = walk(key, lists, u_cur)
-    if found is None:
-        record.hi = min(record.hi, u_cur)
-        return True
-    if all(found[0][p] in coded for (_, positions), coded
-           in zip(cache.groups[player], record.coded) for p in positions):
-        record.lo = found[1]
-    return False
+    return True
 
 
 def _entry(instance: Instance, profile: Profile) -> tuple[MachineCache, tuple]:
@@ -688,7 +669,7 @@ def enumerate_grid_ne(instance: Instance, resolution: int = 1, *,
     Every profile on the global grid is tested against all players' grid
     deviations; survivors are exact NE relative to the grid. Each player's
     verdict is memoized per placement of the other players (see
-    `_player_stable`).
+    `_profile_stable`).
     """
     cache = MachineCache.of(instance)
     found = _grid_ne(instance, cache, _iter_grid_coded(instance, resolution, force, cache),
@@ -796,7 +777,7 @@ def _typed_walk(position: int, pix: int, signer, types: dict, solve):
 
 
 def _first_search(instance: Instance, cache: MachineCache, memo: dict, player: int, force):
-    """A multi-job player's search for `_player_stable` in grid-NE
+    """A multi-job player's search for `_profile_stable` in grid-NE
     enumeration: a first-mode `_player_search` on the call's memo `memo`."""
     return lambda key, lists, u_cur: _player_search(
         instance, cache, memo, key, player, mode="first", force=force, lists=lists, u_cur=u_cur)
@@ -822,11 +803,11 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
     The keys come in blocks that move only that job, whose start rises
     through a block, so the head is read only where it does not rise. Each
     key's verdict is `_profile_stable`'s, on the call's grid records, which
-    it reads and builds, leaving searching and writing bounds to
-    `_player_stable`. When the moving job's owner has no other job, its
-    records are keyed by every other start, fixed over one block and never
-    recurring, so each is dropped when its block ends; a record holds only
-    proven bounds, so no verdict, search or DP count changes."""
+    it alone reads, builds, searches from and writes bounds to. When the
+    moving job's owner has no other job, its records are keyed by every
+    other start, fixed over one block and never recurring, so each is
+    dropped when its block ends; a record holds only proven bounds, so no
+    verdict, search or DP count changes."""
     (_, positions), owner = max((group, player) for player, groups in cache.groups.items()
                                 for group in groups)
     moving, pids = positions[-1], itertools.count()
@@ -869,7 +850,7 @@ def _grid_ne(instance: Instance, cache: MachineCache, keys,
             sig = sign(x, head)
             hit = types.get(sig) or _bounded_put(types, sig, solve(key))
         value, per = hit
-        if _profile_stable(instance, cache, records, key, per, scan, force):
+        if _profile_stable(cache, records, key, per, scan, force):
             found.append((value, key))
     # Every key is on one scale, so (value, starts in job-id order) sorts the
     # results as (Fraction value, placements) does.

@@ -407,10 +407,8 @@ def instance_from_document(doc) -> Instance:
         for key in ("id", "color", "length", "weight"):
             if key not in entry:
                 raise FormatError(f"job entry missing '{key}'")
-        for key in ("id", "color"):
-            # Checked before an `Instance` hashes and sorts them.
-            if isinstance(entry[key], bool) or not isinstance(entry[key], int):
-                raise FormatError(f"job {key} {entry[key]!r} must be an integer")
+        for key in ("id", "color"):  # checked before an `Instance` hashes and sorts them
+            _json_int(entry[key], f"job {key}")
         window = None
         if entry.get("window") is not None:
             pair = entry["window"]
@@ -423,6 +421,13 @@ def instance_from_document(doc) -> Instance:
                         to_rational(entry["weight"], f"job {entry['id']} weight"),
                         window))
     return validate_instance(Instance(horizon, tuple(jobs)))
+
+
+def _json_int(value, what: str) -> int:
+    """`value` if it is a JSON int (a bool is not), else `FormatError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} {value!r} must be an integer")
+    return value
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -503,11 +508,13 @@ def parse_schedule(text: str) -> Schedule:
     if not isinstance(doc, dict):
         raise FormatError("schedule document must be a JSON object")
     try:
-        covered = frozenset(int(x) for x in doc["covered"])
+        ids = [_json_int(x, "covered job id") for x in doc["covered"]]
         segments = tuple((to_rational(a, "segment start"),
-                          to_rational(b, "segment end"), int(c))
+                          to_rational(b, "segment end"), _json_int(c, "segment color"))
                          for a, b, c in doc["segments"])
         value = to_rational(doc["value"], "value")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed schedule document: {exc}") from exc
-    return Schedule(covered, segments, value)
+    if len(set(ids)) < len(ids):
+        raise FormatError("'covered' names a job twice")
+    return Schedule(frozenset(ids), segments, value)

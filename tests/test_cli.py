@@ -5,6 +5,7 @@ import contextlib
 import copy
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import pathlib
@@ -657,6 +658,7 @@ def _check_main(capsys, argv):
     if out:
         assert out.endswith("\n") and out.count("\n") == 1, out
         json.loads(out)
+    return code, out
 
 
 @given(data=st.data())
@@ -675,6 +677,51 @@ def test_mutated_documents_never_escape_main(capsys, tmp_path, data):
                                   else _BASE_PROFILE))
     command = data.draw(st.sampled_from(_COMMANDS))
     _check_main(capsys, [a.format(i=instance, p=profile) for a in command])
+
+
+@st.composite
+def _raw_edited(draw, base, edit):
+    """`base` as UTF-8 bytes after one raw edit of the kind `edit`: bytes
+    that are not UTF-8 spliced in, the document wrapped in 1, 999 or 100,000
+    levels of brackets, a key and its value repeated in the text, or a
+    number replaced by a run of 4,300, 4,301 or 5,000 digits, as an int
+    literal or as a string. 4,300 is the interpreter's default digit limit."""
+    text = json.dumps(base).encode()
+    if edit == "not_utf8":
+        at = draw(st.integers(0, len(text)))
+        junk = draw(st.sampled_from((b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80")))
+        return text[:at] + junk + text[at:]
+    if edit == "nested":
+        depth = draw(st.sampled_from((1, 999, 100_000)))
+        return b"[" * depth + text + b"]" * depth
+    if edit == "repeated_key":
+        pair = draw(st.sampled_from(list(re.finditer(rb'"\w+": (?:"[^"]*"|\d+)', text))))
+        return text[:pair.start()] + pair.group() + b", " + text[pair.start():]
+    number = draw(st.sampled_from(list(re.finditer(rb'"\d+"|\d+', text))))
+    digits = bytes([draw(st.sampled_from(b"123456789"))]) * draw(
+        st.sampled_from((4300, 4301, 5000)))
+    if draw(st.booleans()):
+        digits = b'"' + digits + b'"'
+    return text[:number.start()] + digits + text[number.end():]
+
+
+@pytest.mark.parametrize("edit", ("not_utf8", "nested", "repeated_key", "long_number"))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_raw_edited_documents_never_escape_main(capsys, tmp_path, edit, data):
+    """The bytes-level twin of `test_mutated_documents_never_escape_main`:
+    an instance document after one raw edit (`_raw_edited`), through every
+    subcommand. Only a long number can leave a readable instance; every
+    other edit exits 2 with nothing on stdout."""
+    raw = data.draw(_raw_edited(data.draw(st.sampled_from(_BASE_INSTANCES)), edit))
+    instance, profile = tmp_path / "instance.json", tmp_path / "profile.json"
+    instance.write_bytes(raw)
+    profile.write_text(json.dumps(_BASE_PROFILE))
+    command = data.draw(st.sampled_from(_COMMANDS))
+    code, out = _check_main(capsys, [a.format(i=instance, p=profile) for a in command])
+    if edit != "long_number":
+        assert (code, out) == (2, ""), command
 
 
 # Library parameters: the odd values with no int above 2, since a larger
@@ -888,6 +935,36 @@ def test_parser_surface_matches_the_pinned_table():
     assert surface == PARSER_SURFACE
     for name, p in sub.choices.items():
         assert p.get_default("func") is getattr(cli, f"cmd_{name}")
+
+
+@pytest.mark.parametrize("modes", itertools.permutations(
+    (("--construct", "single"), ("--verify", "{p}"), ("--enumerate",)), 2))
+def test_ne_rejects_two_modes_in_one_run(capsys, tmp_path, modes):
+    """`igl ne` ran only the first of its modes in the order construct,
+    verify, enumerate, dropped the other and exited 0. Each mode alone
+    exits 0 on this instance and profile."""
+    instance, profile = tmp_path / "instance.json", tmp_path / "profile.json"
+    instance.write_text(json.dumps(_BASE_INSTANCES[1]))
+    profile.write_text(json.dumps(_BASE_PROFILE))
+    first, second = ([a.format(p=profile) for a in mode] for mode in modes)
+    for mode in (first, second):
+        assert main(["ne", str(instance), *mode]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["ne", str(instance), *first, *second])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {second[0]}: not allowed with argument {first[0]}" in captured.err
+
+
+def test_ne_verify_of_an_empty_path_exits_2(capsys, tmp_path):
+    """`--verify ""` was read as no mode, so `igl ne` enumerated and
+    exited 0."""
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(_BASE_INSTANCES[1]))
+    assert main(["ne", str(instance), "--verify", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "No such file or directory" in captured.err
 
 
 def test_written_instance_is_the_printed_document(capsys, tmp_path):

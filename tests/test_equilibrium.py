@@ -698,7 +698,7 @@ def test_every_player_verdict_matches_a_plain_search():
                 per = cache.evaluate_key(memo, key)[1]
                 for player in inst.color_ids:
                     plain = _player_search(inst, cache, memo, key, player, mode="first")
-                    assert _profile_stable(inst, cache, records, key, per,
+                    assert _profile_stable(cache, records, key, per,
                                            plain_scan(inst, cache, memo, [player]), False) \
                         == (plain is None)
             assert records
@@ -722,14 +722,14 @@ def test_one_job_player_off_its_aligned_list_is_settled_by_its_ceiling(monkeypat
     calls, memo, records = _counting_searches(monkeypatch), {}, {}
     scan = plain_scan(inst, cache, memo, [1])
     per = cache.evaluate_key(memo, aligned_key)[1]
-    assert _profile_stable(inst, cache, records, aligned_key, per, scan, False)
+    assert _profile_stable(cache, records, aligned_key, per, scan, False)
     [record] = records.values()
     assert calls == [aligned_key] and record.hi == 0
     lists = _coded_grid(cache, off_key, 1, record)
     assert off_key[0] not in record.coded[0] and off_key[0] in lists[0]
     per = cache.evaluate_key(memo, off_key)[1]
     assert per[0] == 0
-    assert _profile_stable(inst, cache, records, off_key, per, scan, False)
+    assert _profile_stable(cache, records, off_key, per, scan, False)
     assert calls == [aligned_key]  # the proved ceiling settles it
     assert _player_search(inst, cache, memo, off_key, 1, mode="first") is None
 
@@ -744,7 +744,7 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
                                             {1: F(0), 2: F(1, 2), 3: F(3, 2)})
     calls, memo, records = _counting_searches(monkeypatch), {}, {}
     for key in (aligned_key, off_key):
-        assert _profile_stable(inst, cache, records, key, cache.evaluate_key(memo, key)[1],
+        assert _profile_stable(cache, records, key, cache.evaluate_key(memo, key)[1],
                                plain_scan(inst, cache, memo, [1]), False)
     [record] = records.values()
     assert off_key[1] not in record.coded[1]
@@ -760,13 +760,13 @@ def test_bounds_take_no_evidence_from_starts_off_the_aligned_lists(monkeypatch):
     assert u > u_cur
     monkeypatch.setattr(equilibrium, "_player_search", lambda *a, **k: (moved, u))
     scan = plain_scan(inst, cache, memo, [1])
-    assert not _profile_stable(inst, cache, records, key, cache.evaluate_key(memo, key)[1],
+    assert not _profile_stable(cache, records, key, cache.evaluate_key(memo, key)[1],
                                scan, False)
     [record] = records.values()
     assert key[1] == moved[1] and moved[1] not in record.coded[1]
     assert record.lo == -1
     monkeypatch.undo()
-    assert not _profile_stable(inst, cache, records, key, cache.evaluate_key(memo, key)[1],
+    assert not _profile_stable(cache, records, key, cache.evaluate_key(memo, key)[1],
                                scan, False)
     found = _player_search(inst, cache, memo, key, 1, mode="first")
     assert record.lo == found[1] > u_cur
@@ -791,10 +791,11 @@ def test_enumeration_builds_no_fraction_before_it_returns(monkeypatch):
     assert made == []
 
 
-def test_enumeration_asks_player_stable_only_to_search(monkeypatch):
+def test_enumeration_merges_a_record_only_to_search(monkeypatch):
     # `_profile_stable` settles a verdict from a covered player or its
-    # record's bounds itself, so `_player_stable` is asked once per search.
-    # Before, it was asked for every scanned player: 16,328 and 6,489 times.
+    # record's bounds before it merges the player's starts into the record,
+    # so it merges once per search. Before, a verdict was asked of a second
+    # function for every scanned player: 16,328 and 6,489 times.
     # A typed walk, which a one-job player runs in place of a search, counts
     # as one. The enumeration keeps its own keys out of the core's memo, so
     # a search that lands on an earlier key runs its DP again: 2,507 and
@@ -806,24 +807,24 @@ def test_enumeration_asks_player_stable_only_to_search(monkeypatch):
              (fixture("prop_no_ne").instance, 248, 2266)]
     expected = [_plain_grid_ne(copy.copy(inst)) for inst, _, _ in cases]
     searches = _counting_searches(monkeypatch)
-    stable, dp = [], []
-    player_stable, dp_core = equilibrium._player_stable, machine._dp_core
+    merged, dp = [], []
+    coded_grid, dp_core = equilibrium._coded_grid, machine._dp_core
 
-    def counting_stable(*args, **kwargs):
-        stable.append(args[2])
-        return player_stable(*args, **kwargs)
+    def counting_merge(*args):
+        merged.append(args[1])
+        return coded_grid(*args)
 
     def counting_dp(*args):
         dp.append(args[1])
         return dp_core(*args)
 
-    monkeypatch.setattr(equilibrium, "_player_stable", counting_stable)
+    monkeypatch.setattr(equilibrium, "_coded_grid", counting_merge)
     monkeypatch.setattr(machine, "_dp_core", counting_dp)
     for (inst, calls, dp_calls), plain in zip(cases, expected):
-        for log in (searches, stable, dp):
+        for log in (searches, merged, dp):
             log.clear()
         assert enumerate_grid_ne(copy.copy(inst)) == plain
-        assert stable == searches and len(stable) == calls
+        assert merged == searches and len(merged) == calls
         assert len(dp) == dp_calls
 
 
@@ -839,7 +840,7 @@ def test_enumeration_searches_where_a_plain_scan_does(monkeypatch):
         scan = plain_scan(fresh, cache, memo, sorted(
             fresh.color_ids, key=lambda c: (len(fresh.jobs_of_color(c)), c)))
         for key in keys:
-            _profile_stable(fresh, cache, records, key, cache.evaluate_key(memo, key)[1],
+            _profile_stable(cache, records, key, cache.evaluate_key(memo, key)[1],
                             scan, False)
         plain = searches.copy()
         searches.clear()
@@ -848,15 +849,13 @@ def test_enumeration_searches_where_a_plain_scan_does(monkeypatch):
         searches.clear()
 
 
-def test_enumeration_leaves_searches_and_bounds_to_player_stable():
-    """`_grid_ne` and `_profile_stable`, which reads and builds grid records
-    for it, neither merge, guard nor search one, and write no bound: a
-    verdict that a record's bounds settle calls none of `_coded_grid`,
-    `_guards` or `_player_search`. Across the module `lo`, `hi` and `big` are
-    assigned only by the record's constructor and by `_player_stable`, and
-    records are built only where a search call keeps them: in
-    `_profile_stable`, on enumeration's records, and in `_player_search`,
-    for the one record it walks."""
+def test_enumeration_reads_and_writes_bounds_in_one_verdict_function():
+    """`_grid_ne` leaves every grid record to `_profile_stable`: it neither
+    merges, guards nor searches one, and writes no bound. Across the module
+    `lo`, `hi` and `big` are assigned only by the record's constructor and
+    by `_profile_stable`, and records are built only where a search call
+    keeps them: in `_profile_stable`, on enumeration's records, and in
+    `_player_search`, for the one record it walks."""
     tree = ast.parse(pathlib.Path(equilibrium.__file__).read_text())
     writers = collections.Counter()
     for fn in ast.walk(tree):
@@ -873,20 +872,18 @@ def test_enumeration_leaves_searches_and_bounds_to_player_stable():
                 continue
             if name in ("lo", "hi", "big"):
                 writers[fn.name] += 1
-    assert set(writers) == {"__init__", "_player_stable"}
+    assert set(writers) == {"__init__", "_profile_stable"}
     calls = {fn.name: {getattr(node.func, "id", getattr(node.func, "attr", None))
                        for node in ast.walk(fn) if isinstance(node, ast.Call)}
              for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     assert "_profile_stable" in calls["_grid_ne"]
-    assert "_player_stable" in calls["_profile_stable"]
-    for name in ("_grid_ne", "_profile_stable"):
-        assert not calls[name] & {"_guards", "_coded_grid", "_player_search"}
+    assert not calls["_grid_ne"] & {"_guards", "_coded_grid", "_player_search"}
     assert {name for name, called in calls.items() if "_grid_record" in called} == {
         "_profile_stable", "_player_search"}
 
 
-def test_a_verdict_search_walks_the_lists_player_stable_merged(monkeypatch):
-    """`_player_stable` merges the player's starts into the record it holds
+def test_a_verdict_search_walks_the_lists_its_verdict_merged(monkeypatch):
+    """`_profile_stable` merges the player's starts into the record it holds
     and hands the lists to the search, so no verdict search of grid-NE
     enumeration, a typed walk included, builds or merges a record; each of
     the 935 and 248 searches used to look its record up again. A best
@@ -1386,7 +1383,7 @@ def test_joint_search_guard_fires_before_the_first_combination(evaluated_keys):
     per = cache.evaluate_key(memo, key)[1]
     evaluated_keys.clear()
     with pytest.raises(GuardError, match="player 2's joint search holds 22044960"):
-        _profile_stable(inst, cache, {}, key, per, plain_scan(inst, cache, memo, [2]), False)
+        _profile_stable(cache, {}, key, per, plain_scan(inst, cache, memo, [2]), False)
     assert evaluated_keys == []
 
 
@@ -1401,15 +1398,15 @@ def test_a_big_records_guard_fires_before_its_bounds_are_read(monkeypatch):
                                             {1: F(1), 2: F(1, 2)})
     memo, records = {}, {}
     scan = plain_scan(inst, cache, memo, [1])
-    assert _profile_stable(inst, cache, records, aligned_key,
+    assert _profile_stable(cache, records, aligned_key,
                            cache.evaluate_key(memo, aligned_key)[1], scan, False)
     [record] = records.values()
     per = cache.evaluate_key(memo, off_key)[1]
     assert record.big and record.hi == per[0] == 0
     with pytest.raises(GuardError, match="have 6 candidate starts"):
-        _profile_stable(inst, cache, records, off_key, per, scan, False)
+        _profile_stable(cache, records, off_key, per, scan, False)
     calls = _counting_searches(monkeypatch)
-    assert _profile_stable(inst, cache, records, off_key, per, scan, True)
+    assert _profile_stable(cache, records, off_key, per, scan, True)
     assert calls == []  # forced past the guard, the ceiling settles it
 
 
@@ -1712,9 +1709,9 @@ def test_enumeration_frees_finished_records_and_shares_equal_answers(monkeypatch
     _wrapping_walks(monkeypatch, lambda walk, args: memos.append(args[3]) or walk)
     profile_stable = equilibrium._profile_stable
 
-    def reading(instance, cache, records, *args):
+    def reading(cache, records, *args):
         owned.append(sum(player == 2 for player, _ in records))
-        return profile_stable(instance, cache, records, *args)
+        return profile_stable(cache, records, *args)
 
     monkeypatch.setattr(equilibrium, "_profile_stable", reading)
     inst = copy.copy(from_partition_decide((1, 3, 3, 3)).instance)

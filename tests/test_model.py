@@ -246,6 +246,25 @@ def test_schedule_round_trip():
     assert again == sched
 
 
+@pytest.mark.parametrize("covered, color, message", [
+    ("[1.5]", "2", "covered job id"),
+    ('["3"]', "2", "covered job id"),
+    ("[true]", "2", "covered job id"),
+    ("[1]", "2.7", "segment color"),
+    ("[1]", '"2"', "segment color"),
+    ("[1]", "false", "segment color"),
+    ("[1, 1.0]", "2", "covered job id"),
+    ("[1, 2, 1]", "2", "names a job twice"),
+])
+def test_schedule_ids_and_colors_must_be_distinct_json_ints(covered, color, message):
+    """`parse_schedule` read ids and colors with `int()`: 1.5 became job 1,
+    "3" job 3, true job 1, and [1, 1.0] or [1, 2, 1] collapsed to a set."""
+    from intervalgames import parse_schedule
+    text = f'{{"covered": {covered}, "segments": [[0, 1, {color}]], "value": "1"}}'
+    with pytest.raises(FormatError, match=message):
+        parse_schedule(text)
+
+
 def test_a_job_named_by_two_start_keys_is_rejected():
     """Keys that differ as text but name one job ("2", "02", " 2") were
     read as one placement, the last winning."""
